@@ -165,15 +165,19 @@ func (a *ACFG) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &j); err != nil {
 		return fmt.Errorf("acfg: decode: %w", err)
 	}
+	// Hold the claimed vertex count to the attribute rows actually present
+	// before sizing anything by it: the document comes from outside the
+	// program, a negative n would panic in NewDirected and a huge one would
+	// allocate n adjacency lists. The rows are bounded by the body's size.
+	if len(j.Attrs) != j.N {
+		return fmt.Errorf("acfg: %d attribute rows for %d vertices", len(j.Attrs), j.N)
+	}
 	g := graph.NewDirected(j.N)
 	for _, e := range j.Edges {
 		if e[0] < 0 || e[0] >= j.N || e[1] < 0 || e[1] >= j.N {
 			return fmt.Errorf("acfg: edge %v out of range n=%d", e, j.N)
 		}
 		g.AddEdge(e[0], e[1])
-	}
-	if len(j.Attrs) != j.N {
-		return fmt.Errorf("acfg: %d attribute rows for %d vertices", len(j.Attrs), j.N)
 	}
 	attrs, err := tensor.FromRows(j.Attrs)
 	if err != nil {

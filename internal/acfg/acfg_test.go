@@ -153,6 +153,8 @@ func TestJSONRejectsCorrupt(t *testing.T) {
 	for _, bad := range []string{
 		`{"n":2,"edges":[[0,5]],"attrs":[[],[]]}`,
 		`{"n":2,"edges":[],"attrs":[[1]]}`,
+		`{"n":-1,"edges":[],"attrs":[]}`,         // must be an error, not a NewDirected panic
+		`{"n":4000000000,"edges":[],"attrs":[]}`, // rejected before anything is sized by n
 		`not json`,
 	} {
 		if _, err := Read(bytes.NewReader([]byte(bad))); err == nil {

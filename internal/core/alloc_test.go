@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/graph"
 )
 
 // These tests pin the zero-allocation contract of the training hot path:
@@ -36,12 +34,11 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.SetScaler(FitScaler(acfgsOf(d)))
-			props := buildProps(d)
+			m.SetScaler(fitScaler(t, d))
 
 			step := func() {
 				for i, s := range d.Samples {
-					m.TrainStep(props[i], s.ACFG, s.Label, sampleSeed(cfg.Seed, 0, i))
+					m.TrainStep(s.ACFG, s.Label, sampleSeed(cfg.Seed, 0, i))
 				}
 				for _, p := range m.params {
 					p.Grad.Zero()
@@ -90,14 +87,14 @@ func TestPredictEngineZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetScaler(FitScaler(acfgsOf(d)))
+	m.SetScaler(fitScaler(t, d))
 	engine, err := NewParallelBatch(m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tasks := make([]sampleTask, d.Len())
 	for i, s := range d.Samples {
-		tasks[i] = sampleTask{prop: graph.NewPropagator(s.ACFG.Graph), a: s.ACFG}
+		tasks[i] = sampleTask{a: s.ACFG}
 	}
 	out := make([][]float64, d.Len())
 	if err := engine.predictAll(tasks, out); err != nil { // warm-up allocates the out slots

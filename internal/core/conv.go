@@ -37,7 +37,7 @@ type ConvBackend interface {
 	// Name returns the registry name the backend was built under.
 	Name() string
 	// Forward computes the concatenated Z^{1:h} (n × Σ c_t) for one graph.
-	Forward(prop *graph.Propagator, x *tensor.Matrix) *tensor.Matrix
+	Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix
 	// Backward consumes ∂L/∂Z^{1:h}, accumulates parameter gradients and
 	// returns ∂L/∂X. Must follow a Forward call on the same sample.
 	Backward(dconcat *tensor.Matrix) *tensor.Matrix

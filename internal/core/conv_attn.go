@@ -74,8 +74,7 @@ func (s *AttnStack) Params() []*nn.Param {
 
 // Forward runs all layers for one graph and returns the concatenated
 // Z^{1:h} (n × Σ c_t).
-func (s *AttnStack) Forward(prop *graph.Propagator, x *tensor.Matrix) *tensor.Matrix {
-	csr := prop.CSR()
+func (s *AttnStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 	s.csr = csr
 	n := csr.N()
 	nnz := csr.NNZ()

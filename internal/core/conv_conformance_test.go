@@ -71,7 +71,7 @@ func convFDCheck(t *testing.T, name string) {
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 0}} {
 		g.AddEdge(e[0], e[1])
 	}
-	prop := graph.NewPropagator(g)
+	csr := graph.NewCSR(g)
 	stack := newTestBackend(t, name, rng, 4, []int{6, 5})
 	x := tensor.New(5, 4)
 	for i := range x.Data {
@@ -84,12 +84,12 @@ func convFDCheck(t *testing.T, name string) {
 		}
 	}
 	cs := lossCoeffs(rng, 5*(6+5))
-	lossOf := func() float64 { return dot(cs, stack.Forward(prop, x).Data) }
+	lossOf := func() float64 { return dot(cs, stack.Forward(csr, x).Data) }
 
 	for _, p := range stack.Params() {
 		p.ZeroGrad()
 	}
-	out := stack.Forward(prop, x)
+	out := stack.Forward(csr, x)
 	dout := tensor.New(out.Rows, out.Cols)
 	copy(dout.Data, cs)
 	dx := stack.Backward(dout)
@@ -128,12 +128,11 @@ func convZeroAllocCheck(t *testing.T, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetScaler(FitScaler(acfgsOf(d)))
-	props := buildProps(d)
+	m.SetScaler(fitScaler(t, d))
 
 	step := func() {
 		for i, s := range d.Samples {
-			m.TrainStep(props[i], s.ACFG, s.Label, sampleSeed(cfg.Seed, 0, i))
+			m.TrainStep(s.ACFG, s.Label, sampleSeed(cfg.Seed, 0, i))
 		}
 		for _, p := range m.params {
 			p.Grad.Zero()
@@ -192,7 +191,7 @@ func convReplicateCheck(t *testing.T, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetScaler(FitScaler(acfgsOf(d)))
+	m.SetScaler(fitScaler(t, d))
 	r, err := m.Replicate()
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +214,7 @@ func convReplicateCheck(t *testing.T, name string) {
 		p.Grad.Zero()
 	}
 	s := d.Samples[0]
-	r.TrainStep(graph.NewPropagator(s.ACFG.Graph), s.ACFG, s.Label, 1)
+	r.TrainStep(s.ACFG, s.Label, 1)
 	for i, p := range m.params {
 		for _, v := range p.Grad.Data {
 			if v != 0 {
@@ -310,12 +309,12 @@ func convEdgeCaseCheck(t *testing.T, name string) {
 	rng := rand.New(rand.NewSource(3))
 	stack := newTestBackend(t, name, rng, 3, []int{4, 2})
 	single := graph.NewDirected(1) // one vertex, no edges: P = [1]
-	prop := graph.NewPropagator(single)
+	csr := graph.NewCSR(single)
 	x := tensor.New(1, 3)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
 	}
-	out := stack.Forward(prop, x)
+	out := stack.Forward(csr, x)
 	if out.Rows != 1 || out.Cols != 6 {
 		t.Fatalf("single-vertex forward shape %dx%d, want 1x6", out.Rows, out.Cols)
 	}
@@ -355,7 +354,7 @@ func convOracleCheck(t *testing.T, name string) {
 		for i := range x.Data {
 			x.Data[i] = rng.NormFloat64()
 		}
-		got := stack.Forward(graph.NewPropagator(g), x)
+		got := stack.Forward(graph.NewCSR(g), x)
 		want := oracleConvForward(t, stack, g, x)
 		requireConvBitEqual(t, name, trial, got, want)
 	}

@@ -43,7 +43,7 @@ func fuzzConvBackend(f *testing.F, name string) {
 				x.Data[i] = rng.NormFloat64()
 			}
 		}
-		got := stack.Forward(graph.NewPropagator(g), x)
+		got := stack.Forward(graph.NewCSR(g), x)
 		want := oracleConvForward(t, stack, g, x)
 		requireConvBitEqual(t, name, int(seed), got, want)
 	})

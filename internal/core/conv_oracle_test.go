@@ -75,7 +75,7 @@ func oracleConcat(rows int, outs []*tensor.Matrix) *tensor.Matrix {
 	return cat
 }
 
-// oracleConvForward recomputes b.Forward(prop(g), x) with straight loops,
+// oracleConvForward recomputes b.Forward(graph.NewCSR(g), x) with straight loops,
 // dispatching on the concrete backend type to reach its weights.
 func oracleConvForward(t *testing.T, b ConvBackend, g *graph.Directed, x *tensor.Matrix) *tensor.Matrix {
 	t.Helper()

@@ -26,7 +26,7 @@ type SAGEStack struct {
 
 	ws *nn.Workspace
 
-	prop   *graph.Propagator
+	csr    *graph.CSR
 	inputs []*tensor.Matrix // Z_t, len == layers
 	aggs   []*tensor.Matrix // P·Z_t, len == layers
 	pre    []*tensor.Matrix // pre-activation, len == layers
@@ -74,15 +74,15 @@ func (s *SAGEStack) Params() []*nn.Param {
 
 // Forward runs all layers for one graph and returns the concatenated
 // Z^{1:h} (n × Σ c_t).
-func (s *SAGEStack) Forward(prop *graph.Propagator, x *tensor.Matrix) *tensor.Matrix {
-	s.prop = prop
+func (s *SAGEStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
+	s.csr = csr
 	z := x
 	total := 0
 	for t := range s.Self {
 		ws, wn := s.Self[t], s.Nbr[t]
 		s.inputs[t] = z
 		agg := s.ws.Matrix(z.Rows, z.Cols)
-		prop.ApplyInto(agg, z) // P·Z_t (normalized neighborhood mean)
+		csr.SpMMInto(agg, z) // P·Z_t (normalized neighborhood mean)
 		s.aggs[t] = agg
 		fs := s.ws.Matrix(z.Rows, ws.Value.Cols)
 		tensor.MatMulInto(fs, z, ws.Value) // Z_t · W_self
@@ -142,7 +142,7 @@ func (s *SAGEStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 		dagg := s.ws.Matrix(dpre.Rows, s.Nbr[t].Value.Rows)
 		tensor.MatMulTBInto(dagg, dpre, s.Nbr[t].Value) // dpre · W_nbrᵀ
 		dviaP := s.ws.Matrix(dagg.Rows, dagg.Cols)
-		s.prop.ApplyTransposeInto(dviaP, dagg) // Pᵀ · (dpre · W_nbrᵀ)
+		s.csr.SpMMTInto(dviaP, dagg) // Pᵀ · (dpre · W_nbrᵀ)
 		dNext = s.ws.Matrix(dself.Rows, dself.Cols)
 		tensor.AddInto(dNext, dself, dviaP)
 	}

@@ -14,7 +14,7 @@ import (
 //	Z_{t+1} = relu(Σ_{j=0..K} P^j · Z_t · W_{t,j})
 //
 // with P = D̄⁻¹Ā. The hop powers are computed by repeated CSR SpMM
-// (prop.ApplyInto per hop) — never by materializing P^j. The concatenated
+// (one SpMMInto per hop) — never by materializing P^j. The concatenated
 // Z^{1:h} feeds pooling exactly like the default backend.
 //
 // All per-sample intermediates are workspace checkouts; see ConvBackend for
@@ -25,7 +25,7 @@ type TAGStack struct {
 
 	ws *nn.Workspace
 
-	prop  *graph.Propagator
+	csr   *graph.CSR
 	hopZs [][]*tensor.Matrix // hopZs[t][j] = P^j · Z_t, len == layers × (K+1)
 	pre   []*tensor.Matrix   // pre-activation, len == layers
 	outs  []*tensor.Matrix   // Z_{t+1}, len == layers
@@ -79,8 +79,8 @@ func (s *TAGStack) Params() []*nn.Param {
 
 // Forward runs all layers for one graph and returns the concatenated
 // Z^{1:h} (n × Σ c_t).
-func (s *TAGStack) Forward(prop *graph.Propagator, x *tensor.Matrix) *tensor.Matrix {
-	s.prop = prop
+func (s *TAGStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
+	s.csr = csr
 	z := x
 	total := 0
 	for t, layer := range s.Weights {
@@ -88,7 +88,7 @@ func (s *TAGStack) Forward(prop *graph.Propagator, x *tensor.Matrix) *tensor.Mat
 		s.hopZs[t][0] = z
 		for j := 1; j <= s.Hops; j++ {
 			hj := s.ws.Matrix(z.Rows, z.Cols)
-			prop.ApplyInto(hj, s.hopZs[t][j-1])
+			csr.SpMMInto(hj, s.hopZs[t][j-1])
 			s.hopZs[t][j] = hj
 		}
 		// pre = Σ_j H_j · W_{t,j}, accumulated hop-ascending with one
@@ -152,7 +152,7 @@ func (s *TAGStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 		tensor.MatMulTBInto(acc, dpre, layer[s.Hops].Value)
 		for j := s.Hops - 1; j >= 0; j-- {
 			viaP := s.ws.Matrix(acc.Rows, acc.Cols)
-			s.prop.ApplyTransposeInto(viaP, acc)
+			s.csr.SpMMTInto(viaP, acc)
 			direct := s.ws.Matrix(dpre.Rows, layer[j].Value.Rows)
 			tensor.MatMulTBInto(direct, dpre, layer[j].Value)
 			acc = s.ws.Matrix(direct.Rows, direct.Cols)

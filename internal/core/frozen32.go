@@ -41,10 +41,6 @@ type frozenConv32 interface {
 	forward32(csr *graph.CSR, x *tensor.Matrix32) *tensor.Matrix32
 }
 
-// emptyCSR32 is the shared single-vertex operator for degenerate empty
-// graphs, mirroring the float64 path's emptyProp.
-var emptyCSR32 = graph.NewCSR(graph.NewDirected(1))
-
 // Freeze32 snapshots the model into the float32 inference tier. The model's
 // weights are copied, so later training steps do not disturb the snapshot.
 func (m *Model) Freeze32() (*Frozen32, error) {
@@ -73,7 +69,7 @@ func (f *Frozen32) logits32(a *acfg.ACFG) []float32 {
 		// Degenerate empty graph: classify a single zero vertex, skipping
 		// the scaler exactly like the float64 path.
 		x = tensor.NewMatrix32(1, f.cfg.AttrDim)
-		csr = emptyCSR32
+		csr = emptyCSR
 	} else {
 		x = tensor.NewMatrix32(a.Attrs.Rows, a.Attrs.Cols)
 		if f.std != nil {

@@ -12,8 +12,8 @@ import (
 // Eq. 1: Z_{t+1} = f(D̄⁻¹ Ā Z_t W_t) with f = ReLU, and the concatenation
 // Z^{1:h} = [Z_1, …, Z_h] consumed by the pooling stage.
 //
-// The propagation operator D̄⁻¹Ā is supplied per sample as a
-// graph.Propagator; the stack holds only the weight matrices W_t.
+// The propagation operator D̄⁻¹Ā is supplied per sample as a graph.CSR;
+// the stack holds only the weight matrices W_t.
 //
 // All per-sample intermediates are drawn from the replica workspace when one
 // is installed, so a warmed-up stack allocates nothing per forward/backward.
@@ -27,7 +27,7 @@ type GraphConvStack struct {
 	// Per-sample caches for the backward pass, sized once to the layer
 	// count; the matrices they point at are workspace checkouts valid until
 	// the next forward.
-	prop   *graph.Propagator
+	csr    *graph.CSR
 	inputs []*tensor.Matrix // Z_t (pre-layer inputs), len == layers
 	pre    []*tensor.Matrix // P·Z_t·W_t (pre-activation), len == layers
 	outs   []*tensor.Matrix // Z_{t+1} (post-activation), len == layers
@@ -69,8 +69,8 @@ func (s *GraphConvStack) Params() []*nn.Param {
 
 // Forward runs all graph-convolution layers for one graph and returns the
 // concatenated Z^{1:h} (n × Σ c_t).
-func (s *GraphConvStack) Forward(prop *graph.Propagator, x *tensor.Matrix) *tensor.Matrix {
-	s.prop = prop
+func (s *GraphConvStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
+	s.csr = csr
 	if h := len(s.Weights); len(s.inputs) != h {
 		// Stacks built as struct literals (tests) skip the constructor;
 		// size the per-layer caches on first use.
@@ -86,7 +86,7 @@ func (s *GraphConvStack) Forward(prop *graph.Propagator, x *tensor.Matrix) *tens
 		f := s.ws.Matrix(z.Rows, w.Value.Cols)
 		tensor.MatMulInto(f, z, w.Value) // Z_t · W_t
 		o := s.ws.Matrix(f.Rows, f.Cols)
-		prop.ApplyInto(o, f) // D̄⁻¹ Ā · (Z_t W_t)
+		csr.SpMMInto(o, f) // D̄⁻¹ Ā · (Z_t W_t)
 		s.pre[t] = o
 		z = s.ws.Matrix(o.Rows, o.Cols)
 		tensor.MapInto(z, o, relu)
@@ -129,7 +129,7 @@ func (s *GraphConvStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 		}
 		// Through P: dF = Pᵀ · dpre.
 		df := s.ws.Matrix(dpre.Rows, dpre.Cols)
-		s.prop.ApplyTransposeInto(df, dpre)
+		s.csr.SpMMTInto(df, dpre)
 		// Through the matmul: dW_t += Z_tᵀ · dF ; dZ_t = dF · W_tᵀ. The
 		// weight gradient goes through a scratch product first — the
 		// accumulated Grad must see one rounded product per sample, exactly

@@ -52,7 +52,7 @@ func TestGraphConvStackFiniteDifference(t *testing.T) {
 	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 0}} {
 		g.AddEdge(e[0], e[1])
 	}
-	prop := graph.NewPropagator(g)
+	csr := graph.NewCSR(g)
 	stack := NewGraphConvStack(rng, 4, []int{6, 5})
 	x := tensor.New(5, 4)
 	for i := range x.Data {
@@ -65,12 +65,12 @@ func TestGraphConvStackFiniteDifference(t *testing.T) {
 		}
 	}
 	cs := lossCoeffs(rng, 5*(6+5))
-	lossOf := func() float64 { return dot(cs, stack.Forward(prop, x).Data) }
+	lossOf := func() float64 { return dot(cs, stack.Forward(csr, x).Data) }
 
 	for _, p := range stack.Params() {
 		p.ZeroGrad()
 	}
-	out := stack.Forward(prop, x)
+	out := stack.Forward(csr, x)
 	dout := tensor.New(out.Rows, out.Cols)
 	copy(dout.Data, cs)
 	dx := stack.Backward(dout)

@@ -25,8 +25,8 @@ import (
 // A Model is not safe for concurrent use: Forward caches per-sample state
 // inside its layers for the corresponding Backward. Callers that serve
 // predictions from multiple goroutines use Replicate to obtain per-worker
-// replicas sharing one weight set (see ParallelBatch and Predictor), or
-// load one model per goroutine.
+// replicas sharing one weight set (see ParallelBatch; PredictBatch does it
+// for them), or load one model per goroutine.
 type Model struct {
 	Config Config
 	K      int // resolved sort-pooling size (0 in adaptive mode)
@@ -51,30 +51,30 @@ type Model struct {
 	// at the top of each forward — so after one warm-up pass a steady-state
 	// TrainStep performs zero heap allocations.
 	ws *nn.Workspace
-	// fwdProp is Forward's recycled propagation operator, Rebuilt in place
-	// per call; like ws it makes the one-shot entry point allocation-free at
-	// steady state (and, like ws, makes Forward single-threaded per model).
-	fwdProp *graph.Propagator
+	// csr is the model's propagation operator D̄⁻¹Ā, per-sample scratch like
+	// ws: every forward Rebuilds it in place from the sample's graph, and it
+	// stays valid for the matching Backward. The rebuild is O(edges) against
+	// a forward pass of O(vertices × Σc_t × head), so nothing caches operators
+	// across samples.
+	csr *graph.CSR
 	// probs/dlogits are the persistent loss scratch for TrainStep.
 	probs   []float64
 	dlogits []float64
 
 	// Cached prediction engine for PredictBatch (see parallel.go).
-	// predProps/predTasks are the engine's recycled per-call scratch: each
-	// cached Propagator is Rebuilt in place for the batch's graphs, so a
-	// steady-state PredictBatch allocates only the result slices.
+	// predTasks is its recycled per-call task list, so a steady-state
+	// PredictBatch allocates only the result slices.
 	predictMu   sync.Mutex
 	predEngine  *ParallelBatch
 	predWorkers int
 	predScaler  *Scaler
-	predProps   []*graph.Propagator
 	predTasks   []sampleTask
 }
 
-// emptyProp is the shared single-vertex propagation operator used for
-// degenerate empty graphs. Propagators are read-only after construction, so
-// one instance serves every model and replica.
-var emptyProp = graph.NewPropagator(graph.NewDirected(1))
+// emptyCSR is the shared single-vertex propagation operator used for
+// degenerate empty graphs. It is never Rebuilt, so one read-only instance
+// serves every model, replica and frozen snapshot.
+var emptyCSR = graph.NewCSR(graph.NewDirected(1))
 
 // NewModel constructs a model. trainSizes supplies the training graphs'
 // vertex counts used to resolve k for sort pooling (may be nil in adaptive
@@ -111,7 +111,7 @@ func NewModel(cfg Config, trainSizes []int) (*Model, error) {
 	}
 
 	m.ws = nn.NewWorkspace()
-	m.fwdProp = graph.NewPropagator(graph.NewDirected(1))
+	m.csr = &graph.CSR{}
 	m.conv.SetWorkspace(m.ws)
 	if m.sort != nil {
 		m.sort.SetWorkspace(m.ws)
@@ -228,21 +228,11 @@ func (m *Model) SetScaler(s *Scaler) { m.scaler = s }
 // Scaler returns the installed attribute scaler (may be nil).
 func (m *Model) Scaler() *Scaler { return m.scaler }
 
-// Forward computes class logits for one ACFG. train enables dropout.
-//
-// This is the one-shot convenience entry point; callers on the per-sample
-// hot path (the trainer, PredictBatch) hold their own cached propagators
-// and go through forwardProp directly. Forward recycles the model's
-// fwdProp via Rebuild, so it too is allocation-free at steady state.
+// Forward computes class logits for one ACFG. train enables dropout. It
+// returns a fresh slice the caller owns; the per-sample hot path (TrainStep,
+// the batch engine) reads forwardLogits' workspace slice instead.
 func (m *Model) Forward(a *acfg.ACFG, train bool) []float64 {
-	m.fwdProp.Rebuild(a.Graph)
-	return m.forwardProp(m.fwdProp, a, train)
-}
-
-// forwardProp is Forward with a caller-supplied (possibly cached)
-// propagation operator. It returns a fresh logits slice the caller owns.
-func (m *Model) forwardProp(prop *graph.Propagator, a *acfg.ACFG, train bool) []float64 {
-	out := m.forwardLogits(prop, a, train)
+	out := m.forwardLogits(a, train)
 	logits := make([]float64, len(out))
 	copy(logits, out)
 	return logits
@@ -254,22 +244,26 @@ func (m *Model) forwardProp(prop *graph.Propagator, a *acfg.ACFG, train bool) []
 // of the forward, never after the backward — keeps the public
 // Forward-then-Backward sequence valid: all layer caches live until the next
 // sample starts.
-func (m *Model) forwardLogits(prop *graph.Propagator, a *acfg.ACFG, train bool) []float64 {
+func (m *Model) forwardLogits(a *acfg.ACFG, train bool) []float64 {
 	m.ws.Reset()
 	x := a.Attrs
+	csr := m.csr
 	if x.Rows == 0 {
 		// Degenerate empty graph: classify a single zero vertex. (The
 		// scaler is skipped exactly as before: the substitute vertex stays
 		// all-zero.)
 		x = m.ws.Matrix(1, m.Config.AttrDim)
 		x.Zero()
-		prop = emptyProp
-	} else if m.scaler != nil {
-		sx := m.ws.Matrix(x.Rows, x.Cols)
-		m.scaler.TransformInto(sx, x)
-		x = sx
+		csr = emptyCSR
+	} else {
+		csr.Rebuild(a.Graph)
+		if m.scaler != nil {
+			sx := m.ws.Matrix(x.Rows, x.Cols)
+			m.scaler.TransformInto(sx, x)
+			x = sx
+		}
 	}
-	z := m.conv.Forward(prop, x)
+	z := m.conv.Forward(csr, x)
 
 	var vol *nn.Volume
 	if m.sort != nil {
@@ -315,9 +309,9 @@ func (m *Model) Backward(dlogits []float64) {
 // It is the zero-allocation core of the training loop: after one warm-up
 // pass every buffer it touches comes from the model's workspace or
 // persistent scratch.
-func (m *Model) TrainStep(prop *graph.Propagator, a *acfg.ACFG, label int, seed int64) (loss float64, hit bool) {
+func (m *Model) TrainStep(a *acfg.ACFG, label int, seed int64) (loss float64, hit bool) {
 	m.SeedSampleNoise(seed)
-	logits := m.forwardLogits(prop, a, true)
+	logits := m.forwardLogits(a, true)
 	loss = nn.SoftmaxNLLInto(logits, label, m.probs, m.dlogits)
 	hit = argmax(logits) == label
 	m.Backward(m.dlogits)

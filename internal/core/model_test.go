@@ -60,6 +60,26 @@ func twoClassDataset(rng *rand.Rand, perClass int) *dataset.Dataset {
 	return d
 }
 
+// acfgsOf lists a dataset's graphs, the input shape PredictBatch takes.
+func acfgsOf(d *dataset.Dataset) []*acfg.ACFG {
+	out := make([]*acfg.ACFG, d.Len())
+	for i, s := range d.Samples {
+		out[i] = s.ACFG
+	}
+	return out
+}
+
+// fitScaler fits the attribute scaler on a resident dataset, whose At never
+// fails.
+func fitScaler(t testing.TB, d *dataset.Dataset) *Scaler {
+	t.Helper()
+	s, err := FitScaler(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func tinyConfig(pooling PoolingType, head HeadType) Config {
 	cfg := DefaultConfig(2, acfg.NumAttributes)
 	cfg.Pooling = pooling
@@ -373,7 +393,7 @@ func TestSingleVertexGraphAllVariants(t *testing.T) {
 func TestScalerStandardizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := twoClassDataset(rng, 10)
-	s := FitScaler(acfgsOf(d))
+	s := fitScaler(t, d)
 	if s == nil {
 		t.Fatal("nil scaler")
 	}
@@ -389,7 +409,7 @@ func TestScalerStandardizes(t *testing.T) {
 	if mean := sum / count; math.Abs(mean) > 1e-9 {
 		t.Fatalf("standardized mean = %v", mean)
 	}
-	if FitScaler(nil) != nil {
+	if fitScaler(t, &dataset.Dataset{}) != nil {
 		t.Fatal("scaler of empty corpus must be nil")
 	}
 }

@@ -94,11 +94,11 @@ func TestPaperFigure3(t *testing.T) {
 		nn.NewParam("W1", w1.Clone()),
 		nn.NewParam("W2", w2.Clone()),
 	}}
-	prop := graph.NewPropagator(g)
-	got := stack.Forward(prop, x)
+	csr := graph.NewCSR(g)
+	got := stack.Forward(csr, x)
 
 	// Dense reference.
-	p := prop.Dense()
+	p := csr.Dense()
 	reluF := func(v float64) float64 { return math.Max(v, 0) }
 	z1 := tensor.MatMul(p, tensor.MatMul(x, w1)).Map(reluF)
 	z2 := tensor.MatMul(p, tensor.MatMul(z1, w2)).Map(reluF)
@@ -254,16 +254,16 @@ func TestSortPoolBackwardRouting(t *testing.T) {
 func TestGraphConvGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := figure2Graph()
-	prop := graph.NewPropagator(g)
+	csr := graph.NewCSR(g)
 	stack := NewGraphConvStack(rng, 2, []int{3, 4})
 	x := tensor.Uniform(rng, 5, 2, -2, 2)
 
 	weights := tensor.Uniform(rng, 5, 7, -1, 1) // loss weights over Z^{1:2}
 	lossOf := func() float64 {
-		return tensor.Hadamard(stack.Forward(prop, x), weights).Sum()
+		return tensor.Hadamard(stack.Forward(csr, x), weights).Sum()
 	}
 
-	stack.Forward(prop, x)
+	stack.Forward(csr, x)
 	for _, p := range stack.Params() {
 		p.ZeroGrad()
 	}

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/acfg"
-	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -41,7 +40,6 @@ const (
 
 // sampleTask is one unit of per-sample work handed to a worker replica.
 type sampleTask struct {
-	prop  *graph.Propagator
 	a     *acfg.ACFG
 	label int
 	seed  int64 // dropout mask seed (training only)
@@ -69,8 +67,9 @@ type sampleResult struct {
 //
 // A ParallelBatch is bound to one Model and is not itself safe for
 // concurrent use; distinct engines over distinct models may run
-// concurrently. Each replica owns a private workspace, so per-sample
-// execution stays allocation-free without any cross-worker sharing.
+// concurrently. Each replica owns a private workspace and propagation
+// operator, so per-sample execution stays allocation-free without any
+// cross-worker sharing.
 type ParallelBatch struct {
 	main     *Model
 	replicas []*Model // replicas[0] == main
@@ -181,7 +180,7 @@ func (e *ParallelBatch) runTrainShard(rep *Model, si int) (err error) {
 	r := e.ranges[si]
 	for i := r[0]; i < r[1]; i++ {
 		t := e.tasks[i]
-		loss, hit := rep.TrainStep(t.prop, t.a, t.label, t.seed)
+		loss, hit := rep.TrainStep(t.a, t.label, t.seed)
 		e.results[i] = sampleResult{loss: loss, hit: hit}
 	}
 	for pi, p := range rep.params {
@@ -230,7 +229,7 @@ func (e *ParallelBatch) runEvalChunk(rep *Model, si int) (err error) {
 	r := e.ranges[si]
 	for i := r[0]; i < r[1]; i++ {
 		t := e.tasks[i]
-		logits := rep.forwardLogits(t.prop, t.a, false)
+		logits := rep.forwardLogits(t.a, false)
 		nn.SoftmaxInto(rep.probs, logits)
 		e.results[i] = sampleResult{loss: nn.NLLOfProbs(rep.probs, t.label), hit: argmax(rep.probs) == t.label}
 	}
@@ -255,7 +254,7 @@ func (e *ParallelBatch) runPredictChunk(rep *Model, si int) (err error) {
 	r := e.ranges[si]
 	for i := r[0]; i < r[1]; i++ {
 		t := e.tasks[i]
-		logits := rep.forwardLogits(t.prop, t.a, false)
+		logits := rep.forwardLogits(t.a, false)
 		if len(e.out[i]) != len(logits) {
 			e.out[i] = make([]float64, len(logits))
 		}
@@ -398,65 +397,15 @@ func (m *Model) PredictBatch(as []*acfg.ACFG, workers int) ([][]float64, error) 
 		}
 		m.predEngine, m.predWorkers, m.predScaler = e, workers, m.scaler
 	}
-	// Recycle the cached propagators: Rebuild re-derives each CSR in place,
-	// so after a warm-up batch the only per-call allocations left are the
-	// caller-owned result slices.
-	for len(m.predProps) < len(as) {
-		m.predProps = append(m.predProps, graph.NewPropagator(graph.NewDirected(0)))
-	}
-	if cap(m.predTasks) < len(as) {
-		m.predTasks = make([]sampleTask, 0, len(as))
-	}
-	m.predTasks = m.predTasks[:len(as)]
-	for i, a := range as {
-		m.predProps[i].Rebuild(a.Graph)
-		m.predTasks[i] = sampleTask{prop: m.predProps[i], a: a}
+	m.predTasks = m.predTasks[:0]
+	for _, a := range as {
+		m.predTasks = append(m.predTasks, sampleTask{a: a})
 	}
 	out := make([][]float64, len(as))
 	if err := m.predEngine.predictAll(m.predTasks, out); err != nil {
 		return nil, err
 	}
 	return out, nil
-}
-
-// Predictor serves single-sample predictions concurrently from a pool of
-// model replicas sharing one weight set — the serving-path counterpart of
-// ParallelBatch, used by magic-server's /v1/predict so inference requests
-// no longer serialize on one model's forward caches. A Predictor is safe
-// for concurrent use; the underlying weights must not be mutated while it
-// is serving (install a new Predictor after retraining instead).
-type Predictor struct {
-	pool chan *Model
-	size int
-}
-
-// NewPredictor builds a pool of `replicas` model replicas (values < 1 are
-// clamped to 1; the first slot reuses m itself).
-func NewPredictor(m *Model, replicas int) (*Predictor, error) {
-	if replicas < 1 {
-		replicas = 1
-	}
-	p := &Predictor{pool: make(chan *Model, replicas), size: replicas}
-	p.pool <- m
-	for i := 1; i < replicas; i++ {
-		r, err := m.Replicate()
-		if err != nil {
-			return nil, err
-		}
-		p.pool <- r
-	}
-	return p, nil
-}
-
-// Size returns the replica count.
-func (p *Predictor) Size() int { return p.size }
-
-// Predict returns the class-probability vector for one ACFG, blocking until
-// a replica is free.
-func (p *Predictor) Predict(a *acfg.ACFG) []float64 {
-	m := <-p.pool
-	defer func() { p.pool <- m }()
-	return m.Predict(a)
 }
 
 // sampleSeed derives the dropout seed for one (epoch, sample) pair from the

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/acfg"
 	"repro/internal/dataset"
-	"repro/internal/graph"
 	"repro/internal/malgen"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -191,9 +190,10 @@ func TestPredictBatchMatchesSerialPredict(t *testing.T) {
 
 // TestConcurrentPredictDuringTrain runs the service's serving pattern under
 // the race detector: while one goroutine trains a model, others keep
-// classifying through a Predictor pool built on an independent snapshot
-// (predictions against the previous model keep serving during retraining —
-// weights being optimized are never read concurrently).
+// classifying through PredictBatch on an independent snapshot — the call the
+// server's admission batcher makes (predictions against the previous model
+// keep serving during retraining; weights being optimized are never read
+// concurrently).
 func TestConcurrentPredictDuringTrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := twoClassDataset(rng, 6)
@@ -204,11 +204,7 @@ func TestConcurrentPredictDuringTrain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot.SetScaler(FitScaler(acfgsOf(d)))
-	pred, err := NewPredictor(snapshot, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snapshot.SetScaler(fitScaler(t, d))
 
 	training, err := NewModel(cfg, d.Sizes())
 	if err != nil {
@@ -227,9 +223,13 @@ func TestConcurrentPredictDuringTrain(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				s := d.Samples[(g*7+i)%d.Len()]
-				probs := pred.Predict(s.ACFG)
-				if len(probs) != cfg.Classes {
-					t.Errorf("got %d probabilities, want %d", len(probs), cfg.Classes)
+				probs, err := snapshot.PredictBatch([]*acfg.ACFG{s.ACFG}, 2)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(probs) != 1 || len(probs[0]) != cfg.Classes {
+					t.Errorf("got %v, want one vector of %d probabilities", probs, cfg.Classes)
 					return
 				}
 			}
@@ -265,7 +265,7 @@ func TestWorkerPoolShutdownOnError(t *testing.T) {
 				// Bypass acfg.New's validation to emulate a corrupt sample.
 				a = &acfg.ACFG{Graph: a.Graph, Attrs: tensor.New(a.Graph.N(), 3)}
 			}
-			tasks[i] = sampleTask{prop: graph.NewPropagator(a.Graph), a: a, label: i % 2, seed: int64(i)}
+			tasks[i] = sampleTask{a: a, label: i % 2, seed: int64(i)}
 		}
 		return tasks
 	}

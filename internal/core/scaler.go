@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/acfg"
 	"repro/internal/dataset"
 	"repro/internal/tensor"
 )
@@ -21,56 +20,12 @@ type Scaler struct {
 }
 
 // FitScaler computes per-attribute mean and standard deviation over all
-// vertices of all training graphs.
-func FitScaler(samples []*acfg.ACFG) *Scaler {
-	if len(samples) == 0 {
-		return nil
-	}
-	dim := samples[0].Attrs.Cols
-	s := &Scaler{Mean: make([]float64, dim), Std: make([]float64, dim)}
-	count := 0.0
-	for _, a := range samples {
-		for i := 0; i < a.Attrs.Rows; i++ {
-			row := a.Attrs.Row(i)
-			for c, v := range row {
-				s.Mean[c] += v
-			}
-			count++
-		}
-	}
-	if count == 0 {
-		for c := range s.Std {
-			s.Std[c] = 1
-		}
-		return s
-	}
-	for c := range s.Mean {
-		s.Mean[c] /= count
-	}
-	for _, a := range samples {
-		for i := 0; i < a.Attrs.Rows; i++ {
-			row := a.Attrs.Row(i)
-			for c, v := range row {
-				d := v - s.Mean[c]
-				s.Std[c] += d * d
-			}
-		}
-	}
-	for c := range s.Std {
-		s.Std[c] = math.Sqrt(s.Std[c] / count)
-		if s.Std[c] < 1e-9 {
-			s.Std[c] = 1
-		}
-	}
-	return s
-}
-
-// FitScalerFrom computes the same statistics as FitScaler over a streaming
-// source, decoding each sample on demand so fitting never needs the corpus
-// resident. The two passes visit samples in the same order and accumulate
-// in the same sequence as FitScaler, so for equal sample sequences the
-// fitted statistics are bit-identical.
-func FitScalerFrom(src dataset.SampleSource) (*Scaler, error) {
+// vertices of all training graphs. It makes two passes over src, fetching
+// each sample on demand so fitting never needs the corpus resident; the
+// accumulation order is the source order, so equal sample sequences fit
+// bit-identical statistics whatever backs them. An empty source fits
+// nothing and returns nil.
+func FitScaler(src dataset.SampleSource) (*Scaler, error) {
 	if src.Len() == 0 {
 		return nil, nil
 	}

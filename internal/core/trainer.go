@@ -6,9 +6,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/acfg"
 	"repro/internal/dataset"
-	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/obs"
 	"repro/internal/tensor"
@@ -144,21 +142,25 @@ func stopRequested(stop <-chan struct{}) bool {
 
 // TrainSession is the reusable steady state of the training loop: the
 // engine, optimizer, shuffled order, task buffers and epoch counter behind
-// Train. Construction performs the one-time work (scaler fit, propagator
-// cache, replica pool); each RunEpoch then executes one full pass over the
-// training set without allocating — the property the alloc-pinning tests
-// and BenchmarkTrainEpoch enforce at Workers ≤ 1.
+// Train. Construction performs the one-time work (scaler fit, replica pool);
+// each RunEpoch then executes one full pass over the training source without
+// allocating — the property the alloc-pinning tests and BenchmarkTrainEpoch
+// enforce at Workers ≤ 1.
 //
-// A session drives one model and is not safe for concurrent use. Train is a
-// thin orchestration layer (validation, scheduling, early stopping,
-// observers) over this type.
+// Samples are pulled from a dataset.SampleSource one mini-batch at a time,
+// so a run over a disk-backed corpus holds at most BatchSize decoded samples
+// instead of the whole dataset; a resident *dataset.Dataset is the source
+// whose At never fails. Results depend only on the sample sequence, never on
+// what backs it (source_test.go trains from segments, copies and the
+// resident dataset and requires identical bytes).
+//
+// A session drives one model and is not safe for concurrent use.
 type TrainSession struct {
 	m       *Model
-	train   *dataset.Dataset
+	src     dataset.SampleSource
 	engine  *ParallelBatch
 	opt     nn.Optimizer
 	rng     *rand.Rand
-	props   []*graph.Propagator
 	order   []int
 	swap    func(i, j int) // hoisted shuffle closure: allocated once, reused every epoch
 	tasks   []sampleTask
@@ -167,17 +169,21 @@ type TrainSession struct {
 	epoch   int
 }
 
-// NewTrainSession fits the attribute scaler on train, builds the
-// data-parallel engine with opts.Workers replicas, and prepares the Adam
-// optimizer and per-epoch buffers. The model is ready for RunEpoch calls
-// (and the session's optimizer for external scheduling) on return.
-func NewTrainSession(m *Model, train *dataset.Dataset, opts TrainOptions) (*TrainSession, error) {
-	if train.Len() == 0 {
+// NewTrainSession fits the attribute scaler over src (or keeps the model's
+// under opts.PreserveScaler), builds the data-parallel engine with
+// opts.Workers replicas, and prepares the Adam optimizer and batch-sized
+// buffers. The model is ready for RunEpoch calls on return.
+func NewTrainSession(m *Model, src dataset.SampleSource, opts TrainOptions) (*TrainSession, error) {
+	if src.Len() == 0 {
 		return nil, fmt.Errorf("core: empty training set")
 	}
 	cfg := m.Config
 	if !(opts.PreserveScaler && m.Scaler() != nil) {
-		m.SetScaler(FitScaler(acfgsOf(train)))
+		sc, err := FitScaler(src)
+		if err != nil {
+			return nil, err
+		}
+		m.SetScaler(sc)
 	}
 
 	engine, err := NewParallelBatch(m, opts.Workers)
@@ -186,12 +192,11 @@ func NewTrainSession(m *Model, train *dataset.Dataset, opts TrainOptions) (*Trai
 	}
 	s := &TrainSession{
 		m:       m,
-		train:   train,
+		src:     src,
 		engine:  engine,
 		opt:     nn.NewAdam(m.Params(), cfg.LearningRate, cfg.WeightDecay),
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
-		props:   buildProps(train),
-		order:   make([]int, train.Len()),
+		order:   make([]int, src.Len()),
 		tasks:   make([]sampleTask, 0, cfg.BatchSize),
 		results: make([]sampleResult, cfg.BatchSize),
 		stop:    opts.Stop,
@@ -203,23 +208,13 @@ func NewTrainSession(m *Model, train *dataset.Dataset, opts TrainOptions) (*Trai
 	return s, nil
 }
 
-// Epoch returns the zero-based index of the next epoch RunEpoch will run.
-func (s *TrainSession) Epoch() int { return s.epoch }
-
-// Optimizer exposes the session's optimizer for learning-rate scheduling.
-func (s *TrainSession) Optimizer() nn.Optimizer { return s.opt }
-
-// Engine exposes the session's data-parallel batch engine (validation
-// sweeps reuse it).
-func (s *TrainSession) Engine() *ParallelBatch { return s.engine }
-
-// Model returns the session's model.
-func (s *TrainSession) Model() *Model { return s.m }
-
-// RunEpoch executes one full shuffled pass of mini-batch training and
-// returns the epoch's mean NLL and argmax accuracy over the training set.
-// Results are bit-identical at every worker count; cancellation via
-// TrainOptions.Stop surfaces as ErrCancelled.
+// RunEpoch executes one full shuffled pass of mini-batch training, fetching
+// each sample from the source as its batch comes up, and returns the epoch's
+// mean NLL and argmax accuracy over the training set. Results are
+// bit-identical at every worker count; cancellation via TrainOptions.Stop
+// surfaces as ErrCancelled. A source error abandons the epoch before the
+// failing batch runs — no gradient is accumulated and no step taken for it —
+// and is returned wrapped.
 func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
 	cfg := s.m.Config
 	s.rng.Shuffle(len(s.order), s.swap)
@@ -234,13 +229,15 @@ func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
 		}
 		s.tasks = s.tasks[:0]
 		for _, idx := range s.order[start:end] {
-			smp := s.train.Samples[idx]
+			smp, err := s.src.At(idx)
+			if err != nil {
+				return 0, 0, fmt.Errorf("core: training sample %d: %w", idx, err)
+			}
 			s.tasks = append(s.tasks, sampleTask{
-				prop:  s.props[idx],
 				a:     smp.ACFG,
 				label: smp.Label,
-				// The dropout seed keys on the dataset index, not the
-				// batch position, so masks survive reshuffling intact.
+				// The dropout seed keys on the source index, not the batch
+				// position, so masks survive reshuffling intact.
 				seed: sampleSeed(cfg.Seed, s.epoch, idx),
 			})
 		}
@@ -259,7 +256,7 @@ func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
 		stepBatch(s.opt, end-start)
 	}
 	s.epoch++
-	n := float64(s.train.Len())
+	n := float64(s.src.Len())
 	return trainLoss / n, float64(trainHits) / n, nil
 }
 
@@ -267,35 +264,20 @@ func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
 // the attribute scaler, runs mini-batch Adam with the paper's
 // decay-on-plateau schedule, and restores the parameters of the epoch with
 // the lowest validation loss (the paper's model-selection criterion).
+// train may be a resident *dataset.Dataset or any other SampleSource, such
+// as a corpus.Source decoding segments from disk.
 //
 // Batch execution is data-parallel across opts.Workers goroutines and
 // deterministic: for a fixed Config.Seed the loss curves and final
 // parameters are bit-identical at every worker count (see ParallelBatch).
-func Train(m *Model, train, val *dataset.Dataset, opts TrainOptions) (*History, error) {
+func Train(m *Model, train dataset.SampleSource, val *dataset.Dataset, opts TrainOptions) (*History, error) {
 	sess, err := NewTrainSession(m, train, opts)
 	if err != nil {
 		return nil, err
 	}
-	return trainLoop(m, sess, val, opts)
-}
-
-// epochSession is the common surface Train and TrainStream drive: one
-// shuffled training pass per RunEpoch, plus the optimizer and batch engine
-// the outer loop needs for plateau scheduling and validation sweeps.
-type epochSession interface {
-	RunEpoch() (trainLoss, trainAcc float64, err error)
-	Optimizer() nn.Optimizer
-	Engine() *ParallelBatch
-}
-
-// trainLoop is the epoch orchestration shared by Train and TrainStream:
-// plateau scheduling, validation sweeps, best-parameter snapshots, early
-// stopping and observer fan-out around an epochSession.
-func trainLoop(m *Model, sess epochSession, val *dataset.Dataset, opts TrainOptions) (*History, error) {
 	cfg := m.Config
-	sched := nn.NewPlateauScheduler(sess.Optimizer())
-	engine := sess.Engine()
-	opt := sess.Optimizer()
+	engine, opt := sess.engine, sess.opt
+	sched := nn.NewPlateauScheduler(opt)
 
 	hist := &History{BestValLoss: -1}
 	var best []*tensor.Matrix
@@ -305,11 +287,10 @@ func trainLoop(m *Model, sess epochSession, val *dataset.Dataset, opts TrainOpti
 	var valTasks []sampleTask
 	var valResults []sampleResult
 	if val != nil && val.Len() > 0 {
-		valProps := buildProps(val)
 		valTasks = make([]sampleTask, val.Len())
 		valResults = make([]sampleResult, val.Len())
 		for i, s := range val.Samples {
-			valTasks[i] = sampleTask{prop: valProps[i], a: s.ACFG, label: s.Label}
+			valTasks[i] = sampleTask{a: s.ACFG, label: s.Label}
 		}
 	}
 
@@ -423,22 +404,6 @@ func PredictProbs(m *Model, d *dataset.Dataset) [][]float64 {
 		probs[i] = m.Predict(s.ACFG)
 	}
 	return probs
-}
-
-func acfgsOf(d *dataset.Dataset) []*acfg.ACFG {
-	out := make([]*acfg.ACFG, d.Len())
-	for i, s := range d.Samples {
-		out[i] = s.ACFG
-	}
-	return out
-}
-
-func buildProps(d *dataset.Dataset) []*graph.Propagator {
-	props := make([]*graph.Propagator, d.Len())
-	for i, s := range d.Samples {
-		props[i] = graph.NewPropagator(s.ACFG.Graph)
-	}
-	return props
 }
 
 func snapshotParams(ps []*nn.Param) []*tensor.Matrix {

@@ -6,7 +6,8 @@
 // O(1) random access by record number — so a corpus of millions of graphs
 // can be iterated or sampled from disk without ever being resident in
 // memory. The service's WAL compactor (internal/service) turns JSONL WAL
-// prefixes into segments; core.StreamSession trains straight off a Set.
+// prefixes into segments; core.Train reads a Set through Source, one
+// mini-batch at a time.
 package corpus
 
 import (

@@ -7,15 +7,14 @@ import (
 )
 
 // CSR is the normalized propagation operator P = D̄⁻¹Ā of one graph in
-// compressed sparse row form: three flat arrays instead of the per-row
-// slice-of-slices a Propagator used to carry. Row i's nonzeros live at
-// indices rowptr[i]..rowptr[i+1] of col/val, with columns strictly
-// ascending within a row. The flat layout removes two pointer
-// indirections from the SpMM inner loop and makes the whole operator two
-// cache-friendly streams.
+// compressed sparse row form, so graph convolutions evaluate P·X without
+// materializing dense n×n matrices. Row i's nonzeros live at indices
+// rowptr[i]..rowptr[i+1] of col/val, with columns strictly ascending
+// within a row; the three flat arrays keep pointer indirections out of the
+// SpMM inner loop and make the whole operator two cache-friendly streams.
 //
-// Construction matches the historical Propagator semantics bit for bit:
-// row i holds 1/D̄ᵢᵢ at column i and at every successor column, an explicit
+// Construction is pinned bit for bit (the golden model checksum depends on
+// it): row i holds 1/D̄ᵢᵢ at column i and at every successor column, an explicit
 // self loop stacks with the identity term, and each weight is produced by
 // the division w/deg (not a multiplication by a precomputed reciprocal,
 // which could round differently). The round-trip property tests in
@@ -118,8 +117,7 @@ func (c *CSR) checkSpMM(dst, x *tensor.Matrix, op string) {
 // and may hold garbage on entry; it must not alias x. Per destination cell
 // the weighted rows of x are accumulated in ascending column order —
 // exactly the order the dense oracle (Ā row walk with zero entries
-// skipped) produces, so the product is bit-identical to the historical
-// Propagator.ApplyInto.
+// skipped) produces, which FuzzSpMMInto holds it to bit for bit.
 func (c *CSR) SpMMInto(dst, x *tensor.Matrix) {
 	c.checkSpMM(dst, x, "spmm")
 	cols := x.Cols

@@ -10,7 +10,7 @@ import (
 )
 
 // The CSR tests hold the sparse operator to the dense definition
-// P = D̄⁻¹Ā the way the historical Propagator computed it: every weight is
+// P = D̄⁻¹Ā exactly as the golden model checksum froze it: every weight is
 // the division Āᵢⱼ/D̄ᵢᵢ, and every SpMM destination cell accumulates its
 // terms in ascending column order with zero entries of Ā skipped. The
 // oracles below re-derive that chain from Directed's dense matrices, so a

@@ -44,11 +44,11 @@ func (g *Directed) AddEdge(u, v int) {
 	}
 	// Insert in sorted position so successor lists are always ordered and
 	// Succ never has to mutate — a built graph is then safe for concurrent
-	// readers (the data-parallel trainer builds one Propagator per sample
-	// while replicas read graphs from worker goroutines). The sorted list
-	// doubles as the dedup structure: CFG out-degrees are tiny (≤2 for real
-	// basic blocks), so a binary search beats per-vertex hash maps on both
-	// time and memory — corpus replay decodes millions of AddEdge calls.
+	// readers (model replicas rebuild their propagation operators from the
+	// graphs on worker goroutines). The sorted list doubles as the dedup
+	// structure: CFG out-degrees are tiny (≤2 for real basic blocks), so a
+	// binary search beats per-vertex hash maps on both time and memory —
+	// corpus replay decodes millions of AddEdge calls.
 	row := g.out[u]
 	i := sort.SearchInts(row, v)
 	if i < len(row) && row[i] == v {
@@ -161,57 +161,3 @@ func (g *Directed) BFSOrder(start int) []int {
 func (g *Directed) ReachableFrom(start int) int {
 	return len(g.BFSOrder(start))
 }
-
-// Propagator is the sparse normalized operator P = D̄⁻¹Ā for one graph, so
-// that graph convolutions can evaluate P·X without materializing dense n×n
-// matrices. It is a thin façade over a CSR (see csr.go), retained so every
-// historical call site — trainer, model, tests — keeps working while the
-// kernels live in one place. A built Propagator is safe for concurrent
-// readers; Rebuild is not.
-type Propagator struct {
-	csr *CSR
-}
-
-// NewPropagator builds the propagation operator for g.
-func NewPropagator(g *Directed) *Propagator {
-	return &Propagator{csr: NewCSR(g)}
-}
-
-// N returns the number of vertices the propagator operates on.
-func (p *Propagator) N() int { return p.csr.n }
-
-// CSR exposes the backing sparse operator.
-func (p *Propagator) CSR() *CSR { return p.csr }
-
-// Rebuild re-derives the operator from g in place, reusing the backing
-// arrays (see CSR.Rebuild). It lets long-lived prediction engines recycle
-// one Propagator across samples without reallocating.
-func (p *Propagator) Rebuild(g *Directed) { p.csr.Rebuild(g) }
-
-// Apply computes P·x for an n×c matrix x.
-func (p *Propagator) Apply(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(p.csr.n, x.Cols)
-	p.csr.SpMMInto(out, x)
-	return out
-}
-
-// ApplyInto computes dst = P·x for an n×c matrix x. dst must be n×c and may
-// hold garbage on entry (it is zeroed before accumulation); it must not
-// alias x.
-func (p *Propagator) ApplyInto(dst, x *tensor.Matrix) { p.csr.SpMMInto(dst, x) }
-
-// ApplyTranspose computes Pᵀ·x, needed to backpropagate gradients through
-// the convolution: if Y = P·X then ∂L/∂X = Pᵀ·(∂L/∂Y).
-func (p *Propagator) ApplyTranspose(x *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(p.csr.n, x.Cols)
-	p.csr.SpMMTInto(out, x)
-	return out
-}
-
-// ApplyTransposeInto computes dst = Pᵀ·x under the same destination
-// contract as ApplyInto.
-func (p *Propagator) ApplyTransposeInto(dst, x *tensor.Matrix) { p.csr.SpMMTInto(dst, x) }
-
-// Dense materializes P as a dense matrix, for tests and the paper's worked
-// examples.
-func (p *Propagator) Dense() *tensor.Matrix { return p.csr.Dense() }

@@ -39,19 +39,17 @@ type kernelSpec struct {
 // entry mirrors a runtime sameBuffer panic in internal/tensor or
 // internal/graph — or shares the operand contract of one that does.
 var aliasKernelSpecs = map[string]kernelSpec{
-	"internal/tensor.MatMulInto":                   {dst: 0, srcs: []int{1, 2}},
-	"internal/tensor.MatMulTAInto":                 {dst: 0, srcs: []int{1, 2}},
-	"internal/tensor.MatMulTBInto":                 {dst: 0, srcs: []int{1, 2}},
-	"internal/tensor.MatMulNaiveInto":              {dst: 0, srcs: []int{1, 2}},
-	"internal/tensor.MatMulTANaiveInto":            {dst: 0, srcs: []int{1, 2}},
-	"internal/tensor.MatMulTBNaiveInto":            {dst: 0, srcs: []int{1, 2}},
-	"internal/tensor.MatMul32Into":                 {dst: 0, srcs: []int{1, 2}},
-	"internal/tensor.TInto":                        {dst: 0, srcs: []int{1}},
-	"internal/graph.CSR.SpMMInto":                  {dst: 1, srcs: []int{2}},
-	"internal/graph.CSR.SpMMTInto":                 {dst: 1, srcs: []int{2}},
-	"internal/graph.CSR.SpMM32Into":                {dst: 1, srcs: []int{2}},
-	"internal/graph.Propagator.ApplyInto":          {dst: 1, srcs: []int{2}},
-	"internal/graph.Propagator.ApplyTransposeInto": {dst: 1, srcs: []int{2}},
+	"internal/tensor.MatMulInto":        {dst: 0, srcs: []int{1, 2}},
+	"internal/tensor.MatMulTAInto":      {dst: 0, srcs: []int{1, 2}},
+	"internal/tensor.MatMulTBInto":      {dst: 0, srcs: []int{1, 2}},
+	"internal/tensor.MatMulNaiveInto":   {dst: 0, srcs: []int{1, 2}},
+	"internal/tensor.MatMulTANaiveInto": {dst: 0, srcs: []int{1, 2}},
+	"internal/tensor.MatMulTBNaiveInto": {dst: 0, srcs: []int{1, 2}},
+	"internal/tensor.MatMul32Into":      {dst: 0, srcs: []int{1, 2}},
+	"internal/tensor.TInto":             {dst: 0, srcs: []int{1}},
+	"internal/graph.CSR.SpMMInto":       {dst: 1, srcs: []int{2}},
+	"internal/graph.CSR.SpMMTInto":      {dst: 1, srcs: []int{2}},
+	"internal/graph.CSR.SpMM32Into":     {dst: 1, srcs: []int{2}},
 }
 
 // aliasKernel resolves a callee ID against the unsafe-kernel table.

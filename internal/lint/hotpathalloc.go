@@ -62,10 +62,6 @@ var allocCallees = []string{
 	"internal/tensor.Matrix.SliceCols",
 	"internal/tensor.Matrix.SliceRows",
 	"internal/tensor.Matrix.SelectRows",
-	"internal/graph.Propagator.Apply",
-	"internal/graph.Propagator.ApplyTranspose",
-	"internal/graph.Propagator.Dense",
-	"internal/graph.NewPropagator",
 	"internal/graph.NewCSR",
 	"internal/graph.CSR.Dense",
 	"internal/tensor.NewMatrix32",

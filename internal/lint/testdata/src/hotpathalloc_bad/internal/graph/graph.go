@@ -14,7 +14,3 @@ func NewCSR(g *Directed) *CSR { return &CSR{n: g.N} }
 func (c *CSR) SpMMInto(dst, x *tensor.Matrix) {}
 
 func (c *CSR) Dense() *tensor.Matrix { return tensor.New(c.n, c.n) }
-
-type Propagator struct{ csr *CSR }
-
-func NewPropagator(g *Directed) *Propagator { return &Propagator{csr: NewCSR(g)} }

@@ -236,10 +236,7 @@ func (s *Server) runTrainJob(job *trainJob, cfg core.Config, train *dataset.Data
 		settle(JobFailed, err.Error(), nil)
 		return
 	}
-	// Train through the streaming session: the in-memory snapshot satisfies
-	// dataset.SampleSource, and the same path serves disk-backed corpus
-	// sources, so production exercises the streaming iterator end to end.
-	hist, err := core.TrainStream(m, fit, val, core.TrainOptions{
+	hist, err := core.Train(m, fit, val, core.TrainOptions{
 		Workers: workers,
 		Stop:    job.stop,
 		Observer: core.EpochObserverFunc(func(e core.EpochStats) {
@@ -377,7 +374,7 @@ func (s *Server) runContinualJob(job *trainJob, cfg core.Config, base *core.Mode
 		return
 	}
 
-	hist, err := core.TrainStream(m, increment, nil, core.TrainOptions{
+	hist, err := core.Train(m, increment, nil, core.TrainOptions{
 		Workers: workers,
 		Stop:    job.stop,
 		// Keep the base model's fitted attribute statistics: refitting on

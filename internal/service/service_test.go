@@ -164,6 +164,36 @@ func TestAddSampleValidation(t *testing.T) {
 	}
 }
 
+// TestHostileACFGVertexCount posts ACFG documents whose claimed vertex
+// count is negative or absurdly large: both ingest endpoints must answer
+// 400 (not panic in the decoder, not allocate by the claimed count) and the
+// server must keep serving afterwards.
+func TestHostileACFGVertexCount(t *testing.T) {
+	_, ts, _ := newTestServer(t, []string{"clean", "dirty"})
+
+	for _, n := range []string{"-1", "4000000000"} {
+		doc := `{"family":"clean","acfg":{"n":` + n + `,"edges":[],"attrs":[]}}`
+		for _, path := range []string{"/v1/predict", "/v1/samples"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(doc))
+			if err != nil {
+				t.Fatalf("POST %s n=%s: %v", path, n, err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("POST %s n=%s: status %d, want 400", path, n, resp.StatusCode)
+			}
+		}
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after hostile input: status %d", resp.StatusCode)
+	}
+}
+
 func TestTrainRequiresTwoPerFamily(t *testing.T) {
 	_, _, client := newTestServer(t, []string{"clean", "dirty"})
 	if err := client.AddSampleASM("clean", "", chainProgram); err != nil {
