@@ -446,17 +446,43 @@ func BenchmarkSortPooling(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveMaxPool times the AMP layer on a 16-channel 200×128 map.
-func BenchmarkAdaptiveMaxPool(b *testing.B) {
+// BenchmarkAMPHead times the fused Conv2D → ReLU → AdaptiveMaxPool2D layer
+// that opens the AdaptiveMaxPooling head, at the shipped 16 channels and
+// 10×8 grid on a 1×179×128 map (the median classify-asm-large graph): the
+// one layer of the default model whose cost grows with the vertex count.
+func BenchmarkAMPHead(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	in := nn.NewVolume(16, 200, 128)
+	in := nn.NewVolume(1, 179, 128)
 	for i := range in.Data {
 		in.Data[i] = rng.NormFloat64()
 	}
-	amp := nn.NewAdaptiveMaxPool2D(10, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		amp.Forward(in, false)
+	dout := nn.NewVolume(16, 10, 8)
+	for i := range dout.Data {
+		dout.Data[i] = rng.NormFloat64()
+	}
+	layer := nn.NewConvAMP(rng, 16, 10, 8)
+	ws := nn.NewWorkspace()
+	layer.SetWorkspace(ws)
+	for _, backward := range []bool{false, true} {
+		name := "forward"
+		if backward {
+			name = "forward+backward"
+		}
+		b.Run(name, func(b *testing.B) {
+			step := func() {
+				ws.Reset()
+				layer.Forward(in, true)
+				if backward {
+					layer.Backward(dout)
+				}
+			}
+			step() // warm-up: grow the workspace free lists
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }
 

@@ -3,6 +3,10 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/acfg"
+	"repro/internal/graph"
+	"repro/internal/tensor"
 )
 
 // These tests pin the zero-allocation contract of the training hot path:
@@ -123,5 +127,45 @@ func TestPredictEngineZeroAlloc(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state EvalBatch allocated %.1f objects per batch, want 0", allocs)
+	}
+}
+
+// chainACFG returns an n-vertex path graph with random attributes.
+func chainACFG(rng *rand.Rand, n int) *acfg.ACFG {
+	g := graph.NewDirected(n)
+	for i := 0; i+1 < n; i++ {
+		g.AddEdge(i, i+1)
+	}
+	attrs := tensor.New(n, acfg.NumAttributes)
+	for i := range attrs.Data {
+		attrs.Data[i] = rng.Float64()
+	}
+	a, err := acfg.New(g, attrs)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// TestAMPHeadWorkspaceIndependentOfChannels pins the memory side of the head
+// fusion at DefaultConfig: a prediction's scratch is a handful of n×Σc
+// matrices (graph-conv intermediates, the concatenation, its Volume copy),
+// never a Conv2DChannels×n×Σc map. Growing from a 50- to a 400-vertex graph
+// must add less than the room of eight n×Σc matrices; the unfused head's
+// three 16-channel maps alone were 15 MB here.
+func TestAMPHeadWorkspaceIndependentOfChannels(t *testing.T) {
+	cfg := DefaultConfig(2, acfg.NumAttributes)
+	m, err := NewModel(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	m.Predict(chainACFG(rng, 50))
+	before := m.WorkspaceStats().Bytes
+	const n = 400
+	m.Predict(chainACFG(rng, n))
+	grew := m.WorkspaceStats().Bytes - before
+	if limit := uint64(8 * n * cfg.TotalConvWidth() * 8); grew >= limit {
+		t.Errorf("predicting a %d-vertex graph grew the workspace by %d bytes, want < %d (8 n×Σc matrices)", n, grew, limit)
 	}
 }

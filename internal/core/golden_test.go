@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"testing"
 
+	"repro/internal/acfg"
 	"repro/internal/dataset"
 	"repro/internal/malgen"
 )
@@ -110,5 +111,40 @@ func TestConvBackendGoldenChecksums(t *testing.T) {
 				t.Errorf("model checksum %s, want %s", got, want)
 			}
 		})
+	}
+}
+
+// goldenAMPHeadSHA256 and goldenAMPHeadInitFingerprint pin the head the
+// service ships — core.DefaultConfig's AdaptiveMaxPooling head, which
+// determinismConfig (SortPooling + WeightedVertices) never builds. The
+// digests were recorded on the three-layer Conv2D → ReLU → AdaptiveMaxPool2D
+// path before the fused nn.ConvAMP replaced it, so they hold
+// the fused layer to that chain bit for bit: the checkpoint digest covers
+// forward, backward and dropout over 3 epochs; the fingerprint covers
+// parameter shapes, order and the RNG draw order at construction.
+const (
+	goldenAMPHeadSHA256          = "6840ce8442fda01119b642bd897ee46892a9e46c1860c7750cf831dba7dd1ee3"
+	goldenAMPHeadInitFingerprint = "5749bbfdf25c4bcf8e57fcbf03716272966db6e90cfcca43b98bd31cb7f0963c"
+)
+
+// TestGoldenAMPHeadChecksum is TestGoldenModelChecksum for the default
+// AdaptivePooling head, at workers 1, 4 and 8: DefaultConfig with only the
+// run length and seed fixed, dropout at its default 0.1.
+func TestGoldenAMPHeadChecksum(t *testing.T) {
+	train, val := goldenCorpus(t)
+	cfg := DefaultConfig(2, acfg.NumAttributes)
+	cfg.Epochs = 3
+	cfg.Seed = 11
+	m, err := NewModel(cfg, train.Sizes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Fingerprint(); got != goldenAMPHeadInitFingerprint {
+		t.Errorf("fresh model fingerprint %s, want %s", got, goldenAMPHeadInitFingerprint)
+	}
+	for _, workers := range []int{1, 4, 8} {
+		if got := goldenDigest(t, cfg, train, val, workers); got != goldenAMPHeadSHA256 {
+			t.Errorf("workers=%d: model checksum %s, want %s", workers, got, goldenAMPHeadSHA256)
+		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 //     → Conv1D → dense classifier (the original DGCNN remaining layer).
 //   - SortPooling + WeightedVerticesHead: graph conv → sort pool →
 //     WeightedVertices graph embedding (Eq. 3) → dense classifier.
-//   - AdaptivePooling: graph conv → Conv2D → AdaptiveMaxPool to a fixed
-//     grid → VGG-style Conv2D stack → dense classifier (Section III-C).
+//   - AdaptivePooling: graph conv → Conv2D + AdaptiveMaxPool to a fixed
+//     grid (fused, nn.ConvAMP) → VGG-style Conv2D stack → dense classifier
+//     (Section III-C).
 //
 // A Model is not safe for concurrent use: Forward caches per-sample state
 // inside its layers for the corresponding Backward. Callers that serve
@@ -197,7 +198,9 @@ func buildWeightedVerticesHead(rng *rand.Rand, cfg Config, k, d int) *nn.Sequent
 }
 
 // buildAMPHead realizes Section III-C: Conv2D over the raw n×d feature map,
-// adaptive max pooling to a fixed grid, then a small VGG-style stack.
+// adaptive max pooling to a fixed grid, then a small VGG-style stack. The
+// first Conv2D → ReLU → AdaptiveMaxPool2D is the one fused nn.ConvAMP layer,
+// the only part of the head whose cost grows with n.
 func buildAMPHead(rng *rand.Rand, cfg Config, d int) *nn.Sequential {
 	c := cfg.Conv2DChannels
 	gh, gw := cfg.AMPGrid()
@@ -206,9 +209,7 @@ func buildAMPHead(rng *rand.Rand, cfg Config, d int) *nn.Sequential {
 	flat := 2 * c * ph * pw
 	_ = d // the head is width-agnostic: AMP unifies the grid
 	return nn.NewSequential(
-		nn.NewConv2D(rng, 1, c, 3, 3, 1, 1),
-		nn.NewReLU(),
-		nn.NewAdaptiveMaxPool2D(gh, gw),
+		nn.NewConvAMP(rng, c, gh, gw),
 		nn.NewConv2D(rng, c, 2*c, 3, 3, 1, 1),
 		nn.NewReLU(),
 		post,

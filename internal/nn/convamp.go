@@ -1,0 +1,260 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+
+	"repro/internal/tensor"
+)
+
+// ConvAMP is the first stage of the AdaptiveMaxPooling head (Section III-C)
+// as one layer: Conv2D(1→OutC, 3×3, stride 1, same padding) over the 1×n×W
+// concatenation Z^{1:h}, ReLU, then AdaptiveMaxPool2D to a fixed OutH×OutW
+// grid. It is bit-identical — outputs, input gradient, parameter gradients —
+// to running those three layers in sequence, but never materialises their
+// OutC×n×W maps: scratch is O(OutC·OutH·OutW + W) whatever n is, and the
+// backward pass touches only the ≤ OutC·OutH·OutW cells that won a window.
+//
+// Forward. Each conv cell is computed exactly as Conv2D does — bias, then
+// the in-bounds taps in ascending (ky, kx), sequential adds — one row at a
+// time into a W-wide buffer, and the row is folded into the running winner of
+// every grid cell whose window holds it: seeded from the window's first
+// element, replaced only by a strictly greater value. Rows arrive in
+// ascending y, so a cell's winner is the first occurrence of its window's
+// maximum in (y, x) order: AdaptiveMaxPool2D's scan and tie-breaking.
+// ReLU is monotone, so max∘ReLU = ReLU∘max and it is applied to the winners
+// only. Where a window's maximum is ≤ 0 the recorded argmax differs from the
+// three-layer path's (which sees an all-zero window and keeps its first
+// element), but there the ReLU gate zeroes the gradient on both paths.
+//
+// Backward. Per channel, the cells whose winner is > 0 are ordered by
+// conv-map position (stable, so cells sharing a winner — overlapping windows
+// can crown one conv cell twice — keep grid order), their gradients summed
+// per position from zero in that order (AdaptiveMaxPool2D's
+// din[argmax] += g), and each non-zero sum applied through the 3×3 taps in
+// ascending position. That is Conv2D.Backward's scan with every g == 0 cell
+// it would skip left out, so B.Grad, W.Grad and din accumulate the same
+// terms in the same order.
+type ConvAMP struct {
+	OutC, OutH, OutW int
+	W                *Param // OutC × 9
+	B                *Param // 1 × OutC
+
+	wsHolder
+	lastIn  *Volume
+	lastOut *Volume // ReLU'd winners: > 0 exactly where the gate is open
+	argmax  []int   // per output cell, the winner's y·W+x in the conv map
+
+	// Fixed-size scratch, allocated once at construction.
+	y0, y1 []int // adaptive window [y0, y1) of each grid row
+	x0, x1 []int // adaptive window [x0, x1) of each grid column
+	order  []int // backward: one channel's open cells, by conv position
+}
+
+// NewConvAMP builds the fused layer. It draws its filters exactly as
+// NewConv2D(rng, 1, outC, 3, 3, 1, 1) does and names its parameters the
+// same, so models and checkpoints are interchangeable with the three-layer
+// construction.
+func NewConvAMP(rng *rand.Rand, outC, outH, outW int) *ConvAMP {
+	if outC <= 0 || outH <= 0 || outW <= 0 {
+		panic("nn: convamp channel count and output dims must be positive")
+	}
+	return &ConvAMP{
+		OutC: outC, OutH: outH, OutW: outW,
+		W:      NewParam("conv2d.W", tensor.GlorotUniform(rng, outC, 9)),
+		B:      NewParam("conv2d.B", tensor.New(1, outC)),
+		argmax: make([]int, outC*outH*outW),
+		y0:     make([]int, outH),
+		y1:     make([]int, outH),
+		x0:     make([]int, outW),
+		x1:     make([]int, outW),
+		order:  make([]int, outH*outW),
+	}
+}
+
+// Forward convolves, rectifies and pools in one sweep over the input rows.
+func (l *ConvAMP) Forward(in *Volume, _ bool) *Volume {
+	if in.C != 1 || in.H == 0 || in.W == 0 {
+		panic(fmt.Sprintf("nn: convamp expects a non-empty 1xHxW input, got %dx%dx%d", in.C, in.H, in.W))
+	}
+	l.lastIn = in
+	h, w := in.H, in.W
+	out := l.ws.Volume(l.OutC, l.OutH, l.OutW)
+	l.lastOut = out
+	y0, y1, x0, x1 := l.y0, l.y1, l.x0, l.x1
+	for oy := range y0 {
+		y0[oy], y1[oy] = adaptiveWindow(oy, l.OutH, h)
+	}
+	for ox := range x0 {
+		x0[ox], x1[ox] = adaptiveWindow(ox, l.OutW, w)
+	}
+	row := l.ws.Floats(w)
+
+	// Window starts and ends both ascend with oy, so the grid rows holding
+	// conv row y are the contiguous range [oyLo, oyHi), and both ends only
+	// move forward as y grows.
+	oyLo, oyHi := 0, 0
+	for y := 0; y < h; y++ {
+		for oyLo < l.OutH && y1[oyLo] <= y {
+			oyLo++
+		}
+		for oyHi < l.OutH && y0[oyHi] <= y {
+			oyHi++
+		}
+		for oc := 0; oc < l.OutC; oc++ {
+			convRow3x3(row, in, y, l.W.Value.Row(oc), l.B.Value.Data[oc])
+			for oy := oyLo; oy < oyHi; oy++ {
+				base := (oc*l.OutH + oy) * l.OutW
+				cells := out.Data[base : base+l.OutW]
+				args := l.argmax[base : base+l.OutW]
+				for ox := range cells {
+					lo := x0[ox]
+					best, arg := cells[ox], args[ox]
+					if y == y0[oy] {
+						best, arg = row[lo], y*w+lo
+					}
+					for t, v := range row[lo:x1[ox]] {
+						if v > best {
+							best, arg = v, y*w+lo+t
+						}
+					}
+					cells[ox], args[ox] = best, arg
+				}
+			}
+		}
+	}
+	for i, v := range out.Data {
+		b := math.Float64bits(v)
+		out.Data[i] = math.Float64frombits(b & reluKeepMask(b))
+	}
+	return out
+}
+
+// convRow3x3 writes conv row y of a single-channel 3×3 same-padding
+// convolution into row: per cell bias first, then the in-bounds taps in
+// ascending (ky, kx) as sequential adds — Conv2D.Forward's chain.
+func convRow3x3(row []float64, in *Volume, y int, k []float64, bias float64) {
+	w := in.W
+	kyLo, kyHi := 0, 3
+	if y == 0 {
+		kyLo = 1
+	}
+	if y == in.H-1 {
+		kyHi = 2
+	}
+	// Edge columns miss the tap that falls outside the map.
+	for _, x := range [2]int{0, w - 1} {
+		acc := bias
+		for ky := kyLo; ky < kyHi; ky++ {
+			src := in.Data[(y-1+ky)*w : (y+ky)*w]
+			for kx := 0; kx < 3; kx++ {
+				if sx := x - 1 + kx; sx >= 0 && sx < w {
+					acc += k[ky*3+kx] * src[sx]
+				}
+			}
+		}
+		row[x] = acc
+	}
+	if w < 3 {
+		return
+	}
+	k = k[:9]
+	if kyLo == 0 && kyHi == 3 {
+		i0 := in.Data[(y-1)*w : y*w]
+		i1 := in.Data[y*w : (y+1)*w]
+		i2 := in.Data[(y+1)*w : (y+2)*w]
+		k00, k01, k02 := k[0], k[1], k[2]
+		k10, k11, k12 := k[3], k[4], k[5]
+		k20, k21, k22 := k[6], k[7], k[8]
+		for x := 1; x < w-1; x++ {
+			acc := bias
+			acc = ((acc + k00*i0[x-1]) + k01*i0[x]) + k02*i0[x+1]
+			acc = ((acc + k10*i1[x-1]) + k11*i1[x]) + k12*i1[x+1]
+			acc = ((acc + k20*i2[x-1]) + k21*i2[x]) + k22*i2[x+1]
+			row[x] = acc
+		}
+		return
+	}
+	for x := 1; x < w-1; x++ {
+		acc := bias
+		for ky := kyLo; ky < kyHi; ky++ {
+			src := in.Data[(y-1+ky)*w : (y+ky)*w]
+			acc = ((acc + k[ky*3]*src[x-1]) + k[ky*3+1]*src[x]) + k[ky*3+2]*src[x+1]
+		}
+		row[x] = acc
+	}
+}
+
+// Backward accumulates filter/bias gradients from the winning conv cells
+// only and returns the input gradient.
+func (l *ConvAMP) Backward(dout *Volume) *Volume {
+	in := l.lastIn
+	h, w := in.H, in.W
+	din := l.ws.Volume(1, h, w)
+	din.Zero() // the scatter below accumulates
+	cells := l.OutH * l.OutW
+	for oc := 0; oc < l.OutC; oc++ {
+		k := l.W.Value.Row(oc)
+		gk := l.W.Grad.Row(oc)
+		gate := l.lastOut.Data[oc*cells : (oc+1)*cells]
+		args := l.argmax[oc*cells : (oc+1)*cells]
+		gs := dout.Data[oc*cells : (oc+1)*cells]
+
+		// Stable insertion sort of the open cells by conv position; grid
+		// order already runs roughly with position, so shifts are short.
+		order := l.order[:0]
+		for i, v := range gate {
+			if v > 0 {
+				j := len(order)
+				order = order[:j+1]
+				for ; j > 0 && args[order[j-1]] > args[i]; j-- {
+					order[j] = order[j-1]
+				}
+				order[j] = i
+			}
+		}
+		for i := 0; i < len(order); {
+			pos := args[order[i]]
+			g := 0.0
+			for ; i < len(order) && args[order[i]] == pos; i++ {
+				g += gs[order[i]]
+			}
+			if g == 0 {
+				continue
+			}
+			l.B.Grad.Data[oc] += g
+			y, x := pos/w, pos%w
+			kyLo, kyHi := 0, 3
+			if y == 0 {
+				kyLo = 1
+			}
+			if y == h-1 {
+				kyHi = 2
+			}
+			kxLo, kxHi := 0, 3
+			if x == 0 {
+				kxLo = 1
+			}
+			if x == w-1 {
+				kxHi = 2
+			}
+			for ky := kyLo; ky < kyHi; ky++ {
+				base := (y-1+ky)*w + x - 1
+				for kx := kxLo; kx < kxHi; kx++ {
+					gk[ky*3+kx] += g * in.Data[base+kx]
+					din.Data[base+kx] += g * k[ky*3+kx]
+				}
+			}
+		}
+	}
+	return din
+}
+
+// Params returns the filter and bias parameters.
+func (l *ConvAMP) Params() []*Param { return []*Param{l.W, l.B} }
+
+var (
+	_ Layer         = (*ConvAMP)(nil)
+	_ WorkspaceUser = (*ConvAMP)(nil)
+)

@@ -1,0 +1,228 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Input regimes of the fused-vs-layers differential.
+const (
+	ampRandom      = iota // Gaussian map, filters and gradients
+	ampAllNegative        // bias −1e3: every window's maximum is < 0, every winner gated
+	ampTies               // identity-like integer filters over a {0,1,2} map: repeated maxima, duplicate winners, gradients that cancel to exactly 0
+	ampModes
+)
+
+// ampPair builds the fused layer and the three-layer chain it replaces from
+// the same RNG seed, each on its own workspace, and checks they drew the
+// same filters.
+func ampPair(t testing.TB, seed int64, outC, outH, outW, mode int) (*ConvAMP, *Sequential, *Conv2D) {
+	t.Helper()
+	fused := NewConvAMP(rand.New(rand.NewSource(seed)), outC, outH, outW)
+	conv := NewConv2D(rand.New(rand.NewSource(seed)), 1, outC, 3, 3, 1, 1)
+	for i, v := range conv.W.Value.Data {
+		if math.Float64bits(v) != math.Float64bits(fused.W.Value.Data[i]) {
+			t.Fatalf("filter %d: fused drew %g, Conv2D drew %g from the same seed", i, fused.W.Value.Data[i], v)
+		}
+	}
+	rng := rand.New(rand.NewSource(seed ^ 0x5eed))
+	for oc := 0; oc < outC; oc++ {
+		b := rng.NormFloat64()
+		switch mode {
+		case ampAllNegative:
+			b = -1e3
+		case ampTies:
+			b = 0
+			for i := 0; i < 9; i++ {
+				v := float64(rng.Intn(3) - 1)
+				if i == 4 {
+					v = 1
+				}
+				fused.W.Value.Data[oc*9+i], conv.W.Value.Data[oc*9+i] = v, v
+			}
+		}
+		fused.B.Value.Data[oc], conv.B.Value.Data[oc] = b, b
+	}
+	layers := NewSequential(conv, NewReLU(), NewAdaptiveMaxPool2D(outH, outW))
+	fused.SetWorkspace(NewWorkspace())
+	layers.SetWorkspace(NewWorkspace())
+	return fused, layers, conv
+}
+
+// poisonWorkspace leaves NaN-filled buffers of every size the next pass
+// checks out on the free lists, so a kernel that relies on a zeroed
+// checkout diverges visibly.
+func poisonWorkspace(ws *Workspace, volLens []int, floatLens []int) {
+	ws.Reset()
+	for rep := 0; rep < 3; rep++ {
+		for _, n := range volLens {
+			v := ws.Volume(1, 1, n)
+			for i := range v.Data {
+				v.Data[i] = math.NaN()
+			}
+		}
+		for _, n := range floatLens {
+			f := ws.Floats(n)
+			for i := range f {
+				f[i] = math.NaN()
+			}
+		}
+	}
+	ws.Reset()
+}
+
+func sameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i, w := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(w) {
+			t.Fatalf("%s[%d]: fused %x (%g) vs layers %x (%g)",
+				what, i, math.Float64bits(got[i]), got[i], math.Float64bits(w), w)
+		}
+	}
+}
+
+// checkFusedVsLayers holds ConvAMP to Conv2D → ReLU → AdaptiveMaxPool2D bit
+// for bit — forward output, input gradient, and filter/bias gradients
+// accumulated over two consecutive samples of different heights — with every
+// workspace checkout dirty.
+func checkFusedVsLayers(t *testing.T, seed int64, h, w, outC, outH, outW, mode int) {
+	t.Helper()
+	fused, layers, conv := ampPair(t, seed, outC, outH, outW, mode)
+	rng := rand.New(rand.NewSource(seed ^ 0xda7a))
+	for sample, sh := range []int{h, 1 + (h+int(seed&31))%64} {
+		in := NewVolume(1, sh, w)
+		dout := NewVolume(outC, outH, outW)
+		for i := range in.Data {
+			if mode == ampTies {
+				in.Data[i] = float64(rng.Intn(3))
+			} else {
+				in.Data[i] = rng.NormFloat64()
+			}
+		}
+		for i := range dout.Data {
+			switch {
+			case mode == ampTies:
+				dout.Data[i] = float64(rng.Intn(5) - 2)
+			case rng.Intn(8) == 0:
+				dout.Data[i] = 0
+			default:
+				dout.Data[i] = rng.NormFloat64()
+			}
+		}
+		map3 := outC * sh * w
+		poisonWorkspace(fused.ws, []int{outC * outH * outW, sh * w}, []int{w})
+		poisonWorkspace(conv.ws, []int{outC * outH * outW, sh * w, map3}, nil)
+
+		got := fused.Forward(in, true)
+		want := layers.Forward(in, true)
+		if got.C != want.C || got.H != want.H || got.W != want.W {
+			t.Fatalf("sample %d: output %dx%dx%d, want %dx%dx%d", sample, got.C, got.H, got.W, want.C, want.H, want.W)
+		}
+		sameBits(t, "out", got.Data, want.Data)
+		gotDin := fused.Backward(dout)
+		wantDin := layers.Backward(dout)
+		sameBits(t, "din", gotDin.Data, wantDin.Data)
+		sameBits(t, "W.Grad", fused.W.Grad.Data, conv.W.Grad.Data)
+		sameBits(t, "B.Grad", fused.B.Grad.Data, conv.B.Grad.Data)
+	}
+}
+
+// FuzzFusedHeadVsLayers is the differential behind the AMP head fusion: any
+// reordered addition, missed tie-break or dropped duplicate winner in
+// ConvAMP shows up as a bit difference against the three layers it replaced.
+func FuzzFusedHeadVsLayers(f *testing.F) {
+	seeds := []struct {
+		seed                   int64
+		h, w, outC, outH, outW uint8
+		mode                   uint8
+	}{
+		{1, 40, 32, 4, 10, 8, ampRandom},      // the shipped grid, H and W above it
+		{2, 63, 39, 3, 10, 8, ampRandom},      // largest map, windows overlap on both axes
+		{3, 4, 5, 2, 10, 8, ampRandom},        // H < OutH and W < OutW: clamped windows
+		{4, 1, 16, 2, 10, 8, ampRandom},       // H = 1: the empty-graph substitute vertex
+		{5, 1, 1, 1, 1, 1, ampRandom},         // single cell
+		{6, 12, 1, 2, 5, 3, ampRandom},        // W = 1
+		{7, 12, 2, 2, 5, 3, ampRandom},        // W = 2
+		{8, 25, 20, 3, 10, 8, ampAllNegative}, // every winner gated
+		{9, 15, 12, 2, 10, 8, ampTies},        // repeated maxima on window overlaps
+		{10, 7, 9, 4, 3, 3, ampTies},
+		{11, 3, 3, 1, 2, 2, ampAllNegative},
+	}
+	for _, s := range seeds {
+		f.Add(s.seed, s.h, s.w, s.outC, s.outH, s.outW, s.mode)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, h, w, outC, outH, outW, mode uint8) {
+		checkFusedVsLayers(t, seed,
+			1+int(h-1)%64, 1+int(w-1)%40, 1+int(outC-1)%4, 1+int(outH-1)%10, 1+int(outW-1)%8, int(mode)%ampModes)
+	})
+}
+
+// TestConvAMPDuplicateWinner builds the case the backward's per-position
+// summing exists for: with 15 rows pooled to 10, grid rows 0 and 1 both hold
+// conv row 1, so one spike there wins two cells and their gradients must be
+// summed before the g == 0 test — here they cancel exactly, and the layers
+// path contributes nothing.
+func TestConvAMPDuplicateWinner(t *testing.T) {
+	fused, layers, conv := ampPair(t, 1, 1, 10, 1, ampTies)
+	for i := range fused.W.Value.Data {
+		v := 0.0
+		if i == 4 {
+			v = 1 // identity filter: the conv map is the input
+		}
+		fused.W.Value.Data[i], conv.W.Value.Data[i] = v, v
+	}
+	in := NewVolume(1, 15, 4)
+	in.Data[1*4+2] = 5
+	dout := NewVolume(1, 10, 1)
+	dout.Data[0], dout.Data[1] = 3, -3
+
+	got, want := fused.Forward(in, true), layers.Forward(in, true)
+	sameBits(t, "out", got.Data, want.Data)
+	if fused.argmax[0] != 1*4+2 || fused.argmax[1] != 1*4+2 {
+		t.Fatalf("cells 0 and 1 won by %d and %d, want both %d", fused.argmax[0], fused.argmax[1], 1*4+2)
+	}
+	sameBits(t, "din", fused.Backward(dout).Data, layers.Backward(dout).Data)
+	sameBits(t, "W.Grad", fused.W.Grad.Data, conv.W.Grad.Data)
+	sameBits(t, "B.Grad", fused.B.Grad.Data, conv.B.Grad.Data)
+	if g := fused.B.Grad.Data[0]; g != 0 {
+		t.Fatalf("cancelling duplicate gradients left B.Grad = %g", g)
+	}
+
+	dout.Data[1] = 4 // now they add: one conv cell receives 3 + 4
+	fused.Forward(in, true)
+	layers.Forward(in, true)
+	sameBits(t, "din", fused.Backward(dout).Data, layers.Backward(dout).Data)
+	sameBits(t, "B.Grad", fused.B.Grad.Data, conv.B.Grad.Data)
+	if g := fused.B.Grad.Data[0]; g != 7 {
+		t.Fatalf("duplicate winner: B.Grad = %g, want 7", g)
+	}
+}
+
+// TestConvAMPZeroAlloc pins the warm fused layer at zero heap allocations
+// per Forward+Backward and its workspace at O(grid + W + H·W) bytes — no
+// OutC×H×W map.
+func TestConvAMPZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	l := NewConvAMP(rng, 16, 10, 8)
+	ws := NewWorkspace()
+	l.SetWorkspace(ws)
+	in := randVolume(rng, 1, 179, 128)
+	dout := randVolume(rng, 16, 10, 8)
+	step := func() {
+		ws.Reset()
+		l.Forward(in, true)
+		l.Backward(dout)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+		t.Errorf("warm Forward+Backward: %v allocs/op, want 0", allocs)
+	}
+	want := uint64(8 * (16*10*8 + 128 + 179*128)) // out + row + din
+	if got := ws.Stats().Bytes; got != want {
+		t.Errorf("workspace holds %d bytes, want %d", got, want)
+	}
+}

@@ -328,6 +328,16 @@ func conv2dGather32(inCh, wk []float32, sx, sy, kyLo, kyHi, inW int) float32 {
 	return acc
 }
 
+// Freeze32 snapshots the fused layer as the three frozen layers it stands
+// for; the float32 tier owes no accumulation-order contract, so it needs no
+// fused kernel of its own.
+func (l *ConvAMP) Freeze32() Layer32 {
+	conv := &Conv2D{InC: 1, OutC: l.OutC, KH: 3, KW: 3, Stride: 1, Pad: 1, W: l.W, B: l.B}
+	return &Sequential32{Layers: []Layer32{
+		conv.Freeze32(), relu32{}, &adaptiveMaxPool32{outH: l.OutH, outW: l.OutW},
+	}}
+}
+
 // maxPool32 is the frozen MaxPool2D.
 type maxPool32 struct {
 	kh, kw, stride int
@@ -442,6 +452,7 @@ var (
 	_ Freezable32 = (*Linear)(nil)
 	_ Freezable32 = (*Conv1D)(nil)
 	_ Freezable32 = (*Conv2D)(nil)
+	_ Freezable32 = (*ConvAMP)(nil)
 	_ Freezable32 = (*MaxPool2D)(nil)
 	_ Freezable32 = (*AdaptiveMaxPool2D)(nil)
 	_ Freezable32 = (*ReLU)(nil)

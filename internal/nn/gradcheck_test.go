@@ -138,6 +138,15 @@ func TestAdaptiveMaxPoolGradients(t *testing.T) {
 	checkLayerGradients(t, NewAdaptiveMaxPool2D(3, 3), randVolume(rng, 2, 5, 7), 1e-5)
 }
 
+func TestConvAMPGradients(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	l := NewConvAMP(rng, 3, 3, 2)
+	for i := range l.B.Value.Data {
+		l.B.Value.Data[i] = 0.5 // keep a healthy share of ReLU gates open
+	}
+	checkLayerGradients(t, l, randVolume(rng, 1, 7, 5), 1e-5)
+}
+
 func TestSequentialGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	seq := NewSequential(

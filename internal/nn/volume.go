@@ -1,7 +1,9 @@
 // Package nn implements the neural-network substrate for the DGCNN malware
 // classifier: a Volume value type (C×H×W feature maps), layers with
 // hand-written forward/backward passes (Linear, ReLU, Tanh, Sigmoid,
-// Dropout, Conv1D, Conv2D, MaxPool2D, AdaptiveMaxPool2D), the softmax
+// Dropout, Conv1D, Conv2D, MaxPool2D, AdaptiveMaxPool2D, and ConvAMP — the
+// AdaptiveMaxPooling head's Conv2D → ReLU → AdaptiveMaxPool2D fused into one
+// layer whose scratch does not grow with the graph), the softmax
 // negative-log-likelihood loss of Eq. 5, and the Adam optimizer with L2
 // regularization plus the paper's decay-on-plateau learning-rate schedule
 // (Section V-B).

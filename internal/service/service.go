@@ -440,7 +440,7 @@ func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 	}
 	s.seen[hash] = struct{}{}
 	s.corpus.Add(&dataset.Sample{Name: name, Label: label, ACFG: a})
-	s.corpusSize.With(body.Family).Set(float64(s.corpus.CountByClass()[label]))
+	s.corpusSize.With(body.Family).Inc() // replay and import Set the absolute count
 	s.publishCorpusGaugesLocked()
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"name":    name,

@@ -280,3 +280,51 @@ func TestCheckpointOnGracefulClose(t *testing.T) {
 		t.Fatal("model checkpoint is empty")
 	}
 }
+
+// TestCorpusGaugeTracksCountByClass holds the per-family corpus gauge —
+// incremented per accepted upload, set absolutely on replay — to the
+// corpus's own count through uploads, deduplicated re-uploads and a restart.
+func TestCorpusGaugeTracksCountByClass(t *testing.T) {
+	dir := t.TempDir()
+	check := func(srv *Server, when string, want []int) {
+		t.Helper()
+		srv.mu.Lock()
+		counts := srv.corpus.CountByClass()
+		srv.mu.Unlock()
+		for i, f := range srv.families {
+			if counts[i] != want[i] {
+				t.Fatalf("%s: corpus holds %d %q samples, want %d", when, counts[i], f, want[i])
+			}
+			if got := srv.corpusSize.With(f).Value(); got != float64(counts[i]) {
+				t.Errorf("%s: magic_corpus_samples{family=%q} = %v, CountByClass = %d", when, f, got, counts[i])
+			}
+		}
+	}
+
+	srv1, client1, _, _ := bootStatefulServer(t, dir)
+	for i := 0; i < 3; i++ {
+		if err := client1.AddSampleASM("clean", "c"+itoa(i), variant(chainProgram, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := client1.AddSampleASM("dirty", "d"+itoa(i), variant(loopProgram, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(srv1, "after uploads", []int{3, 2})
+	for i := 0; i < 2; i++ { // same content again: acknowledged, not stored
+		if err := client1.AddSampleASM("clean", "again"+itoa(i), variant(chainProgram, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check(srv1, "after re-uploads", []int{3, 2})
+	crash(srv1)
+
+	srv2, client2, _, _ := bootStatefulServer(t, dir)
+	check(srv2, "after restart", []int{3, 2})
+	if err := client2.AddSampleASM("dirty", "late", variant(loopProgram, 7)); err != nil {
+		t.Fatal(err)
+	}
+	check(srv2, "after a post-restart upload", []int{3, 3})
+}
