@@ -228,7 +228,7 @@ func BenchmarkTrainPerInstance(b *testing.B) {
 
 // BenchmarkTrainEpoch times one steady-state training epoch through the
 // session API, one sub-benchmark per conv backend. A warm-up epoch before
-// the timer fills the replica workspace free lists, so the measured
+// the timer sizes the replica workspace slab, so the measured
 // iterations exercise the zero-allocation hot path; allocs/op is reported
 // and gated at 0 for every backend by the committed baseline
 // (BENCH_train.json) via cmd/benchjson -compare.
@@ -249,7 +249,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			for i := 0; i < 2; i++ { // warm-up: the first epochs grow the free lists
+			for i := 0; i < 2; i++ { // warm-up: the first epochs size the workspace slab
 				if _, _, err := sess.RunEpoch(); err != nil {
 					b.Fatal(err)
 				}
@@ -375,6 +375,53 @@ func BenchmarkPredictPerInstance(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictNeverSeenSizes is the serving-side cost of a graph size
+// the replica has not met before. The model is warmed once on the largest
+// graph; every timed iteration then predicts a different, smaller vertex
+// count (the first 511 iterations never repeat one). With the workspace a
+// bump arena sized by the largest graph, a new size is as warm as an old
+// one: allocs/op is Predict's own 2 (the logits copy and the probability
+// vector) and workspace-bytes — the slab the replica holds when the run
+// ends — is the warm-up graph's scratch, whatever b.N was.
+func BenchmarkPredictNeverSeenSizes(b *testing.B) {
+	const largest = 512
+	rng := rand.New(rand.NewSource(8))
+	chain := func(n int) *acfg.ACFG {
+		g := graph.NewDirected(n)
+		for i := 0; i+1 < n; i++ {
+			g.AddEdge(i, i+1)
+		}
+		a, err := acfg.New(g, tensor.Uniform(rng, n, acfg.NumAttributes, 0, 1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	graphs := make([]*acfg.ACFG, largest-1)
+	for i, n := range rng.Perm(largest - 1) {
+		graphs[i] = chain(n + 1)
+	}
+	m, err := core.NewModel(core.DefaultConfig(9, acfg.NumAttributes), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	big := chain(largest)
+	m.Predict(big)
+	m.Predict(big) // the second pass consolidates the cold one's overflow chunks
+	warm := m.WorkspaceStats().Bytes
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Predict(graphs[i%len(graphs)])
+	}
+	b.StopTimer()
+	held := m.WorkspaceStats().Bytes
+	if held != warm {
+		b.Errorf("workspace went from %d to %d bytes over %d never-seen sizes, want flat", warm, held, b.N)
+	}
+	b.ReportMetric(float64(held), "workspace-bytes")
+}
+
 // BenchmarkRobustness measures accuracy degradation under metamorphic
 // junk-insertion obfuscation of held-out samples (extension experiment; the
 // structure-based classifier should degrade gracefully).
@@ -476,7 +523,7 @@ func BenchmarkAMPHead(b *testing.B) {
 					layer.Backward(dout)
 				}
 			}
-			step() // warm-up: grow the workspace free lists
+			step() // warm-up: size the workspace slab
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

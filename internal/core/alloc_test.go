@@ -5,12 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/acfg"
+	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
 // These tests pin the zero-allocation contract of the training hot path:
-// after one warm-up pass fills the replica workspaces' free lists, the
+// after one warm-up pass sizes the replica workspaces' slabs, the
 // steady state of TrainStep, RunEpoch (Workers=1) and the prediction engine
 // performs no heap allocations at all. Any regression — a stray closure, a
 // tensor.New on the sample path, a forgotten buffer reuse — fails here long
@@ -48,7 +49,7 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 					p.Grad.Zero()
 				}
 			}
-			step() // warm-up: fill the workspace free lists
+			step() // warm-up: size the workspace slab
 			if allocs := testing.AllocsPerRun(5, step); allocs > 0 {
 				t.Errorf("steady-state TrainStep allocated %.1f objects per sweep, want 0", allocs)
 			}
@@ -147,25 +148,62 @@ func chainACFG(rng *rand.Rand, n int) *acfg.ACFG {
 	return a
 }
 
-// TestAMPHeadWorkspaceIndependentOfChannels pins the memory side of the head
-// fusion at DefaultConfig: a prediction's scratch is a handful of n×Σc
-// matrices (graph-conv intermediates, the concatenation, its Volume copy),
-// never a Conv2DChannels×n×Σc map. Growing from a 50- to a 400-vertex graph
-// must add less than the room of eight n×Σc matrices; the unfused head's
-// three 16-channel maps alone were 15 MB here.
-func TestAMPHeadWorkspaceIndependentOfChannels(t *testing.T) {
-	cfg := DefaultConfig(2, acfg.NumAttributes)
-	m, err := NewModel(cfg, nil)
+// predictSample and trainSample are the two per-sample passes whose scratch the
+// tests below measure.
+func predictSample(m *Model, a *acfg.ACFG) { m.Predict(a) }
+func trainSample(m *Model, a *acfg.ACFG)   { m.TrainStep(a, 0, 1) }
+
+// warmSlabBytes returns the slab a fresh default-config model with a scaler
+// installed (as every serving replica has) settles on for an n-vertex
+// graph: run does one sample, and the second run's Reset consolidates the
+// cold pass's overflow chunks into exactly the sample's total checkouts.
+func warmSlabBytes(t *testing.T, n int, run func(m *Model, a *acfg.ACFG)) uint64 {
+	t.Helper()
+	m, err := NewModel(DefaultConfig(2, acfg.NumAttributes), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
-	m.Predict(chainACFG(rng, 50))
-	before := m.WorkspaceStats().Bytes
-	const n = 400
-	m.Predict(chainACFG(rng, n))
-	grew := m.WorkspaceStats().Bytes - before
-	if limit := uint64(8 * n * cfg.TotalConvWidth() * 8); grew >= limit {
-		t.Errorf("predicting a %d-vertex graph grew the workspace by %d bytes, want < %d (8 n×Σc matrices)", n, grew, limit)
+	d := dataset.New([]string{"chain"})
+	d.Add(&dataset.Sample{ACFG: chainACFG(rand.New(rand.NewSource(9)), n)})
+	m.SetScaler(fitScaler(t, d))
+	run(m, d.Samples[0].ACFG)
+	run(m, d.Samples[0].ACFG)
+	return m.WorkspaceStats().Bytes
+}
+
+// TestAMPHeadWorkspaceIndependentOfChannels pins the memory side of the head
+// fusion at DefaultConfig: a prediction's per-vertex scratch is exactly the
+// scaled attribute row plus five n×Σc matrices (per graph-conv layer the
+// product, the propagated pre-activation and the activation — 3Σc in all —
+// then the concatenation and its Volume copy), never a Conv2DChannels×n×Σc
+// map; the unfused head's three 16-channel maps alone were 15 MB at n = 400.
+// The assertion is exact because the arena's slab is the sum of one pass's
+// checkouts, byte for byte, where the free lists it replaced could only
+// bound the growth.
+func TestAMPHeadWorkspaceIndependentOfChannels(t *testing.T) {
+	cfg := DefaultConfig(2, acfg.NumAttributes)
+	grew := warmSlabBytes(t, 400, predictSample) - warmSlabBytes(t, 50, predictSample)
+	if want := uint64(8 * (400 - 50) * (cfg.AttrDim + 5*cfg.TotalConvWidth())); grew != want {
+		t.Errorf("350 more vertices grew the prediction slab by %d bytes, want %d (attributes + five n×Σc matrices)", grew, want)
+	}
+}
+
+// TestWorkspaceBytesPerVertex pins the two measurements tensor's slab
+// retention bound and the service's vertex limit are sized from: what one
+// more vertex costs a serving replica to predict and to train. If a layer
+// change moves them, revisit both constants.
+func TestWorkspaceBytesPerVertex(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(m *Model, a *acfg.ACFG)
+		want uint64
+	}{
+		{"predict", predictSample, 5208},
+		{"train", trainSample, 11184},
+	} {
+		got := (warmSlabBytes(t, 400, tc.run) - warmSlabBytes(t, 100, tc.run)) / 300
+		if got != tc.want {
+			t.Errorf("%s: %d bytes of scratch per vertex, want %d", tc.name, got, tc.want)
+		}
 	}
 }

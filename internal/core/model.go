@@ -47,10 +47,10 @@ type Model struct {
 	params   []*nn.Param
 	dropouts []*nn.Dropout
 
-	// ws is the model's scratch workspace. Every per-sample intermediate of
-	// the forward and backward passes is checked out of it, and it is Reset
-	// at the top of each forward — so after one warm-up pass a steady-state
-	// TrainStep performs zero heap allocations.
+	// ws is the model's scratch arena. Every per-sample intermediate of the
+	// forward and backward passes is checked out of it, and it is Reset at
+	// the top of each forward — so once it has seen its largest graph, a
+	// TrainStep on any graph performs zero heap allocations.
 	ws *nn.Workspace
 	// csr is the model's propagation operator D̄⁻¹Ā, per-sample scratch like
 	// ws: every forward Rebuilds it in place from the sample's graph, and it
@@ -319,8 +319,9 @@ func (m *Model) TrainStep(a *acfg.ACFG, label int, seed int64) (loss float64, hi
 	return loss, hit
 }
 
-// WorkspaceStats reports the model workspace's cumulative checkouts and
-// owned scratch bytes, feeding the magic_workspace_* gauges.
+// WorkspaceStats reports the model workspace's cumulative checkouts and the
+// slab bytes it holds — the scratch of the largest graph this model (or
+// replica) has run — feeding the magic_workspace_* gauges.
 func (m *Model) WorkspaceStats() tensor.WorkspaceStats { return m.ws.Stats() }
 
 // Predict returns the class-probability vector for one ACFG.

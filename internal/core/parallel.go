@@ -75,7 +75,8 @@ type ParallelBatch struct {
 	replicas []*Model // replicas[0] == main
 	workers  int
 
-	// shardGrads[s][p] buffers shard s's gradient sum for parameter p.
+	// shardGrads[s][p] buffers shard s's gradient sum for parameter p;
+	// nil until the first TrainBatch.
 	shardGrads [][]*tensor.Matrix
 
 	// Per-batch dispatch state, reused across calls (one batch at a time).
@@ -107,16 +108,23 @@ func NewParallelBatch(m *Model, workers int) (*ParallelBatch, error) {
 		}
 		e.replicas[i] = r
 	}
+	e.ranges = make([][2]int, 0, maxGradShards)
+	return e, nil
+}
+
+// allocShardGrads builds the maxGradShards parameter-sized gradient buffer
+// sets. Only training needs them, so the first TrainBatch pays for them and
+// the predict-only engine PredictBatch caches on every retained model
+// version never does.
+func (e *ParallelBatch) allocShardGrads() {
 	e.shardGrads = make([][]*tensor.Matrix, maxGradShards)
 	for s := range e.shardGrads {
-		bufs := make([]*tensor.Matrix, len(m.params))
-		for pi, p := range m.params {
+		bufs := make([]*tensor.Matrix, len(e.main.params))
+		for pi, p := range e.main.params {
 			bufs[pi] = tensor.New(p.Value.Rows, p.Value.Cols)
 		}
 		e.shardGrads[s] = bufs
 	}
-	e.ranges = make([][2]int, 0, maxGradShards)
-	return e, nil
 }
 
 // Workers returns the engine's worker count.
@@ -159,6 +167,9 @@ func appendShardRanges(out [][2]int, n, shards int) [][2]int {
 // returned.
 func (e *ParallelBatch) TrainBatch(tasks []sampleTask, results []sampleResult) error {
 	wall := obs.StartTimer()
+	if e.shardGrads == nil {
+		e.allocShardGrads()
+	}
 	e.op, e.tasks, e.results = opTrain, tasks, results
 	e.ranges = appendShardRanges(e.ranges[:0], len(tasks), maxGradShards)
 	if err := e.runShards(len(e.ranges)); err != nil {

@@ -186,6 +186,12 @@ func TestPredictBatchMatchesSerialPredict(t *testing.T) {
 			}
 		}
 	}
+	// The engine PredictBatch caches on the model (one per retained version
+	// in the service) never trains, so it must not own the eight
+	// parameter-sized shard gradient sets a training engine needs.
+	if m.predEngine.shardGrads != nil {
+		t.Errorf("PredictBatch-only engine owns %d shard gradient buffer sets, want none", len(m.predEngine.shardGrads))
+	}
 }
 
 // TestConcurrentPredictDuringTrain runs the service's serving pattern under

@@ -50,26 +50,45 @@ func ampPair(t testing.TB, seed int64, outC, outH, outW, mode int) (*ConvAMP, *S
 	return fused, layers, conv
 }
 
-// poisonWorkspace leaves NaN-filled buffers of every size the next pass
-// checks out on the free lists, so a kernel that relies on a zeroed
-// checkout diverges visibly.
+// poisonWorkspace leaves the slab NaN-filled over at least the room the next
+// pass checks out (three of every listed size), so a kernel that relies on
+// a zeroed checkout diverges visibly. The first round may outgrow the slab,
+// and the Reset after it consolidates into fresh zeroed memory; the second
+// round is the one that poisons what the next pass will be handed.
 func poisonWorkspace(ws *Workspace, volLens []int, floatLens []int) {
-	ws.Reset()
-	for rep := 0; rep < 3; rep++ {
-		for _, n := range volLens {
-			v := ws.Volume(1, 1, n)
-			for i := range v.Data {
-				v.Data[i] = math.NaN()
-			}
-		}
-		for _, n := range floatLens {
-			f := ws.Floats(n)
-			for i := range f {
-				f[i] = math.NaN()
-			}
+	total := 0
+	for _, n := range volLens {
+		total += 3 * n
+	}
+	for _, n := range floatLens {
+		total += 3 * n
+	}
+	for round := 0; round < 2; round++ {
+		ws.Reset()
+		f := ws.Floats(total)
+		for i := range f {
+			f[i] = math.NaN()
 		}
 	}
 	ws.Reset()
+}
+
+// TestPoisonWorkspaceReachesNextPass keeps the fuzz target's dirty-checkout
+// mode honest: every buffer the pass after a poisoning checks out — volumes
+// and slices alike, all cut from one slab — starts as NaN.
+func TestPoisonWorkspaceReachesNextPass(t *testing.T) {
+	ws := NewWorkspace()
+	for pass := 0; pass < 2; pass++ {
+		poisonWorkspace(ws, []int{40, 7}, []int{5})
+		bufs := [][]float64{ws.Volume(2, 4, 5).Data, ws.Floats(5), ws.Volume(1, 1, 7).Data, ws.Matrix(8, 5).Data}
+		for i, b := range bufs {
+			for j, v := range b {
+				if !math.IsNaN(v) {
+					t.Fatalf("pass %d: checkout %d element %d = %g, want NaN", pass, i, j, v)
+				}
+			}
+		}
+	}
 }
 
 func sameBits(t *testing.T, what string, got, want []float64) {
@@ -221,7 +240,9 @@ func TestConvAMPZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Errorf("warm Forward+Backward: %v allocs/op, want 0", allocs)
 	}
-	want := uint64(8 * (16*10*8 + 128 + 179*128)) // out + row + din
+	// out + row + din: the slab is consolidated to exactly the sum of one
+	// pass's checkouts, the same number the three free lists added up to.
+	want := uint64(8 * (16*10*8 + 128 + 179*128))
 	if got := ws.Stats().Bytes; got != want {
 		t.Errorf("workspace holds %d bytes, want %d", got, want)
 	}

@@ -2,10 +2,11 @@ package nn
 
 import "repro/internal/tensor"
 
-// Workspace extends tensor.Workspace with a Volume free-list so layers can
-// check out scratch feature maps under the same lifetime rules: buffers are
-// dirty on checkout, owned until Reset, and recycled afterwards. One
-// Workspace serves one model replica; it is not safe for concurrent use.
+// Workspace extends tensor.Workspace with Volume checkouts so layers can
+// draw scratch feature maps from the same per-replica slab under the same
+// lifetime rules: buffers are dirty on checkout, owned until Reset, and
+// handed out again afterwards. One Workspace serves one model replica; it
+// is not safe for concurrent use.
 //
 // The nil Workspace is valid: every checkout allocates a fresh zeroed
 // buffer, so layers that were never handed a workspace (external callers,
@@ -13,19 +14,13 @@ import "repro/internal/tensor"
 type Workspace struct {
 	tw *tensor.Workspace
 
-	freeVols map[int][]*Volume
-	usedVols []*Volume
-
-	checkouts uint64
-	bytes     uint64
+	vols []*Volume // headers, reused in checkout order; vols[:nvol] are live
+	nvol int
 }
 
 // NewWorkspace returns an empty workspace.
 func NewWorkspace() *Workspace {
-	return &Workspace{
-		tw:       tensor.NewWorkspace(),
-		freeVols: make(map[int][]*Volume),
-	}
+	return &Workspace{tw: tensor.NewWorkspace()}
 }
 
 // Matrix checks out a dirty r×c scratch matrix (see tensor.Workspace).
@@ -44,53 +39,40 @@ func (w *Workspace) Floats(n int) []float64 {
 	return w.tw.Floats(n)
 }
 
-// Volume checks out a c×h×wd scratch volume with UNDEFINED contents. Like
-// matrices, volumes are keyed by element count: the header dimensions are
-// rewritten per checkout and only the backing array is recycled. A nil
+// Volume checks out a c×h×wd scratch volume with UNDEFINED contents. A nil
 // workspace allocates a fresh zeroed volume.
 func (w *Workspace) Volume(c, h, wd int) *Volume {
 	if w == nil {
 		return NewVolume(c, h, wd)
 	}
-	w.checkouts++
-	n := c * h * wd
-	if list := w.freeVols[n]; len(list) > 0 {
-		v := list[len(list)-1]
-		w.freeVols[n] = list[:len(list)-1]
-		v.C, v.H, v.W = c, h, wd
-		w.usedVols = append(w.usedVols, v)
-		return v
+	if w.nvol == len(w.vols) {
+		w.vols = append(w.vols, &Volume{})
 	}
-	v := NewVolume(c, h, wd)
-	w.bytes += uint64(8 * n)
-	w.usedVols = append(w.usedVols, v)
+	v := w.vols[w.nvol]
+	w.nvol++
+	v.C, v.H, v.W, v.Data = c, h, wd, w.tw.Floats(c*h*wd)
 	return v
 }
 
-// Reset returns every checked-out matrix, slice and volume to the free
-// lists, invalidating all buffers handed out since the previous Reset.
+// Reset takes back every checked-out matrix, slice and volume, invalidating
+// all buffers handed out since the previous Reset.
 func (w *Workspace) Reset() {
 	if w == nil {
 		return
 	}
 	w.tw.Reset()
-	for i, v := range w.usedVols {
-		w.freeVols[len(v.Data)] = append(w.freeVols[len(v.Data)], v)
-		w.usedVols[i] = nil
+	for _, v := range w.vols[:w.nvol] {
+		v.Data = nil
 	}
-	w.usedVols = w.usedVols[:0]
+	w.nvol = 0
 }
 
-// Stats returns cumulative checkouts and owned bytes across the matrix,
-// float and volume pools.
+// Stats returns cumulative checkouts and the bytes of slab held.
 func (w *Workspace) Stats() tensor.WorkspaceStats {
 	if w == nil {
 		return tensor.WorkspaceStats{}
 	}
-	s := w.tw.Stats()
-	s.Checkouts += w.checkouts
-	s.Bytes += w.bytes
-	return s
+	return w.tw.Stats()
 }
 
 // WorkspaceUser is implemented by layers (and layer containers) that can

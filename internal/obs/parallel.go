@@ -33,7 +33,7 @@ var (
 	workspaceCheckouts = Default().Gauge("magic_workspace_checkouts_total",
 		"Cumulative scratch-buffer checkouts across the batch engine's replica workspaces.")
 	workspaceBytes = Default().Gauge("magic_workspace_bytes",
-		"Scratch bytes owned by the batch engine's replica workspaces.")
+		"Slab bytes held by the batch engine's replica workspaces: each replica's is the scratch of the largest graph it has run.")
 )
 
 // parallelPhase holds one phase's pre-resolved metric children. Vec.With
@@ -90,7 +90,7 @@ func ObserveParallelBatch(phase string, workers, samples int, wall, busy time.Du
 }
 
 // ObserveWorkspace publishes the batch engine's summed replica workspace
-// footprint: cumulative checkouts and currently owned scratch bytes.
+// footprint: cumulative checkouts and the slab bytes currently held.
 func ObserveWorkspace(checkouts, bytes uint64) {
 	workspaceCheckouts.Set(float64(checkouts))
 	workspaceBytes.Set(float64(bytes))

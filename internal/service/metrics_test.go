@@ -30,8 +30,15 @@ func scrape(t *testing.T, baseURL string) map[string]float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return parseExposition(t, string(body))
+}
+
+// parseExposition parses Prometheus text into a map keyed by the full
+// series string, failing the test on a malformed line.
+func parseExposition(t *testing.T, body string) map[string]float64 {
+	t.Helper()
 	samples := make(map[string]float64)
-	for _, line := range strings.Split(strings.TrimRight(string(body), "\n"), "\n") {
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
 		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
 			continue
 		}

@@ -492,9 +492,23 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxGraphVertices bounds the graphs /v1/predict and /v1/samples admit. The
+// byte limit alone does not: a 16 MiB body can describe several hundred
+// thousand basic blocks, and every model replica that runs a graph keeps
+// its scratch slab — 5.2 KB per vertex to predict, 11.2 KB to train — until
+// a larger one replaces it. 4096 is ten times the largest listing malgen,
+// the tests or the benchmark produce, and keeps an admitted graph's slab
+// (21 MB serving, 46 MB training) under tensor.Workspace's retention bound,
+// so the limit is what caps a replica's resident scratch. It is a constant,
+// not a flag: nothing a deployment knows should change what a replica can
+// be made to hold.
+const maxGraphVertices = 4096
+
 // extract converts an uploaded body into an ACFG, running the disassembly
-// pipeline when asm text was supplied.
+// pipeline when asm text was supplied, and rejects graphs above
+// maxGraphVertices whichever way they arrived.
 func (s *Server) extract(body *sampleBody) (*acfg.ACFG, error) {
+	var a *acfg.ACFG
 	switch {
 	case body.ACFG != nil && body.ASM != "":
 		return nil, fmt.Errorf("supply either asm or acfg, not both")
@@ -503,7 +517,7 @@ func (s *Server) extract(body *sampleBody) (*acfg.ACFG, error) {
 			return nil, fmt.Errorf("acfg has %d attribute columns, want %d",
 				body.ACFG.Attrs.Cols, s.cfgTemplate.AttrDim)
 		}
-		return body.ACFG, nil
+		a = body.ACFG
 	case strings.TrimSpace(body.ASM) != "":
 		prog, err := asm.ParseString(body.ASM)
 		if err != nil {
@@ -513,10 +527,14 @@ func (s *Server) extract(body *sampleBody) (*acfg.ACFG, error) {
 		if err := c.Validate(); err != nil {
 			return nil, fmt.Errorf("build cfg: %w", err)
 		}
-		return acfg.FromCFG(c), nil
+		a = acfg.FromCFG(c)
 	default:
 		return nil, fmt.Errorf("missing asm or acfg payload")
 	}
+	if n := a.NumVertices(); n > maxGraphVertices {
+		return nil, fmt.Errorf("graph has %d vertices, limit is %d", n, maxGraphVertices)
+	}
+	return a, nil
 }
 
 // epochUpdate bridges core's per-epoch stats to the obs telemetry struct

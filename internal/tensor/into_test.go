@@ -235,56 +235,3 @@ func TestIntoKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("HConcatInto allocated %.1f objects per call, want 0", allocs)
 	}
 }
-
-func TestWorkspaceReuseAndStats(t *testing.T) {
-	ws := NewWorkspace()
-	m1 := ws.Matrix(2, 6)
-	f1 := ws.Floats(5)
-	if len(m1.Data) != 12 || len(f1) != 5 {
-		t.Fatalf("unexpected checkout shapes")
-	}
-	ws.Reset()
-	// A 3×4 request must reuse the 2×6 backing (same element count).
-	m2 := ws.Matrix(3, 4)
-	if &m2.Data[0] != &m1.Data[0] {
-		t.Errorf("3x4 checkout did not reuse the 12-element backing")
-	}
-	if m2.Rows != 3 || m2.Cols != 4 {
-		t.Errorf("reused header %dx%d, want 3x4", m2.Rows, m2.Cols)
-	}
-	st := ws.Stats()
-	if st.Checkouts != 3 {
-		t.Errorf("checkouts = %d, want 3", st.Checkouts)
-	}
-	if want := uint64(8 * (12 + 5)); st.Bytes != want {
-		t.Errorf("bytes = %d, want %d", st.Bytes, want)
-	}
-	// Steady state allocates nothing.
-	ws.Reset()
-	allocs := testing.AllocsPerRun(10, func() {
-		ws.Matrix(3, 4)
-		ws.Floats(5)
-		ws.Reset()
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state workspace cycle allocated %.1f objects, want 0", allocs)
-	}
-}
-
-func TestNilWorkspaceDegradesToFreshAllocation(t *testing.T) {
-	var ws *Workspace
-	m := ws.Matrix(2, 3)
-	for _, v := range m.Data {
-		if v != 0 {
-			t.Fatalf("nil-workspace matrix not zeroed")
-		}
-	}
-	f := ws.Floats(4)
-	if len(f) != 4 {
-		t.Fatalf("nil-workspace floats length %d", len(f))
-	}
-	ws.Reset() // must not panic
-	if st := ws.Stats(); st.Checkouts != 0 || st.Bytes != 0 {
-		t.Fatalf("nil-workspace stats %+v, want zeros", st)
-	}
-}
