@@ -20,8 +20,6 @@ import (
 	"sync"
 
 	"repro/internal/acfg"
-	"repro/internal/asm"
-	"repro/internal/cfg"
 )
 
 func main() {
@@ -87,20 +85,14 @@ func run(args []string) error {
 }
 
 func extract(path, outDir string) error {
-	f, err := os.Open(path)
+	text, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = f.Close() }()
-	prog, err := asm.Parse(f)
+	a, err := acfg.FromASM(string(text))
 	if err != nil {
 		return err
 	}
-	c := cfg.Build(prog)
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	a := acfg.FromCFG(c)
 
 	base := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	outPath := filepath.Join(outDir, base+".acfg.json")

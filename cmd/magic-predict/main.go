@@ -23,8 +23,6 @@ import (
 	"time"
 
 	"repro/internal/acfg"
-	"repro/internal/asm"
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/service"
 )
@@ -122,18 +120,18 @@ func predictRemote(client *service.Client, path string, timeout time.Duration) (
 }
 
 func loadSample(path string) (*acfg.ACFG, error) {
+	if strings.HasSuffix(path, ".asm") {
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		return acfg.FromASM(string(text))
+	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer func() { _ = f.Close() }()
-	if strings.HasSuffix(path, ".asm") {
-		prog, err := asm.Parse(f)
-		if err != nil {
-			return nil, err
-		}
-		return acfg.FromCFG(cfg.Build(prog)), nil
-	}
 	return acfg.Read(f)
 }
 

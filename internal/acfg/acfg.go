@@ -60,6 +60,21 @@ type ACFG struct {
 	Attrs *tensor.Matrix
 }
 
+// FromASM runs the whole front half of the pipeline on one disassembly
+// listing: parse, the two-pass CFG build, the CFG's structural check, and
+// Table I attribute extraction. The returned ACFG does not alias text.
+func FromASM(text string) (*ACFG, error) {
+	prog, err := asm.ParseString(text)
+	if err != nil {
+		return nil, err
+	}
+	c := cfg.Build(prog)
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	return FromCFG(c), nil
+}
+
 // FromCFG extracts Table I attributes for every block of c.
 func FromCFG(c *cfg.CFG) *ACFG {
 	defer obs.TimeStage(obs.StageACFGAnnotate)()

@@ -65,6 +65,25 @@ start:
 	}
 }
 
+func TestParseSkipsLabelsWithTrailingComments(t *testing.T) {
+	// IDA puts cross-references after a label; the comment goes before the
+	// label test, or the whole listing is refused.
+	p := mustParse(t, `
+loc_401000:   ; CODE XREF: sub_401000+12
+start: ; entry
+.text:00401000  push ebp
+sub_401001:	;
+.text:00401001  retn          ; loc_401000: is not a label here
+`)
+	if p.Len() != 2 {
+		t.Fatalf("want 2 instructions, got %d", p.Len())
+	}
+	// What is left of the comment is still held to the line format.
+	if _, err := ParseString("name;x:"); err == nil {
+		t.Fatal(`"name" before a comment is neither a label nor an instruction`)
+	}
+}
+
 func TestParseIDAStyle(t *testing.T) {
 	p := mustParse(t, `
 .text:00401000  push ebp       ; prologue
@@ -191,11 +210,37 @@ func TestNumericConstants(t *testing.T) {
 		{[]string{"[ebp+8]", "4"}, 1},
 		{[]string{"1", "2"}, 2},
 		{nil, 0},
+		// The 8-bit registers end in h and are not constants.
+		{[]string{"ah", "1"}, 1},
+		{[]string{"dh", "bh"}, 0},
+		{[]string{"ch", "0FFh"}, 1},
 	}
 	for _, tt := range tests {
 		in := &Instruction{Mnemonic: "mov", Operands: tt.operands}
 		if got := in.NumericConstants(); got != tt.want {
 			t.Errorf("NumericConstants(%v) = %d, want %d", tt.operands, got, tt.want)
+		}
+	}
+}
+
+func TestParseAddrForms(t *testing.T) {
+	tests := []struct {
+		text string
+		want uint64
+		ok   bool
+	}{
+		{"ah", 0, false}, {"bh", 0, false}, {"ch", 0, false}, {"dh", 0, false},
+		{"0Ah", 0xa, true}, {"0ah", 0xa, true}, {"12H", 0x12, true}, {"0FFh", 0xff, true},
+		{"h", 0, false}, {"0x", 0, false}, {"0h", 0, true}, {"0xh", 0, false},
+		{"0X1f", 0x1f, true}, {" 42 ", 42, true}, {"-1", 0, false}, {"", 0, false},
+		{"18446744073709551615", 1<<64 - 1, true}, {"18446744073709551616", 0, false},
+		{"0xffffffffffffffff", 1<<64 - 1, true}, {"0x10000000000000000", 0, false},
+		{"0000000000000000000000401000h", 0x401000, true},
+	}
+	for _, tt := range tests {
+		got, ok := parseAddr(tt.text)
+		if ok != tt.ok || ok && got != tt.want {
+			t.Errorf("parseAddr(%q) = %#x, %v; want %#x, %v", tt.text, got, ok, tt.want, tt.ok)
 		}
 	}
 }
@@ -208,6 +253,11 @@ func TestDstAddr(t *testing.T) {
 	indirect := &Instruction{Mnemonic: "jmp", Operands: []string{"eax"}}
 	if _, ok := indirect.DstAddr(); ok {
 		t.Fatal("indirect jump must not resolve")
+	}
+	// jmp ch is a jump through a register, not to address 0xc.
+	register := &Instruction{Mnemonic: "jmp", Operands: []string{"ch"}}
+	if _, ok := register.DstAddr(); ok {
+		t.Fatal("jump through ch must not resolve")
 	}
 	empty := &Instruction{Mnemonic: "jmp"}
 	if _, ok := empty.DstAddr(); ok {

@@ -1,7 +1,9 @@
 package asm_test
 
 import (
+	"bufio"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,6 +17,12 @@ import (
 // the Program invariants must hold: addresses strictly increasing and
 // unique, every instruction resolvable through IndexOf/At/Next, sizes
 // derived from address gaps, and the round-trip through Format parseable.
+//
+// It is differential too: the parser, the classify-once table and the
+// tagger must agree with the parent commit's code (oracle_test.go) on every
+// input — the same accept/reject, the same error text (line number and
+// offending token), and per instruction the same address, mnemonic,
+// operands, size, kind, category, constant count and first-pass tags.
 func FuzzParse(f *testing.F) {
 	// Seed corpus: realistic listings from the synthetic generator (one per
 	// family shape class), plus hand-written edge cases.
@@ -31,9 +39,27 @@ func FuzzParse(f *testing.F) {
 	f.Add("00401000 jmp 0xffffffffffffffff")
 	f.Add("0x1 nop\n0x1 nop") // duplicate address
 	f.Add(strings.Repeat("00401000 nop\n", 3))
+	// IDA-shaped labels: a comment or padding after the colon.
+	f.Add("loc_401000:   ; CODE XREF: sub_401000+12\n.text:00401000 retn")
+	f.Add("start: ; entry\n00401000 nop\nname;x:\n")
+	// 8-bit registers are not trailing-h constants; 0Ah is.
+	f.Add("00401000 mov ah, 1\n00401002 add dh, bh\n00401004 jmp ch\n00401006 mov al, 0Ah\n00401008 jmp 0FFh")
+	// The same listing mangled the ways real exports differ: case, tabs,
+	// CRLF, section prefixes, doubled and non-ASCII blanks.
+	listing := malgen.GenerateProgram(rand.New(rand.NewSource(4)), malgen.MSKProfileFor(1))
+	f.Add(strings.ToUpper(listing))
+	f.Add(strings.ReplaceAll(listing, " ", "\t"))
+	f.Add(strings.ReplaceAll(listing, "\n", "\r\n"))
+	f.Add(".text:" + strings.ReplaceAll(listing, "\n", "\n.text:"))
+	f.Add(strings.ReplaceAll(listing, " ", "  "))
+	f.Add(strings.ReplaceAll(listing, ", ", ",\u00a0"))
+	f.Add("00401000\u2003MOV\u0085dword  ptr\t[eax] ,\v0x1F, ,\n00401007 j\u00e9 \xff")
+	f.Add("00401010 ret\n00401000 nop\n0x00401005 nop") // out of order
+	f.Add("ffffffffffffffff0 nop\n.text:zz nop")        // range, then syntax
 
 	f.Fuzz(func(t *testing.T, text string) {
 		p, err := asm.ParseString(text)
+		diffOracle(t, text, p, err)
 		if err != nil {
 			return // rejecting malformed input is fine; panicking is not
 		}
@@ -81,4 +107,47 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 	})
+}
+
+// diffOracle holds ParseString's result for text, and the tags TagProgram
+// then assigns, to the parent commit's parser and tagger.
+func diffOracle(t *testing.T, text string, got *asm.Program, gotErr error) {
+	t.Helper()
+	want, wantErr := asm.OracleParseString(text)
+	if wantErr != nil && strings.Contains(wantErr.Error(), bufio.ErrTooLong.Error()) {
+		return // the Scanner's 4 MiB line cap is the one check not kept
+	}
+	if wantErr != nil || gotErr != nil {
+		if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
+			t.Fatalf("error %v, oracle %v", gotErr, wantErr)
+		}
+		return
+	}
+	if got.Len() != len(want.Insts) {
+		t.Fatalf("%d instructions, oracle %d", got.Len(), len(want.Insts))
+	}
+	asm.TagProgram(got)
+	asm.OracleTagProgram(want)
+	for i, g := range got.Insts {
+		w := want.Insts[i]
+		if g.Addr != w.Addr || g.Mnemonic != w.Mnemonic || !slices.Equal(g.Operands, w.Operands) || g.Size != w.Size {
+			t.Fatalf("instruction %d: %#x %q %q size %d, oracle %#x %q %q size %d", i,
+				g.Addr, g.Mnemonic, g.Operands, g.Size, w.Addr, w.Mnemonic, w.Operands, w.Size)
+		}
+		if g.Kind() != asm.OracleKind(w) || g.Category() != asm.OracleCategory(w) ||
+			g.NumericConstants() != asm.OracleNumericConstants(w) {
+			t.Fatalf("instruction %d (%s %q): kind %d category %d constants %d, oracle %d %d %d", i,
+				g.Mnemonic, g.Operands, g.Kind(), g.Category(), g.NumericConstants(),
+				asm.OracleKind(w), asm.OracleCategory(w), asm.OracleNumericConstants(w))
+		}
+		gDst, gOK := g.DstAddr()
+		wDst, wOK := asm.OracleDstAddr(w)
+		if gOK != wOK || gOK && gDst != wDst {
+			t.Fatalf("instruction %d (%s %q): DstAddr %#x %v, oracle %#x %v", i, g.Mnemonic, g.Operands, gDst, gOK, wDst, wOK)
+		}
+		if g.Start != w.Start || g.HasBranch != w.HasBranch || g.BranchTo != w.BranchTo ||
+			g.FallThrough != w.FallThrough || g.Return != w.Return {
+			t.Fatalf("instruction %d (%#x %s): tags %+v, oracle %+v", i, g.Addr, g.Mnemonic, *g, *w)
+		}
+	}
 }

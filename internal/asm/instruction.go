@@ -7,8 +7,8 @@
 package asm
 
 import (
-	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind classifies an instruction's control-flow behaviour. It drives the
@@ -57,48 +57,31 @@ type Instruction struct {
 	BranchTo    uint64
 	FallThrough bool
 	Return      bool
+
+	// What the text decides, counted once when the instruction enters a
+	// Program (ParseString, NewProgram): kind 0 marks an instruction built
+	// by hand, whose Kind, Category and NumericConstants read the text on
+	// every call. Mnemonic and Operands must not change after that.
+	kind   uint8
+	cat    uint8
+	consts int32
+	index  int // position in the owning Program's Insts
 }
 
 // Kind returns the control-flow kind of the instruction.
 func (in *Instruction) Kind() Kind {
-	m := strings.ToLower(in.Mnemonic)
-	switch {
-	case m == "jmp":
-		return KindUnconditionalJump
-	case conditionalJumps[m]:
-		return KindConditionalJump
-	case m == "call":
-		return KindCall
-	case m == "ret" || m == "retn" || m == "retf" || m == "iret":
-		return KindReturn
-	case m == "hlt":
-		return KindHalt
-	default:
-		return KindOther
+	if in.kind != 0 {
+		return Kind(in.kind)
 	}
+	return classify(in.Mnemonic).kind
 }
 
 // Category returns the Table I attribute category of the instruction.
 func (in *Instruction) Category() Category {
-	m := strings.ToLower(in.Mnemonic)
-	switch {
-	case m == "jmp" || conditionalJumps[m] || loopOps[m]:
-		return CatTransfer
-	case m == "call":
-		return CatCall
-	case arithmeticOps[m]:
-		return CatArithmetic
-	case m == "cmp" || m == "test":
-		return CatCompare
-	case movOps[m]:
-		return CatMov
-	case m == "ret" || m == "retn" || m == "retf" || m == "iret" || m == "hlt" || m == "leave":
-		return CatTermination
-	case dataOps[m]:
-		return CatDataDeclaration
-	default:
-		return CatOther
+	if in.kind != 0 {
+		return Category(in.cat)
 	}
+	return classify(in.Mnemonic).cat
 }
 
 // NumericConstants counts numeric literal operands — the "# Numeric
@@ -106,13 +89,10 @@ func (in *Instruction) Category() Category {
 // brackets are not counted; plain immediates (decimal, 0x-prefixed or
 // trailing-h hex) are.
 func (in *Instruction) NumericConstants() int {
-	count := 0
-	for _, op := range in.Operands {
-		if isNumericLiteral(op) {
-			count++
-		}
+	if in.kind != 0 {
+		return int(in.consts)
 	}
-	return count
+	return countNumericLiterals(in.Operands)
 }
 
 // DstAddr extracts the destination address of a jump or call instruction —
@@ -125,57 +105,164 @@ func (in *Instruction) DstAddr() (uint64, bool) {
 	return parseAddr(in.Operands[0])
 }
 
-var conditionalJumps = map[string]bool{
-	"je": true, "jne": true, "jz": true, "jnz": true, "jg": true, "jge": true,
-	"jl": true, "jle": true, "ja": true, "jae": true, "jb": true, "jbe": true,
-	"jo": true, "jno": true, "js": true, "jns": true, "jp": true, "jnp": true,
-	"jcxz": true, "jecxz": true,
+// store records what the instruction's text decides, so the three getters
+// above stop reading it.
+func (in *Instruction) store() {
+	c := classify(in.Mnemonic)
+	in.kind, in.cat = uint8(c.kind), uint8(c.cat)
+	in.consts = int32(countNumericLiterals(in.Operands))
 }
 
-var loopOps = map[string]bool{
-	"loop": true, "loope": true, "loopne": true,
+// class is everything a mnemonic alone decides about an instruction.
+type class struct {
+	kind Kind
+	cat  Category
 }
 
-var arithmeticOps = map[string]bool{
-	"add": true, "sub": true, "mul": true, "imul": true, "div": true,
-	"idiv": true, "inc": true, "dec": true, "neg": true, "adc": true,
-	"sbb": true, "shl": true, "shr": true, "sal": true, "sar": true,
-	"rol": true, "ror": true, "xor": true, "and": true, "or": true,
-	"not": true,
+var (
+	conditionalJumps = []string{
+		"je", "jne", "jz", "jnz", "jg", "jge", "jl", "jle", "ja", "jae",
+		"jb", "jbe", "jo", "jno", "js", "jns", "jp", "jnp", "jcxz", "jecxz",
+	}
+	loopOps       = []string{"loop", "loope", "loopne"}
+	arithmeticOps = []string{
+		"add", "sub", "mul", "imul", "div", "idiv", "inc", "dec", "neg",
+		"adc", "sbb", "shl", "shr", "sal", "sar", "rol", "ror", "xor",
+		"and", "or", "not",
+	}
+	compareOps = []string{"cmp", "test"}
+	movOps     = []string{"mov", "movzx", "movsx", "lea", "xchg", "movs", "movsb", "movsd"}
+	returnOps  = []string{"ret", "retn", "retf", "iret"}
+	dataOps    = []string{"db", "dw", "dd", "dq", "align"}
+)
+
+// classes maps a lower-case mnemonic to its class; a mnemonic it does not
+// hold is {KindOther, CatOther}.
+var classes = func() map[string]class {
+	t := make(map[string]class)
+	for _, row := range []struct {
+		mnemonics []string
+		class     class
+	}{
+		{[]string{"jmp"}, class{KindUnconditionalJump, CatTransfer}},
+		{conditionalJumps, class{KindConditionalJump, CatTransfer}},
+		{loopOps, class{KindOther, CatTransfer}},
+		{[]string{"call"}, class{KindCall, CatCall}},
+		{arithmeticOps, class{KindOther, CatArithmetic}},
+		{compareOps, class{KindOther, CatCompare}},
+		{movOps, class{KindOther, CatMov}},
+		{returnOps, class{KindReturn, CatTermination}},
+		{[]string{"hlt"}, class{KindHalt, CatTermination}},
+		{[]string{"leave"}, class{KindOther, CatTermination}},
+		{dataOps, class{KindOther, CatDataDeclaration}},
+	} {
+		for _, m := range row.mnemonics {
+			t[m] = row.class
+		}
+	}
+	return t
+}()
+
+func classify(mnemonic string) class {
+	if c, ok := classes[lower(mnemonic)]; ok {
+		return c
+	}
+	return class{KindOther, CatOther}
 }
 
-var movOps = map[string]bool{
-	"mov": true, "movzx": true, "movsx": true, "lea": true, "xchg": true,
-	"movs": true, "movsb": true, "movsd": true,
+// lower is strings.ToLower, called only when s holds a byte it could change.
+func lower(s string) string {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c >= utf8.RuneSelf || 'A' <= c && c <= 'Z' {
+			return strings.ToLower(s)
+		}
+	}
+	return s
 }
 
-var dataOps = map[string]bool{
-	"db": true, "dw": true, "dd": true, "dq": true, "align": true,
+func countNumericLiterals(operands []string) int {
+	count := 0
+	for _, op := range operands {
+		if isNumericLiteral(op) {
+			count++
+		}
+	}
+	return count
 }
 
 // isNumericLiteral reports whether an operand is a bare numeric constant.
 func isNumericLiteral(op string) bool {
 	op = strings.TrimSpace(op)
-	if op == "" || strings.HasPrefix(op, "[") {
+	if op == "" || op[0] == '[' {
 		return false
 	}
-	_, ok := parseAddr(op)
+	_, ok := parseNumber(op)
 	return ok
 }
 
 // parseAddr parses decimal, 0x-prefixed hex, and IDA-style trailing-h hex
-// numbers.
+// numbers. The trailing-h form needs a leading decimal digit, as in IDA and
+// MASM (0Ah): without one the token is a name — ah, bh, ch and dh are
+// registers.
 func parseAddr(s string) (uint64, bool) {
-	s = strings.TrimSpace(strings.ToLower(s))
-	switch {
-	case strings.HasPrefix(s, "0x"):
-		v, err := strconv.ParseUint(s[2:], 16, 64)
-		return v, err == nil
-	case strings.HasSuffix(s, "h") && len(s) > 1:
-		v, err := strconv.ParseUint(s[:len(s)-1], 16, 64)
-		return v, err == nil
+	return parseNumber(strings.TrimSpace(s))
+}
+
+// parseNumber is parseAddr over text with no blanks around it.
+func parseNumber(s string) (uint64, bool) {
+	switch n := len(s); {
+	case n >= 2 && s[0] == '0' && s[1]|0x20 == 'x':
+		return parseHex(s[2:])
+	case n > 1 && s[n-1]|0x20 == 'h':
+		if s[0] < '0' || s[0] > '9' {
+			return 0, false
+		}
+		return parseHex(s[:n-1])
 	default:
-		v, err := strconv.ParseUint(s, 10, 64)
-		return v, err == nil
+		return parseDecimal(s)
 	}
+}
+
+// parseHex is strconv.ParseUint(s, 16, 64) without the error value.
+func parseHex(s string) (uint64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		var d byte
+		switch c, l := s[i], s[i]|0x20; {
+		case '0' <= c && c <= '9':
+			d = c - '0'
+		case 'a' <= l && l <= 'f':
+			d = l - 'a' + 10
+		default:
+			return 0, false
+		}
+		if v>>60 != 0 {
+			return 0, false
+		}
+		v = v<<4 | uint64(d)
+	}
+	return v, true
+}
+
+// parseDecimal is strconv.ParseUint(s, 10, 64) without the error value.
+func parseDecimal(s string) (uint64, bool) {
+	if s == "" {
+		return 0, false
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		d := uint64(c - '0')
+		if v > (1<<64-1-d)/10 {
+			return 0, false
+		}
+		v = v*10 + d
+	}
+	return v, true
 }

@@ -1,12 +1,13 @@
 // Package cfg builds control flow graphs from disassembled programs using
 // the two-pass procedure of Section IV-A: the first pass tags instructions
 // via the asm.Tagger visitor (Algorithm 1), and the second pass —
-// connectBlocks, Algorithm 2 — creates basic blocks and wires fall-through
-// and branch edges on the fly.
+// connectBlocks, Algorithm 2 — lays the basic blocks out at the tagged
+// leaders and wires fall-through and branch edges.
 package cfg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -33,30 +34,6 @@ type CFG struct {
 	Graph  *graph.Directed
 }
 
-// builder implements Algorithm 2's mutable state.
-type builder struct {
-	blocks  map[uint64]*Block
-	edges   map[uint64]map[uint64]bool // start addr -> set of successor start addrs
-	ordered []uint64
-}
-
-// getBlockAtAddr returns the block starting at addr, creating it if needed —
-// the paper's helper of the same name.
-func (b *builder) getBlockAtAddr(addr uint64) *Block {
-	if blk, ok := b.blocks[addr]; ok {
-		return blk
-	}
-	blk := &Block{Start: addr}
-	b.blocks[addr] = blk
-	b.edges[addr] = make(map[uint64]bool)
-	b.ordered = append(b.ordered, addr)
-	return blk
-}
-
-func (b *builder) addEdge(from, to *Block) {
-	b.edges[from.Start][to.Start] = true
-}
-
 // Build runs both passes over the program and returns its CFG. Programs with
 // no instructions yield an empty CFG.
 func Build(p *asm.Program) *CFG {
@@ -65,62 +42,64 @@ func Build(p *asm.Program) *CFG {
 	return connectBlocks(p)
 }
 
-// connectBlocks is Algorithm 2: a single in-order sweep that creates blocks
-// at leaders, links fall-through successors, and links branch targets.
+// connectBlocks is Algorithm 2 over an address-ordered program. Where
+// blocks start is known before the sweep — at every leader, and at every
+// branch target outside the program, which gets an empty placeholder block —
+// so the blocks are first laid out in address order in one slab, each
+// block's Insts a sub-slice of p.Insts, and the sweep then only links
+// fall-through successors and branch targets.
 func connectBlocks(p *asm.Program) *CFG {
-	b := &builder{
-		blocks: make(map[uint64]*Block),
-		edges:  make(map[uint64]map[uint64]bool),
+	leaders := 0
+	var external []uint64
+	for i, inst := range p.Insts {
+		if inst.Start || i == 0 {
+			leaders++
+		}
+		if inst.HasBranch && p.IndexOf(inst.BranchTo) < 0 {
+			external = append(external, inst.BranchTo)
+		}
 	}
-	var currBlock *Block
-	for _, inst := range p.Insts {
-		if inst.Start {
-			currBlock = b.getBlockAtAddr(inst.Addr)
-		}
-		if currBlock == nil {
-			// Defensive: cannot happen after TagProgram (entry is a
-			// leader), but keeps the sweep total.
-			currBlock = b.getBlockAtAddr(inst.Addr)
-		}
-		nextBlock := currBlock
+	slices.Sort(external)
+	external = slices.Compact(external)
 
-		if nextInst := p.Next(inst); nextInst != nil {
-			if inst.FallThrough && nextInst.Start {
-				nextBlock = b.getBlockAtAddr(nextInst.Addr)
-				b.addEdge(currBlock, nextBlock)
+	slab := make([]Block, 0, leaders+len(external))
+	place := func(start uint64, insts []*asm.Instruction) {
+		slab = append(slab, Block{ID: len(slab), Start: start, Insts: insts})
+	}
+	for i := 0; i < len(p.Insts); {
+		start := p.Insts[i].Addr
+		for len(external) > 0 && external[0] < start {
+			place(external[0], nil)
+			external = external[1:]
+		}
+		end := i + 1
+		for end < len(p.Insts) && !p.Insts[end].Start {
+			end++
+		}
+		place(start, p.Insts[i:end:end])
+		i = end
+	}
+	for _, addr := range external {
+		place(addr, nil)
+	}
+
+	c := &CFG{Blocks: make([]*Block, len(slab)), Graph: graph.NewDirected(len(slab))}
+	for i := range slab {
+		c.Blocks[i] = &slab[i]
+	}
+	for _, b := range c.Blocks {
+		for _, inst := range b.Insts {
+			if inst.HasBranch {
+				c.Graph.AddEdge(b.ID, c.BlockAt(inst.BranchTo).ID)
 			}
 		}
-
-		if inst.HasBranch {
-			target := b.getBlockAtAddr(inst.BranchTo)
-			b.addEdge(currBlock, target)
-		}
-
-		currBlock.Insts = append(currBlock.Insts, inst)
-		currBlock = nextBlock
-	}
-	return b.finish()
-}
-
-// finish orders blocks by start address, assigns dense IDs and materializes
-// the edge structure.
-func (b *builder) finish() *CFG {
-	sort.Slice(b.ordered, func(i, j int) bool { return b.ordered[i] < b.ordered[j] })
-	blocks := make([]*Block, len(b.ordered))
-	idOf := make(map[uint64]int, len(b.ordered))
-	for i, addr := range b.ordered {
-		blk := b.blocks[addr]
-		blk.ID = i
-		blocks[i] = blk
-		idOf[addr] = i
-	}
-	g := graph.NewDirected(len(blocks))
-	for from, tos := range b.edges {
-		for to := range tos {
-			g.AddEdge(idOf[from], idOf[to])
+		if n := len(b.Insts); n > 0 && b.Insts[n-1].FallThrough {
+			if next := p.Next(b.Insts[n-1]); next != nil {
+				c.Graph.AddEdge(b.ID, c.BlockAt(next.Addr).ID)
+			}
 		}
 	}
-	return &CFG{Blocks: blocks, Graph: g}
+	return c
 }
 
 // BlockAt returns the block starting at addr, or nil.

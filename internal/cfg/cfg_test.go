@@ -138,6 +138,17 @@ func TestBranchOutsideProgramCreatesExternalBlock(t *testing.T) {
 	}
 }
 
+func TestJumpThroughByteRegisterIsIndirect(t *testing.T) {
+	// ch is a register, not the address 0xc: no placeholder block, no edge.
+	c := buildFrom(t, `
+00401000 jmp ch
+00401002 ret
+`)
+	if c.NumBlocks() != 2 || c.NumEdges() != 0 || c.BlockAt(0xc) != nil {
+		t.Fatalf("blocks = %d, edges = %d\n%s", c.NumBlocks(), c.NumEdges(), c)
+	}
+}
+
 func TestSingleBlockProgram(t *testing.T) {
 	c := buildFrom(t, `
 00401000 mov eax, 1

@@ -6,8 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/acfg"
-	"repro/internal/asm"
-	"repro/internal/cfg"
 	"repro/internal/obs"
 )
 
@@ -40,16 +38,12 @@ func ExtractACFGs(sources []Source, workers int) ([]*Sample, error) {
 	errs := make([]error, len(sources))
 	extractOne := func(i int) {
 		src := sources[i]
-		prog, err := asm.ParseString(src.ASM)
+		a, err := acfg.FromASM(src.ASM)
 		if err != nil {
 			errs[i] = fmt.Errorf("dataset: extract %s: %w", src.Name, err)
 			return
 		}
-		samples[i] = &Sample{
-			Name:  src.Name,
-			Label: src.Label,
-			ACFG:  acfg.FromCFG(cfg.Build(prog)),
-		}
+		samples[i] = &Sample{Name: src.Name, Label: src.Label, ACFG: a}
 	}
 
 	var busy obs.BusyMeter

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/acfg"
-	"repro/internal/asm"
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/malgen"
@@ -70,15 +68,11 @@ func obfuscationRobustness(o Options, intensities []float64, augment bool) ([]Ro
 			if err != nil {
 				return nil, fmt.Errorf("experiments: augment %s: %w", s.Name, err)
 			}
-			prog, err := asm.ParseString(obfText)
+			a, err := acfg.FromASM(obfText)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: augment reparse %s: %w", s.Name, err)
 			}
-			augmented.Add(&dataset.Sample{
-				Name:  s.Name + "-obf",
-				Label: s.Label,
-				ACFG:  acfg.FromCFG(cfg.Build(prog)),
-			})
+			augmented.Add(&dataset.Sample{Name: s.Name + "-obf", Label: s.Label, ACFG: a})
 		}
 		train = augmented
 	}
@@ -104,11 +98,10 @@ func obfuscationRobustness(o Options, intensities []float64, augment bool) ([]Ro
 			if err != nil {
 				return nil, fmt.Errorf("experiments: obfuscate %s: %w", clean.Name, err)
 			}
-			prog, err := asm.ParseString(obfText)
+			a, err := acfg.FromASM(obfText)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: reparse %s: %w", clean.Name, err)
 			}
-			a := acfg.FromCFG(cfg.Build(prog))
 			if m.PredictClass(a) == clean.Label {
 				correct++
 			}

@@ -50,8 +50,6 @@ import (
 	"time"
 
 	"repro/internal/acfg"
-	"repro/internal/asm"
-	"repro/internal/cfg"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
@@ -519,15 +517,10 @@ func (s *Server) extract(body *sampleBody) (*acfg.ACFG, error) {
 		}
 		a = body.ACFG
 	case strings.TrimSpace(body.ASM) != "":
-		prog, err := asm.ParseString(body.ASM)
-		if err != nil {
-			return nil, fmt.Errorf("parse asm: %w", err)
+		var err error
+		if a, err = acfg.FromASM(body.ASM); err != nil {
+			return nil, fmt.Errorf("extract acfg: %w", err)
 		}
-		c := cfg.Build(prog)
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("build cfg: %w", err)
-		}
-		a = acfg.FromCFG(c)
 	default:
 		return nil, fmt.Errorf("missing asm or acfg payload")
 	}
