@@ -336,25 +336,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 			}
 		})
 	}
-	// The float32 inference tier (magic-server -float32) on the same batch.
-	frozen, err := m.Freeze32()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("frozen32workers%d", workers), func(b *testing.B) {
-			if _, err := frozen.PredictBatch(as, workers); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := frozen.PredictBatch(as, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkPredictPerInstance times inference per sample — the paper

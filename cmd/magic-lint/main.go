@@ -1,10 +1,10 @@
 // Command magic-lint runs the repository's static-analysis suite
 // (internal/lint): compiler-grade enforcement of the determinism,
 // metric-naming, error-handling, replica-aliasing, float-comparison,
-// hot-path-allocation, kernel-aliasing, frozen-snapshot-immutability and
-// goroutine-hygiene invariants that the MAGIC reproduction's tests assume.
-// The last four are interprocedural: they run on a whole-module call graph
-// with per-function summaries propagated bottom-up through its SCCs.
+// hot-path-allocation, kernel-aliasing and goroutine-hygiene invariants that
+// the MAGIC reproduction's tests assume. The last three are interprocedural:
+// they run on a whole-module call graph with per-function summaries
+// propagated bottom-up through its SCCs.
 //
 // Usage:
 //

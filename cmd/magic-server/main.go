@@ -88,7 +88,6 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "inference and training worker count (0 = GOMAXPROCS)")
 	batchMax := fs.Int("batch-max", service.DefaultBatchMaxSize, "max samples coalesced into one prediction batch")
 	batchWait := fs.Duration("batch-wait", service.DefaultBatchMaxWait, "max time a prediction waits for batch companions (0 disables the window)")
-	float32Serving := fs.Bool("float32", false, "serve predictions from a float32 model snapshot (halves weight memory, lock-free across workers; ~1e-4 relative probability drift, training stays float64)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -116,7 +115,6 @@ func run(args []string) error {
 		return err
 	}
 	srv.SetBatching(*batchMax, *batchWait)
-	srv.SetFloat32Serving(*float32Serving)
 
 	haveModel := false
 	if *stateDir != "" {

@@ -25,14 +25,11 @@ import (
 //     serves one goroutine; data parallelism replicates the owning Model.
 //   - All accumulation orders are fixed, making training bit-deterministic
 //     at any worker count.
-//   - freeze32 snapshots the weights into an immutable float32 forward-only
-//     form for the frozen inference tier.
 //
 // The conformance harness in conv_conformance_test.go runs every registered
 // backend through FD gradient checks, zero-alloc pinning, cross-worker
-// determinism, replicate aliasing, frozen32 parity, edge cases and
-// differential fuzz against a straight-loop oracle; a new backend is done
-// when it passes that suite.
+// determinism, replicate aliasing, edge cases and differential fuzz against
+// a straight-loop oracle; a new backend is done when it passes that suite.
 type ConvBackend interface {
 	// Name returns the registry name the backend was built under.
 	Name() string
@@ -46,11 +43,6 @@ type ConvBackend interface {
 	Params() []*nn.Param
 	// SetWorkspace installs the scratch workspace for per-sample buffers.
 	SetWorkspace(ws *nn.Workspace)
-
-	// freeze32 snapshots the weights into the float32 inference tier
-	// (unexported: backends live in this package so the frozen types stay
-	// under the frozenmut lint rule's frozen32.go scope).
-	freeze32() frozenConv32
 }
 
 // defaultConvName is the paper's propagation rule (Eq. 1); an empty

@@ -74,7 +74,7 @@ type Model struct {
 
 // emptyCSR is the shared single-vertex propagation operator used for
 // degenerate empty graphs. It is never Rebuilt, so one read-only instance
-// serves every model, replica and frozen snapshot.
+// serves every model and replica.
 var emptyCSR = graph.NewCSR(graph.NewDirected(1))
 
 // NewModel constructs a model. trainSizes supplies the training graphs'

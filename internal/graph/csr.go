@@ -158,34 +158,6 @@ func (c *CSR) SpMMTInto(dst, x *tensor.Matrix) {
 	}
 }
 
-// SpMM32Into computes dst = P·x in float32 for the frozen inference tier,
-// casting each stored weight on the fly. It carries no accumulation-order
-// contract (the float32 tier is documented as approximate); dst may hold
-// garbage on entry and must not alias x.
-func (c *CSR) SpMM32Into(dst, x *tensor.Matrix32) {
-	if x.Rows != c.n {
-		panic(fmt.Sprintf("graph: spmm32 n=%d applied to %d-row matrix", c.n, x.Rows))
-	}
-	if dst.Rows != c.n || dst.Cols != x.Cols {
-		panic(fmt.Sprintf("graph: spmm32 destination %dx%d, want %dx%d", dst.Rows, dst.Cols, c.n, x.Cols))
-	}
-	cols := x.Cols
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for i := 0; i < c.n; i++ {
-		orow := dst.Data[i*cols : (i+1)*cols]
-		for idx := c.rowptr[i]; idx < c.rowptr[i+1]; idx++ {
-			w := float32(c.val[idx])
-			xrow := x.Data[c.col[idx]*cols:]
-			xrow = xrow[:cols:cols]
-			for t, v := range xrow {
-				orow[t] += w * v
-			}
-		}
-	}
-}
-
 // Dense materializes P as a dense matrix, for tests and the paper's worked
 // examples.
 func (c *CSR) Dense() *tensor.Matrix {

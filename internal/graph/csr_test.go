@@ -286,13 +286,12 @@ func TestCSRBuildZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestSpMMPanics covers the destination contract: dimension mismatches and
-// aliased destinations must be rejected for all three kernels.
+// aliased destinations must be rejected for both kernels.
 func TestSpMMPanics(t *testing.T) {
 	g := NewDirected(3)
 	g.AddEdge(0, 1)
 	c := NewCSR(g)
 	x := tensor.New(3, 2)
-	x32 := tensor.NewMatrix32(3, 2)
 	cases := []struct {
 		name string
 		fn   func()
@@ -303,8 +302,6 @@ func TestSpMMPanics(t *testing.T) {
 		{"spmm aliased", func() { c.SpMMInto(x, x) }},
 		{"spmm-t wrong dst", func() { c.SpMMTInto(tensor.New(3, 1), x) }},
 		{"spmm-t aliased", func() { c.SpMMTInto(x, x) }},
-		{"spmm32 wrong dst", func() { c.SpMM32Into(tensor.NewMatrix32(2, 2), x32) }},
-		{"spmm32 wrong operand", func() { c.SpMM32Into(tensor.NewMatrix32(3, 2), tensor.NewMatrix32(1, 2)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -315,28 +312,5 @@ func TestSpMMPanics(t *testing.T) {
 			}()
 			tc.fn()
 		})
-	}
-}
-
-// TestSpMM32MatchesFloat64 sanity-checks the float32 kernel against the
-// float64 product within float32 rounding (the 32-bit tier carries no bit
-// contract, only a tolerance).
-func TestSpMM32MatchesFloat64(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	g := randGraph(rng, 20)
-	x := randDense(rng, 20, 5)
-	c := NewCSR(g)
-
-	want := tensor.New(20, 5)
-	c.SpMMInto(want, x)
-
-	x32 := tensor.NewMatrix32From(x)
-	got := tensor.NewMatrix32(20, 5)
-	c.SpMM32Into(got, x32)
-	for i, v := range want.Data {
-		diff := math.Abs(float64(got.Data[i]) - v)
-		if diff > 1e-5*(1+math.Abs(v)) {
-			t.Fatalf("element %d: float32 %g vs float64 %g", i, got.Data[i], v)
-		}
 	}
 }

@@ -45,11 +45,9 @@ var aliasKernelSpecs = map[string]kernelSpec{
 	"internal/tensor.MatMulNaiveInto":   {dst: 0, srcs: []int{1, 2}},
 	"internal/tensor.MatMulTANaiveInto": {dst: 0, srcs: []int{1, 2}},
 	"internal/tensor.MatMulTBNaiveInto": {dst: 0, srcs: []int{1, 2}},
-	"internal/tensor.MatMul32Into":      {dst: 0, srcs: []int{1, 2}},
 	"internal/tensor.TInto":             {dst: 0, srcs: []int{1}},
 	"internal/graph.CSR.SpMMInto":       {dst: 1, srcs: []int{2}},
 	"internal/graph.CSR.SpMMTInto":      {dst: 1, srcs: []int{2}},
-	"internal/graph.CSR.SpMM32Into":     {dst: 1, srcs: []int{2}},
 }
 
 // aliasKernel resolves a callee ID against the unsafe-kernel table.

@@ -64,10 +64,7 @@ var allocCallees = []string{
 	"internal/tensor.Matrix.SelectRows",
 	"internal/graph.NewCSR",
 	"internal/graph.CSR.Dense",
-	"internal/tensor.NewMatrix32",
-	"internal/tensor.NewMatrix32From",
 	"internal/nn.NewVolume",
-	"internal/nn.NewVolume32",
 	"internal/nn.VecVolume",
 	"internal/nn.MatrixVolume",
 	"internal/nn.Volume.Clone",

@@ -140,7 +140,6 @@ func Suite() []*Analyzer {
 		NewFloatCmp(),
 		NewHotPathAlloc(),
 		NewAliasUnsafe(),
-		NewFrozenMut(),
 		NewGoroutineHygiene(),
 	}
 }

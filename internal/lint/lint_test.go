@@ -73,8 +73,6 @@ func TestGoldenPackages(t *testing.T) {
 		"hotpathalloc_ok":      {},
 		"aliasunsafe_bad":      {"aliasunsafe": 5},
 		"aliasunsafe_ok":       {},
-		"frozenmut_bad":        {"frozenmut": 4},
-		"frozenmut_ok":         {},
 		"goroutinehygiene_bad": {"goroutinehygiene": 4},
 		"goroutinehygiene_ok":  {},
 		// Loader edge-case packages: buildtags carries a //go:build ignore
@@ -207,7 +205,7 @@ func documentedSuppressions(t *testing.T, root string) map[string]int {
 }
 
 // TestRepositoryLintClean is the self-clean meta-test: the tree must lint
-// clean under the full nine-rule suite, and the //lint:ignore directives
+// clean under the full eight-rule suite, and the //lint:ignore directives
 // present — file, rule, and count — must exactly match the DESIGN.md
 // "Suppression inventory" table. Docs and code cannot drift apart.
 func TestRepositoryLintClean(t *testing.T) {
@@ -289,7 +287,7 @@ func TestDriverExitCodes(t *testing.T) {
 
 	for _, pkg := range []string{
 		"determinism", "metricnames", "errcheck", "replicacopy", "floatcmp",
-		"hotpathalloc", "aliasunsafe", "frozenmut", "goroutinehygiene",
+		"hotpathalloc", "aliasunsafe", "goroutinehygiene",
 	} {
 		bad := "./internal/lint/testdata/src/" + pkg + "_bad"
 		out, code := run(bad)
@@ -345,7 +343,7 @@ func TestReporterDedup(t *testing.T) {
 	r := &Reporter{fset: fset, root: "/"}
 	r.Report("aliasunsafe", pos, "first")
 	r.Report("aliasunsafe", pos, "second (dropped, even with a different message)")
-	r.Report("frozenmut", pos, "different rule, same position")
+	r.Report("hotpathalloc", pos, "different rule, same position")
 	r.Report("aliasunsafe", other, "same rule, different position")
 	if len(r.out) != 3 {
 		t.Fatalf("reporter kept %d findings, want 3: %v", len(r.out), r.out)
@@ -512,7 +510,7 @@ func TestLoaderTypeErrorIsError(t *testing.T) {
 }
 
 // BenchmarkLintModule is the CI wall-time benchmark: one whole-repo load
-// plus a full nine-rule run, interprocedural call-graph fixpoint included.
+// plus a full eight-rule run, interprocedural call-graph fixpoint included.
 func BenchmarkLintModule(b *testing.B) {
 	root := moduleRoot(b)
 	for i := 0; i < b.N; i++ {

@@ -11,7 +11,7 @@ import (
 
 // This file is the interprocedural layer: a per-function summary store and
 // the worklist fixpoint that propagates summaries bottom-up through the
-// call graph's SCCs. Four fact families are tracked:
+// call graph's SCCs. Three fact families are tracked:
 //
 //   - Allocates: the function (transitively) calls one of the allocating
 //     tensor/nn/graph constructors (hotpathalloc's ban list). Propagation
@@ -23,12 +23,10 @@ import (
 //     anchor — a context.Context value, a sync.WaitGroup, or any
 //     channel-typed value (receive, send, select, or mere reference; a
 //     goroutine touching a channel is participating in a rendezvous).
-//   - WritesPos[i]: the function assigns to a struct field reachable from
-//     its i-th position (0 is the receiver when present, parameters
-//     follow). Propagated through calls that pass a position onward.
 //   - AliasPairs: position pairs (dst, src) that must not alias because
 //     they flow — possibly through wrapper layers — into the destination
-//     and a source operand of an aliasing-unsafe *Into kernel.
+//     and a source operand of an aliasing-unsafe *Into kernel. Positions
+//     are unified: 0 is the receiver when present, parameters follow.
 //
 // Summaries are deliberately may-miss for calls through function values:
 // those contribute nothing, so a fact can be absent but never wrong. Calls
@@ -36,8 +34,8 @@ import (
 // the Allocates and AliasPairs facts join across every module
 // implementation, so dispatching a backend's Forward/Backward through an
 // interface cannot hide an allocation or an alias contract. The join is
-// restricted to those two fact families — ObservesSync and WritesPos keep
-// the strict may-miss polarity the rules built on them assume.
+// restricted to those two fact families — ObservesSync keeps the strict
+// may-miss polarity the rule built on it assumes.
 
 // Summary is the per-function fact record.
 type Summary struct {
@@ -50,10 +48,6 @@ type Summary struct {
 	// ObservesSync: the function transitively observes a context,
 	// WaitGroup, or channel.
 	ObservesSync bool
-
-	// WritesPos[i]: a field write is reachable from unified position i
-	// (receiver first, then parameters).
-	WritesPos []bool
 
 	// AliasPairs are unified position pairs (dst, src) that reach an
 	// unsafe kernel's destination and source operands.
@@ -93,19 +87,6 @@ func (cf *callFact) argAt(k int) ast.Expr {
 		return nil
 	}
 	return cf.args[k]
-}
-
-// numPositions returns the unified operand count of fn (receiver included).
-func numPositions(fn *types.Func) int {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return 0
-	}
-	n := sig.Params().Len()
-	if sig.Recv() != nil {
-		n++
-	}
-	return n
 }
 
 // ModuleContext is the shared state of one interprocedural run: the call
@@ -208,56 +189,46 @@ func newModuleContext(res *Result, sup suppressions) *ModuleContext {
 func (mc *ModuleContext) seedNode(n *FuncNode) {
 	env := newCanonEnv(n)
 	mc.envs[n.Fn] = env
-	s := &Summary{WritesPos: make([]bool, numPositions(n.Fn))}
+	s := &Summary{}
 	mc.Summaries[n.Fn] = s
 
 	ast.Inspect(n.Decl.Body, func(node ast.Node) bool {
-		switch v := node.(type) {
-		case *ast.CallExpr:
-			callee := funcObj(n.Unit.Info, v)
-			if callee == nil {
+		v, ok := node.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		callee := funcObj(n.Unit.Info, v)
+		if callee == nil {
+			return true
+		}
+		cf := callFact{call: v, callee: callee, id: calleeID(callee), args: v.Args}
+		if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
+			sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true // method expression or exotic form; no facts
+			}
+			if ms, ok := n.Unit.Info.Selections[sel]; !ok || ms.Kind() != types.MethodVal {
 				return true
 			}
-			cf := callFact{call: v, callee: callee, id: calleeID(callee), args: v.Args}
-			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-				sel, ok := ast.Unparen(v.Fun).(*ast.SelectorExpr)
-				if !ok {
-					return true // method expression or exotic form; no facts
-				}
-				if ms, ok := n.Unit.Info.Selections[sel]; !ok || ms.Kind() != types.MethodVal {
-					return true
-				}
-				cf.recv = sel.X
-			}
-			mc.calls[n.Fn] = append(mc.calls[n.Fn], cf)
+			cf.recv = sel.X
+		}
+		mc.calls[n.Fn] = append(mc.calls[n.Fn], cf)
 
-			// Direct allocation fact.
-			if c, ok := matchCallee(cf.id, allocCallees); ok && !mc.allocSuppressed(v.Pos()) && !s.Allocates {
-				s.Allocates = true
-				s.AllocCallee = shortCallee(c)
-			}
-			// Direct alias-pair fact: parameters flowing straight into an
-			// unsafe kernel's dst and source operands.
-			if spec, ok := aliasKernel(cf.id); ok {
-				d := env.canonParam(cf.argAt(spec.dst))
-				if d >= 0 {
-					for _, sp := range spec.srcs {
-						if src := env.canonParam(cf.argAt(sp)); src >= 0 && src != d {
-							s.addAliasPair(d, src)
-						}
+		// Direct allocation fact.
+		if c, ok := matchCallee(cf.id, allocCallees); ok && !mc.allocSuppressed(v.Pos()) && !s.Allocates {
+			s.Allocates = true
+			s.AllocCallee = shortCallee(c)
+		}
+		// Direct alias-pair fact: parameters flowing straight into an
+		// unsafe kernel's dst and source operands.
+		if spec, ok := aliasKernel(cf.id); ok {
+			d := env.canonParam(cf.argAt(spec.dst))
+			if d >= 0 {
+				for _, sp := range spec.srcs {
+					if src := env.canonParam(cf.argAt(sp)); src >= 0 && src != d {
+						s.addAliasPair(d, src)
 					}
 				}
-			}
-
-		case *ast.AssignStmt:
-			for _, lhs := range v.Lhs {
-				if p, ok := env.writeRoot(lhs); ok {
-					s.WritesPos[p] = true
-				}
-			}
-		case *ast.IncDecStmt:
-			if p, ok := env.writeRoot(v.X); ok {
-				s.WritesPos[p] = true
 			}
 		}
 		return true
@@ -322,15 +293,6 @@ func (mc *ModuleContext) propagateNode(n *FuncNode) bool {
 		if cs.ObservesSync && !s.ObservesSync {
 			s.ObservesSync = true
 			changed = true
-		}
-		for j, w := range cs.WritesPos {
-			if !w {
-				continue
-			}
-			if p, ok := env.rootParamOf(cf.argAt(j)); ok && !s.WritesPos[p] {
-				s.WritesPos[p] = true
-				changed = true
-			}
 		}
 		for _, pr := range cs.AliasPairs {
 			d := env.canonParam(cf.argAt(pr[0]))
@@ -638,42 +600,4 @@ func (e *canonEnv) canonParam(x ast.Expr) int {
 		return -1
 	}
 	return p
-}
-
-// rootParamOf returns the unified position x's canonical location is
-// rooted at ("p2" or "p2.field.*"), if any.
-func (e *canonEnv) rootParamOf(x ast.Expr) (int, bool) {
-	c := e.canon(x)
-	return rootParam(c)
-}
-
-func rootParam(c string) (int, bool) {
-	if !strings.HasPrefix(c, "p") {
-		return 0, false
-	}
-	head := c
-	if i := strings.IndexByte(c, '.'); i >= 0 {
-		head = c[:i]
-	}
-	var p int
-	if _, err := fmt.Sscanf(head, "p%d", &p); err != nil || fmt.Sprintf("p%d", p) != head {
-		return 0, false
-	}
-	return p, true
-}
-
-// writeRoot reports the unified position a field-write left-hand side is
-// rooted at: lhs must be a selector (or deref chain) whose canonical base
-// resolves into a parameter or the receiver.
-func (e *canonEnv) writeRoot(lhs ast.Expr) (int, bool) {
-	switch v := ast.Unparen(lhs).(type) {
-	case *ast.SelectorExpr:
-		if sel, ok := e.u.Info.Selections[v]; !ok || sel.Kind() != types.FieldVal {
-			return 0, false
-		}
-		return e.rootParamOf(v.X)
-	case *ast.StarExpr:
-		return e.rootParamOf(v.X)
-	}
-	return 0, false
 }

@@ -53,12 +53,6 @@ type batcher struct {
 	maxWait time.Duration
 	metrics *obs.ServingMetrics
 
-	// frozen, when non-nil, routes batches through the model's float32
-	// inference snapshot instead of the exact float64 engine (see
-	// Server.SetFloat32Serving). The snapshot is bound for the batcher's
-	// whole life, like the model, so a serving state never mixes tiers.
-	frozen *core.Frozen32
-
 	mu      sync.Mutex // guards pending and leading
 	pending []*pendingPredict
 	leading bool
@@ -173,13 +167,7 @@ func (b *batcher) lead() {
 	for i, q := range batch {
 		as[i] = q.a
 	}
-	var out [][]float64
-	var err error
-	if b.frozen != nil {
-		out, err = b.frozen.PredictBatch(as, b.workers)
-	} else {
-		out, err = b.model.PredictBatch(as, b.workers)
-	}
+	out, err := b.model.PredictBatch(as, b.workers)
 	if b.metrics != nil {
 		b.metrics.ObserveBatch(len(batch))
 	}

@@ -71,22 +71,12 @@ func (s *Server) registerModelLocked(m *core.Model, source string) *modelVersion
 }
 
 // buildServingStateLocked assembles the serving snapshot for m under the
-// server's current batching, parallelism and precision configuration. When
-// float32 serving is enabled the snapshot carries a frozen copy of the
-// model's weights; a model that cannot be frozen (a head layer without a
-// float32 form) falls back to the exact float64 engine rather than failing
-// registration.
+// server's current batching and parallelism configuration.
 func (s *Server) buildServingStateLocked(m *core.Model) *servingState {
-	b := newBatcher(m, s.workersLocked(), s.batchMaxSize, s.batchMaxWait, s.servingMetrics)
-	if s.float32Serving {
-		if f, err := m.Freeze32(); err == nil {
-			b.frozen = f
-		}
-	}
 	return &servingState{
 		version: m.Version,
 		model:   m,
-		batch:   b,
+		batch:   newBatcher(m, s.workersLocked(), s.batchMaxSize, s.batchMaxWait, s.servingMetrics),
 	}
 }
 

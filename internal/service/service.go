@@ -107,11 +107,6 @@ type Server struct {
 	// inference. 0 selects runtime.GOMAXPROCS.
 	parallelism int
 
-	// float32Serving routes /v1/predict through a frozen float32 snapshot
-	// of each model (SetFloat32Serving). Training and checkpoints stay
-	// float64 regardless.
-	float32Serving bool
-
 	now func() time.Time
 
 	registry       *obs.Registry
@@ -198,22 +193,6 @@ func (s *Server) SetParallelism(n int) error {
 	s.parallelism = n
 	s.rebuildServingLocked()
 	return nil
-}
-
-// SetFloat32Serving selects the inference tier for /v1/predict: enabled,
-// every serving snapshot carries a frozen float32 copy of its model's
-// weights and batches run through it (roughly half the memory traffic of
-// the float64 engine, at the cost of ≈1e-5 relative drift in the reported
-// probabilities — ranked classes are unaffected in practice). Training,
-// checkpoints and the /v1/models fingerprints always stay float64, and the
-// exact engine remains the default. Serving snapshots of every retained
-// version are rebuilt immediately; in-flight predictions finish on the
-// snapshot — and therefore the tier — they started with.
-func (s *Server) SetFloat32Serving(enable bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.float32Serving = enable
-	s.rebuildServingLocked()
 }
 
 // SetBatching tunes the prediction admission queue: a batch never exceeds
@@ -502,9 +481,19 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // be made to hold.
 const maxGraphVertices = 4096
 
+// maxAttrValue bounds the attributes of an uploaded acfg body. Table I
+// attributes are instruction and degree counts, so a negative one is
+// malformed, and one above 2^53 — the last float64 below which every
+// integer is exact — is not a count anything could have taken. Left in,
+// such values overflow the forward pass into NaN probabilities and, through
+// /v1/samples, would sit in the corpus poisoning every later scaler fit. A
+// constant for the same reason maxGraphVertices is one.
+const maxAttrValue = 1 << 53
+
 // extract converts an uploaded body into an ACFG, running the disassembly
 // pipeline when asm text was supplied, and rejects graphs above
-// maxGraphVertices whichever way they arrived.
+// maxGraphVertices whichever way they arrived. Only request bodies pass
+// through here: WAL and segment replay reload what was once admitted.
 func (s *Server) extract(body *sampleBody) (*acfg.ACFG, error) {
 	var a *acfg.ACFG
 	switch {
@@ -514,6 +503,12 @@ func (s *Server) extract(body *sampleBody) (*acfg.ACFG, error) {
 		if body.ACFG.Attrs.Cols != s.cfgTemplate.AttrDim {
 			return nil, fmt.Errorf("acfg has %d attribute columns, want %d",
 				body.ACFG.Attrs.Cols, s.cfgTemplate.AttrDim)
+		}
+		for i, v := range body.ACFG.Attrs.Data {
+			if v < 0 || v > maxAttrValue {
+				cols := body.ACFG.Attrs.Cols
+				return nil, fmt.Errorf("acfg attribute [%d][%d] is %g, want a count in [0, 2^53]", i/cols, i%cols, v)
+			}
 		}
 		a = body.ACFG
 	case strings.TrimSpace(body.ASM) != "":
@@ -591,10 +586,19 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
+// writeJSON encodes v before it commits the status line, so a value JSON
+// cannot carry (a NaN probability) is answered 500 with an error body
+// rather than the handler's success code over zero bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		// A struct of one string always encodes.
+		b, _ = json.Marshal(errorResponse{Error: "encode response: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 func writeError(w http.ResponseWriter, status int, err error) {

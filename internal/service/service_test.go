@@ -2,10 +2,15 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -191,6 +196,127 @@ func TestHostileACFGVertexCount(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after hostile input: status %d", resp.StatusCode)
+	}
+}
+
+// TestHostileACFGAttributes: Table I attributes are counts. Both routes
+// refuse an acfg body holding a negative attribute or one above 2^53 with a
+// 400 naming the first such cell, whether or not the serving model
+// standardises its input, and admit 0 and 2^53 themselves. A refused upload
+// leaves the corpus and the WAL as they were, and no answer is a status
+// line over an empty or non-JSON body (columns of 1e308 used to overflow an unscaled
+// forward pass into NaN probabilities, which /v1/predict answered with 200
+// and zero bytes, and /v1/samples fsynced them into the corpus).
+func TestHostileACFGAttributes(t *testing.T) {
+	models := []struct {
+		name    string
+		install func(t *testing.T, srv *Server, client *Client)
+	}{
+		{"fresh DefaultConfig", func(t *testing.T, srv *Server, _ *Client) {
+			m, err := core.NewModel(core.DefaultConfig(2, acfg.NumAttributes), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.LoadModel(m); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"trained with scaler", func(t *testing.T, _ *Server, client *Client) {
+			seedCorpus(t, client, 3)
+			if _, err := client.Train(2, 0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	values := []struct {
+		attr string
+		ok   bool
+	}{
+		{"-1", false},
+		{"-1e308", false},
+		{"1e308", false},
+		{"1e16", false},
+		{"9007199254740992", true}, // 2^53
+		{"0", true},
+	}
+	for _, mc := range models {
+		t.Run(mc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv, client, _, _ := bootStatefulServer(t, dir)
+			mc.install(t, srv, client)
+			wal := filepath.Join(dir, walFilename)
+			corpusAndWAL := func() (int, int64) {
+				t.Helper()
+				n, err := client.Stats()
+				if err != nil {
+					t.Fatal(err)
+				}
+				var size int64 // the WAL is created by the first admitted upload
+				if fi, err := os.Stat(wal); err == nil {
+					size = fi.Size()
+				} else if !os.IsNotExist(err) {
+					t.Fatal(err)
+				}
+				return n["clean"] + n["dirty"], size
+			}
+			for _, v := range values {
+				samples, walBytes := corpusAndWAL()
+				rest := strings.Repeat(v.attr+",", acfg.NumAttributes-4) + v.attr
+				doc := `{"family":"clean","acfg":{"n":2,"edges":[[0,1]],"attrs":[[1,0,0,` + rest + `],[0,0,0,` + rest + `]]}}`
+				for path, accepted := range map[string]int{"/v1/predict": http.StatusOK, "/v1/samples": http.StatusCreated} {
+					resp, err := http.Post(client.BaseURL+path, "application/json", strings.NewReader(doc))
+					if err != nil {
+						t.Fatalf("POST %s attr=%s: %v", path, v.attr, err)
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil {
+						t.Fatal(err)
+					}
+					var answer map[string]any
+					if err := json.Unmarshal(body, &answer); err != nil {
+						t.Errorf("POST %s attr=%s: status %d over a body that is not JSON (%q): %v",
+							path, v.attr, resp.StatusCode, body, err)
+						continue
+					}
+					want := http.StatusBadRequest
+					if v.ok {
+						want = accepted
+					}
+					if resp.StatusCode != want {
+						t.Errorf("POST %s attr=%s: status %d (%s), want %d", path, v.attr, resp.StatusCode, body, want)
+					}
+					if msg, _ := answer["error"].(string); !v.ok && !strings.Contains(msg, "attribute [0][3]") {
+						t.Errorf("POST %s attr=%s: error %q does not name row 0, column 3", path, v.attr, msg)
+					}
+				}
+				after, afterBytes := corpusAndWAL()
+				if !v.ok && (after != samples || afterBytes != walBytes) {
+					t.Errorf("attr=%s refused, yet corpus %d -> %d samples, WAL %d -> %d bytes",
+						v.attr, samples, after, walBytes, afterBytes)
+				}
+				if v.ok && after != samples+1 {
+					t.Errorf("attr=%s admitted, yet corpus %d -> %d samples", v.attr, samples, after)
+				}
+			}
+			if err := client.Health(); err != nil {
+				t.Errorf("healthz after hostile input: %v", err)
+			}
+		})
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value JSON cannot carry never goes out as
+// the caller's success status over an empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, math.NaN())
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status %d, want 500", rec.Code)
+	}
+	var e errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Errorf("body %q: not a decodable error (%v)", rec.Body.String(), err)
 	}
 }
 

@@ -1,9 +1,9 @@
 package tensor
 
-// Blocked float64 matmul kernels — the middle tier of the package's kernel
-// hierarchy (naive oracle → blocked float64 → float32 inference). Each
-// kernel reproduces its oracle in oracle.go bit for bit: floating-point
-// addition is not associative, so the blocking is arranged to keep the
+// Blocked float64 matmul kernels — the fast tier of the package's kernel
+// hierarchy (naive oracle → blocked float64). Each kernel reproduces its
+// oracle in oracle.go bit for bit: floating-point addition is not
+// associative, so the blocking is arranged to keep the
 // per-destination-cell accumulation chain identical to the naive loops —
 // products are added one at a time, in strictly ascending inner-dimension
 // order, with zero left-hand terms skipped exactly where the oracle skips
