@@ -18,7 +18,9 @@
 //
 // With -state-dir the server is crash-safe: every accepted sample is
 // appended to a fsynced JSONL WAL, a background compactor folds the WAL
-// into immutable binary segments once it passes -compact-bytes, the model
+// into immutable binary segments once it passes -compact-bytes (so the
+// threshold also bounds the decoded corpus held in memory: samples in
+// segments are read back from disk when training needs them), the model
 // is checkpointed atomically when a training job succeeds, and all tiers
 // are replayed on startup so a restart resumes serving where the previous
 // process stopped. The directory is held under an exclusive lock; a second
@@ -79,7 +81,7 @@ func run(args []string) error {
 	familiesFlag := fs.String("families", "", "comma-separated family universe")
 	modelPath := fs.String("model", "", "preload a trained model")
 	stateDir := fs.String("state-dir", "", "durable state directory (corpus WAL + segments + model checkpoint); empty = in-memory only")
-	compactBytes := fs.Int64("compact-bytes", 4<<20, "WAL size that triggers background compaction into binary corpus segments (0 disables)")
+	compactBytes := fs.Int64("compact-bytes", 4<<20, "WAL size that triggers background compaction into binary corpus segments, and so the most decoded corpus held in memory (0 disables)")
 	demo := fs.Bool("demo", false, "seed with a synthetic corpus and train before serving")
 	demoSamples := fs.Int("demo-samples", 150, "demo corpus size")
 	epochs := fs.Int("epochs", 12, "default training epochs")

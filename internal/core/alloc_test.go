@@ -173,33 +173,37 @@ func warmSlabBytes(t *testing.T, n int, run func(m *Model, a *acfg.ACFG)) uint64
 
 // TestAMPHeadWorkspaceIndependentOfChannels pins the memory side of the head
 // fusion at DefaultConfig: a prediction's per-vertex scratch is exactly the
-// scaled attribute row plus five n×Σc matrices (per graph-conv layer the
+// scaled attribute row plus four n×Σc matrices (per graph-conv layer the
 // product, the propagated pre-activation and the activation — 3Σc in all —
-// then the concatenation and its Volume copy), never a Conv2DChannels×n×Σc
-// map; the unfused head's three 16-channel maps alone were 15 MB at n = 400.
+// then the concatenation, which the head reads in place), never a
+// Conv2DChannels×n×Σc map; the unfused head's three 16-channel maps alone
+// were 15 MB at n = 400.
 // The assertion is exact because the arena's slab is the sum of one pass's
 // checkouts, byte for byte, where the free lists it replaced could only
 // bound the growth.
 func TestAMPHeadWorkspaceIndependentOfChannels(t *testing.T) {
 	cfg := DefaultConfig(2, acfg.NumAttributes)
 	grew := warmSlabBytes(t, 400, predictSample) - warmSlabBytes(t, 50, predictSample)
-	if want := uint64(8 * (400 - 50) * (cfg.AttrDim + 5*cfg.TotalConvWidth())); grew != want {
-		t.Errorf("350 more vertices grew the prediction slab by %d bytes, want %d (attributes + five n×Σc matrices)", grew, want)
+	if want := uint64(8 * (400 - 50) * (cfg.AttrDim + 4*cfg.TotalConvWidth())); grew != want {
+		t.Errorf("350 more vertices grew the prediction slab by %d bytes, want %d (attributes + four n×Σc matrices)", grew, want)
 	}
 }
 
 // TestWorkspaceBytesPerVertex pins the two measurements tensor's slab
 // retention bound and the service's vertex limit are sized from: what one
 // more vertex costs a serving replica to predict and to train. If a layer
-// change moves them, revisit both constants.
+// change moves them, revisit both constants. (The head reads the conv
+// stack's n×Σc output in place and the conv stack reads the head's input
+// gradient in place — 1 024 B per vertex each at Σc = 128 — so neither is
+// in these numbers.)
 func TestWorkspaceBytesPerVertex(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		run  func(m *Model, a *acfg.ACFG)
 		want uint64
 	}{
-		{"predict", predictSample, 5208},
-		{"train", trainSample, 11184},
+		{"predict", predictSample, 4184},
+		{"train", trainSample, 9136},
 	} {
 		got := (warmSlabBytes(t, 400, tc.run) - warmSlabBytes(t, 100, tc.run)) / 300
 		if got != tc.want {

@@ -21,7 +21,7 @@ type Classifier struct {
 
 // Fit trains a fresh model on the given dataset.
 func (c *Classifier) Fit(train *dataset.Dataset) error {
-	var val *dataset.Dataset
+	var val dataset.SampleSource // nil, not a nil *Dataset: Train tests it against nil
 	fitSet := train
 	if c.ValFraction > 0 {
 		tr, v, err := train.TrainValSplit(c.ValFraction, c.Cfg.Seed+17)

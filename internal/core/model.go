@@ -61,6 +61,13 @@ type Model struct {
 	// probs/dlogits are the persistent loss scratch for TrainStep.
 	probs   []float64
 	dlogits []float64
+	// headIn and dz are headers, not buffers: headIn shows the head the
+	// conv stack's (or sort pool's) output matrix as a Volume, dz shows the
+	// conv stack (or sort pool) the head's input gradient as a Matrix. Both
+	// point at workspace memory of the current sample, and no layer writes
+	// its input or its upstream gradient, so neither needs a copy.
+	headIn nn.Volume
+	dz     tensor.Matrix
 
 	// Cached prediction engine for PredictBatch (see parallel.go).
 	// predTasks is its recycled per-call task list, so a steady-state
@@ -265,21 +272,14 @@ func (m *Model) forwardLogits(a *acfg.ACFG, train bool) []float64 {
 		}
 	}
 	z := m.conv.Forward(csr, x)
-
-	var vol *nn.Volume
 	if m.sort != nil {
-		zsp := m.sort.Forward(z)
-		if m.Config.Head == Conv1DHead {
-			vol = m.ws.Volume(1, 1, zsp.Rows*zsp.Cols)
-		} else {
-			vol = m.ws.Volume(1, zsp.Rows, zsp.Cols)
-		}
-		copy(vol.Data, zsp.Data)
-	} else {
-		vol = m.ws.Volume(1, z.Rows, z.Cols)
-		copy(vol.Data, z.Data)
+		z = m.sort.Forward(z)
 	}
-	out := m.head.Forward(vol, train)
+	m.headIn = nn.Volume{C: 1, H: z.Rows, W: z.Cols, Data: z.Data}
+	if m.Config.Head == Conv1DHead && m.sort != nil {
+		m.headIn.H, m.headIn.W = 1, z.Rows*z.Cols
+	}
+	out := m.head.Forward(&m.headIn, train)
 	return out.Data
 }
 
@@ -290,17 +290,13 @@ func (m *Model) Backward(dlogits []float64) {
 	copy(dvol.Data, dlogits)
 	din := m.head.Backward(dvol)
 
-	var dz *tensor.Matrix
+	dz := &m.dz
 	if m.sort != nil {
 		k := m.sort.K
-		d := din.Len() / k
-		dm := m.ws.Matrix(k, d)
-		copy(dm.Data, din.Data)
-		dz = m.sort.Backward(dm)
+		*dz = tensor.Matrix{Rows: k, Cols: din.Len() / k, Data: din.Data}
+		dz = m.sort.Backward(dz)
 	} else {
-		dm := m.ws.Matrix(din.H, din.W)
-		copy(dm.Data, din.Data)
-		dz = dm
+		*dz = tensor.Matrix{Rows: din.H, Cols: din.W, Data: din.Data}
 	}
 	m.conv.Backward(dz)
 }

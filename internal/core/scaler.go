@@ -24,12 +24,20 @@ type Scaler struct {
 // each sample on demand so fitting never needs the corpus resident; the
 // accumulation order is the source order, so equal sample sequences fit
 // bit-identical statistics whatever backs them. An empty source fits
-// nothing and returns nil.
+// nothing and returns nil. A source error is returned wrapped the way
+// RunEpoch wraps it, naming the sample.
 func FitScaler(src dataset.SampleSource) (*Scaler, error) {
 	if src.Len() == 0 {
 		return nil, nil
 	}
-	first, err := src.At(0)
+	at := func(i int) (*dataset.Sample, error) {
+		smp, err := src.At(i)
+		if err != nil {
+			return nil, fmt.Errorf("core: training sample %d: %w", i, err)
+		}
+		return smp, nil
+	}
+	first, err := at(0)
 	if err != nil {
 		return nil, err
 	}
@@ -37,7 +45,7 @@ func FitScaler(src dataset.SampleSource) (*Scaler, error) {
 	s := &Scaler{Mean: make([]float64, dim), Std: make([]float64, dim)}
 	count := 0.0
 	for i := 0; i < src.Len(); i++ {
-		smp, err := src.At(i)
+		smp, err := at(i)
 		if err != nil {
 			return nil, err
 		}
@@ -60,7 +68,7 @@ func FitScaler(src dataset.SampleSource) (*Scaler, error) {
 		s.Mean[c] /= count
 	}
 	for i := 0; i < src.Len(); i++ {
-		smp, err := src.At(i)
+		smp, err := at(i)
 		if err != nil {
 			return nil, err
 		}

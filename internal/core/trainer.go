@@ -264,13 +264,15 @@ func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
 // the attribute scaler, runs mini-batch Adam with the paper's
 // decay-on-plateau schedule, and restores the parameters of the epoch with
 // the lowest validation loss (the paper's model-selection criterion).
-// train may be a resident *dataset.Dataset or any other SampleSource, such
-// as a corpus.Source decoding segments from disk.
+// train and val may be resident *dataset.Datasets or any other
+// SampleSource, such as a corpus.Source decoding segments from disk. val is
+// fetched once, before the first epoch, and its samples stay live for the
+// run: every epoch evaluates all of them in one sweep.
 //
 // Batch execution is data-parallel across opts.Workers goroutines and
 // deterministic: for a fixed Config.Seed the loss curves and final
 // parameters are bit-identical at every worker count (see ParallelBatch).
-func Train(m *Model, train dataset.SampleSource, val *dataset.Dataset, opts TrainOptions) (*History, error) {
+func Train(m *Model, train, val dataset.SampleSource, opts TrainOptions) (*History, error) {
 	sess, err := NewTrainSession(m, train, opts)
 	if err != nil {
 		return nil, err
@@ -289,7 +291,11 @@ func Train(m *Model, train dataset.SampleSource, val *dataset.Dataset, opts Trai
 	if val != nil && val.Len() > 0 {
 		valTasks = make([]sampleTask, val.Len())
 		valResults = make([]sampleResult, val.Len())
-		for i, s := range val.Samples {
+		for i := range valTasks {
+			s, err := val.At(i)
+			if err != nil {
+				return nil, fmt.Errorf("core: validation sample %d: %w", i, err)
+			}
 			valTasks[i] = sampleTask{a: s.ACFG, label: s.Label}
 		}
 	}

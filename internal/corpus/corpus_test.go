@@ -1,10 +1,14 @@
 package corpus
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/acfg"
@@ -101,6 +105,79 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	if visited != len(recs) {
 		t.Fatalf("Iterate visited %d, want %d", visited, len(recs))
+	}
+}
+
+// TestSegmentConcurrentReaders is the regression test for Iterate moving the
+// file's shared offset: the server keeps segments open for its whole life
+// and serves training jobs from them with Record while boot replay or a
+// second job may stream the same segment, so two Iterates and a stream of
+// random-order Records on one open Segment must all see exactly the bytes
+// that were written. Run it under -race.
+func TestSegmentConcurrentReaders(t *testing.T) {
+	dir := t.TempDir()
+	var recs []*Record
+	for i := 0; i < 64; i++ {
+		recs = append(recs, testRecord(t, "benign", fmt.Sprintf("r-%06d", i), 3+i%29, i))
+	}
+	seg, err := OpenSegment(writeSegment(t, dir, 1, recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	want := make([][]byte, len(recs))
+	for i, r := range recs {
+		want[i] = appendRecord(nil, r)
+	}
+	check := func(who string, i int, r *Record) error {
+		if got := appendRecord(nil, r); !bytes.Equal(got, want[i]) {
+			return fmt.Errorf("%s: record %d decoded to different bytes", who, i)
+		}
+		return nil
+	}
+
+	errs := make(chan error, 3)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for pass := 0; pass < 8; pass++ {
+				visited := 0
+				err := seg.Iterate(func(i int, r *Record) error {
+					visited++
+					return check(fmt.Sprintf("iterate %d", g), i, r)
+				})
+				if err == nil && visited != len(recs) {
+					err = fmt.Errorf("iterate %d visited %d records, want %d", g, visited, len(recs))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for k := 0; k < 8*len(recs); k++ {
+			i := rng.Intn(len(recs))
+			r, err := seg.Record(i)
+			if err == nil {
+				err = check("record", i, r)
+			}
+			if err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

@@ -11,7 +11,9 @@ import (
 
 // Segment is a committed, immutable segment opened for reading. Record(i)
 // is O(1) via the offset index; Iterate streams the file sequentially.
-// Both paths verify the per-record CRC before decoding.
+// Both paths verify the per-record CRC before decoding, and neither moves
+// the file's shared offset (Record uses ReadAt, Iterate a section reader),
+// so any number of goroutines may read one open Segment at once.
 type Segment struct {
 	path    string
 	f       *os.File
@@ -44,7 +46,7 @@ func OpenSegment(segPath string) (*Segment, error) {
 		return nil, fmt.Errorf("corpus: segment %s is %d bytes, index says %d (torn tail?)", segPath, st.Size(), size)
 	}
 	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || magic != segMagic {
+	if _, err := f.ReadAt(magic[:], 0); err != nil || magic != segMagic {
 		_ = f.Close()
 		return nil, fmt.Errorf("corpus: segment %s has bad magic", segPath)
 	}
@@ -88,10 +90,8 @@ func (s *Segment) Record(i int) (*Record, error) {
 // passed to fn is freshly decoded and safe to retain. Iteration stops at
 // the first error, including one returned by fn.
 func (s *Segment) Iterate(fn func(i int, r *Record) error) error {
-	if _, err := s.f.Seek(int64(len(segMagic)), io.SeekStart); err != nil {
-		return fmt.Errorf("corpus: seek segment: %w", err)
-	}
-	br := bufio.NewReaderSize(s.f, 1<<16)
+	start := int64(len(segMagic))
+	br := bufio.NewReaderSize(io.NewSectionReader(s.f, start, s.size-start), 1<<16)
 	var hdr [frameHeaderLen]byte
 	var payload []byte
 	for i := 0; i < len(s.offsets); i++ {
@@ -148,7 +148,11 @@ func verifyFrame(frame []byte) ([]byte, error) {
 }
 
 // Set is the ordered collection of committed segments in a state
-// directory, presenting them as one logical record sequence.
+// directory, presenting them as one logical record sequence. It only grows:
+// Append adds a newly committed segment at the end, and no segment leaves
+// before Close. The Set's own bookkeeping is not synchronized (its owner
+// serializes Append against the other methods); the Segments it holds are
+// safe for concurrent readers.
 type Set struct {
 	segs  []*Segment
 	start []int // cumulative record count before segs[i]
@@ -168,11 +172,17 @@ func OpenSet(dir string) (*Set, error) {
 			_ = set.Close()
 			return nil, err
 		}
-		set.segs = append(set.segs, seg)
-		set.start = append(set.start, set.total)
-		set.total += seg.Len()
+		set.Append(seg)
 	}
 	return set, nil
+}
+
+// Append adds seg after every segment already in the set; the set owns it
+// from then on and closes it in Close.
+func (s *Set) Append(seg *Segment) {
+	s.segs = append(s.segs, seg)
+	s.start = append(s.start, s.total)
+	s.total += seg.Len()
 }
 
 // Len returns the total record count across all segments.
@@ -180,6 +190,9 @@ func (s *Set) Len() int { return s.total }
 
 // Segments returns the number of open segments.
 func (s *Set) Segments() int { return len(s.segs) }
+
+// Segment returns the k-th segment in sequence order.
+func (s *Set) Segment(k int) *Segment { return s.segs[k] }
 
 // Bytes returns the total on-disk size of all segments.
 func (s *Set) Bytes() int64 {

@@ -6,7 +6,9 @@
 // O(1) random access by record number — so a corpus of millions of graphs
 // can be iterated or sampled from disk without ever being resident in
 // memory. The service's WAL compactor (internal/service) turns JSONL WAL
-// prefixes into segments; core.Train reads a Set through Source, one
+// prefixes into segments and the service keeps them open, reading a
+// segment-resident sample back with Segment.Record whenever a training job
+// fetches it; core.Train can equally read a Set through Source, one
 // mini-batch at a time.
 package corpus
 

@@ -139,20 +139,36 @@ func (d *Dataset) StratifiedKFold(k int, seed int64) ([]Fold, error) {
 // TrainValSplit returns a deterministic stratified split with valFraction
 // of each class held out.
 func (d *Dataset) TrainValSplit(valFraction float64, seed int64) (train, val *Dataset, err error) {
+	labels := make([]int, len(d.Samples))
+	for i, s := range d.Samples {
+		labels[i] = s.Label
+	}
+	trainIdx, valIdx, err := StratifiedSplit(labels, valFraction, seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.Subset(trainIdx), d.Subset(valIdx), nil
+}
+
+// StratifiedSplit is TrainValSplit over a label sequence: labels[i] is
+// sample i's class, and the result is the ascending sample indices of each
+// side. Any collection that knows its labels — a Dataset, or a corpus index
+// whose graphs are on disk — picks the same indices for the same labels and
+// seed.
+func StratifiedSplit(labels []int, valFraction float64, seed int64) (trainIdx, valIdx []int, err error) {
 	if valFraction <= 0 || valFraction >= 1 {
 		return nil, nil, fmt.Errorf("dataset: val fraction %v outside (0,1)", valFraction)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	byClass := make(map[int][]int)
-	for i, s := range d.Samples {
-		byClass[s.Label] = append(byClass[s.Label], i)
+	for i, label := range labels {
+		byClass[label] = append(byClass[label], i)
 	}
 	classes := make([]int, 0, len(byClass))
 	for c := range byClass {
 		classes = append(classes, c)
 	}
 	sort.Ints(classes)
-	var trainIdx, valIdx []int
 	for _, c := range classes {
 		idx := byClass[c]
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
@@ -165,7 +181,7 @@ func (d *Dataset) TrainValSplit(valFraction float64, seed int64) (train, val *Da
 	}
 	sort.Ints(trainIdx)
 	sort.Ints(valIdx)
-	return d.Subset(trainIdx), d.Subset(valIdx), nil
+	return trainIdx, valIdx, nil
 }
 
 // wire format: a header line with families, then one sample per line.

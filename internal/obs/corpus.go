@@ -11,6 +11,7 @@ type CorpusMetrics struct {
 	segBytes    *Gauge
 	walRecords  *Gauge
 	walBytes    *Gauge
+	resident    *Gauge
 	compactions *CounterVec // outcome
 	deduped     *Counter
 }
@@ -29,6 +30,8 @@ func NewCorpusMetrics(r *Registry) *CorpusMetrics {
 			"Corpus samples still in the write-ahead log (not yet compacted)."),
 		walBytes: r.Gauge("magic_corpus_wal_bytes",
 			"Durable size of the corpus write-ahead log."),
+		resident: r.Gauge("magic_corpus_resident_samples",
+			"Corpus samples held decoded in memory (the WAL tail, or every sample without a state dir); the rest are read from segments on demand."),
 		compactions: r.CounterVec("magic_corpus_compactions_total",
 			"WAL-to-segment compaction attempts, by outcome (ok or error).", "outcome"),
 		deduped: r.Counter("magic_corpus_deduplicated_total",
@@ -43,6 +46,11 @@ func (c *CorpusMetrics) SetState(segments, segRecords int, segBytes int64, walRe
 	c.segBytes.Set(float64(segBytes))
 	c.walRecords.Set(float64(walRecords))
 	c.walBytes.Set(float64(walBytes))
+}
+
+// SetResident reports how many corpus samples are held decoded in memory.
+func (c *CorpusMetrics) SetResident(n int) {
+	c.resident.Set(float64(n))
 }
 
 // CompactionFinished counts one compaction attempt.

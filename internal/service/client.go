@@ -74,6 +74,8 @@ type HealthStatus struct {
 	Status        string `json:"status"`
 	ModelVersion  string `json:"model_version,omitempty"`
 	CorpusSamples int    `json:"corpus_samples"`
+	// ResidentSamples counts the corpus samples held decoded in memory.
+	ResidentSamples int `json:"resident_samples"`
 	// CorpusSegments/SegmentSamples describe the compacted binary tier;
 	// WALSamples counts records still in the write-ahead log.
 	CorpusSegments    int `json:"corpus_segments,omitempty"`

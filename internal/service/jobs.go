@@ -197,7 +197,7 @@ func (s *Server) startTrainJobLocked(mode string, epochs, samples int) *trainJob
 // runTrainJob is the job goroutine: it owns the whole training lifecycle
 // from validation split to model install and checkpoint, and always leaves
 // the server idle (curJob nil) and the job terminal on exit.
-func (s *Server) runTrainJob(job *trainJob, cfg core.Config, train *dataset.Dataset, valFraction float64, workers int) {
+func (s *Server) runTrainJob(job *trainJob, cfg core.Config, train *samples, valFraction float64, workers int) {
 	defer close(job.done)
 	s.trainMetrics.RunStarted(train.Len())
 
@@ -222,9 +222,9 @@ func (s *Server) runTrainJob(job *trainJob, cfg core.Config, train *dataset.Data
 	}
 
 	fit := train
-	var val *dataset.Dataset
+	var val dataset.SampleSource // nil, not a nil *samples: Train tests it against nil
 	if valFraction > 0 && valFraction < 1 {
-		tr, v, err := train.TrainValSplit(valFraction, cfg.Seed)
+		tr, v, err := train.split(valFraction, cfg.Seed)
 		if err != nil {
 			settle(JobFailed, err.Error(), nil)
 			return
@@ -304,13 +304,18 @@ func cloneModel(m *core.Model) (*core.Model, error) {
 }
 
 // accuracyOn computes argmax accuracy of m over d using the batch engine.
-func accuracyOn(m *core.Model, d *dataset.Dataset, workers int) (float64, error) {
+func accuracyOn(m *core.Model, d dataset.SampleSource, workers int) (float64, error) {
 	if d.Len() == 0 {
 		return 0, fmt.Errorf("empty holdout set")
 	}
 	as := make([]*acfg.ACFG, d.Len())
-	for i, smp := range d.Samples {
-		as[i] = smp.ACFG
+	labels := make([]int, d.Len())
+	for i := range as {
+		smp, err := d.At(i)
+		if err != nil {
+			return 0, fmt.Errorf("holdout sample %d: %w", i, err)
+		}
+		as[i], labels[i] = smp.ACFG, smp.Label
 	}
 	probs, err := m.PredictBatch(as, workers)
 	if err != nil {
@@ -324,7 +329,7 @@ func accuracyOn(m *core.Model, d *dataset.Dataset, workers int) (float64, error)
 				best = c
 			}
 		}
-		if best == d.Samples[i].Label {
+		if best == labels[i] {
 			hits++
 		}
 	}
@@ -338,7 +343,7 @@ func accuracyOn(m *core.Model, d *dataset.Dataset, workers int) (float64, error)
 // parameter-identical to the serving model). A rejected run still succeeds
 // — Result.Promoted reports the gate's verdict — and leaves the watermark
 // untouched so the increment is retried by the next job.
-func (s *Server) runContinualJob(job *trainJob, cfg core.Config, base *core.Model, increment, holdout *dataset.Dataset, snapshotLen, workers int) {
+func (s *Server) runContinualJob(job *trainJob, cfg core.Config, base *core.Model, increment, holdout *samples, snapshotLen, workers int) {
 	defer close(job.done)
 	s.trainMetrics.RunStarted(increment.Len())
 
@@ -478,7 +483,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 
 	// Snapshot the corpus under the lock; train outside it so predictions
 	// against the previous model keep serving.
-	train := s.corpus.Subset(allIndices(s.corpus.Len()))
+	train := s.corpus.snapshot()
 	counts := train.CountByClass()
 	for i, n := range counts {
 		if n < 2 {
@@ -515,19 +520,15 @@ func (s *Server) admitContinualLocked(w http.ResponseWriter, body trainBody) {
 			fmt.Errorf("continual training needs a trained model; run a full training job first"))
 		return
 	}
-	total := s.corpus.Len()
+	full := s.corpus.snapshot()
+	total := full.Len()
 	if s.trainedThrough >= total {
 		s.mu.Unlock()
 		writeError(w, http.StatusPreconditionFailed,
 			fmt.Errorf("no new samples since the last training job (corpus %d, trained through %d)", total, s.trainedThrough))
 		return
 	}
-	incIdx := make([]int, 0, total-s.trainedThrough)
-	for i := s.trainedThrough; i < total; i++ {
-		incIdx = append(incIdx, i)
-	}
-	increment := s.corpus.Subset(incIdx)
-	full := s.corpus.Subset(allIndices(total))
+	increment := &samples{classes: full.classes, entries: full.entries[s.trainedThrough:]}
 
 	cfg := s.cfgTemplate
 	if body.Epochs > 0 {
@@ -540,7 +541,7 @@ func (s *Server) admitContinualLocked(w http.ResponseWriter, body trainBody) {
 	// The gate's holdout is a stratified slice of the whole corpus (old and
 	// new samples alike): the tuned model must not trade established
 	// families for the increment's.
-	_, holdout, err := full.TrainValSplit(holdFrac, cfg.Seed)
+	_, holdout, err := full.split(holdFrac, cfg.Seed)
 	if err != nil {
 		s.mu.Unlock()
 		writeError(w, http.StatusPreconditionFailed, fmt.Errorf("continual holdout split: %w", err))

@@ -33,7 +33,7 @@ func BenchmarkCorpusReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := st.AppendBatch(entries); err != nil {
+		if err := st.AppendBatch(entries, nil); err != nil {
 			b.Fatal(err)
 		}
 		if compact {

@@ -16,11 +16,13 @@
 //	GET    /v1/models       retained model versions, active + rollback target
 //	POST   /v1/models       {action: promote|rollback} blue/green model swap
 //
-// State is in memory, guarded by a single mutex, and optionally durable:
-// AttachStore gives the server a state directory whose corpus WAL and
-// model checkpoint are replayed on startup (see Store). Training runs as
-// an asynchronous job (one at a time) while predictions against the
-// previous model keep serving. Completed models enter a bounded version
+// State is in memory, guarded by a single mutex (the corpus index, which
+// the compactor also updates, has its own; see index.go), and optionally
+// durable: AttachStore gives the server a state directory whose segments,
+// corpus WAL and model checkpoint are replayed on startup (see Store), and
+// from then on only the WAL tail of the corpus is held decoded. Training
+// runs as an asynchronous job (one at a time) while predictions against
+// the previous model keep serving. Completed models enter a bounded version
 // registry (see registry.go); the active version serves /v1/predict
 // through an admission queue that coalesces concurrent requests into
 // batches for the model's data-parallel inference engine (see batcher.go).
@@ -36,7 +38,7 @@ package service
 
 import (
 	"context"
-	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,17 +61,16 @@ import (
 type Server struct {
 	cfgTemplate core.Config
 
-	mu        sync.Mutex
-	families  []string
-	labelOf   map[string]int
-	corpus    *dataset.Dataset
+	mu       sync.Mutex
+	families []string
+	labelOf  map[string]int
+	// corpus indexes every accepted sample, deduplicated by content hash
+	// (see index.go): decoded in memory until it is in a committed segment,
+	// a (segment, record) reference after. Populated from the durable tiers
+	// on AttachStore replay.
+	corpus    *corpusIndex
 	model     *core.Model
 	trainedAt time.Time
-
-	// seen holds the ACFG content hash of every corpus sample, for ingest
-	// dedup: re-uploading byte-identical content is acknowledged but not
-	// stored twice. Populated from the durable tiers on AttachStore replay.
-	seen map[[sha256.Size]byte]struct{}
 
 	// trainedThrough is the corpus length covered by the last completed
 	// training job; the continual job mode fine-tunes on samples past it.
@@ -152,12 +153,12 @@ func NewWithRegistry(families []string, cfgTemplate core.Config, reg *obs.Regist
 	if err := cfgTemplate.Validate(); err != nil {
 		return nil, fmt.Errorf("service: %w", err)
 	}
+	corpusMetrics := obs.NewCorpusMetrics(reg)
 	return &Server{
 		cfgTemplate:  cfgTemplate,
 		families:     families,
 		labelOf:      labelOf,
-		corpus:       dataset.New(families),
-		seen:         make(map[[sha256.Size]byte]struct{}),
+		corpus:       newCorpusIndex(len(families), corpusMetrics),
 		jobs:         make(map[string]*trainJob),
 		versions:     make(map[string]*modelVersion),
 		batchMaxSize: DefaultBatchMaxSize,
@@ -169,7 +170,7 @@ func NewWithRegistry(families []string, cfgTemplate core.Config, reg *obs.Regist
 		trainMetrics:   obs.NewTrainingMetrics(reg),
 		jobMetrics:     obs.NewTrainJobMetrics(reg),
 		servingMetrics: obs.NewServingMetrics(reg),
-		corpusMetrics:  obs.NewCorpusMetrics(reg),
+		corpusMetrics:  corpusMetrics,
 		predictions: reg.CounterVec("magic_predictions_total",
 			"Predictions served, by top-ranked family.", "family"),
 		corpusSize: reg.GaugeVec("magic_corpus_samples",
@@ -312,6 +313,10 @@ type healthzResponse struct {
 	Status        string `json:"status"`
 	ModelVersion  string `json:"model_version,omitempty"`
 	CorpusSamples int    `json:"corpus_samples"`
+	// ResidentSamples counts corpus samples held decoded in memory: the
+	// WAL tail, or the whole corpus without a state dir. The rest are read
+	// from segments when a training job needs them.
+	ResidentSamples int `json:"resident_samples"`
 	// Storage-tier breakdown, present only when a state dir is attached:
 	// how much of the corpus lives in compacted segments vs the WAL tail.
 	CorpusSegments    int `json:"corpus_segments,omitempty"`
@@ -323,9 +328,10 @@ type healthzResponse struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	resp := healthzResponse{
-		Status:        "ok",
-		ModelVersion:  s.activeVersion,
-		CorpusSamples: s.corpus.Len(),
+		Status:          "ok",
+		ModelVersion:    s.activeVersion,
+		CorpusSamples:   s.corpus.Len(),
+		ResidentSamples: s.corpus.Resident(),
 	}
 	store := s.store
 	s.mu.Unlock()
@@ -398,7 +404,7 @@ func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 	// Ingest dedup: byte-identical ACFG content is acknowledged but stored
 	// once — re-uploads after client retries or corpus re-imports must not
 	// inflate the training set.
-	if _, dup := s.seen[hash]; dup {
+	if s.corpus.contains(hash) {
 		s.corpusMetrics.Deduplicated()
 		writeJSON(w, http.StatusCreated, map[string]any{
 			"name":         name,
@@ -409,14 +415,12 @@ func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 	}
 	// Durability first: a sample is acknowledged only once it is in the
 	// WAL, so an acknowledged upload survives a crash.
-	if s.store != nil {
-		if err := s.store.AppendSample(body.Family, name, hash, a); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
+	smp := &dataset.Sample{Name: name, Label: label, ACFG: a}
+	wal := []walEntry{{Family: body.Family, Name: name, Hash: hex.EncodeToString(hash[:]), ACFG: a}}
+	if err := s.commitLocked(wal, func() { s.corpus.add(hash, residentEntry(smp)) }); err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	s.seen[hash] = struct{}{}
-	s.corpus.Add(&dataset.Sample{Name: name, Label: label, ACFG: a})
 	s.corpusSize.With(body.Family).Inc() // replay and import Set the absolute count
 	s.publishCorpusGaugesLocked()
 	writeJSON(w, http.StatusCreated, map[string]any{
@@ -472,10 +476,10 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // maxGraphVertices bounds the graphs /v1/predict and /v1/samples admit. The
 // byte limit alone does not: a 16 MiB body can describe several hundred
 // thousand basic blocks, and every model replica that runs a graph keeps
-// its scratch slab — 5.2 KB per vertex to predict, 11.2 KB to train — until
+// its scratch slab — 4.2 KB per vertex to predict, 9.1 KB to train — until
 // a larger one replaces it. 4096 is ten times the largest listing malgen,
 // the tests or the benchmark produce, and keeps an admitted graph's slab
-// (21 MB serving, 46 MB training) under tensor.Workspace's retention bound,
+// (17 MB serving, 37 MB training) under tensor.Workspace's retention bound,
 // so the limit is what caps a replica's resident scratch. It is a constant,
 // not a flag: nothing a deployment knows should change what a replica can
 // be made to hold.
@@ -539,14 +543,6 @@ func epochUpdate(e core.EpochStats) obs.EpochUpdate {
 		Duration:     e.Duration,
 		BestEpoch:    e.BestEpoch,
 	}
-}
-
-func allIndices(n int) []int {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	return idx
 }
 
 // errEmptyBody marks a request whose body held no JSON value at all (as

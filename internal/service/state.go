@@ -37,6 +37,10 @@ import (
 // twice. A torn trailing WAL line (crash mid-append) is truncated away on
 // replay; a failed append truncates back to the last durable offset so the
 // WAL never carries a torn record mid-file.
+//
+// Committed segments stay open for the store's life as one append-only
+// corpus.Set: the attached server's index reads segment-resident samples
+// back through them, so only the WAL tail is held decoded in memory.
 type Store struct {
 	dir  string
 	lock *os.File
@@ -45,11 +49,13 @@ type Store struct {
 	wal        *os.File
 	walSize    int64 // bytes of durable, intact records (last-good offset)
 	walRecords int
-	segRecords int
-	segCount   int
-	segBytes   int64
-	seenSeg    map[[sha256.Size]byte]struct{} // hashes already compacted into segments
+	set        *corpus.Set  // every committed segment: opened by Replay, grown by Compact, closed by Close
+	index      *corpusIndex // the attached server's corpus; nil until AttachStore
 
+	// compactMu serializes Compact: a forced call racing the background
+	// compactor would fold the same WAL prefix twice, and the second tail
+	// swap would cut records the first one kept.
+	compactMu    sync.Mutex
 	compactBytes int64
 	compactions  int
 	compactCh    chan struct{}
@@ -131,7 +137,7 @@ func OpenStore(dir string) (*Store, error) {
 		_ = lock.Close()
 		return nil, err
 	}
-	return &Store{dir: dir, lock: lock, seenSeg: make(map[[sha256.Size]byte]struct{})}, nil
+	return &Store{dir: dir, lock: lock, set: &corpus.Set{}}, nil
 }
 
 // lockStateDir takes a non-blocking exclusive flock on <dir>/LOCK. The
@@ -174,9 +180,9 @@ func (st *Store) Stats() StoreStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return StoreStats{
-		Segments:       st.segCount,
-		SegmentRecords: st.segRecords,
-		SegmentBytes:   st.segBytes,
+		Segments:       st.set.Segments(),
+		SegmentRecords: st.set.Len(),
+		SegmentBytes:   st.set.Bytes(),
 		WALRecords:     st.walRecords,
 		WALBytes:       st.walSize,
 		Compactions:    st.compactions,
@@ -193,32 +199,37 @@ func (st *Store) Stats() StoreStats {
 // skipping records would fake data loss as success). Must be called before
 // the first append.
 func (st *Store) Replay(apply func(r *corpus.Record, fromSegment bool) error) (segN, walN int, err error) {
+	return st.replay(func(r *corpus.Record, seg *corpus.Segment, _ int) error {
+		return apply(r, seg != nil)
+	})
+}
+
+// replay is Replay that also says where each segment record lives: record
+// rec of seg, which stays open in the store's set. seg is nil for WAL
+// records. Every record is CRC-checked and fully decoded either way — that
+// is what proves the durable corpus intact at boot.
+func (st *Store) replay(apply func(r *corpus.Record, seg *corpus.Segment, rec int) error) (segN, walN int, err error) {
 	set, err := corpus.OpenSet(st.dir)
 	if err != nil {
 		return 0, 0, err
 	}
-	err = set.Iterate(func(i int, r *corpus.Record) error {
-		st.seenSeg[r.Hash] = struct{}{}
-		return apply(r, true)
-	})
-	segN = set.Len()
 	st.mu.Lock()
-	st.segRecords, st.segCount, st.segBytes = set.Len(), set.Segments(), set.Bytes()
+	st.set = set
 	st.mu.Unlock()
-	if cerr := set.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return segN, 0, err
+	for k := 0; k < set.Segments(); k++ {
+		seg := set.Segment(k)
+		if err := seg.Iterate(func(i int, r *corpus.Record) error { return apply(r, seg, i) }); err != nil {
+			return set.Len(), 0, err
+		}
 	}
 	walN, err = st.replayWAL(func(e walEntry) error {
 		r, rerr := e.record()
 		if rerr != nil {
 			return rerr
 		}
-		return apply(r, false)
+		return apply(r, nil, 0)
 	})
-	return segN, walN, err
+	return set.Len(), walN, err
 }
 
 // replayWAL streams every intact WAL entry to apply, in append order,
@@ -355,20 +366,17 @@ func (st *Store) truncateToLastGoodLocked() {
 // AppendSample durably appends one accepted sample to the WAL. The write
 // is fsynced before returning, so an acknowledged upload survives a crash.
 func (st *Store) AppendSample(family, name string, hash [sha256.Size]byte, a *acfg.ACFG) error {
-	lines, err := encodeEntries([]walEntry{{Family: family, Name: name, Hash: hex.EncodeToString(hash[:]), ACFG: a}})
-	if err != nil {
-		return err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.appendLocked(lines, 1)
+	return st.AppendBatch([]walEntry{{Family: family, Name: name, Hash: hex.EncodeToString(hash[:]), ACFG: a}}, nil)
 }
 
 // AppendBatch durably appends a batch of samples with a single group
 // commit: one write, one fsync. Bulk import of n samples costs one fsync
 // instead of n while every sample in the batch is still durable before the
-// call returns.
-func (st *Store) AppendBatch(entries []walEntry) error {
+// call returns. indexed, when non-nil, runs after the fsync and before the
+// store lock is released — the server adds the samples to its corpus index
+// there, so a compaction that reads these WAL records always finds their
+// index entries to re-point.
+func (st *Store) AppendBatch(entries []walEntry, indexed func()) error {
 	if len(entries) == 0 {
 		return nil
 	}
@@ -378,7 +386,13 @@ func (st *Store) AppendBatch(entries []walEntry) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.appendLocked(lines, len(entries))
+	if err := st.appendLocked(lines, len(entries)); err != nil {
+		return err
+	}
+	if indexed != nil {
+		indexed()
+	}
+	return nil
 }
 
 // EnableCompaction starts the background compactor: once the WAL's durable
@@ -449,10 +463,17 @@ func (st *Store) signalCompact() {
 // content hash and the next compaction skips already-segmented hashes, so
 // nothing is double-counted and the duplicate prefix is dropped from the
 // WAL the next time compaction runs.
+//
+// Once the segment is committed it joins the store's open set, and the
+// attached index re-points the folded samples at it, dropping their
+// decoded ACFGs: from then on they are read from disk on demand.
 func (st *Store) Compact() error {
+	st.compactMu.Lock()
+	defer st.compactMu.Unlock()
 	st.mu.Lock()
 	upTo := st.walSize
 	nRecords := st.walRecords
+	index := st.index
 	st.mu.Unlock()
 	if nRecords == 0 {
 		return nil
@@ -462,12 +483,13 @@ func (st *Store) Compact() error {
 	if err != nil {
 		return err
 	}
-	// Skip records whose content already lives in a segment (ingest-level
-	// duplicates in legacy WALs, or a WAL prefix re-read after a crash
-	// between segment commit and tail swap).
+	// Skip records whose content already lives in a segment (a WAL prefix
+	// re-read after a crash between segment commit and tail swap). The
+	// attached index is what knows; a store no server is attached to
+	// compacts every record it reads.
 	fresh := recs[:0]
 	for _, r := range recs {
-		if _, dup := st.seenSeg[r.Hash]; !dup {
+		if index == nil || !index.inSegment(r.Hash) {
 			fresh = append(fresh, r)
 		}
 	}
@@ -494,16 +516,12 @@ func (st *Store) Compact() error {
 		if err != nil {
 			return fmt.Errorf("service: reopen committed segment: %w", err)
 		}
-		segSize := seg.Size()
-		_ = seg.Close()
 		st.mu.Lock()
-		for _, r := range fresh {
-			st.seenSeg[r.Hash] = struct{}{}
-		}
-		st.segRecords += len(fresh)
-		st.segCount++
-		st.segBytes += segSize
+		st.set.Append(seg)
 		st.mu.Unlock()
+		if index != nil {
+			index.moveToSegment(seg, fresh)
+		}
 	}
 
 	st.mu.Lock()
@@ -610,8 +628,10 @@ func (st *Store) LoadModel() (*core.Model, error) {
 	return m, err
 }
 
-// Close stops the compactor, releases the WAL handle, and drops the state
-// directory lock. The Store must not be used afterwards.
+// Close stops the compactor, closes the segments and the WAL handle, and
+// drops the state directory lock. The Store must not be used afterwards,
+// nor may anything still read segment-resident samples through it: the
+// server cancels its training job before it closes the store.
 func (st *Store) Close() error {
 	if st.stopCh != nil {
 		close(st.stopCh)
@@ -621,8 +641,11 @@ func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var first error
+	if err := st.set.Close(); err != nil {
+		first = fmt.Errorf("service: close corpus segments: %w", err)
+	}
 	if st.wal != nil {
-		if err := st.wal.Close(); err != nil {
+		if err := st.wal.Close(); err != nil && first == nil {
 			first = fmt.Errorf("service: close corpus wal: %w", err)
 		}
 		st.wal = nil
@@ -638,40 +661,43 @@ func (st *Store) Close() error {
 }
 
 // AttachStore wires a state directory into the server: segments and the
-// corpus WAL are replayed into the in-memory corpus (deduplicated by
-// content hash), the model checkpoint (when present) is installed, and
-// from then on accepted samples are appended to the WAL and successful
-// training runs are checkpointed. Call it once, before serving traffic.
-// It returns the number of replayed samples and whether a checkpointed
-// model was installed.
+// corpus WAL are replayed into the corpus index (deduplicated by content
+// hash), the model checkpoint (when present) is installed, and from then on
+// accepted samples are appended to the WAL and successful training runs
+// are checkpointed. Replay decodes every record, but the index keeps a
+// segment record only as its (segment, record) reference; WAL records stay
+// decoded until the compactor folds them into a segment. Call it once,
+// before serving traffic. It returns the number of replayed samples and
+// whether a checkpointed model was installed.
 func (s *Server) AttachStore(st *Store) (replayed int, modelLoaded bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.store != nil {
 		return 0, false, fmt.Errorf("service: store already attached")
 	}
-	_, _, err = st.Replay(func(r *corpus.Record, fromSegment bool) error {
+	_, _, err = st.replay(func(r *corpus.Record, seg *corpus.Segment, rec int) error {
 		label, ok := s.labelOf[r.Family]
 		if !ok {
 			return fmt.Errorf("service: stored sample %q has family %q outside the server's universe", r.Name, r.Family)
 		}
-		if _, dup := s.seen[r.Hash]; dup {
-			// Legitimate after a crash between segment commit and WAL
-			// truncation: the same record exists in both tiers.
-			return nil
+		e := entry{seg: seg, rec: int32(rec), label: int32(label), size: int32(r.ACFG.NumVertices())}
+		if seg == nil {
+			e = residentEntry(&dataset.Sample{Name: r.Name, Label: label, ACFG: r.ACFG})
 		}
-		s.seen[r.Hash] = struct{}{}
-		s.corpus.Add(&dataset.Sample{Name: r.Name, Label: label, ACFG: r.ACFG})
-		replayed++
+		// A duplicate is legitimate after a crash between segment commit
+		// and WAL truncation: the same record exists in both tiers.
+		if s.corpus.add(r.Hash, e) {
+			replayed++
+		}
 		return nil
 	})
 	if err != nil {
 		return replayed, false, err
 	}
-	counts := s.corpus.CountByClass()
-	for i, f := range s.families {
-		s.corpusSize.With(f).Set(float64(counts[i]))
-	}
+	st.mu.Lock()
+	st.index = s.corpus
+	st.mu.Unlock()
+	s.setCorpusSizeLocked()
 	m, err := st.LoadModel()
 	if err != nil {
 		return replayed, false, fmt.Errorf("service: load model checkpoint: %w", err)
@@ -732,7 +758,9 @@ func (s *Server) ImportCorpus(d *dataset.Dataset) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var entries []walEntry
-	var add []*dataset.Sample
+	var hashes [][sha256.Size]byte
+	var add []entry
+	inBatch := make(map[[sha256.Size]byte]struct{})
 	for _, smp := range d.Samples {
 		family := d.Families[smp.Label]
 		label, ok := s.labelOf[family]
@@ -740,28 +768,46 @@ func (s *Server) ImportCorpus(d *dataset.Dataset) error {
 			return fmt.Errorf("service: import sample %q: unknown family %q", smp.Name, family)
 		}
 		hash := smp.ACFG.ContentHash()
-		if _, dup := s.seen[hash]; dup {
+		if _, dup := inBatch[hash]; dup || s.corpus.contains(hash) {
 			s.corpusMetrics.Deduplicated()
 			continue
 		}
-		s.seen[hash] = struct{}{}
+		inBatch[hash] = struct{}{}
 		entries = append(entries, walEntry{Family: family, Name: smp.Name, Hash: hex.EncodeToString(hash[:]), ACFG: smp.ACFG})
-		add = append(add, &dataset.Sample{Name: smp.Name, Label: label, ACFG: smp.ACFG})
+		hashes = append(hashes, hash)
+		add = append(add, residentEntry(&dataset.Sample{Name: smp.Name, Label: label, ACFG: smp.ACFG}))
 	}
-	if s.store != nil {
-		if err := s.store.AppendBatch(entries); err != nil {
-			return err
+	if err := s.commitLocked(entries, func() {
+		for i, e := range add {
+			s.corpus.add(hashes[i], e)
 		}
+	}); err != nil {
+		return err
 	}
-	for _, smp := range add {
-		s.corpus.Add(smp)
+	s.setCorpusSizeLocked()
+	s.publishCorpusGaugesLocked()
+	return nil
+}
+
+// commitLocked makes entries durable in the attached store's WAL, if any,
+// then runs index, which adds them to the corpus index. With a store, index
+// runs under the store lock right after the fsync, so no compaction can
+// read the records before their entries exist. Callers hold s.mu.
+func (s *Server) commitLocked(entries []walEntry, index func()) error {
+	if s.store == nil {
+		index()
+		return nil
 	}
+	return s.store.AppendBatch(entries, index)
+}
+
+// setCorpusSizeLocked sets the per-family corpus gauge to the corpus's
+// counts; callers hold s.mu.
+func (s *Server) setCorpusSizeLocked() {
 	counts := s.corpus.CountByClass()
 	for i, f := range s.families {
 		s.corpusSize.With(f).Set(float64(counts[i]))
 	}
-	s.publishCorpusGaugesLocked()
-	return nil
 }
 
 // Close gracefully quiesces the server: it cancels any running training
