@@ -230,8 +230,8 @@ func BenchmarkTrainPerInstance(b *testing.B) {
 // session API, one sub-benchmark per conv backend. A warm-up epoch before
 // the timer sizes the replica workspace slab, so the measured
 // iterations exercise the zero-allocation hot path; allocs/op is reported
-// and gated at 0 for every backend by the committed baseline
-// (BENCH_train.json) via cmd/benchjson -compare.
+// for every backend (the 0-alloc contract itself is pinned by tests with
+// testing.AllocsPerRun).
 func BenchmarkTrainEpoch(b *testing.B) {
 	d, err := malgen.MSKCFG(malgen.Options{TotalSamples: 60, Seed: 2})
 	if err != nil {

@@ -17,13 +17,14 @@
 // holds a model checkpoint from a previous run).
 //
 // With -state-dir the server is crash-safe: every accepted sample is
-// appended to a fsynced JSONL WAL, a background compactor folds the WAL
-// into immutable binary segments once it passes -compact-bytes (so the
-// threshold also bounds the decoded corpus held in memory: samples in
-// segments are read back from disk when training needs them), the model
-// is checkpointed atomically when a training job succeeds, and all tiers
-// are replayed on startup so a restart resumes serving where the previous
-// process stopped. The directory is held under an exclusive lock; a second
+// appended as a checksummed binary frame to the open corpus segment and
+// fsynced, the open segment is sealed (its offset index committed) once it
+// passes -compact-bytes and the next one opened, the model is checkpointed
+// atomically when a training job succeeds, and every segment is replayed
+// on startup so a restart resumes serving where the previous process
+// stopped. The server holds no decoded sample: training reads each one back
+// from its segment file. A state dir holding the JSONL corpus.wal of an
+// earlier version is refused. The directory is held under an exclusive lock; a second
 // server pointed at it exits with status 2. On SIGINT or
 // SIGTERM the server drains in-flight requests (http.Server.Shutdown),
 // cancels any running training job cooperatively, writes a final model
@@ -80,8 +81,8 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	familiesFlag := fs.String("families", "", "comma-separated family universe")
 	modelPath := fs.String("model", "", "preload a trained model")
-	stateDir := fs.String("state-dir", "", "durable state directory (corpus WAL + segments + model checkpoint); empty = in-memory only")
-	compactBytes := fs.Int64("compact-bytes", 4<<20, "WAL size that triggers background compaction into binary corpus segments, and so the most decoded corpus held in memory (0 disables)")
+	stateDir := fs.String("state-dir", "", "durable state directory (corpus segments + model checkpoint); empty = in-memory only")
+	compactBytes := fs.Int64("compact-bytes", 4<<20, "size at which the open corpus segment is sealed (0 never seals)")
 	demo := fs.Bool("demo", false, "seed with a synthetic corpus and train before serving")
 	demoSamples := fs.Int("demo-samples", 150, "demo corpus size")
 	epochs := fs.Int("epochs", 12, "default training epochs")

@@ -1,8 +1,13 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/service"
 )
 
 // TestRunArgumentErrors covers the argument errors run returns before it
@@ -26,5 +31,31 @@ func TestRunArgumentErrors(t *testing.T) {
 				t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestRunRefusesLegacyWAL: a state dir holding the JSONL corpus.wal of an
+// earlier version stops the server before it serves, with an error naming
+// the file — an ordinary startup failure, which main exits 1 on, not the
+// lock contention it exits 2 on — and the directory is left untouched.
+func TestRunRefusesLegacyWAL(t *testing.T) {
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "corpus.wal")
+	if err := os.WriteFile(wal, []byte("{}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-families", "a,b", "-state-dir", dir, "-addr", "127.0.0.1:0"})
+	if err == nil || !strings.Contains(err.Error(), wal) {
+		t.Fatalf("run = %v, want an error naming %s", err, wal)
+	}
+	if errors.Is(err, service.ErrStateDirLocked) {
+		t.Fatalf("run = %v, which main would exit 2 on", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Fatalf("state dir holds %d entries after the refusal, want only corpus.wal", len(entries))
 	}
 }

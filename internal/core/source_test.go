@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/corpus"
 	"repro/internal/dataset"
 )
 
@@ -83,56 +82,15 @@ func (c *copyingSource) At(i int) (*dataset.Sample, error) {
 	return &smp, nil
 }
 
-// segmentSource commits train's samples to one corpus segment under a
-// temporary directory and opens it as a SampleSource that decodes a record
-// from disk on every At.
-func segmentSource(t *testing.T, train *dataset.Dataset) *corpus.Source {
-	t.Helper()
-	dir := t.TempDir()
-	w, err := corpus.NewWriter(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	families := train.Families
-	for _, s := range train.Samples {
-		rec := &corpus.Record{
-			Family: families[s.Label],
-			Name:   s.Name,
-			Hash:   s.ACFG.ContentHash(),
-			ACFG:   s.ACFG,
-		}
-		if err := w.Append(rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	set, err := corpus.OpenSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		if err := set.Close(); err != nil {
-			t.Error(err)
-		}
-	})
-	src := corpus.NewSource(set, families)
-	if src.Len() != train.Len() || src.NumClasses() != len(families) {
-		t.Fatalf("source shape %d/%d, want %d/%d", src.Len(), src.NumClasses(), train.Len(), len(families))
-	}
-	return src
-}
-
 // TestTrainStreamFromSegments proves that what backs a SampleSource never
-// reaches the numerics: samples written to a committed corpus segment and
-// re-read record by record through a corpus.Source during training, and
-// samples copied out of memory on every At, both produce the SAME loss
-// curves and serialized parameters as training on the resident Dataset.
-// This is the property that lets production train from the durable corpus
-// without materializing it. It runs for every conv backend — production
-// fine-tunes whichever backend a checkpoint selects, and the contract is a
-// property of the trainer, not of any backend's numerics.
+// reaches the numerics: samples copied out of memory on every At, as a
+// disk-backed source hands them out, produce the SAME loss curves and
+// serialized parameters as training on the resident Dataset. This is the
+// property that lets production train from the durable corpus without
+// materializing it; service.TestOutOfCoreTrainingBitIdentical holds the
+// server's on-disk corpus to the same bytes. It runs for every conv backend
+// — production fine-tunes whichever backend a checkpoint selects, and the
+// contract is a property of the trainer, not of any backend's numerics.
 func TestTrainStreamFromSegments(t *testing.T) {
 	for _, name := range []string{"", "sage", "tag", "attn"} {
 		t.Run(name, func(t *testing.T) {
@@ -140,18 +98,10 @@ func TestTrainStreamFromSegments(t *testing.T) {
 			cfg.Conv = name
 			wantHist, wantBytes := trainBytes(t, cfg, train, train.Sizes(), val)
 
-			for _, in := range []struct {
-				kind string
-				src  dataset.SampleSource
-			}{
-				{"segment", segmentSource(t, train)},
-				{"copying", &copyingSource{d: train}},
-			} {
-				hist, got := trainBytes(t, cfg, in.src, train.Sizes(), val)
-				sameHistory(t, wantHist, hist)
-				if !bytes.Equal(wantBytes, got) {
-					t.Fatalf("training from the %s source diverged from the resident dataset (serialized models differ)", in.kind)
-				}
+			hist, got := trainBytes(t, cfg, &copyingSource{d: train}, train.Sizes(), val)
+			sameHistory(t, wantHist, hist)
+			if !bytes.Equal(wantBytes, got) {
+				t.Fatal("training from the copying source diverged from the resident dataset (serialized models differ)")
 			}
 		})
 	}

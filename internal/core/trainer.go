@@ -265,9 +265,10 @@ func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
 // decay-on-plateau schedule, and restores the parameters of the epoch with
 // the lowest validation loss (the paper's model-selection criterion).
 // train and val may be resident *dataset.Datasets or any other
-// SampleSource, such as a corpus.Source decoding segments from disk. val is
-// fetched once, before the first epoch, and its samples stay live for the
-// run: every epoch evaluates all of them in one sweep.
+// SampleSource, such as the server's corpus index decoding each sample from
+// its segment file. val is fetched once, before the first epoch, and its
+// samples stay live for the run: every epoch evaluates all of them in one
+// sweep.
 //
 // Batch execution is data-parallel across opts.Workers goroutines and
 // deterministic: for a fixed Config.Seed the loss curves and final

@@ -3,7 +3,9 @@ package corpus
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -88,9 +90,9 @@ func TestSegmentRoundTrip(t *testing.T) {
 	}
 	// Random access, deliberately out of order.
 	for _, i := range []int{2, 0, 1} {
-		got, err := seg.Record(i)
+		got, err := seg.RecordAt(seg.Offset(i))
 		if err != nil {
-			t.Fatalf("Record(%d): %v", i, err)
+			t.Fatalf("RecordAt(Offset(%d)): %v", i, err)
 		}
 		sameRecord(t, got, recs[i])
 	}
@@ -110,10 +112,10 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 // TestSegmentConcurrentReaders is the regression test for Iterate moving the
 // file's shared offset: the server keeps segments open for its whole life
-// and serves training jobs from them with Record while boot replay or a
+// and serves training jobs from them with RecordAt while boot replay or a
 // second job may stream the same segment, so two Iterates and a stream of
-// random-order Records on one open Segment must all see exactly the bytes
-// that were written. Run it under -race.
+// random-order RecordAt calls on one open Segment must all see exactly the
+// bytes that were written. Run it under -race.
 func TestSegmentConcurrentReaders(t *testing.T) {
 	dir := t.TempDir()
 	var recs []*Record
@@ -164,7 +166,7 @@ func TestSegmentConcurrentReaders(t *testing.T) {
 		rng := rand.New(rand.NewSource(1))
 		for k := 0; k < 8*len(recs); k++ {
 			i := rng.Intn(len(recs))
-			r, err := seg.Record(i)
+			r, err := seg.RecordAt(seg.Offset(i))
 			if err == nil {
 				err = check("record", i, r)
 			}
@@ -232,11 +234,11 @@ func TestSegmentChecksumMismatchDetected(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer seg.Close()
-	if _, err := seg.Record(0); err != nil {
+	if _, err := seg.RecordAt(seg.Offset(0)); err != nil {
 		t.Fatalf("intact record should still read: %v", err)
 	}
-	if _, err := seg.Record(1); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
-		t.Fatalf("Record(1) = %v, want checksum mismatch", err)
+	if _, err := seg.RecordAt(seg.Offset(1)); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("RecordAt(Offset(1)) = %v, want checksum mismatch", err)
 	}
 	err = seg.Iterate(func(i int, r *Record) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
@@ -273,59 +275,294 @@ func TestSetSpansSegmentsAndSweep(t *testing.T) {
 	writeSegment(t, dir, 1, first)
 	writeSegment(t, dir, 2, second)
 
-	// An uncommitted segment (no index) and stray temp files must be swept
-	// and must not appear in the set.
-	stray := SegmentPath(dir, 3)
-	if err := os.WriteFile(stray, []byte("partial"), 0o644); err != nil {
-		t.Fatalf("write stray: %v", err)
+	// The segment being written (no index) is listed and kept; an index
+	// staged by a seal that never committed is swept.
+	w, err := NewWriter(dir, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tmp := filepath.Join(dir, segPrefix+"123.tmp-seg")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, segPrefix+"123.tmp-idx")
 	if err := os.WriteFile(tmp, []byte("tmp"), 0o644); err != nil {
 		t.Fatalf("write tmp: %v", err)
 	}
 	if err := SweepStray(dir); err != nil {
 		t.Fatalf("SweepStray: %v", err)
 	}
-	for _, f := range []string{stray, tmp} {
-		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Fatalf("sweep left %s behind", f)
-		}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("sweep left %s behind", tmp)
 	}
 
-	set, err := OpenSet(dir)
+	paths, err := ListSegments(dir)
 	if err != nil {
-		t.Fatalf("OpenSet: %v", err)
+		t.Fatal(err)
 	}
-	defer set.Close()
-	all := append(append([]*Record{}, first...), second...)
-	if set.Len() != len(all) || set.Segments() != 2 {
-		t.Fatalf("set has %d records in %d segments, want %d in 2", set.Len(), set.Segments(), len(all))
+	want := []string{SegmentPath(dir, 1), SegmentPath(dir, 2), SegmentPath(dir, 3)}
+	if fmt.Sprint(paths) != fmt.Sprint(want) {
+		t.Fatalf("ListSegments = %v, want %v", paths, want)
 	}
-	for i, want := range all {
-		got, err := set.Record(i)
+	for i, p := range paths {
+		sealed, err := Sealed(p)
 		if err != nil {
-			t.Fatalf("Record(%d): %v", i, err)
+			t.Fatal(err)
 		}
-		sameRecord(t, got, want)
+		if sealed != (i < 2) {
+			t.Fatalf("Sealed(%s) = %v", p, sealed)
+		}
 	}
-	var visited int
-	if err := set.Iterate(func(i int, r *Record) error {
-		sameRecord(t, r, all[i])
-		visited++
-		return nil
-	}); err != nil {
-		t.Fatalf("Iterate: %v", err)
+	var all []*Record
+	for i, recs := range [][]*Record{first, second} {
+		seg, err := OpenSegment(paths[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := seg.Iterate(func(k int, r *Record) error {
+			sameRecord(t, r, recs[k])
+			all = append(all, r)
+			return nil
+		}); err != nil {
+			t.Fatalf("Iterate: %v", err)
+		}
+		_ = seg.Close()
 	}
-	if visited != len(all) {
-		t.Fatalf("Iterate visited %d, want %d", visited, len(all))
+	if len(all) != 3 {
+		t.Fatalf("iterated %d records, want 3", len(all))
 	}
 
 	next, err := NextSeq(dir)
 	if err != nil {
 		t.Fatalf("NextSeq: %v", err)
 	}
-	if next != 3 {
-		t.Fatalf("NextSeq = %d, want 3", next)
+	if next != 4 {
+		t.Fatalf("NextSeq = %d, want 4 (one past the unsealed segment)", next)
+	}
+}
+
+// openSegmentFile writes recs to a fresh unsealed segment, syncs, and
+// closes it without sealing, as a crash would leave it. It returns the path
+// and the frame offsets.
+func openSegmentFile(t *testing.T, dir string, recs []*Record) (string, []int64) {
+	t.Helper()
+	w, err := NewWriter(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	offs := make([]int64, w.Count())
+	for i := range offs {
+		offs[i] = w.Offset(i)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return SegmentPath(dir, 1), offs
+}
+
+// resume reopens the unsealed segment at path and returns the writer and
+// the names of the records it replayed.
+func resume(t *testing.T, path string) (*Writer, []string, error) {
+	t.Helper()
+	var names []string
+	w, err := ResumeWriter(path, func(off int64, r *Record) error {
+		names = append(names, r.Name)
+		return nil
+	})
+	return w, names, err
+}
+
+// TestResumeWriterCutsTornTail: a crash mid-append leaves a final frame the
+// file cuts short, or one whose length is all there but whose payload is
+// not. Recovery replays every intact frame, cuts the torn one off, and the
+// next append lands on a frame boundary.
+func TestResumeWriterCutsTornTail(t *testing.T) {
+	recs := []*Record{
+		testRecord(t, "benign", "t-000001", 4, 1),
+		testRecord(t, "benign", "t-000002", 5, 2),
+	}
+	extra := appendRecord(nil, testRecord(t, "benign", "torn", 6, 3))
+	for _, tc := range []struct {
+		name string
+		tail func(frame []byte) []byte
+	}{
+		{"half a header", func(frame []byte) []byte { return frame[:frameHeaderLen/2] }},
+		{"half a payload", func(frame []byte) []byte { return frame[:len(frame)/2] }},
+		{"payload not yet written", func(frame []byte) []byte {
+			return append(frame[:frameHeaderLen:frameHeaderLen], make([]byte, len(frame)-frameHeaderLen)...)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, _ := openSegmentFile(t, t.TempDir(), recs)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := make([]byte, frameHeaderLen, frameHeaderLen+len(extra))
+			binary.LittleEndian.PutUint32(frame[0:4], uint32(len(extra)))
+			binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(extra, castagnoli))
+			frame = append(frame, extra...)
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(tc.tail(frame)); err != nil {
+				t.Fatal(err)
+			}
+			_ = f.Close()
+
+			w, names, err := resume(t, path)
+			if err != nil {
+				t.Fatalf("ResumeWriter: %v", err)
+			}
+			if fmt.Sprint(names) != "[t-000001 t-000002]" {
+				t.Fatalf("replayed %v", names)
+			}
+			after, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if after.Size() != fi.Size() || w.Size() != fi.Size() {
+				t.Fatalf("torn tail not cut: file %d bytes, writer %d, want %d", after.Size(), w.Size(), fi.Size())
+			}
+			if err := w.Append(testRecord(t, "benign", "t-000003", 3, 4)); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			_ = w.Close()
+			w, names, err = resume(t, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_ = w.Close()
+			if fmt.Sprint(names) != "[t-000001 t-000002 t-000003]" {
+				t.Fatalf("after the next append, replayed %v", names)
+			}
+		})
+	}
+}
+
+// TestResumeWriterMidFileCorruptionFatal: a checksum failure before the
+// last frame is not a torn tail but lost data, and recovery refuses it.
+func TestResumeWriterMidFileCorruptionFatal(t *testing.T) {
+	path, offs := openSegmentFile(t, t.TempDir(), []*Record{
+		testRecord(t, "benign", "c-000001", 4, 1),
+		testRecord(t, "benign", "c-000002", 4, 2),
+	})
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[offs[0]+frameHeaderLen+3] ^= 0xff
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := resume(t, path); err == nil || !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("ResumeWriter = %v, want a corrupt checksum mismatch", err)
+	}
+}
+
+// TestResumeWriterShortFile: a crash while the segment was being created
+// leaves fewer bytes than the magic. It held no record; recovery restores
+// the magic and appends work.
+func TestResumeWriterShortFile(t *testing.T) {
+	path := SegmentPath(t.TempDir(), 1)
+	if err := os.WriteFile(path, segMagic[:3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, names, err := resume(t, path)
+	if err != nil || len(names) != 0 {
+		t.Fatalf("ResumeWriter = %v, %v; want no records", names, err)
+	}
+	if err := w.Append(testRecord(t, "benign", "s-000001", 3, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	if seg.Len() != 1 {
+		t.Fatalf("sealed segment holds %d records, want 1", seg.Len())
+	}
+}
+
+// TestWriterRollbackThenSeal: Rollback forgets every frame since the last
+// Sync and cuts the file back; a reader opened on the segment being written
+// reads records by offset before and after Commit, and the sealed index
+// points at the same offsets.
+func TestWriterRollbackThenSeal(t *testing.T) {
+	dir := t.TempDir()
+	w, err := NewWriter(dir, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := []*Record{testRecord(t, "benign", "k-000001", 4, 1), testRecord(t, "worm", "k-000002", 7, 2)}
+	for _, r := range keep[:1] {
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	durable := w.Size()
+	if err := w.Append(testRecord(t, "benign", "dropped", 5, 3)); err != nil {
+		t.Fatal(err)
+	}
+	w.Rollback()
+	if fi, err := os.Stat(SegmentPath(dir, 7)); err != nil || fi.Size() != durable || w.Count() != 1 {
+		t.Fatalf("after Rollback: file %v (%v), %d records; want %d bytes, 1 record", fi.Size(), err, w.Count(), durable)
+	}
+	if err := w.Append(keep[1]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := OpenReader(SegmentPath(dir, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rd.Close()
+	offs := []int64{w.Offset(0), w.Offset(1)}
+	for i, off := range offs {
+		got, err := rd.RecordAt(off)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRecord(t, got, keep[i])
+	}
+	path, err := w.Commit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenSegment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	for i, off := range offs {
+		if seg.Offset(i) != off {
+			t.Fatalf("sealed index puts record %d at %d, the writer at %d", i, seg.Offset(i), off)
+		}
+		got, err := rd.RecordAt(off)
+		if err != nil {
+			t.Fatalf("reader opened before the seal: %v", err)
+		}
+		sameRecord(t, got, keep[i])
 	}
 }
 

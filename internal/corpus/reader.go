@@ -3,17 +3,20 @@ package corpus
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 )
 
-// Segment is a committed, immutable segment opened for reading. Record(i)
-// is O(1) via the offset index; Iterate streams the file sequentially.
-// Both paths verify the per-record CRC before decoding, and neither moves
-// the file's shared offset (Record uses ReadAt, Iterate a section reader),
-// so any number of goroutines may read one open Segment at once.
+// Segment is a segment file opened for reading. Any segment file, sealed
+// or still being written, serves RecordAt by frame offset (OpenReader); a
+// sealed one also carries its offset index (OpenSegment), which Len, Offset
+// and Iterate walk. Reads verify a frame's CRC before decoding it and never
+// move the file's shared offset (RecordAt uses ReadAt, Iterate a section
+// reader), so any number of goroutines may read one open Segment at once —
+// while a Writer appends to the same file, too.
 type Segment struct {
 	path    string
 	f       *os.File
@@ -21,7 +24,18 @@ type Segment struct {
 	size    int64
 }
 
-// OpenSegment opens a committed segment by its .seg path, validating the
+// OpenReader opens the segment file at path for reading records by frame
+// offset, sealed or not. It stays valid when the segment is sealed: the
+// file is never renamed and its frames never move.
+func OpenReader(path string) (*Segment, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: open segment: %w", err)
+	}
+	return &Segment{path: path, f: f}, nil
+}
+
+// OpenSegment opens a sealed segment by its .seg path, validating the
 // index checksum and that the index agrees with the segment's size.
 func OpenSegment(segPath string) (*Segment, error) {
 	idx, err := os.ReadFile(idxPathFor(segPath))
@@ -32,95 +46,169 @@ func OpenSegment(segPath string) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("corpus: %s: %w", segPath, err)
 	}
-	f, err := os.Open(segPath)
+	s, err := OpenReader(segPath)
 	if err != nil {
-		return nil, fmt.Errorf("corpus: open segment: %w", err)
+		return nil, err
 	}
-	st, err := f.Stat()
+	st, err := s.f.Stat()
+	if err == nil && st.Size() != size {
+		err = fmt.Errorf("corpus: segment %s is %d bytes, index says %d (torn tail?)", segPath, st.Size(), size)
+	}
+	if err == nil {
+		err = checkMagic(s.f, segPath)
+	}
 	if err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("corpus: stat segment: %w", err)
+		_ = s.Close()
+		return nil, err
 	}
-	if st.Size() != size {
-		_ = f.Close()
-		return nil, fmt.Errorf("corpus: segment %s is %d bytes, index says %d (torn tail?)", segPath, st.Size(), size)
-	}
+	s.offsets, s.size = offsets, size
+	return s, nil
+}
+
+// checkMagic fails unless f starts with the segment magic.
+func checkMagic(f *os.File, path string) error {
 	var magic [8]byte
 	if _, err := f.ReadAt(magic[:], 0); err != nil || magic != segMagic {
-		_ = f.Close()
-		return nil, fmt.Errorf("corpus: segment %s has bad magic", segPath)
+		return fmt.Errorf("corpus: segment %s has bad magic", path)
 	}
-	return &Segment{path: segPath, f: f, offsets: offsets, size: size}, nil
+	return nil
 }
 
-// Path returns the segment file path.
-func (s *Segment) Path() string { return s.path }
-
-// Len returns the number of records in the segment.
+// Len returns the number of records in a sealed segment.
 func (s *Segment) Len() int { return len(s.offsets) }
 
-// Size returns the segment file size in bytes.
+// Size returns a sealed segment's file size in bytes.
 func (s *Segment) Size() int64 { return s.size }
 
-// Record reads, verifies, and decodes record i via the offset index.
-func (s *Segment) Record(i int) (*Record, error) {
-	if i < 0 || i >= len(s.offsets) {
-		return nil, fmt.Errorf("corpus: record %d out of range [0,%d)", i, len(s.offsets))
-	}
-	start := s.offsets[i]
-	end := s.size
-	if i+1 < len(s.offsets) {
-		end = s.offsets[i+1]
-	}
-	if end-start < frameHeaderLen || end-start > maxRecordLen {
-		return nil, fmt.Errorf("corpus: %s record %d has invalid frame span [%d,%d)", s.path, i, start, end)
-	}
-	frame := make([]byte, end-start)
-	if _, err := s.f.ReadAt(frame, start); err != nil {
-		return nil, fmt.Errorf("corpus: read record %d: %w", i, err)
-	}
-	payload, err := verifyFrame(frame)
-	if err != nil {
-		return nil, fmt.Errorf("corpus: %s record %d: %w", s.path, i, err)
-	}
-	return decodeRecord(payload)
+// Offset returns the frame offset of record i of a sealed segment.
+func (s *Segment) Offset(i int) int64 { return s.offsets[i] }
+
+// errChecksum marks a frame whose payload does not match its CRC.
+var errChecksum = errors.New("checksum mismatch")
+
+// corrupt wraps what is wrong with the frame at byte off of path.
+func corrupt(path string, off int64, err error) error {
+	return fmt.Errorf("corpus: %s corrupt at byte %d: %w", path, off, err)
 }
 
-// Iterate streams every record in order, calling fn for each. The Record
-// passed to fn is freshly decoded and safe to retain. Iteration stops at
+// intact reports whether payload matches the CRC in its frame header.
+func intact(hdr [frameHeaderLen]byte, payload []byte) bool {
+	return crc32.Checksum(payload, castagnoli) == binary.LittleEndian.Uint32(hdr[4:8])
+}
+
+// payloadLen returns the length a frame header claims, or an error when no
+// frame could be that long.
+func payloadLen(hdr [frameHeaderLen]byte) (uint32, error) {
+	plen := binary.LittleEndian.Uint32(hdr[0:4])
+	if plen == 0 || plen > maxRecordLen {
+		return 0, fmt.Errorf("frame claims %d payload bytes", plen)
+	}
+	return plen, nil
+}
+
+// RecordAt reads, verifies and decodes the record framed at byte off.
+func (s *Segment) RecordAt(off int64) (*Record, error) {
+	var hdr [frameHeaderLen]byte
+	if _, err := s.f.ReadAt(hdr[:], off); err != nil {
+		return nil, fmt.Errorf("corpus: %s read frame at byte %d: %w", s.path, off, err)
+	}
+	plen, err := payloadLen(hdr)
+	if err != nil {
+		return nil, corrupt(s.path, off, err)
+	}
+	payload := make([]byte, plen)
+	if _, err := s.f.ReadAt(payload, off+frameHeaderLen); err != nil {
+		return nil, fmt.Errorf("corpus: %s read frame at byte %d: %w", s.path, off, err)
+	}
+	if !intact(hdr, payload) {
+		return nil, corrupt(s.path, off, errChecksum)
+	}
+	r, err := decodeRecord(payload)
+	if err != nil {
+		return nil, corrupt(s.path, off, err)
+	}
+	return r, nil
+}
+
+// Iterate streams every record of a sealed segment in order, calling fn
+// for each. The Record passed to fn is freshly decoded and safe to retain.
+// Every frame must be intact and where the index says. Iteration stops at
 // the first error, including one returned by fn.
 func (s *Segment) Iterate(fn func(i int, r *Record) error) error {
-	start := int64(len(segMagic))
-	br := bufio.NewReaderSize(io.NewSectionReader(s.f, start, s.size-start), 1<<16)
+	i := 0
+	_, err := scan(s.f, s.path, s.size, false, func(off int64, payload []byte) error {
+		if i >= len(s.offsets) || s.offsets[i] != off {
+			return corrupt(s.path, off, fmt.Errorf("frame %d is not where the index says", i))
+		}
+		r, err := decodeRecord(payload)
+		if err != nil {
+			return corrupt(s.path, off, err)
+		}
+		if err := fn(i, r); err != nil {
+			return err
+		}
+		i++
+		return nil
+	})
+	if err == nil && i != len(s.offsets) {
+		err = fmt.Errorf("corpus: %s holds %d records, index says %d", s.path, i, len(s.offsets))
+	}
+	return err
+}
+
+// scan is the one frame scanner, behind both Iterate and ResumeWriter. It
+// streams the frames of f from the magic up to size, handing fn each intact
+// frame's offset and payload (reused once fn returns), and returns the
+// offset just past the last frame it handed over. With tornTail, a final
+// frame that size cuts short — or one that fails its checksum and ends
+// exactly at size, its header written but not all of its payload — is what
+// a crash mid-append leaves: scan stops before it without error, and the
+// caller cuts it off. Any other defect is corruption.
+func scan(f *os.File, path string, size int64, tornTail bool, fn func(off int64, payload []byte) error) (int64, error) {
+	off := int64(len(segMagic))
+	br := bufio.NewReaderSize(io.NewSectionReader(f, off, size-off), 1<<16)
+	torn := func(what error) (int64, error) {
+		if tornTail {
+			return off, nil
+		}
+		return off, corrupt(path, off, what)
+	}
 	var hdr [frameHeaderLen]byte
 	var payload []byte
-	for i := 0; i < len(s.offsets); i++ {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return fmt.Errorf("corpus: %s record %d header: %w", s.path, i, err)
+	for off < size {
+		if size-off < frameHeaderLen {
+			return torn(errors.New("frame header runs past the end of the file"))
 		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		if plen == 0 || plen > maxRecordLen {
-			return fmt.Errorf("corpus: %s record %d claims %d payload bytes", s.path, i, plen)
+		if _, err := io.ReadFull(br, hdr[:]); err != nil {
+			return off, fmt.Errorf("corpus: read %s: %w", path, err)
+		}
+		plen, err := payloadLen(hdr)
+		if err != nil {
+			return off, corrupt(path, off, err)
+		}
+		end := off + frameHeaderLen + int64(plen)
+		if end > size {
+			return torn(errors.New("frame runs past the end of the file"))
 		}
 		if cap(payload) < int(plen) {
 			payload = make([]byte, plen)
 		}
 		payload = payload[:plen]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return fmt.Errorf("corpus: %s record %d payload: %w", s.path, i, err)
+			return off, fmt.Errorf("corpus: read %s: %w", path, err)
 		}
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return fmt.Errorf("corpus: %s record %d: checksum mismatch", s.path, i)
+		if !intact(hdr, payload) {
+			if end == size {
+				return torn(errChecksum)
+			}
+			return off, corrupt(path, off, errChecksum)
 		}
-		r, err := decodeRecord(payload)
-		if err != nil {
-			return fmt.Errorf("corpus: %s record %d: %w", s.path, i, err)
+		if err := fn(off, payload); err != nil {
+			return off, err
 		}
-		if err := fn(i, r); err != nil {
-			return err
-		}
+		off = end
 	}
-	return nil
+	return off, nil
 }
 
 // Close releases the segment's file handle.
@@ -131,117 +219,4 @@ func (s *Segment) Close() error {
 	err := s.f.Close()
 	s.f = nil
 	return err
-}
-
-// verifyFrame checks a frame's length prefix and CRC, returning the
-// payload slice (aliasing frame's backing array).
-func verifyFrame(frame []byte) ([]byte, error) {
-	plen := binary.LittleEndian.Uint32(frame[0:4])
-	if int(plen) != len(frame)-frameHeaderLen {
-		return nil, fmt.Errorf("frame length %d does not match span %d", plen, len(frame)-frameHeaderLen)
-	}
-	payload := frame[frameHeaderLen:]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(frame[4:8]) {
-		return nil, fmt.Errorf("checksum mismatch")
-	}
-	return payload, nil
-}
-
-// Set is the ordered collection of committed segments in a state
-// directory, presenting them as one logical record sequence. It only grows:
-// Append adds a newly committed segment at the end, and no segment leaves
-// before Close. The Set's own bookkeeping is not synchronized (its owner
-// serializes Append against the other methods); the Segments it holds are
-// safe for concurrent readers.
-type Set struct {
-	segs  []*Segment
-	start []int // cumulative record count before segs[i]
-	total int
-}
-
-// OpenSet opens every committed segment in dir in sequence order.
-func OpenSet(dir string) (*Set, error) {
-	paths, err := ListSegments(dir)
-	if err != nil {
-		return nil, err
-	}
-	set := &Set{}
-	for _, p := range paths {
-		seg, err := OpenSegment(p)
-		if err != nil {
-			_ = set.Close()
-			return nil, err
-		}
-		set.Append(seg)
-	}
-	return set, nil
-}
-
-// Append adds seg after every segment already in the set; the set owns it
-// from then on and closes it in Close.
-func (s *Set) Append(seg *Segment) {
-	s.segs = append(s.segs, seg)
-	s.start = append(s.start, s.total)
-	s.total += seg.Len()
-}
-
-// Len returns the total record count across all segments.
-func (s *Set) Len() int { return s.total }
-
-// Segments returns the number of open segments.
-func (s *Set) Segments() int { return len(s.segs) }
-
-// Segment returns the k-th segment in sequence order.
-func (s *Set) Segment(k int) *Segment { return s.segs[k] }
-
-// Bytes returns the total on-disk size of all segments.
-func (s *Set) Bytes() int64 {
-	var n int64
-	for _, seg := range s.segs {
-		n += seg.Size()
-	}
-	return n
-}
-
-// Record fetches global record i (segments concatenated in order).
-func (s *Set) Record(i int) (*Record, error) {
-	if i < 0 || i >= s.total {
-		return nil, fmt.Errorf("corpus: record %d out of range [0,%d)", i, s.total)
-	}
-	// Binary search the cumulative starts for the owning segment.
-	lo, hi := 0, len(s.segs)-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if s.start[mid] <= i {
-			lo = mid
-		} else {
-			hi = mid - 1
-		}
-	}
-	return s.segs[lo].Record(i - s.start[lo])
-}
-
-// Iterate streams every record across all segments in order.
-func (s *Set) Iterate(fn func(i int, r *Record) error) error {
-	for si, seg := range s.segs {
-		base := s.start[si]
-		if err := seg.Iterate(func(i int, r *Record) error {
-			return fn(base+i, r)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close closes all segments; the first error wins.
-func (s *Set) Close() error {
-	var first error
-	for _, seg := range s.segs {
-		if err := seg.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	s.segs = nil
-	return first
 }

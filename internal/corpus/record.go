@@ -1,15 +1,13 @@
-// Package corpus implements the durable streaming corpus tier: a compact
-// binary segment format for labeled ACFG samples with a per-segment offset
-// index. Segments are immutable once committed (the writer stages both
-// files as temporary siblings, fsyncs, renames, and fsyncs the directory),
-// every record is length-prefixed and CRC-checksummed, and the index gives
-// O(1) random access by record number — so a corpus of millions of graphs
-// can be iterated or sampled from disk without ever being resident in
-// memory. The service's WAL compactor (internal/service) turns JSONL WAL
-// prefixes into segments and the service keeps them open, reading a
-// segment-resident sample back with Segment.Record whenever a training job
-// fetches it; core.Train can equally read a Set through Source, one
-// mini-batch at a time.
+// Package corpus implements the durable corpus: one binary codec for
+// labeled ACFG samples. A segment file is a magic followed by record
+// frames, each length-prefixed and CRC-32C-checksummed. A Writer appends
+// frames to a segment under its final name and fsyncs them — the segment
+// being written is the service's write-ahead log — and Commit seals it by
+// publishing an offset index beside it (temp file, fsync, rename, directory
+// fsync), after which the segment is immutable. The service
+// (internal/service) keeps every segment file open and reads a sample back
+// by its frame offset (Segment.RecordAt) whenever a training job fetches
+// it, so a corpus of millions of graphs is never resident in memory.
 package corpus
 
 import (

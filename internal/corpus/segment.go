@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -12,9 +13,10 @@ import (
 )
 
 // Segment and index file naming: corpus-000001.seg / corpus-000001.idx.
-// The index rename is the commit point — a .seg without its .idx is an
-// interrupted compaction and is swept on open (its records are still in
-// the WAL, which is only truncated after the index is durable).
+// A segment is written under its final name; it is sealed once its index
+// exists. The index rename is the commit point — a .seg without its .idx is
+// the segment being written, or one a crash left before its seal committed,
+// and is recovered (ResumeWriter), never swept.
 const (
 	segSuffix = ".seg"
 	idxSuffix = ".idx"
@@ -62,103 +64,193 @@ func seqOf(name string) (uint64, bool) {
 	return n, true
 }
 
-// Writer stages one segment (records plus offset index) as temporary
-// files; Commit makes both durable and visible atomically. A Writer whose
-// Commit was not reached must be Aborted to release the temp files.
+// Writer appends record frames to an unsealed segment, under the segment's
+// final name, and seals it with Commit. Append writes a frame in place; Sync
+// makes every frame appended so far durable with one fsync; after a failed
+// Append or Sync, Rollback cuts the file back to its durable size. A frame
+// never moves once written, so the offset Append gave it stays valid after
+// the seal.
 type Writer struct {
 	dir     string
-	seq     uint64
+	path    string
 	f       *os.File
-	tmpSeg  string
-	offsets []int64
-	off     int64
+	offsets []int64 // every frame appended; the first synced are durable
+	synced  int
+	size    int64 // durable bytes: the magic plus the synced frames
+	end     int64 // bytes written
 	buf     []byte
 }
 
-// NewWriter opens a staging segment with the given sequence number in dir.
+// NewWriter creates segment seq in dir and makes its magic durable. The
+// caller fsyncs dir when the name must survive a crash before Commit.
 func NewWriter(dir string, seq uint64) (*Writer, error) {
-	f, err := os.CreateTemp(dir, segPrefix+"*.tmp-seg")
+	path := SegmentPath(dir, seq)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("corpus: stage segment: %w", err)
+		return nil, fmt.Errorf("corpus: create segment: %w", err)
 	}
-	w := &Writer{dir: dir, seq: seq, f: f, tmpSeg: f.Name()}
-	if _, err := f.Write(segMagic[:]); err != nil {
+	w := &Writer{dir: dir, path: path, f: f, size: int64(len(segMagic)), end: int64(len(segMagic))}
+	if _, err = f.WriteAt(segMagic[:], 0); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
 		w.Abort()
-		return nil, fmt.Errorf("corpus: write segment magic: %w", err)
+		return nil, fmt.Errorf("corpus: create segment: %w", err)
 	}
-	w.off = int64(len(segMagic))
 	return w, nil
 }
 
-// Append encodes one record into the staging segment.
+// ResumeWriter reopens the unsealed segment at path for appending: boot
+// recovery of the segment a previous process was writing. It streams every
+// intact record to fn with its frame offset, in order, then cuts a torn
+// tail — the incomplete final frame of a crash mid-append — so the next
+// Append lands on a frame boundary. Corruption before the tail is an error.
+// A file shorter than the magic never held a record (a crash interrupted
+// its creation) and is given its magic again.
+func ResumeWriter(path string, fn func(off int64, r *Record) error) (*Writer, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: open segment: %w", err)
+	}
+	w := &Writer{dir: filepath.Dir(path), path: path, f: f}
+	if err := w.resume(fn); err != nil {
+		_ = f.Close()
+		return nil, err
+	}
+	return w, nil
+}
+
+func (w *Writer) resume(fn func(off int64, r *Record) error) error {
+	fi, err := w.f.Stat()
+	if err != nil {
+		return fmt.Errorf("corpus: stat segment: %w", err)
+	}
+	size := fi.Size()
+	if size < int64(len(segMagic)) {
+		if _, err := w.f.WriteAt(segMagic[:], 0); err != nil {
+			return fmt.Errorf("corpus: rewrite segment magic: %w", err)
+		}
+		size = int64(len(segMagic))
+	} else if err := checkMagic(w.f, w.path); err != nil {
+		return err
+	}
+	end, err := scan(w.f, w.path, size, true, func(off int64, payload []byte) error {
+		r, err := decodeRecord(payload)
+		if err != nil {
+			return corrupt(w.path, off, err)
+		}
+		w.offsets = append(w.offsets, off)
+		return fn(off, r)
+	})
+	if err != nil {
+		return err
+	}
+	if end != fi.Size() {
+		err := w.f.Truncate(end)
+		if err == nil {
+			err = w.f.Sync()
+		}
+		if err != nil {
+			return fmt.Errorf("corpus: cut torn segment tail: %w", err)
+		}
+	}
+	w.synced, w.size, w.end = len(w.offsets), end, end
+	return nil
+}
+
+// Append writes one record frame after the last. It is durable once Sync
+// returns.
 func (w *Writer) Append(r *Record) error {
-	w.buf = w.buf[:0]
-	w.buf = append(w.buf, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
+	w.buf = append(w.buf[:0], 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	w.buf = appendRecord(w.buf, r)
 	payload := w.buf[frameHeaderLen:]
+	if len(payload) > maxRecordLen {
+		return fmt.Errorf("corpus: record %q encodes to %d bytes, limit %d", r.Name, len(payload), maxRecordLen)
+	}
 	binary.LittleEndian.PutUint32(w.buf[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(w.buf[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := w.f.Write(w.buf); err != nil {
+	if _, err := w.f.WriteAt(w.buf, w.end); err != nil {
 		return fmt.Errorf("corpus: append record: %w", err)
 	}
-	w.offsets = append(w.offsets, w.off)
-	w.off += int64(len(w.buf))
+	w.offsets = append(w.offsets, w.end)
+	w.end += int64(len(w.buf))
 	return nil
+}
+
+// Sync makes every appended frame durable with one fsync.
+func (w *Writer) Sync() error {
+	if w.end == w.size {
+		return nil
+	}
+	if err := w.f.Sync(); err != nil {
+		return fmt.Errorf("corpus: sync segment: %w", err)
+	}
+	w.synced, w.size = len(w.offsets), w.end
+	return nil
+}
+
+// Rollback drops every frame appended since the last successful Sync and
+// cuts the file back to its durable size, so a failed append never leaves a
+// torn frame for a later one to bury mid-file. Best effort: should the
+// truncate fail too, the next Append overwrites the bytes in place and boot
+// recovery cuts whatever tail is left.
+func (w *Writer) Rollback() {
+	w.offsets, w.end = w.offsets[:w.synced], w.size
+	_ = w.f.Truncate(w.size)
 }
 
 // Count returns the number of records appended so far.
 func (w *Writer) Count() int { return len(w.offsets) }
 
-// Commit makes the segment durable: fsync the staged segment, stage and
-// fsync the index, rename segment then index into place, and fsync the
-// directory so both names survive power loss. It returns the committed
-// segment path. The index rename is the commit point; on any error the
-// temp files are removed and nothing becomes visible.
-func (w *Writer) Commit() (string, error) {
-	segPath := SegmentPath(w.dir, w.seq)
-	if err := w.f.Sync(); err != nil {
-		w.Abort()
-		return "", fmt.Errorf("corpus: sync segment: %w", err)
-	}
-	if err := w.f.Close(); err != nil {
-		w.f = nil
-		w.Abort()
-		return "", fmt.Errorf("corpus: close segment: %w", err)
-	}
-	w.f = nil
+// Size returns the bytes written so far, magic included.
+func (w *Writer) Size() int64 { return w.end }
 
-	idx := encodeIndex(w.offsets, w.off)
-	tmpIdx, err := writeTempFile(w.dir, segPrefix+"*.tmp-idx", idx)
-	if err != nil {
-		w.Abort()
+// Offset returns the frame offset of record i.
+func (w *Writer) Offset(i int) int64 { return w.offsets[i] }
+
+// Commit seals the segment: it syncs the appended frames, then publishes
+// the offset index — staged as a temp file, fsynced, renamed to the
+// segment's .idx, and the directory fsynced. The index rename is the commit
+// point; the .seg itself is neither copied nor renamed. Once the index is
+// published Commit returns the segment path — with an error if closing the
+// file or the directory fsync then failed — and the writer is finished.
+// Before that it returns "" and the writer stays open for appends.
+func (w *Writer) Commit() (string, error) {
+	if err := w.Sync(); err != nil {
+		w.Rollback()
 		return "", err
 	}
-	if err := os.Rename(w.tmpSeg, segPath); err != nil {
-		_ = os.Remove(tmpIdx)
-		w.Abort()
-		return "", fmt.Errorf("corpus: publish segment: %w", err)
+	tmp, err := writeTempFile(w.dir, segPrefix+"*.tmp-idx", encodeIndex(w.offsets, w.size))
+	if err != nil {
+		return "", err
 	}
-	w.tmpSeg = ""
-	if err := os.Rename(tmpIdx, idxPathFor(segPath)); err != nil {
-		_ = os.Remove(tmpIdx)
+	if err := os.Rename(tmp, idxPathFor(w.path)); err != nil {
+		_ = os.Remove(tmp)
 		return "", fmt.Errorf("corpus: publish index: %w", err)
 	}
-	if err := SyncDir(w.dir); err != nil {
-		return "", err
+	err = w.Close()
+	if serr := SyncDir(w.dir); err == nil {
+		err = serr
 	}
-	return segPath, nil
+	return w.path, err
 }
 
-// Abort discards the staged files. Safe to call after a failed Commit.
+// Close releases the file without sealing it; ResumeWriter picks the
+// segment up again.
+func (w *Writer) Close() error {
+	if w.f == nil {
+		return nil
+	}
+	err := w.f.Close()
+	w.f = nil
+	return err
+}
+
+// Abort closes the writer and deletes its segment file, for a segment whose
+// records nobody needs (a build that failed part-way).
 func (w *Writer) Abort() {
-	if w.f != nil {
-		_ = w.f.Close()
-		w.f = nil
-	}
-	if w.tmpSeg != "" {
-		_ = os.Remove(w.tmpSeg)
-		w.tmpSeg = ""
-	}
+	_ = w.Close()
+	_ = os.Remove(w.path)
 }
 
 // encodeIndex lays out the index file: magic, record count, absolute frame
@@ -239,19 +331,18 @@ func SyncDir(dir string) error {
 	return nil
 }
 
-// ListSegments returns the committed segment paths in dir in ascending
-// sequence order. A segment is committed when its index exists.
+// ListSegments returns every segment file in dir, sealed or not, in
+// ascending sequence order.
 func ListSegments(dir string) ([]string, error) {
-	idxs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+idxSuffix))
+	paths, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
 	if err != nil {
 		return nil, fmt.Errorf("corpus: list segments: %w", err)
 	}
 	var segs []string
-	for _, idx := range idxs {
-		if _, ok := seqOf(idx); !ok {
-			continue
+	for _, p := range paths {
+		if _, ok := seqOf(p); ok {
+			segs = append(segs, p)
 		}
-		segs = append(segs, strings.TrimSuffix(idx, idxSuffix)+segSuffix)
 	}
 	sort.Slice(segs, func(i, j int) bool {
 		a, _ := seqOf(segs[i])
@@ -261,46 +352,38 @@ func ListSegments(dir string) ([]string, error) {
 	return segs, nil
 }
 
-// NextSeq returns the sequence number the next committed segment in dir
-// should use (one past the highest committed segment, 1 for an empty dir).
-func NextSeq(dir string) (uint64, error) {
-	segs, err := ListSegments(dir)
+// Sealed reports whether the segment at segPath has its index.
+func Sealed(segPath string) (bool, error) {
+	_, err := os.Stat(idxPathFor(segPath))
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
 	if err != nil {
-		return 0, err
+		return false, fmt.Errorf("corpus: stat index: %w", err)
 	}
-	next := uint64(1)
-	for _, s := range segs {
-		if n, ok := seqOf(s); ok && n >= next {
-			next = n + 1
-		}
-	}
-	return next, nil
+	return true, nil
 }
 
-// SweepStray removes leftovers of interrupted commits: staged temp files
-// and segment files that never gained an index (their records are still in
-// the WAL). Committed segments are never touched.
-func SweepStray(dir string) error {
-	for _, pat := range []string{segPrefix + "*.tmp-seg", segPrefix + "*.tmp-idx"} {
-		stale, err := filepath.Glob(filepath.Join(dir, pat))
-		if err != nil {
-			return fmt.Errorf("corpus: sweep: %w", err)
-		}
-		for _, f := range stale {
-			_ = os.Remove(f)
-		}
+// NextSeq returns the sequence number the next segment in dir should use:
+// one past the highest segment file, sealed or not (1 for an empty dir).
+func NextSeq(dir string) (uint64, error) {
+	segs, err := ListSegments(dir)
+	if err != nil || len(segs) == 0 {
+		return 1, err
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, segPrefix+"*"+segSuffix))
+	last, _ := seqOf(segs[len(segs)-1])
+	return last + 1, nil
+}
+
+// SweepStray removes index files staged by a seal that never committed.
+// Their segment stays: unsealed, it is recovered and sealed again.
+func SweepStray(dir string) error {
+	stale, err := filepath.Glob(filepath.Join(dir, segPrefix+"*.tmp-idx"))
 	if err != nil {
 		return fmt.Errorf("corpus: sweep: %w", err)
 	}
-	for _, seg := range segs {
-		if _, ok := seqOf(seg); !ok {
-			continue
-		}
-		if _, err := os.Stat(idxPathFor(seg)); os.IsNotExist(err) {
-			_ = os.Remove(seg)
-		}
+	for _, f := range stale {
+		_ = os.Remove(f)
 	}
 	return nil
 }

@@ -307,8 +307,7 @@ func maxProb(probs []float64) float64 {
 
 // BenchmarkGatewayPredict measures the gateway serving path: cache hit vs
 // miss, and (on the miss path) the backend's admission queue batching vs
-// per-request execution under parallel load. Emitted via cmd/benchjson in
-// CI for future -compare baselines.
+// per-request execution under parallel load.
 func BenchmarkGatewayPredict(b *testing.B) {
 	run := func(b *testing.B, batchMax int, batchWait time.Duration, fn func(b *testing.B, client *service.Client, pool []*acfg.ACFG)) {
 		srv, ts := newBackend(b, 1)

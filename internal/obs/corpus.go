@@ -1,10 +1,9 @@
 package obs
 
-// CorpusMetrics publishes telemetry for the durable corpus tiers: the
-// JSONL write-ahead log that absorbs ingest, and the immutable binary
-// segments the background compactor folds it into. Gauges mirror the
-// store's current shape; counters track compaction outcomes and ingest
-// deduplication.
+// CorpusMetrics publishes telemetry for the durable corpus: the open
+// segment that absorbs ingest (the write-ahead log) and the sealed,
+// immutable segments behind it. Gauges mirror the store's current shape;
+// counters track seal outcomes and ingest deduplication.
 type CorpusMetrics struct {
 	segments    *Gauge
 	segRecords  *Gauge
@@ -21,19 +20,19 @@ type CorpusMetrics struct {
 func NewCorpusMetrics(r *Registry) *CorpusMetrics {
 	return &CorpusMetrics{
 		segments: r.Gauge("magic_corpus_segments",
-			"Committed binary corpus segments on disk."),
+			"Sealed corpus segments on disk."),
 		segRecords: r.Gauge("magic_corpus_segment_records",
-			"Corpus samples stored in committed segments."),
+			"Corpus samples stored in sealed segments."),
 		segBytes: r.Gauge("magic_corpus_segment_bytes",
-			"On-disk size of all committed corpus segments."),
+			"On-disk size of all sealed corpus segments."),
 		walRecords: r.Gauge("magic_corpus_wal_records",
-			"Corpus samples still in the write-ahead log (not yet compacted)."),
+			"Corpus samples in the open segment, the write-ahead log (not yet sealed)."),
 		walBytes: r.Gauge("magic_corpus_wal_bytes",
-			"Durable size of the corpus write-ahead log."),
+			"Durable size of the open corpus segment, the write-ahead log."),
 		resident: r.Gauge("magic_corpus_resident_samples",
-			"Corpus samples held decoded in memory (the WAL tail, or every sample without a state dir); the rest are read from segments on demand."),
+			"Corpus samples held decoded in memory: every sample without a state dir, 0 with one (samples are then read from their segment files on demand)."),
 		compactions: r.CounterVec("magic_corpus_compactions_total",
-			"WAL-to-segment compaction attempts, by outcome (ok or error).", "outcome"),
+			"Seals of the open corpus segment on reaching the compaction threshold, by outcome (ok or error).", "outcome"),
 		deduped: r.Counter("magic_corpus_deduplicated_total",
 			"Uploaded samples dropped because their content hash was already stored."),
 	}
@@ -53,7 +52,7 @@ func (c *CorpusMetrics) SetResident(n int) {
 	c.resident.Set(float64(n))
 }
 
-// CompactionFinished counts one compaction attempt.
+// CompactionFinished counts one seal attempt.
 func (c *CorpusMetrics) CompactionFinished(failed bool) {
 	outcome := "ok"
 	if failed {

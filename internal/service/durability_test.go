@@ -1,10 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/acfg"
@@ -59,10 +61,9 @@ func replayNames(t *testing.T, dir string) []string {
 }
 
 // TestWALCreationFsyncsDir is the regression test for the missing
-// directory fsync: creating corpus.wal must be followed by an fsync of the
-// state directory, or the filename itself can vanish on power loss even
-// though the first sample's data was synced. Pre-fix code only synced the
-// file.
+// directory fsync: creating the open segment must be followed by an fsync
+// of the state directory, or the filename itself can vanish on power loss
+// even though the first sample's frame was synced.
 func TestWALCreationFsyncsDir(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -87,21 +88,21 @@ func TestWALCreationFsyncsDir(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("first append created corpus.wal without fsyncing the state directory")
+		t.Fatal("first append created the open segment without fsyncing the state directory")
 	}
 
 	// Once the file exists, appends must not pay the directory fsync again.
 	dirSyncs = nil
 	appendVariant(t, st, "clean", 1)
 	if len(dirSyncs) != 0 {
-		t.Fatalf("append to existing WAL fsynced the directory %d times, want 0", len(dirSyncs))
+		t.Fatalf("append to the existing open segment fsynced the directory %d times, want 0", len(dirSyncs))
 	}
 }
 
 // TestTornAppendTruncatedBack is the regression test for torn records: an
-// append that fails mid-write (or fails its fsync) must truncate the WAL
-// back to the last durable record boundary. Pre-fix code left the torn
-// half-record in place, so the NEXT successful append buried it mid-file,
+// append whose write lands only in part, or whose fsync fails, must cut the
+// open segment back to the last durable frame boundary. Left in place, the
+// torn bytes would be buried mid-file by the NEXT successful append,
 // turning a survivable error into fatal corruption at replay.
 func TestTornAppendTruncatedBack(t *testing.T) {
 	dir := t.TempDir()
@@ -110,35 +111,42 @@ func TestTornAppendTruncatedBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	appendVariant(t, st, "clean", 0)
+	path := openSegmentPath(t, dir)
+	durable, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := walSync
+	t.Cleanup(func() { walSync = orig })
 
-	// Short write: half the bytes land, then the disk "fails".
-	origWrite := walWrite
-	walWrite = func(f *os.File, b []byte) (int, error) {
-		n, _ := f.Write(b[:len(b)/2])
-		return n, errors.New("injected write failure")
+	// Short write: half the frame lands, then the disk "fails".
+	walSync = func(w *corpus.Writer) error {
+		if err := os.Truncate(path, (durable.Size()+w.Size())/2); err != nil {
+			t.Fatal(err)
+		}
+		return errors.New("injected write failure")
 	}
 	a := asmACFG(t, variant(chainProgram, 1))
 	if err := st.AppendSample("clean", "torn-write", a.ContentHash(), a); err == nil {
 		t.Fatal("append with failing write reported success")
 	}
-	walWrite = origWrite
 
 	// Failed fsync: all bytes land but durability is unknown.
-	origSync := walSync
-	walSync = func(f *os.File) error { return errors.New("injected sync failure") }
+	walSync = func(*corpus.Writer) error { return errors.New("injected sync failure") }
 	a2 := asmACFG(t, variant(chainProgram, 2))
 	if err := st.AppendSample("clean", "torn-sync", a2.ContentHash(), a2); err == nil {
 		t.Fatal("append with failing sync reported success")
 	}
-	walSync = origSync
+	walSync = orig
 
-	// The WAL must sit exactly at the last good boundary...
-	info, err := os.Stat(filepath.Join(dir, walFilename))
+	// The segment must sit exactly at the last good boundary...
+	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Size() != st.walSize {
-		t.Fatalf("WAL is %d bytes after failed appends, want the durable %d", info.Size(), st.walSize)
+	if info.Size() != durable.Size() || st.Stats().WALBytes != durable.Size() {
+		t.Fatalf("open segment is %d bytes (store says %d) after failed appends, want the durable %d",
+			info.Size(), st.Stats().WALBytes, durable.Size())
 	}
 	// ...so the next append lands on a clean boundary.
 	appendVariant(t, st, "clean", 3)
@@ -154,15 +162,15 @@ func TestTornAppendTruncatedBack(t *testing.T) {
 }
 
 // TestImportCorpusGroupCommit is the regression test for O(n) fsyncs on
-// bulk import: importing n samples must cost exactly one WAL fsync, while
-// the single-sample ingest path keeps its per-sample fsync.
+// bulk import: importing n samples must cost exactly one fsync of the open
+// segment, while the single-sample ingest path keeps its per-sample fsync.
 func TestImportCorpusGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	srv, client, _, _ := bootStatefulServer(t, dir)
 
 	syncs := 0
 	orig := walSync
-	walSync = func(f *os.File) error { syncs++; return f.Sync() }
+	walSync = func(w *corpus.Writer) error { syncs++; return w.Sync() }
 	t.Cleanup(func() { walSync = orig })
 
 	d := dataset.New([]string{"clean", "dirty"})
@@ -192,7 +200,7 @@ func TestImportCorpusGroupCommit(t *testing.T) {
 	}
 }
 
-// TestStateDirExclusiveLock is the regression test for WAL interleaving:
+// TestStateDirExclusiveLock is the regression test for interleaved appends:
 // two processes pointed at one -state-dir must not both append. The second
 // OpenStore gets ErrStateDirLocked (magic-server maps it to exit 2), and
 // the lock dies with the holder.
@@ -217,9 +225,10 @@ func TestStateDirExclusiveLock(t *testing.T) {
 	}
 }
 
-// TestCompactionRoundTrip drives the WAL→segment fold directly: records
-// move into committed segments, the WAL empties, order survives, and a
-// second generation lands in its own segment.
+// TestCompactionRoundTrip drives sealing directly: the open segment's
+// records become a sealed segment's without moving, the next append opens
+// a new segment, order survives, and a second generation lands in its own
+// segment.
 func TestCompactionRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
@@ -229,18 +238,22 @@ func TestCompactionRoundTrip(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		appendVariant(t, st, "clean", i)
 	}
+	before, err := os.ReadFile(corpus.SegmentPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	stats := st.Stats()
-	if stats.Segments != 1 || stats.SegmentRecords != 4 || stats.WALRecords != 0 {
-		t.Fatalf("after compaction: %+v, want 1 segment, 4 records, empty WAL", stats)
+	if stats.Segments != 1 || stats.SegmentRecords != 4 || stats.WALRecords != 0 || stats.WALBytes != 0 {
+		t.Fatalf("after the seal: %+v, want 1 segment, 4 records, no open segment", stats)
 	}
-	if stats.WALBytes != 0 {
-		t.Fatalf("WAL holds %d bytes after full compaction, want 0", stats.WALBytes)
+	if after, err := os.ReadFile(corpus.SegmentPath(dir, 1)); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("sealing rewrote the segment (%v)", err)
 	}
 
-	// Second generation: new appends land in the WAL, then their own segment.
+	// Second generation: new appends open segment 2, then seal it.
 	for i := 4; i < 6; i++ {
 		appendVariant(t, st, "clean", i)
 	}
@@ -252,7 +265,7 @@ func TestCompactionRoundTrip(t *testing.T) {
 	}
 	stats = st.Stats()
 	if stats.Segments != 2 || stats.SegmentRecords != 6 || stats.WALRecords != 0 {
-		t.Fatalf("after second compaction: %+v, want 2 segments, 6 records", stats)
+		t.Fatalf("after the second seal: %+v, want 2 segments, 6 records", stats)
 	}
 	if stats.Compactions != 2 {
 		t.Fatalf("compactions = %d, want 2", stats.Compactions)
@@ -267,77 +280,151 @@ func TestCompactionRoundTrip(t *testing.T) {
 	}
 	for i, name := range names {
 		if want := fmt.Sprintf("clean-%03d", i); name != want {
-			t.Fatalf("replay[%d] = %q, want %q (order must survive compaction)", i, name, want)
+			t.Fatalf("replay[%d] = %q, want %q (order must survive sealing)", i, name, want)
 		}
 	}
 }
 
-// TestCrashBetweenSegmentCommitAndSwapNoDoubleCount reconstructs the exact
-// on-disk state left by a crash after the segment commit but before the
-// WAL tail swap: every record exists in BOTH tiers. Replay must dedup by
-// content hash (no double count), and the next compaction must not write
-// the duplicates into a second segment.
-func TestCrashBetweenSegmentCommitAndSwapNoDoubleCount(t *testing.T) {
+// replayCounts replays dir in a fresh store and returns what Replay
+// reports, the record names in order, and the store's stats afterwards.
+func replayCounts(t *testing.T, dir string) (segN, walN int, names []string, stats StoreStats) {
+	t.Helper()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = st.Close() }()
+	segN, walN, err = st.Replay(func(r *corpus.Record, _ bool) error {
+		names = append(names, r.Name)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return segN, walN, names, st.Stats()
+}
+
+// TestCrashBeforeOlderSealCommittedReplaysBoth: a crash after segment
+// seq+1 was opened but before seq's index committed leaves two unsealed
+// segments. Boot replays both in order, seals the older one, keeps the
+// newer one open, and counts nothing twice.
+func TestCrashBeforeOlderSealCommittedReplaysBoth(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []*corpus.Record
-	for i := 0; i < 4; i++ {
-		a := asmACFG(t, variant(chainProgram, i))
-		name := fmt.Sprintf("clean-%03d", i)
-		if err := st.AppendSample("clean", name, a.ContentHash(), a); err != nil {
-			t.Fatal(err)
-		}
-		recs = append(recs, &corpus.Record{Family: "clean", Name: name, Hash: a.ContentHash(), ACFG: a})
+	for i := 0; i < 3; i++ {
+		appendVariant(t, st, "clean", i)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 3; i < 5; i++ {
+		appendVariant(t, st, "clean", i)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The "crash": a fully committed segment holding the same records, with
-	// the WAL never truncated.
-	w, err := corpus.NewWriter(dir, 1)
-	if err != nil {
+	// The "crash": segment 1's index never made it to disk.
+	if err := os.Remove(strings.TrimSuffix(corpus.SegmentPath(dir, 1), ".seg") + ".idx"); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range recs {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
+
+	segN, walN, names, stats := replayCounts(t, dir)
+	if segN != 3 || walN != 2 || fmt.Sprint(names) != "[clean-000 clean-001 clean-002 clean-003 clean-004]" {
+		t.Fatalf("replay = %d sealed + %d open records %v, want 3 + 2 in order", segN, walN, names)
 	}
-	if _, err := w.Commit(); err != nil {
-		t.Fatal(err)
+	if stats.Segments != 1 || stats.SegmentRecords != 3 || stats.WALRecords != 2 {
+		t.Fatalf("after boot: %+v, want segment 1 sealed and segment 2 open", stats)
+	}
+	if sealed, err := corpus.Sealed(corpus.SegmentPath(dir, 1)); err != nil || !sealed {
+		t.Fatalf("boot left segment 1 unsealed (%v)", err)
+	}
+	// A second boot finds the state the first one committed.
+	if segN, walN, names, _ = replayCounts(t, dir); segN != 3 || walN != 2 || len(names) != 5 {
+		t.Fatalf("second boot: %d + %d records %v", segN, walN, names)
 	}
 
 	srv, _, replayed, _ := bootStatefulServer(t, dir)
-	if replayed != 4 {
-		t.Fatalf("replayed %d samples from duplicated tiers, want 4 (hash dedup)", replayed)
+	if replayed != 5 || srv.corpus.Len() != 5 {
+		t.Fatalf("server replayed %d, holds %d; want 5", replayed, srv.corpus.Len())
 	}
-	srv.mu.Lock()
-	st2 := srv.store
-	corpusLen := srv.corpus.Len()
-	srv.mu.Unlock()
-	if corpusLen != 4 {
-		t.Fatalf("corpus holds %d samples, want 4", corpusLen)
-	}
+}
 
-	// The recovery compaction sees every WAL record already in a segment:
-	// it must just swap the tail, not write a duplicate segment.
-	if err := st2.Compact(); err != nil {
+// TestLeftoverTempIndexResealed: a crash while the index was staged leaves
+// a temp .idx and an unsealed segment. The temp file is swept, the segment
+// replays as the open one, and the next seal commits its index.
+func TestLeftoverTempIndexResealed(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	stats := st2.Stats()
-	if stats.Segments != 1 || stats.SegmentRecords != 4 {
-		t.Fatalf("recovery compaction produced %+v, want the original 1 segment / 4 records", stats)
+	for i := 0; i < 3; i++ {
+		appendVariant(t, st, "clean", i)
 	}
-	if stats.WALRecords != 0 || stats.WALBytes != 0 {
-		t.Fatalf("WAL not emptied by recovery compaction: %+v", stats)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "corpus-000001.tmp-idx")
+	if err := os.WriteFile(tmp, []byte("half an index"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, client, replayed, _ := bootStatefulServer(t, dir)
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("temp index survived boot (%v)", err)
+	}
+	if replayed != 3 {
+		t.Fatalf("replayed %d, want 3", replayed)
+	}
+	srv.EnableCompaction(1, nil)
+	hs, err := client.HealthInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hs.CorpusSegments != 1 || hs.SegmentSamples != 3 || hs.WALSamples != 0 {
+		t.Fatalf("after EnableCompaction: %+v, want the segment resealed", hs)
+	}
+	crash(srv)
+	if segN, walN, _, _ := replayCounts(t, dir); segN != 3 || walN != 0 {
+		t.Fatalf("next boot: %d sealed + %d open, want 3 + 0", segN, walN)
+	}
+}
+
+// TestIndexRenameNotDirSyncedEitherWay: power loss after the index rename
+// but before the directory fsync may keep or lose the rename. Either way
+// the same records replay in the same order, once each.
+func TestIndexRenameNotDirSyncedEitherWay(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		appendVariant(t, st, "clean", i)
+	}
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[clean-000 clean-001 clean-002 clean-003]"
+	if segN, walN, names, _ := replayCounts(t, dir); segN != 4 || walN != 0 || fmt.Sprint(names) != want {
+		t.Fatalf("rename kept: %d + %d records %v", segN, walN, names)
+	}
+	if err := os.Remove(filepath.Join(dir, "corpus-000001.idx")); err != nil {
+		t.Fatal(err)
+	}
+	if segN, walN, names, _ := replayCounts(t, dir); segN != 0 || walN != 4 || fmt.Sprint(names) != want {
+		t.Fatalf("rename lost: %d + %d records %v", segN, walN, names)
 	}
 }
 
 // TestRestartThroughSegmentsBitIdentical is the end-to-end durability
-// acceptance test: upload, train, compact into segments, kill -9, reboot —
+// acceptance test: upload, train, seal the segment, kill -9, reboot —
 // the rebuilt server must serve bit-identical prediction probabilities and
 // report consistent corpus health.
 func TestRestartThroughSegmentsBitIdentical(t *testing.T) {
@@ -361,7 +448,7 @@ func TestRestartThroughSegmentsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st1.Stats().Segments == 0 {
-		t.Fatal("compaction produced no segment")
+		t.Fatal("the seal produced no segment")
 	}
 	before, err := client1.PredictASM(variant(loopProgram, 7))
 	if err != nil {

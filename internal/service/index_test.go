@@ -19,7 +19,7 @@ import (
 	"repro/internal/obs"
 )
 
-// compactNow forces the attached store's compactor to fold the whole WAL.
+// compactNow seals the attached store's open segment.
 func compactNow(t *testing.T, srv *Server) {
 	t.Helper()
 	srv.mu.Lock()
@@ -41,13 +41,14 @@ func liveHeap() uint64 {
 
 // TestCorpusHeapPerSegmentSample pins what the out-of-core index exists
 // for: a server attached to a state dir keeps only an index entry per
-// segment-resident sample — no decoded graph — so the heap it retains
-// across AttachStore is a few hundred bytes per such sample, whatever the
-// graphs weigh (decoding them all, as the server used to, retains ≈ 8 KB
-// each here; the index ≈ 150 B). Only the WAL tail stays decoded, and
-// resident_samples says how much that is.
+// stored sample — no decoded graph, whether the sample is in a sealed
+// segment or the open one — so the heap it retains across AttachStore is a
+// few hundred bytes per sample, whatever the graphs weigh (decoding them
+// all retains ≈ 8 KB each here; the index ≈ 150 B). resident_samples stays
+// 0 through AttachStore, every upload and every seal.
 func TestCorpusHeapPerSegmentSample(t *testing.T) {
-	const segSamples, walSamples = 2400, 8
+	const segSamples, openSamples = 2400, 8
+	const stored = segSamples + openSamples
 	dir := t.TempDir()
 	families := []string{"clean", "dirty"}
 	rng := rand.New(rand.NewSource(3))
@@ -55,23 +56,16 @@ func TestCorpusHeapPerSegmentSample(t *testing.T) {
 		a := malgen.GenerateACFG(rng, malgen.YanProfileFor(i%2))
 		return &corpus.Record{Family: families[i%2], Name: fmt.Sprintf("s-%05d", i), Hash: a.ContentHash(), ACFG: a}
 	}
-	w, err := corpus.NewWriter(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < segSamples; i++ {
-		if err := w.Append(sample(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := segSamples; i < segSamples+walSamples; i++ {
+	for i := 0; i < stored; i++ {
+		if i == segSamples {
+			if err := st.Compact(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		r := sample(i)
 		if err := st.AppendSample(r.Family, r.Name, r.Hash, r.ACFG); err != nil {
 			t.Fatal(err)
@@ -96,42 +90,44 @@ func TestCorpusHeapPerSegmentSample(t *testing.T) {
 	}
 	after := liveHeap()
 	t.Cleanup(func() { crash(srv) })
-	if replayed != segSamples+walSamples {
-		t.Fatalf("replayed %d samples, want %d", replayed, segSamples+walSamples)
+	if replayed != stored {
+		t.Fatalf("replayed %d samples, want %d", replayed, stored)
 	}
-	perSample := float64(after-before) / segSamples
-	t.Logf("AttachStore retained %d B: %.0f B per segment-resident sample", after-before, perSample)
+	perSample := float64(after-before) / stored
+	t.Logf("AttachStore retained %d B: %.0f B per stored sample", after-before, perSample)
 	if perSample > 256 {
-		t.Errorf("AttachStore retained %.0f B of heap per segment-resident sample, want ≤ 256", perSample)
+		t.Errorf("AttachStore retained %.0f B of heap per stored sample, want ≤ 256", perSample)
 	}
 
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	client := NewClient(ts.URL)
-	resident := func(want int, when string) {
+	noneResident := func(samples int, when string) {
 		t.Helper()
 		hs, err := client.HealthInfo()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hs.ResidentSamples != want || hs.CorpusSamples != segSamples+walSamples {
-			t.Fatalf("%s: /healthz resident_samples %d of %d, want %d of %d", when, hs.ResidentSamples, hs.CorpusSamples, want, segSamples+walSamples)
+		if hs.ResidentSamples != 0 || hs.CorpusSamples != samples {
+			t.Fatalf("%s: /healthz resident_samples %d of %d, want 0 of %d", when, hs.ResidentSamples, hs.CorpusSamples, samples)
 		}
-		if got := scrape(t, ts.URL)["magic_corpus_resident_samples"]; got != float64(want) {
-			t.Fatalf("%s: magic_corpus_resident_samples = %v, want %d", when, got, want)
+		if got := scrape(t, ts.URL)["magic_corpus_resident_samples"]; got != 0 {
+			t.Fatalf("%s: magic_corpus_resident_samples = %v, want 0", when, got)
 		}
 	}
-	resident(walSamples, "after AttachStore")
+	noneResident(stored, "after AttachStore")
+	if err := client.AddSampleASM("clean", "", chainProgram); err != nil {
+		t.Fatal(err)
+	}
+	noneResident(stored+1, "after an upload")
 	compactNow(t, srv)
-	resident(0, "after Compact")
+	noneResident(stored+1, "after a seal")
 }
 
-// TestIngestUnderCompactionLeavesNothingResident: uploads race the
-// background compactor, which folds the WAL after every append. Each
-// upload's index entry must exist before any compaction can read its WAL
-// record, or the compactor cannot re-point it and the sample stays decoded
-// for the life of the process. Once the last compaction has run, every
-// sample is in a segment and nothing is resident. Run it under -race.
+// TestIngestUnderCompactionLeavesNothingResident: concurrent uploads with a
+// seal after every append. Every upload lands in a segment and nothing is
+// held decoded, however the uploads and seals interleave. Run it under
+// -race.
 func TestIngestUnderCompactionLeavesNothingResident(t *testing.T) {
 	const callers, each = 4, 12
 	srv, client, _, _ := bootStatefulServer(t, t.TempDir())
@@ -151,14 +147,16 @@ func TestIngestUnderCompactionLeavesNothingResident(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	compactNow(t, srv)
 	hs, err := client.HealthInfo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hs.CorpusSamples != callers*each || hs.SegmentSamples != callers*each || hs.ResidentSamples != 0 {
-		t.Fatalf("after the last compaction: %d samples, %d in segments, %d resident; want %d, %d, 0",
-			hs.CorpusSamples, hs.SegmentSamples, hs.ResidentSamples, callers*each, callers*each)
+	if hs.CorpusSamples != callers*each || hs.SegmentSamples != callers*each || hs.CorpusSegments != callers*each ||
+		hs.WALSamples != 0 || hs.ResidentSamples != 0 {
+		t.Fatalf("after the uploads: %+v; want %d samples, each sealed in its own segment, none open or resident", hs, callers*each)
+	}
+	if got := scrape(t, client.BaseURL)[`magic_corpus_compactions_total{outcome="ok"}`]; got != callers*each {
+		t.Fatalf("magic_corpus_compactions_total{outcome=ok} = %v, want %d seals", got, callers*each)
 	}
 }
 
@@ -248,15 +246,19 @@ func TestTrainJobFailsOnCorruptSegmentRecord(t *testing.T) {
 }
 
 // TestOutOfCoreTrainingBitIdentical: where a sample's graph lives never
-// reaches the numerics. A full job (with a validation split) and then a
-// continual job write byte-identical checkpoints and results whether the
-// corpus stays resident in the WAL tail, was folded into segments before
-// each job started, or is folded while each job runs.
+// reaches the numerics, for any conv backend. A full job (with a
+// validation split) and then a continual job write byte-identical
+// checkpoints and results with the corpus resident (no state dir), read
+// from the store's segments, and read from the store while uploads append
+// to the open segment and a seal commits during each job. The uploads land
+// after the job's snapshot either way, so every mode trains on the same
+// samples.
 func TestOutOfCoreTrainingBitIdentical(t *testing.T) {
 	ctx := context.Background()
-	const epochs = 100 // long enough that a compaction (≈ 5 ms) lands mid-job
-	base := dataset.New([]string{"clean", "dirty"})
-	increment := dataset.New([]string{"clean", "dirty"})
+	const epochs = 100 // long enough that the uploads and the seal land mid-job
+	families := []string{"clean", "dirty"}
+	base := dataset.New(families)
+	increment := dataset.New(families)
 	for i := 0; i < 12; i++ {
 		d, k := base, i
 		if i >= 8 {
@@ -267,27 +269,47 @@ func TestOutOfCoreTrainingBitIdentical(t *testing.T) {
 	}
 
 	type outcome struct{ checkpoint, result []byte }
-	run := func(t *testing.T, compact string) []outcome {
-		dir := t.TempDir()
-		srv, client, _, _ := bootStatefulServer(t, dir)
-		job := func(start func() (*TrainJobStatus, error)) outcome {
-			if compact == "before" {
-				compactNow(t, srv)
-				if n := srv.corpus.Resident(); n != 0 {
-					t.Fatalf("%d samples still resident after compaction", n)
-				}
+	run := func(t *testing.T, conv, mode string) []outcome {
+		cfg := testConfig()
+		cfg.Conv = conv
+		srv, err := NewWithRegistry(families, cfg, obs.NewRegistry())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var dir string
+		if mode != "resident" {
+			dir = t.TempDir()
+			st, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if _, _, err := srv.AttachStore(st); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { crash(srv) })
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		client := NewClient(ts.URL)
+		uploaded := 0
+		upload := func() {
+			for i := 0; i < 3; i++ {
+				if err := client.AddSampleASM("clean", "", variant(chainProgram, 100+uploaded)); err != nil {
+					t.Fatal(err)
+				}
+				uploaded++
+			}
+		}
+		job := func(start func() (*TrainJobStatus, error)) outcome {
 			js, err := start()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if compact == "during" {
+			if mode == "store, uploads and a seal during the job" {
+				upload()
 				compactNow(t, srv)
-				if n := srv.corpus.Resident(); n != 0 {
-					t.Fatalf("%d samples still resident after compaction", n)
-				}
 				if cur := srv.lookupJob(js.Job).status(); cur.Terminal() {
-					t.Fatalf("job %s was %s before the compaction committed; the test needs a longer job", cur.Job, cur.Status)
+					t.Fatalf("job %s was %s before the seal committed; the test needs a longer job", cur.Job, cur.Status)
 				}
 			}
 			st, err := client.WaitTrain(ctx, js.Job)
@@ -301,11 +323,26 @@ func TestOutOfCoreTrainingBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ckpt, err := os.ReadFile(filepath.Join(dir, modelFilename))
+			var ckpt bytes.Buffer
+			srv.mu.Lock()
+			err = srv.model.Save(&ckpt)
+			srv.mu.Unlock()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return outcome{ckpt, res}
+			if dir != "" {
+				onDisk, err := os.ReadFile(filepath.Join(dir, modelFilename))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(onDisk, ckpt.Bytes()) {
+					t.Fatal("model.json is not the serving model's checkpoint")
+				}
+			}
+			if mode != "store, uploads and a seal during the job" {
+				upload()
+			}
+			return outcome{ckpt.Bytes(), res}
 		}
 		if err := srv.ImportCorpus(base); err != nil {
 			t.Fatal(err)
@@ -315,19 +352,29 @@ func TestOutOfCoreTrainingBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		cont := job(func() (*TrainJobStatus, error) { return client.StartContinual(ctx, epochs, 0) })
+		srv.mu.Lock()
+		resident, total := srv.corpus.Resident(), srv.corpus.Len()
+		srv.mu.Unlock()
+		if want := map[bool]int{true: total, false: 0}[dir == ""]; resident != want {
+			t.Fatalf("%d of %d samples resident, want %d", resident, total, want)
+		}
 		return []outcome{full, cont}
 	}
 
-	want := run(t, "never")
-	for _, compact := range []string{"before", "during"} {
-		got := run(t, compact)
-		for i, name := range []string{"full", "continual"} {
-			if !bytes.Equal(got[i].checkpoint, want[i].checkpoint) {
-				t.Errorf("compaction %s: the %s job's checkpoint differs from the resident corpus's", compact, name)
+	for _, conv := range []string{"gcn", "sage", "tag", "attn"} {
+		t.Run(conv, func(t *testing.T) {
+			want := run(t, conv, "resident")
+			for _, mode := range []string{"store", "store, uploads and a seal during the job"} {
+				got := run(t, conv, mode)
+				for i, name := range []string{"full", "continual"} {
+					if !bytes.Equal(got[i].checkpoint, want[i].checkpoint) {
+						t.Errorf("%s: the %s job's checkpoint differs from the resident corpus's", mode, name)
+					}
+					if !bytes.Equal(got[i].result, want[i].result) {
+						t.Errorf("%s: the %s job's result %s, resident corpus %s", mode, name, got[i].result, want[i].result)
+					}
+				}
 			}
-			if !bytes.Equal(got[i].result, want[i].result) {
-				t.Errorf("compaction %s: the %s job's result %s, resident corpus %s", compact, name, got[i].result, want[i].result)
-			}
-		}
+		})
 	}
 }

@@ -16,11 +16,11 @@
 //	GET    /v1/models       retained model versions, active + rollback target
 //	POST   /v1/models       {action: promote|rollback} blue/green model swap
 //
-// State is in memory, guarded by a single mutex (the corpus index, which
-// the compactor also updates, has its own; see index.go), and optionally
-// durable: AttachStore gives the server a state directory whose segments,
-// corpus WAL and model checkpoint are replayed on startup (see Store), and
-// from then on only the WAL tail of the corpus is held decoded. Training
+// State is in memory, guarded by a single mutex, and optionally durable:
+// AttachStore gives the server a state directory whose corpus segments and
+// model checkpoint are replayed on startup (see Store), and from then on the
+// corpus index holds no decoded sample — it reads each back from its
+// segment file when a training job needs it (see index.go). Training
 // runs as an asynchronous job (one at a time) while predictions against
 // the previous model keep serving. Completed models enter a bounded version
 // registry (see registry.go); the active version serves /v1/predict
@@ -38,7 +38,6 @@ package service
 
 import (
 	"context"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -53,7 +52,7 @@ import (
 
 	"repro/internal/acfg"
 	"repro/internal/core"
-	"repro/internal/dataset"
+	"repro/internal/corpus"
 	"repro/internal/obs"
 )
 
@@ -65,9 +64,8 @@ type Server struct {
 	families []string
 	labelOf  map[string]int
 	// corpus indexes every accepted sample, deduplicated by content hash
-	// (see index.go): decoded in memory until it is in a committed segment,
-	// a (segment, record) reference after. Populated from the durable tiers
-	// on AttachStore replay.
+	// (see index.go): a (segment file, frame offset) reference with a state
+	// dir, the decoded sample without one. Populated by AttachStore replay.
 	corpus    *corpusIndex
 	model     *core.Model
 	trainedAt time.Time
@@ -83,8 +81,8 @@ type Server struct {
 	jobOrder []string
 	jobSeq   int
 
-	// store, when non-nil, is the durable state directory (corpus WAL +
-	// model checkpoint). See AttachStore.
+	// store, when non-nil, is the durable state directory (corpus segments
+	// + model checkpoint). See AttachStore.
 	store *Store
 
 	// Versioned model registry (registry.go): every installed model is
@@ -314,11 +312,11 @@ type healthzResponse struct {
 	ModelVersion  string `json:"model_version,omitempty"`
 	CorpusSamples int    `json:"corpus_samples"`
 	// ResidentSamples counts corpus samples held decoded in memory: the
-	// WAL tail, or the whole corpus without a state dir. The rest are read
-	// from segments when a training job needs them.
+	// whole corpus without a state dir, none with one — there every sample
+	// is read from its segment file when a training job needs it.
 	ResidentSamples int `json:"resident_samples"`
-	// Storage-tier breakdown, present only when a state dir is attached:
-	// how much of the corpus lives in compacted segments vs the WAL tail.
+	// Storage breakdown, present only when a state dir is attached: how
+	// much of the corpus lives in sealed segments vs the open one (the WAL).
 	CorpusSegments    int `json:"corpus_segments,omitempty"`
 	SegmentSamples    int `json:"segment_samples,omitempty"`
 	WALSamples        int `json:"wal_samples,omitempty"`
@@ -384,8 +382,7 @@ func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 		writeError(w, decodeStatus(err), err)
 		return
 	}
-	label, ok := s.labelOf[body.Family]
-	if !ok {
+	if _, ok := s.labelOf[body.Family]; !ok {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown family %q", body.Family))
 		return
 	}
@@ -413,11 +410,10 @@ func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	// Durability first: a sample is acknowledged only once it is in the
-	// WAL, so an acknowledged upload survives a crash.
-	smp := &dataset.Sample{Name: name, Label: label, ACFG: a}
-	wal := []walEntry{{Family: body.Family, Name: name, Hash: hex.EncodeToString(hash[:]), ACFG: a}}
-	if err := s.commitLocked(wal, func() { s.corpus.add(hash, residentEntry(smp)) }); err != nil {
+	// Durability first: a sample is acknowledged only once its frame is
+	// fsynced, so an acknowledged upload survives a crash.
+	rec := &corpus.Record{Family: body.Family, Name: name, Hash: hash, ACFG: a}
+	if err := s.commitLocked([]*corpus.Record{rec}); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -497,7 +493,7 @@ const maxAttrValue = 1 << 53
 // extract converts an uploaded body into an ACFG, running the disassembly
 // pipeline when asm text was supplied, and rejects graphs above
 // maxGraphVertices whichever way they arrived. Only request bodies pass
-// through here: WAL and segment replay reload what was once admitted.
+// through here: segment replay reloads what was once admitted.
 func (s *Server) extract(body *sampleBody) (*acfg.ACFG, error) {
 	var a *acfg.ACFG
 	switch {

@@ -9,8 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -203,7 +201,7 @@ func TestHostileACFGVertexCount(t *testing.T) {
 // refuse an acfg body holding a negative attribute or one above 2^53 with a
 // 400 naming the first such cell, whether or not the serving model
 // standardises its input, and admit 0 and 2^53 themselves. A refused upload
-// leaves the corpus and the WAL as they were, and no answer is a status
+// leaves the corpus and its segments as they were, and no answer is a status
 // line over an empty or non-JSON body (columns of 1e308 used to overflow an unscaled
 // forward pass into NaN probabilities, which /v1/predict answered with 200
 // and zero bytes, and /v1/samples fsynced them into the corpus).
@@ -244,20 +242,16 @@ func TestHostileACFGAttributes(t *testing.T) {
 			dir := t.TempDir()
 			srv, client, _, _ := bootStatefulServer(t, dir)
 			mc.install(t, srv, client)
-			wal := filepath.Join(dir, walFilename)
 			corpusAndWAL := func() (int, int64) {
 				t.Helper()
 				n, err := client.Stats()
 				if err != nil {
 					t.Fatal(err)
 				}
-				var size int64 // the WAL is created by the first admitted upload
-				if fi, err := os.Stat(wal); err == nil {
-					size = fi.Size()
-				} else if !os.IsNotExist(err) {
-					t.Fatal(err)
-				}
-				return n["clean"] + n["dirty"], size
+				srv.mu.Lock()
+				stats := srv.store.Stats()
+				srv.mu.Unlock()
+				return n["clean"] + n["dirty"], stats.SegmentBytes + stats.WALBytes
 			}
 			for _, v := range values {
 				samples, walBytes := corpusAndWAL()
@@ -292,7 +286,7 @@ func TestHostileACFGAttributes(t *testing.T) {
 				}
 				after, afterBytes := corpusAndWAL()
 				if !v.ok && (after != samples || afterBytes != walBytes) {
-					t.Errorf("attr=%s refused, yet corpus %d -> %d samples, WAL %d -> %d bytes",
+					t.Errorf("attr=%s refused, yet corpus %d -> %d samples, segments %d -> %d bytes",
 						v.attr, samples, after, walBytes, afterBytes)
 				}
 				if v.ok && after != samples+1 {

@@ -1,13 +1,9 @@
 package service
 
 import (
-	"bufio"
 	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -21,53 +17,48 @@ import (
 
 // Store is the server's durable state directory:
 //
-//	<dir>/LOCK            exclusive flock guarding the directory
-//	<dir>/corpus-NNNNNN.seg/.idx  immutable binary segments (compacted history)
-//	<dir>/corpus.wal      append-only JSONL tail, one accepted sample per line
-//	<dir>/model.json      atomic checkpoint of the serving model
+//	<dir>/LOCK                 exclusive flock guarding the directory
+//	<dir>/corpus-NNNNNN.seg    corpus segments: record frames, one codec
+//	<dir>/corpus-NNNNNN.idx    a sealed segment's offset index
+//	<dir>/model.json           atomic checkpoint of the serving model
 //
-// Accepted samples land in the WAL (fsynced per request, group-committed on
-// bulk import). When the WAL passes a size threshold, the compactor turns
-// its durable prefix into a binary segment — staged, fsynced, renamed, and
-// made durable with a directory fsync before the WAL is tail-swapped — so
-// boot replay streams compact checksummed segments instead of re-parsing
-// the full JSONL history. The index rename is the commit point: a crash at
-// any instant leaves either the WAL records, the segment, or (briefly)
-// both, and replay dedups by content hash so no sample is ever counted
-// twice. A torn trailing WAL line (crash mid-append) is truncated away on
-// replay; a failed append truncates back to the last durable offset so the
-// WAL never carries a torn record mid-file.
+// An accepted sample is appended as a record frame to the open segment —
+// the newest .seg, which has no .idx yet and is the write-ahead log — and
+// fsynced per request, or once per bulk import. When the open segment
+// passes the compaction threshold (or on Compact) it is sealed in line,
+// under the store lock: its .idx is written from the frame offsets the
+// writer already holds (temp file, fsync, rename, directory fsync — the
+// rename is the commit point), and the next append opens the next
+// sequence number. No record is ever copied between files, so every stored
+// sample stays at one (file, frame offset) for the store's life, which is
+// how the attached server's index addresses it. A failed append is cut back
+// to the last durable frame; at boot a torn final frame of an unsealed
+// segment is cut off, every unsealed segment but the newest is sealed, and
+// corruption anywhere else is fatal.
 //
-// Committed segments stay open for the store's life as one append-only
-// corpus.Set: the attached server's index reads segment-resident samples
-// back through them, so only the WAL tail is held decoded in memory.
+// Every segment file stays open for reading for the store's life.
 type Store struct {
 	dir  string
 	lock *os.File
 
-	mu         sync.Mutex
-	wal        *os.File
-	walSize    int64 // bytes of durable, intact records (last-good offset)
-	walRecords int
-	set        *corpus.Set  // every committed segment: opened by Replay, grown by Compact, closed by Close
-	index      *corpusIndex // the attached server's corpus; nil until AttachStore
+	mu    sync.Mutex
+	files []*corpus.Segment // every segment file in sequence order, for reading
+	open  *corpus.Writer    // the last of files while it is unsealed; nil after a seal until the next append
 
-	// compactMu serializes Compact: a forced call racing the background
-	// compactor would fold the same WAL prefix twice, and the second tail
-	// swap would cut records the first one kept.
-	compactMu    sync.Mutex
+	sealed       int // sealed segments, their records and bytes
+	sealedRecs   int
+	sealedBytes  int64
 	compactBytes int64
 	compactions  int
-	compactCh    chan struct{}
-	stopCh       chan struct{}
-	wg           sync.WaitGroup
-	onCompact    func(error)
+	onSeal       func(error)
 }
 
 const (
-	walFilename   = "corpus.wal"
 	modelFilename = "model.json"
 	lockFilename  = "LOCK"
+	// legacyWALFilename is the JSONL write-ahead log of earlier versions.
+	// No code reads it: OpenStore refuses a directory that holds one.
+	legacyWALFilename = "corpus.wal"
 )
 
 // ErrStateDirLocked reports that another process holds the state
@@ -77,67 +68,38 @@ var ErrStateDirLocked = errors.New("state directory locked by another process")
 // Fault-injection seams for durability regression tests. Production always
 // runs the plain operations.
 var (
-	walWrite = func(f *os.File, b []byte) (int, error) { return f.Write(b) }
-	walSync  = func(f *os.File) error { return f.Sync() }
+	walSync  = func(w *corpus.Writer) error { return w.Sync() }
 	fsyncDir = corpus.SyncDir
 )
 
-// walEntry is one corpus sample on disk. The family travels by name, not
-// label index, so the WAL stays valid as long as the server's family
-// universe contains it. Hash is the hex ACFG content digest computed at
-// ingest; replay and compaction reuse it instead of re-hashing (absent in
-// WALs written before dedup existed, in which case it is recomputed once).
-type walEntry struct {
-	Family string     `json:"family"`
-	Name   string     `json:"name"`
-	Hash   string     `json:"hash,omitempty"`
-	ACFG   *acfg.ACFG `json:"acfg"`
-}
-
-// record converts the wire entry to a corpus record, recomputing the
-// content hash only for legacy entries that lack one.
-func (e walEntry) record() (*corpus.Record, error) {
-	if e.ACFG == nil {
-		return nil, fmt.Errorf("service: wal sample %q has no acfg", e.Name)
-	}
-	r := &corpus.Record{Family: e.Family, Name: e.Name, ACFG: e.ACFG}
-	if e.Hash == "" {
-		r.Hash = e.ACFG.ContentHash()
-		return r, nil
-	}
-	b, err := hex.DecodeString(e.Hash)
-	if err != nil || len(b) != sha256.Size {
-		return nil, fmt.Errorf("service: wal sample %q has malformed content hash %q", e.Name, e.Hash)
-	}
-	copy(r.Hash[:], b)
-	return r, nil
-}
-
 // OpenStore opens (creating if needed) a state directory and takes its
 // exclusive lock; a second process pointed at the same directory gets
-// ErrStateDirLocked instead of silently interleaving WAL appends. Leftover
-// temporaries from interrupted atomic writes (model checkpoint, segment
-// staging, WAL tail swap) and uncommitted segments are swept away.
+// ErrStateDirLocked instead of silently interleaving appends. Leftover
+// temporaries from interrupted atomic writes (model checkpoint, index
+// staging) are swept away. A directory holding a JSONL corpus.wal from an
+// earlier version is refused untouched.
 func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: open state dir: %w", err)
+	}
+	legacy := filepath.Join(dir, legacyWALFilename)
+	if _, err := os.Lstat(legacy); err == nil {
+		return nil, fmt.Errorf("service: state dir holds %s, a JSONL corpus log this version no longer reads", legacy)
 	}
 	lock, err := lockStateDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	for _, pat := range []string{modelFilename + ".tmp-*", walFilename + ".tmp-*"} {
-		if stale, err := filepath.Glob(filepath.Join(dir, pat)); err == nil {
-			for _, f := range stale {
-				_ = os.Remove(f)
-			}
+	if stale, err := filepath.Glob(filepath.Join(dir, modelFilename+".tmp-*")); err == nil {
+		for _, f := range stale {
+			_ = os.Remove(f)
 		}
 	}
 	if err := corpus.SweepStray(dir); err != nil {
 		_ = lock.Close()
 		return nil, err
 	}
-	return &Store{dir: dir, lock: lock, set: &corpus.Set{}}, nil
+	return &Store{dir: dir, lock: lock}, nil
 }
 
 // lockStateDir takes a non-blocking exclusive flock on <dir>/LOCK. The
@@ -161,11 +123,10 @@ func lockStateDir(dir string) (*os.File, error) {
 // Dir returns the state directory path.
 func (st *Store) Dir() string { return st.dir }
 
-func (st *Store) walPath() string   { return filepath.Join(st.dir, walFilename) }
 func (st *Store) modelPath() string { return filepath.Join(st.dir, modelFilename) }
 
 // StoreStats is a point-in-time snapshot of the storage tier, surfaced on
-// /healthz and as metrics.
+// /healthz and as metrics. The WAL is the open segment.
 type StoreStats struct {
 	Segments       int
 	SegmentRecords int
@@ -175,442 +136,231 @@ type StoreStats struct {
 	Compactions    int
 }
 
-// Stats returns a snapshot of segment/WAL sizes and compaction count.
+// Stats returns a snapshot of sealed and open segment sizes and the seal
+// count.
 func (st *Store) Stats() StoreStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return StoreStats{
-		Segments:       st.set.Segments(),
-		SegmentRecords: st.set.Len(),
-		SegmentBytes:   st.set.Bytes(),
-		WALRecords:     st.walRecords,
-		WALBytes:       st.walSize,
+	stats := StoreStats{
+		Segments:       st.sealed,
+		SegmentRecords: st.sealedRecs,
+		SegmentBytes:   st.sealedBytes,
 		Compactions:    st.compactions,
 	}
+	if st.open != nil {
+		stats.WALRecords, stats.WALBytes = st.open.Count(), st.open.Size()
+	}
+	return stats
 }
 
-// Replay streams the whole durable corpus to apply — committed segments in
-// sequence order first, then the WAL tail in append order. fromSegment
-// tells the caller which tier a record came from; the caller is expected
-// to dedup by content hash, since a crash between segment commit and WAL
-// truncation legitimately leaves the same records in both tiers. A torn
-// final WAL line is truncated in place; corruption anywhere else — in a
-// segment or mid-WAL — is an error (this is the only copy of the corpus;
-// skipping records would fake data loss as success). Must be called before
-// the first append.
+// Replay streams the whole durable corpus to apply, segment files in
+// sequence order, each in append order. fromSegment tells the caller
+// whether a record lies in a sealed segment once Replay returns or in the
+// open one. A torn final frame of an unsealed segment is cut off in place;
+// corruption anywhere else is an error (this is the only copy of the
+// corpus; skipping records would fake data loss as success). Every
+// unsealed segment but the newest — a crash came after the next segment
+// was opened but before this one's seal committed — is sealed here. Must be
+// called before the first append.
 func (st *Store) Replay(apply func(r *corpus.Record, fromSegment bool) error) (segN, walN int, err error) {
-	return st.replay(func(r *corpus.Record, seg *corpus.Segment, _ int) error {
-		return apply(r, seg != nil)
+	return st.replay(func(r *corpus.Record, _ *corpus.Segment, _ int64, sealed bool) error {
+		return apply(r, sealed)
 	})
 }
 
-// replay is Replay that also says where each segment record lives: record
-// rec of seg, which stays open in the store's set. seg is nil for WAL
-// records. Every record is CRC-checked and fully decoded either way — that
-// is what proves the durable corpus intact at boot.
-func (st *Store) replay(apply func(r *corpus.Record, seg *corpus.Segment, rec int) error) (segN, walN int, err error) {
-	set, err := corpus.OpenSet(st.dir)
+// replay is Replay that also says where each record lives: the frame at
+// byte off of seg, which stays open in the store. Every record is
+// CRC-checked and fully decoded either way — that is what proves the
+// durable corpus intact at boot.
+func (st *Store) replay(apply func(r *corpus.Record, seg *corpus.Segment, off int64, sealed bool) error) (segN, walN int, err error) {
+	paths, err := corpus.ListSegments(st.dir)
 	if err != nil {
 		return 0, 0, err
 	}
 	st.mu.Lock()
-	st.set = set
-	st.mu.Unlock()
-	for k := 0; k < set.Segments(); k++ {
-		seg := set.Segment(k)
-		if err := seg.Iterate(func(i int, r *corpus.Record) error { return apply(r, seg, i) }); err != nil {
-			return set.Len(), 0, err
+	defer st.mu.Unlock()
+	for k, path := range paths {
+		if err := st.replayFileLocked(path, k == len(paths)-1, apply); err != nil {
+			return st.sealedRecs, 0, err
 		}
 	}
-	walN, err = st.replayWAL(func(e walEntry) error {
-		r, rerr := e.record()
-		if rerr != nil {
-			return rerr
-		}
-		return apply(r, nil, 0)
-	})
-	return set.Len(), walN, err
+	if st.open != nil {
+		walN = st.open.Count()
+	}
+	return st.sealedRecs, walN, nil
 }
 
-// replayWAL streams every intact WAL entry to apply, in append order,
-// truncating a torn final line and recording the durable length and record
-// count for subsequent appends and compaction.
-func (st *Store) replayWAL(apply func(walEntry) error) (int, error) {
-	f, err := os.OpenFile(st.walPath(), os.O_RDONLY, 0)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
+// replayFileLocked replays one segment file and leaves it open for
+// reading; an unsealed one is resumed, and sealed unless it is the last.
+func (st *Store) replayFileLocked(path string, last bool, apply func(*corpus.Record, *corpus.Segment, int64, bool) error) error {
+	sealed, err := corpus.Sealed(path)
 	if err != nil {
-		return 0, fmt.Errorf("service: open corpus wal: %w", err)
+		return err
 	}
-	defer func() { _ = f.Close() }()
-
-	br := bufio.NewReaderSize(f, 1<<20)
-	var replayed int
-	var goodBytes int64
-	for {
-		line, readErr := br.ReadBytes('\n')
-		if len(line) > 0 {
-			var e walEntry
-			if jsonErr := json.Unmarshal(line, &e); jsonErr != nil {
-				// A record that fails to parse is either a torn tail
-				// (crash mid-append — tolerated and truncated) or genuine
-				// corruption mid-file (fatal).
-				if isLastLine(br, readErr) {
-					break
-				}
-				return replayed, fmt.Errorf("service: corpus wal corrupt at byte %d: %w", goodBytes, jsonErr)
-			}
-			if applyErr := apply(e); applyErr != nil {
-				return replayed, applyErr
-			}
-			replayed++
-			goodBytes += int64(len(line))
-		}
-		if readErr != nil {
-			if errors.Is(readErr, io.EOF) {
-				break
-			}
-			return replayed, fmt.Errorf("service: read corpus wal: %w", readErr)
-		}
-	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > goodBytes {
-		if err := os.Truncate(st.walPath(), goodBytes); err != nil {
-			return replayed, fmt.Errorf("service: truncate torn wal tail: %w", err)
-		}
-	}
-	st.mu.Lock()
-	st.walSize, st.walRecords = goodBytes, replayed
-	st.mu.Unlock()
-	return replayed, nil
-}
-
-// isLastLine reports whether the reader holds no further data: the line
-// that just failed to parse was the file's tail.
-func isLastLine(br *bufio.Reader, readErr error) bool {
-	if readErr != nil {
-		return true // the bad line itself ended at EOF (no trailing \n)
-	}
-	_, err := br.Peek(1)
-	return errors.Is(err, io.EOF)
-}
-
-// ensureWALLocked lazily opens the WAL for appending. When this creates
-// the file, the directory is fsynced too — without that, the first
-// acknowledged sample's file-level Sync is not enough: the filename itself
-// can vanish on power loss.
-func (st *Store) ensureWALLocked() error {
-	if st.wal != nil {
-		return nil
-	}
-	_, statErr := os.Stat(st.walPath())
-	created := errors.Is(statErr, os.ErrNotExist)
-	f, err := os.OpenFile(st.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: open corpus wal: %w", err)
-	}
-	if created {
-		if err := fsyncDir(st.dir); err != nil {
-			_ = f.Close()
+	if sealed {
+		seg, err := corpus.OpenSegment(path)
+		if err != nil {
 			return err
 		}
+		st.files = append(st.files, seg)
+		st.sealed++
+		st.sealedRecs += seg.Len()
+		st.sealedBytes += seg.Size()
+		return seg.Iterate(func(i int, r *corpus.Record) error { return apply(r, seg, seg.Offset(i), true) })
 	}
-	st.wal = f
-	return nil
-}
-
-// encodeEntries marshals samples into contiguous WAL lines.
-func encodeEntries(entries []walEntry) ([]byte, error) {
-	var buf []byte
-	for _, e := range entries {
-		line, err := json.Marshal(e)
-		if err != nil {
-			return nil, fmt.Errorf("service: encode wal entry: %w", err)
-		}
-		buf = append(buf, line...)
-		buf = append(buf, '\n')
-	}
-	return buf, nil
-}
-
-// appendLocked writes pre-encoded lines holding n records and fsyncs once.
-// On a short write or failed sync the WAL is truncated back to the last
-// durable offset, so the file never carries a torn record mid-file for a
-// survivable error — replay's fatal mid-file corruption path stays
-// reserved for real corruption.
-func (st *Store) appendLocked(lines []byte, n int) error {
-	if err := st.ensureWALLocked(); err != nil {
-		return err
-	}
-	if _, err := walWrite(st.wal, lines); err != nil {
-		st.truncateToLastGoodLocked()
-		return fmt.Errorf("service: append corpus wal: %w", err)
-	}
-	if err := walSync(st.wal); err != nil {
-		st.truncateToLastGoodLocked()
-		return fmt.Errorf("service: sync corpus wal: %w", err)
-	}
-	st.walSize += int64(len(lines))
-	st.walRecords += n
-	st.maybeSignalCompactLocked()
-	return nil
-}
-
-// truncateToLastGoodLocked discards a possibly-torn tail after a failed
-// append, restoring the record-boundary invariant. Best effort: if the
-// truncate itself fails the next boot's torn-tail handling still recovers.
-func (st *Store) truncateToLastGoodLocked() {
-	_ = os.Truncate(st.walPath(), st.walSize)
-}
-
-// AppendSample durably appends one accepted sample to the WAL. The write
-// is fsynced before returning, so an acknowledged upload survives a crash.
-func (st *Store) AppendSample(family, name string, hash [sha256.Size]byte, a *acfg.ACFG) error {
-	return st.AppendBatch([]walEntry{{Family: family, Name: name, Hash: hex.EncodeToString(hash[:]), ACFG: a}}, nil)
-}
-
-// AppendBatch durably appends a batch of samples with a single group
-// commit: one write, one fsync. Bulk import of n samples costs one fsync
-// instead of n while every sample in the batch is still durable before the
-// call returns. indexed, when non-nil, runs after the fsync and before the
-// store lock is released — the server adds the samples to its corpus index
-// there, so a compaction that reads these WAL records always finds their
-// index entries to re-point.
-func (st *Store) AppendBatch(entries []walEntry, indexed func()) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	lines, err := encodeEntries(entries)
+	seg, err := corpus.OpenReader(path)
 	if err != nil {
 		return err
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if err := st.appendLocked(lines, len(entries)); err != nil {
+	st.files = append(st.files, seg)
+	w, err := corpus.ResumeWriter(path, func(off int64, r *corpus.Record) error { return apply(r, seg, off, !last) })
+	if err != nil {
 		return err
 	}
-	if indexed != nil {
-		indexed()
+	st.open = w
+	if last {
+		return nil
 	}
+	return st.sealLocked()
+}
+
+// ensureOpenLocked opens the next segment when none is open. Creating it
+// fsyncs the directory too — without that, the first acknowledged sample's
+// file-level sync is not enough: the filename itself can vanish on power
+// loss.
+func (st *Store) ensureOpenLocked() error {
+	if st.open != nil {
+		return nil
+	}
+	seq, err := corpus.NextSeq(st.dir)
+	if err != nil {
+		return err
+	}
+	w, err := corpus.NewWriter(st.dir, seq)
+	if err != nil {
+		return err
+	}
+	if err := fsyncDir(st.dir); err != nil {
+		w.Abort()
+		return err
+	}
+	seg, err := corpus.OpenReader(corpus.SegmentPath(st.dir, seq))
+	if err != nil {
+		w.Abort()
+		return err
+	}
+	st.files = append(st.files, seg)
+	st.open = w
 	return nil
 }
 
-// EnableCompaction starts the background compactor: once the WAL's durable
-// prefix exceeds thresholdBytes, it is folded into a binary segment and
-// the WAL is tail-swapped. onDone (optional) observes every compaction
-// attempt — err is nil on success — so callers can publish telemetry;
-// compaction errors never affect the append path. Call at most once, after
-// Replay and before serving traffic.
-func (st *Store) EnableCompaction(thresholdBytes int64, onDone func(error)) {
+// append durably appends recs to the open segment with a single group
+// commit — n frames, one fsync — and returns where each landed: the
+// segment's read handle and every frame offset. On a failed write or sync
+// the segment is cut back to its last durable frame, so it never carries a
+// torn record mid-file for a survivable error. A segment the batch pushed
+// past the threshold is sealed before the lock is released; the seal's
+// outcome goes to onSeal and never fails the append.
+func (st *Store) append(recs []*corpus.Record) (*corpus.Segment, []int64, error) {
+	st.mu.Lock()
+	seg, offs, err := st.appendLocked(recs)
+	report := st.sealIfFullLocked()
+	st.mu.Unlock()
+	report()
+	return seg, offs, err
+}
+
+func (st *Store) appendLocked(recs []*corpus.Record) (*corpus.Segment, []int64, error) {
+	if err := st.ensureOpenLocked(); err != nil {
+		return nil, nil, err
+	}
+	w := st.open
+	first := w.Count()
+	for _, r := range recs {
+		if err := w.Append(r); err != nil {
+			w.Rollback()
+			return nil, nil, fmt.Errorf("service: append corpus segment: %w", err)
+		}
+	}
+	if err := walSync(w); err != nil {
+		w.Rollback()
+		return nil, nil, fmt.Errorf("service: sync corpus segment: %w", err)
+	}
+	offs := make([]int64, len(recs))
+	for i := range offs {
+		offs[i] = w.Offset(first + i)
+	}
+	return st.files[len(st.files)-1], offs, nil
+}
+
+// AppendSample durably appends one accepted sample. The frame is fsynced
+// before returning, so an acknowledged upload survives a crash.
+func (st *Store) AppendSample(family, name string, hash [sha256.Size]byte, a *acfg.ACFG) error {
+	_, _, err := st.append([]*corpus.Record{{Family: family, Name: name, Hash: hash, ACFG: a}})
+	return err
+}
+
+// EnableCompaction seals the open segment whenever an append leaves it at
+// thresholdBytes or more — and right away, if it already is. onSeal
+// (optional) observes every such seal, err nil on success, after the store
+// lock is released. Call at most once, after Replay and before serving
+// traffic.
+func (st *Store) EnableCompaction(thresholdBytes int64, onSeal func(error)) {
 	if thresholdBytes <= 0 {
 		return
 	}
 	st.mu.Lock()
-	st.compactBytes = thresholdBytes
-	st.compactCh = make(chan struct{}, 1)
-	st.stopCh = make(chan struct{})
-	st.onCompact = onDone
-	pending := st.walSize >= thresholdBytes
+	st.compactBytes, st.onSeal = thresholdBytes, onSeal
+	report := st.sealIfFullLocked()
 	st.mu.Unlock()
-
-	st.wg.Add(1)
-	go func() {
-		defer st.wg.Done()
-		for {
-			select {
-			case <-st.stopCh:
-				return
-			case <-st.compactCh:
-				err := st.Compact()
-				if st.onCompact != nil {
-					st.onCompact(err)
-				}
-			}
-		}
-	}()
-	if pending {
-		st.signalCompact()
-	}
+	report()
 }
 
-// maybeSignalCompactLocked nudges the compactor when the WAL has grown
-// past the threshold. Non-blocking: a signal already in flight is enough.
-func (st *Store) maybeSignalCompactLocked() {
-	if st.compactCh != nil && st.compactBytes > 0 && st.walSize >= st.compactBytes {
-		select {
-		case st.compactCh <- struct{}{}:
-		default:
+// sealIfFullLocked seals the open segment once it has reached the
+// threshold, and returns what reports the seal to onSeal: the caller runs
+// it once the store lock is released.
+func (st *Store) sealIfFullLocked() (report func()) {
+	if st.compactBytes <= 0 || st.open == nil || st.open.Count() == 0 || st.open.Size() < st.compactBytes {
+		return func() {}
+	}
+	err, onSeal := st.sealLocked(), st.onSeal
+	return func() {
+		if onSeal != nil {
+			onSeal(err)
 		}
 	}
 }
 
-func (st *Store) signalCompact() {
-	select {
-	case st.compactCh <- struct{}{}:
-	default:
-	}
-}
-
-// Compact folds the WAL's current durable prefix into a new committed
-// segment, then tail-swaps the WAL. Exported so tests and shutdown paths
-// can force a deterministic compaction; the background compactor calls it
-// too. Appends proceed concurrently — only the final tail swap holds the
-// store lock.
-//
-// Crash safety: the segment commit (stage, fsync, rename, fsync dir)
-// happens strictly before the WAL swap. A crash after commit but before
-// the swap leaves the same records in both tiers; boot replay dedups by
-// content hash and the next compaction skips already-segmented hashes, so
-// nothing is double-counted and the duplicate prefix is dropped from the
-// WAL the next time compaction runs.
-//
-// Once the segment is committed it joins the store's open set, and the
-// attached index re-points the folded samples at it, dropping their
-// decoded ACFGs: from then on they are read from disk on demand.
+// Compact seals the open segment now, whatever its size; a no-op when it
+// holds no record.
 func (st *Store) Compact() error {
-	st.compactMu.Lock()
-	defer st.compactMu.Unlock()
-	st.mu.Lock()
-	upTo := st.walSize
-	nRecords := st.walRecords
-	index := st.index
-	st.mu.Unlock()
-	if nRecords == 0 {
-		return nil
-	}
-
-	recs, err := st.readWALPrefix(upTo)
-	if err != nil {
-		return err
-	}
-	// Skip records whose content already lives in a segment (a WAL prefix
-	// re-read after a crash between segment commit and tail swap). The
-	// attached index is what knows; a store no server is attached to
-	// compacts every record it reads.
-	fresh := recs[:0]
-	for _, r := range recs {
-		if index == nil || !index.inSegment(r.Hash) {
-			fresh = append(fresh, r)
-		}
-	}
-	if len(fresh) > 0 {
-		seq, err := corpus.NextSeq(st.dir)
-		if err != nil {
-			return err
-		}
-		w, err := corpus.NewWriter(st.dir, seq)
-		if err != nil {
-			return err
-		}
-		for _, r := range fresh {
-			if err := w.Append(r); err != nil {
-				w.Abort()
-				return err
-			}
-		}
-		segPath, err := w.Commit()
-		if err != nil {
-			return err
-		}
-		seg, err := corpus.OpenSegment(segPath)
-		if err != nil {
-			return fmt.Errorf("service: reopen committed segment: %w", err)
-		}
-		st.mu.Lock()
-		st.set.Append(seg)
-		st.mu.Unlock()
-		if index != nil {
-			index.moveToSegment(seg, fresh)
-		}
-	}
-
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.swapWALTailLocked(upTo); err != nil {
+	if st.open == nil || st.open.Count() == 0 {
+		return nil
+	}
+	return st.sealLocked()
+}
+
+// sealLocked commits the open segment's index. Nothing is read, copied or
+// re-pointed: the index already addresses its records by frame offset.
+// Once the index is published the segment is sealed — even if the
+// directory fsync then failed — and the next append opens a new one;
+// before that a failure leaves it open, to be sealed by a later attempt.
+func (st *Store) sealLocked() error {
+	w := st.open
+	path, err := w.Commit()
+	if path == "" {
 		return err
 	}
-	st.walRecords -= nRecords
-	st.compactions++
-	return nil
-}
-
-// readWALPrefix decodes the first upTo bytes of the WAL into records.
-// Every line inside the durable prefix is intact by invariant, so any
-// parse failure here is real corruption.
-func (st *Store) readWALPrefix(upTo int64) ([]*corpus.Record, error) {
-	f, err := os.Open(st.walPath())
-	if err != nil {
-		return nil, fmt.Errorf("service: open corpus wal for compaction: %w", err)
-	}
-	defer func() { _ = f.Close() }()
-	br := bufio.NewReaderSize(io.LimitReader(f, upTo), 1<<20)
-	var recs []*corpus.Record
-	for {
-		line, readErr := br.ReadBytes('\n')
-		if len(line) > 0 {
-			var e walEntry
-			if err := json.Unmarshal(line, &e); err != nil {
-				return nil, fmt.Errorf("service: corpus wal corrupt during compaction: %w", err)
-			}
-			r, err := e.record()
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, r)
-		}
-		if readErr != nil {
-			if errors.Is(readErr, io.EOF) {
-				break
-			}
-			return nil, fmt.Errorf("service: read corpus wal: %w", readErr)
-		}
-	}
-	return recs, nil
-}
-
-// swapWALTailLocked atomically replaces the WAL with its own tail
-// [upTo, end): the tail is staged to a temp file, fsynced, renamed over
-// corpus.wal, and the directory is fsynced — the same durability protocol
-// as segment commit. The live append handle is reopened on the new file.
-func (st *Store) swapWALTailLocked(upTo int64) error {
-	src, err := os.Open(st.walPath())
-	if err != nil {
-		return fmt.Errorf("service: open corpus wal for tail swap: %w", err)
-	}
-	if _, err := src.Seek(upTo, io.SeekStart); err != nil {
-		_ = src.Close()
-		return fmt.Errorf("service: seek corpus wal tail: %w", err)
-	}
-	tmp, err := os.CreateTemp(st.dir, walFilename+".tmp-*")
-	if err != nil {
-		_ = src.Close()
-		return fmt.Errorf("service: stage corpus wal tail: %w", err)
-	}
-	tailLen, err := io.Copy(tmp, src)
-	_ = src.Close()
+	st.open = nil
+	st.sealed++
+	st.sealedRecs += w.Count()
+	st.sealedBytes += w.Size()
 	if err == nil {
-		err = tmp.Sync()
+		st.compactions++
 	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("service: stage corpus wal tail: %w", err)
-	}
-	if st.wal != nil {
-		_ = st.wal.Close()
-		st.wal = nil
-	}
-	if err := os.Rename(tmp.Name(), st.walPath()); err != nil {
-		_ = os.Remove(tmp.Name())
-		return fmt.Errorf("service: swap corpus wal tail: %w", err)
-	}
-	if err := fsyncDir(st.dir); err != nil {
-		return err
-	}
-	st.walSize = tailLen
-	return nil
+	return err
 }
 
 // SaveModel atomically checkpoints m to <dir>/model.json.
@@ -628,28 +378,27 @@ func (st *Store) LoadModel() (*core.Model, error) {
 	return m, err
 }
 
-// Close stops the compactor, closes the segments and the WAL handle, and
-// drops the state directory lock. The Store must not be used afterwards,
-// nor may anything still read segment-resident samples through it: the
-// server cancels its training job before it closes the store.
+// Close closes the segment files and drops the state directory lock. It
+// does not seal: the open segment stays the open segment for the next
+// boot. The Store must not be used afterwards, nor may anything still read
+// samples through it: the server cancels its training job before it closes
+// the store.
 func (st *Store) Close() error {
-	if st.stopCh != nil {
-		close(st.stopCh)
-		st.wg.Wait()
-		st.stopCh = nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	var first error
-	if err := st.set.Close(); err != nil {
-		first = fmt.Errorf("service: close corpus segments: %w", err)
-	}
-	if st.wal != nil {
-		if err := st.wal.Close(); err != nil && first == nil {
-			first = fmt.Errorf("service: close corpus wal: %w", err)
+	if st.open != nil {
+		if err := st.open.Close(); err != nil {
+			first = fmt.Errorf("service: close open corpus segment: %w", err)
 		}
-		st.wal = nil
+		st.open = nil
 	}
+	for _, seg := range st.files {
+		if err := seg.Close(); err != nil && first == nil {
+			first = fmt.Errorf("service: close corpus segment: %w", err)
+		}
+	}
+	st.files = nil
 	if st.lock != nil {
 		// Closing the descriptor releases the flock.
 		if err := st.lock.Close(); err != nil && first == nil {
@@ -660,33 +409,26 @@ func (st *Store) Close() error {
 	return first
 }
 
-// AttachStore wires a state directory into the server: segments and the
-// corpus WAL are replayed into the corpus index (deduplicated by content
-// hash), the model checkpoint (when present) is installed, and from then on
-// accepted samples are appended to the WAL and successful training runs
-// are checkpointed. Replay decodes every record, but the index keeps a
-// segment record only as its (segment, record) reference; WAL records stay
-// decoded until the compactor folds them into a segment. Call it once,
-// before serving traffic. It returns the number of replayed samples and
-// whether a checkpointed model was installed.
+// AttachStore wires a state directory into the server: every segment is
+// replayed into the corpus index, the model checkpoint (when present) is
+// installed, and from then on accepted samples are appended to the open
+// segment and successful training runs are checkpointed. Replay decodes
+// every record, but the index keeps only where it lives — (segment file,
+// frame offset) — and a label and size. Call it once, before serving
+// traffic. It returns the number of replayed samples and whether a
+// checkpointed model was installed.
 func (s *Server) AttachStore(st *Store) (replayed int, modelLoaded bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.store != nil {
 		return 0, false, fmt.Errorf("service: store already attached")
 	}
-	_, _, err = st.replay(func(r *corpus.Record, seg *corpus.Segment, rec int) error {
+	_, _, err = st.replay(func(r *corpus.Record, seg *corpus.Segment, off int64, _ bool) error {
 		label, ok := s.labelOf[r.Family]
 		if !ok {
 			return fmt.Errorf("service: stored sample %q has family %q outside the server's universe", r.Name, r.Family)
 		}
-		e := entry{seg: seg, rec: int32(rec), label: int32(label), size: int32(r.ACFG.NumVertices())}
-		if seg == nil {
-			e = residentEntry(&dataset.Sample{Name: r.Name, Label: label, ACFG: r.ACFG})
-		}
-		// A duplicate is legitimate after a crash between segment commit
-		// and WAL truncation: the same record exists in both tiers.
-		if s.corpus.add(r.Hash, e) {
+		if s.corpus.add(r.Hash, storedEntry(seg, off, label, r.ACFG)) {
 			replayed++
 		}
 		return nil
@@ -694,9 +436,6 @@ func (s *Server) AttachStore(st *Store) (replayed int, modelLoaded bool, err err
 	if err != nil {
 		return replayed, false, err
 	}
-	st.mu.Lock()
-	st.index = s.corpus
-	st.mu.Unlock()
 	s.setCorpusSizeLocked()
 	m, err := st.LoadModel()
 	if err != nil {
@@ -727,44 +466,39 @@ func (s *Server) publishCorpusGaugesLocked() {
 	s.corpusMetrics.SetState(stats.Segments, stats.SegmentRecords, stats.SegmentBytes, stats.WALRecords, stats.WALBytes)
 }
 
-// EnableCompaction starts the attached store's background WAL-to-segment
-// compactor with the given size threshold. Every attempt's outcome lands
-// in the corpus metrics; failures are additionally reported to logf
-// (optional) and never affect the ingest path. No-op when no store is
-// attached or the threshold is not positive.
+// EnableCompaction seals the attached store's open segment whenever it
+// reaches thresholdBytes. Every automatic seal's outcome lands in the
+// corpus metrics; failures are additionally reported to logf (optional)
+// and never affect the ingest path. No-op when no store is attached or the
+// threshold is not positive.
 func (s *Server) EnableCompaction(thresholdBytes int64, logf func(format string, args ...any)) {
 	s.mu.Lock()
-	st := s.store
-	s.mu.Unlock()
-	if st == nil {
+	defer s.mu.Unlock()
+	if s.store == nil {
 		return
 	}
-	st.EnableCompaction(thresholdBytes, func(err error) {
+	s.store.EnableCompaction(thresholdBytes, func(err error) {
 		s.corpusMetrics.CompactionFinished(err != nil)
-		stats := st.Stats()
-		s.corpusMetrics.SetState(stats.Segments, stats.SegmentRecords, stats.SegmentBytes, stats.WALRecords, stats.WALBytes)
 		if err != nil && logf != nil {
-			logf("corpus compaction: %v", err)
+			logf("corpus seal: %v", err)
 		}
 	})
+	s.publishCorpusGaugesLocked()
 }
 
 // ImportCorpus bulk-adds every sample of d to the server corpus (and the
-// attached WAL, when present) with one group commit: a single fsync covers
+// attached store, when present) with one group commit: a single fsync covers
 // the whole batch instead of one per sample. Samples whose ACFG content
 // hash is already in the corpus are skipped. d's family names must all
 // exist in the server's universe; labels are remapped by name.
 func (s *Server) ImportCorpus(d *dataset.Dataset) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var entries []walEntry
-	var hashes [][sha256.Size]byte
-	var add []entry
+	var recs []*corpus.Record
 	inBatch := make(map[[sha256.Size]byte]struct{})
 	for _, smp := range d.Samples {
 		family := d.Families[smp.Label]
-		label, ok := s.labelOf[family]
-		if !ok {
+		if _, ok := s.labelOf[family]; !ok {
 			return fmt.Errorf("service: import sample %q: unknown family %q", smp.Name, family)
 		}
 		hash := smp.ACFG.ContentHash()
@@ -773,15 +507,9 @@ func (s *Server) ImportCorpus(d *dataset.Dataset) error {
 			continue
 		}
 		inBatch[hash] = struct{}{}
-		entries = append(entries, walEntry{Family: family, Name: smp.Name, Hash: hex.EncodeToString(hash[:]), ACFG: smp.ACFG})
-		hashes = append(hashes, hash)
-		add = append(add, residentEntry(&dataset.Sample{Name: smp.Name, Label: label, ACFG: smp.ACFG}))
+		recs = append(recs, &corpus.Record{Family: family, Name: smp.Name, Hash: hash, ACFG: smp.ACFG})
 	}
-	if err := s.commitLocked(entries, func() {
-		for i, e := range add {
-			s.corpus.add(hashes[i], e)
-		}
-	}); err != nil {
+	if err := s.commitLocked(recs); err != nil {
 		return err
 	}
 	s.setCorpusSizeLocked()
@@ -789,16 +517,28 @@ func (s *Server) ImportCorpus(d *dataset.Dataset) error {
 	return nil
 }
 
-// commitLocked makes entries durable in the attached store's WAL, if any,
-// then runs index, which adds them to the corpus index. With a store, index
-// runs under the store lock right after the fsync, so no compaction can
-// read the records before their entries exist. Callers hold s.mu.
-func (s *Server) commitLocked(entries []walEntry, index func()) error {
-	if s.store == nil {
-		index()
+// commitLocked adds recs, whose families are in the universe, to the
+// corpus. With a store they are made durable first, and the index points
+// at where they landed; without one the index holds them resident.
+// Callers hold s.mu.
+func (s *Server) commitLocked(recs []*corpus.Record) error {
+	if len(recs) == 0 {
 		return nil
 	}
-	return s.store.AppendBatch(entries, index)
+	if s.store == nil {
+		for _, r := range recs {
+			s.corpus.add(r.Hash, residentEntry(&dataset.Sample{Name: r.Name, Label: s.labelOf[r.Family], ACFG: r.ACFG}))
+		}
+		return nil
+	}
+	seg, offs, err := s.store.append(recs)
+	if err != nil {
+		return err
+	}
+	for i, r := range recs {
+		s.corpus.add(r.Hash, storedEntry(seg, offs[i], s.labelOf[r.Family], r.ACFG))
+	}
+	return nil
 }
 
 // setCorpusSizeLocked sets the per-family corpus gauge to the corpus's

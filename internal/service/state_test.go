@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/obs"
 )
 
@@ -35,7 +36,8 @@ func bootStatefulServer(t *testing.T, dir string) (*Server, *Client, int, bool) 
 
 // crash simulates kill -9 for a stateful server: the OS releases file
 // handles and the state-dir flock, but nothing graceful happens — no
-// model checkpoint, no WAL cleanup. Idempotent, and a no-op after Close.
+// model checkpoint. Read handles stay open, as a job may still hold them.
+// Idempotent, and a no-op after Close.
 func crash(srv *Server) {
 	srv.mu.Lock()
 	st := srv.store
@@ -44,21 +46,39 @@ func crash(srv *Server) {
 	if st == nil {
 		return
 	}
-	if st.stopCh != nil {
-		close(st.stopCh)
-		st.wg.Wait()
-		st.stopCh = nil
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.wal != nil {
-		_ = st.wal.Close()
-		st.wal = nil
+	if st.open != nil {
+		_ = st.open.Close()
+		st.open = nil
 	}
 	if st.lock != nil {
 		_ = st.lock.Close()
 		st.lock = nil
 	}
+}
+
+// openSegmentPath returns the path of the one unsealed segment in dir.
+func openSegmentPath(t *testing.T, dir string) string {
+	t.Helper()
+	paths, err := corpus.ListSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var open []string
+	for _, p := range paths {
+		sealed, err := corpus.Sealed(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sealed {
+			open = append(open, p)
+		}
+	}
+	if len(open) != 1 {
+		t.Fatalf("unsealed segments %v, want exactly one", open)
+	}
+	return open[0]
 }
 
 // TestRestartRoundTrip is the acceptance test for the persistence
@@ -89,7 +109,7 @@ func TestRestartRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Simulate a crash: no srv1.Close(), no final checkpoint — only what
-	// the WAL appends and the training-success checkpoint already made
+	// the appends and the training-success checkpoint already made
 	// durable.
 	crash(srv1)
 
@@ -129,9 +149,9 @@ func TestRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALTornTailTruncated simulates a crash mid-append: a half-written
-// final line must be tolerated and truncated so the WAL is clean for
-// subsequent appends, while every intact record replays.
+// TestWALTornTailTruncated simulates a crash mid-append: a final frame
+// the crash cut short must be tolerated and cut off so the open segment is
+// clean for subsequent appends, while every intact record replays.
 func TestWALTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
 
@@ -144,29 +164,33 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 	crash(srv1)
 
-	walPath := filepath.Join(dir, walFilename)
+	walPath := openSegmentPath(t, dir)
 	intact, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := append(append([]byte{}, intact...), []byte(`{"family":"clean","name":"torn","acfg"`)...)
+	// A copy of the first frame, cut short: its header claims more payload
+	// than the file then holds. (The two frames are of similar size, so a
+	// quarter of both is inside the first.)
+	const magicLen = 8
+	torn := append(append([]byte{}, intact...), intact[magicLen:magicLen+(len(intact)-magicLen)/4]...)
 	if err := os.WriteFile(walPath, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	srv2, client2, replayed, _ := bootStatefulServer(t, dir)
 	if replayed != 2 {
-		t.Fatalf("replayed %d samples from torn WAL, want 2", replayed)
+		t.Fatalf("replayed %d samples from a torn open segment, want 2", replayed)
 	}
 	after, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(after) != len(intact) {
-		t.Fatalf("torn tail not truncated: WAL is %d bytes, want %d", len(after), len(intact))
+		t.Fatalf("torn tail not cut: segment is %d bytes, want %d", len(after), len(intact))
 	}
-	// The truncated WAL accepts appends at a clean boundary: a third boot
-	// replays old + new records.
+	// The next append lands on a clean boundary: a third boot replays old
+	// and new records.
 	if err := client2.AddSampleASM("clean", "c", variant(chainProgram, 5)); err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +201,8 @@ func TestWALTornTailTruncated(t *testing.T) {
 	}
 }
 
-// TestWALMidFileCorruptionFatal: corruption before the tail is data loss
-// and must fail loudly, not silently skip records.
+// TestWALMidFileCorruptionFatal: a checksum failure before the last frame
+// is data loss and must fail loudly, not silently skip records.
 func TestWALMidFileCorruptionFatal(t *testing.T) {
 	dir := t.TempDir()
 
@@ -191,14 +215,13 @@ func TestWALMidFileCorruptionFatal(t *testing.T) {
 	}
 	crash(srv1)
 
-	walPath := filepath.Join(dir, walFilename)
+	walPath := openSegmentPath(t, dir)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(string(data), "\n")
-	corrupted := "GARBAGE-NOT-JSON\n" + lines[1]
-	if err := os.WriteFile(walPath, []byte(corrupted), 0o644); err != nil {
+	data[20] ^= 0xff // inside the first frame's payload
+	if err := os.WriteFile(walPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,9 +235,47 @@ func TestWALMidFileCorruptionFatal(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = st.Close() })
 	if _, _, err := srv.AttachStore(st); err == nil {
-		t.Fatal("mid-file WAL corruption replayed without error")
+		t.Fatal("mid-file corruption replayed without error")
 	} else if !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("error %q does not mention corruption", err)
+	}
+}
+
+// TestLegacyWALRefused: a state dir holding the JSONL corpus.wal of an
+// earlier version is refused with an error naming the file, and OpenStore
+// leaves the directory exactly as it found it — no lock file, no sweep.
+func TestLegacyWALRefused(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		legacyWALFilename:        `{"family":"clean","name":"a","acfg":{"n":0,"edges":[],"attrs":[]}}` + "\n",
+		modelFilename + ".tmp-1": "partial",
+		"corpus-000001.tmp-idx":  "staged",
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := OpenStore(dir)
+	if err == nil {
+		_ = st.Close()
+		t.Fatal("OpenStore accepted a state dir holding corpus.wal")
+	}
+	if !strings.Contains(err.Error(), filepath.Join(dir, legacyWALFilename)) {
+		t.Fatalf("error %q does not name the legacy file", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != len(files) {
+		t.Fatalf("dir holds %d entries after the refusal, want the %d it had", len(entries), len(files))
+	}
+	for name, body := range files {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil || string(got) != body {
+			t.Fatalf("%s changed: %q, %v", name, got, err)
+		}
 	}
 }
 
@@ -239,7 +300,7 @@ func TestWALRejectsUnknownFamily(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = st.Close() })
 	if _, _, err := srv.AttachStore(st); err == nil {
-		t.Fatal("WAL with out-of-universe family replayed without error")
+		t.Fatal("a corpus with an out-of-universe family replayed without error")
 	}
 }
 
