@@ -1,16 +1,14 @@
 // Command magic-lint runs the repository's static-analysis suite
 // (internal/lint): compiler-grade enforcement of the determinism,
-// metric-naming, error-handling, replica-aliasing, float-comparison,
-// hot-path-allocation, kernel-aliasing and goroutine-hygiene invariants that
-// the MAGIC reproduction's tests assume. The last three are interprocedural:
-// they run on a whole-module call graph with per-function summaries
-// propagated bottom-up through its SCCs.
+// metric-naming, error-handling, replica-aliasing and float-comparison
+// invariants that the MAGIC reproduction's tests assume. Every rule runs on
+// one package at a time.
 //
 // Usage:
 //
 //	go run ./cmd/magic-lint ./...
 //	go run ./cmd/magic-lint -json ./internal/core
-//	go run ./cmd/magic-lint -baseline findings.json ./...
+//	go run ./cmd/magic-lint -rules
 //
 // Patterns follow the go tool (dir, dir/...); with none given, ./... is
 // linted. Findings print as file:line:col: [rule] message, or as a JSON
@@ -19,79 +17,70 @@
 //
 //	//lint:ignore <rule> <reason>
 //
-// -baseline suppresses the exact findings recorded in a committed -json
-// report, letting a new rule gate CI before its sweep lands; baseline
-// entries that no longer fire are a hard error, so the file can only
-// shrink (regenerate it to drop the fixed entries).
-//
-// Exit status: 0 clean, 1 findings, 2 load/usage errors or a stale
-// baseline.
+// Exit status: 0 clean, 1 findings, 2 load or usage errors.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/lint"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON report")
-	rules := flag.Bool("rules", false, "list the analyzers and exit")
-	baseline := flag.String("baseline", "", "suppress the exact findings recorded in this -json report; stale entries are an error")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: magic-lint [-json] [-rules] [-baseline findings.json] [packages]\n")
-		flag.PrintDefaults()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command behind main: it lints the packages named by
+// args and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("magic-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit findings as a JSON report")
+	rules := fs.Bool("rules", false, "list the analyzers and exit")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: magic-lint [-json] [-rules] [packages]\n")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *rules {
 		for _, a := range lint.Suite() {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
-	res, err := lint.Load("", flag.Args()...)
+	res, err := lint.Load("", fs.Args()...)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "magic-lint:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "magic-lint:", err)
+		return 2
 	}
 	findings := lint.Run(res, lint.Suite())
 
-	if *baseline != "" {
-		base, err := lint.ReadBaseline(*baseline)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "magic-lint:", err)
-			os.Exit(2)
-		}
-		kept, stale := lint.ApplyBaseline(findings, base)
-		if len(stale) > 0 {
-			for _, f := range stale {
-				fmt.Fprintf(os.Stderr, "magic-lint: stale baseline entry (no longer fires): %v\n", f)
-			}
-			fmt.Fprintf(os.Stderr, "magic-lint: %d stale baseline entr%s in %s; regenerate it with -json\n",
-				len(stale), map[bool]string{true: "y", false: "ies"}[len(stale) == 1], *baseline)
-			os.Exit(2)
-		}
-		findings = kept
-	}
-
 	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, findings); err != nil {
-			fmt.Fprintln(os.Stderr, "magic-lint:", err)
-			os.Exit(2)
+		if err := lint.WriteJSON(stdout, findings); err != nil {
+			fmt.Fprintln(stderr, "magic-lint:", err)
+			return 2
 		}
 	} else {
 		for _, f := range findings {
-			fmt.Println(f)
+			fmt.Fprintln(stdout, f)
 		}
 	}
-	if len(findings) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "magic-lint: %d finding(s) in %d package(s)\n", len(findings), len(res.Units))
-		}
-		os.Exit(1)
+	if len(findings) == 0 {
+		return 0
 	}
+	if !*jsonOut {
+		fmt.Fprintf(stderr, "magic-lint: %d finding(s) in %d package(s)\n", len(findings), len(res.Units))
+	}
+	return 1
 }

@@ -28,33 +28,48 @@ var allocVariants = []struct {
 	{"adaptive-pooling", AdaptivePooling, Conv1DHead},
 }
 
-func TestTrainStepZeroAlloc(t *testing.T) {
+// forEachModel runs check as a subtest, variant/backend, for every model a
+// Config can build: each architecture in allocVariants with each registered
+// graph-convolution backend. Dropout is on, so the stochastic path is
+// measured too.
+func forEachModel(t *testing.T, check func(t *testing.T, cfg Config)) {
 	for _, v := range allocVariants {
 		t.Run(v.name, func(t *testing.T) {
-			cfg := tinyConfig(v.pooling, v.head)
-			cfg.DropoutRate = 0.2 // exercise the stochastic path too
-			rng := rand.New(rand.NewSource(5))
-			d := twoClassDataset(rng, 6)
-			m, err := NewModel(cfg, d.Sizes())
-			if err != nil {
-				t.Fatal(err)
-			}
-			m.SetScaler(fitScaler(t, d))
-
-			step := func() {
-				for i, s := range d.Samples {
-					m.TrainStep(s.ACFG, s.Label, sampleSeed(cfg.Seed, 0, i))
-				}
-				for _, p := range m.params {
-					p.Grad.Zero()
-				}
-			}
-			step() // warm-up: size the workspace slab
-			if allocs := testing.AllocsPerRun(5, step); allocs > 0 {
-				t.Errorf("steady-state TrainStep allocated %.1f objects per sweep, want 0", allocs)
+			for _, conv := range ConvBackendNames() {
+				t.Run(conv, func(t *testing.T) {
+					cfg := tinyConfig(v.pooling, v.head)
+					cfg.Conv = conv
+					cfg.DropoutRate = 0.2
+					check(t, cfg)
+				})
 			}
 		})
 	}
+}
+
+func TestTrainStepZeroAlloc(t *testing.T) {
+	forEachModel(t, func(t *testing.T, cfg Config) {
+		rng := rand.New(rand.NewSource(5))
+		d := twoClassDataset(rng, 6)
+		m, err := NewModel(cfg, d.Sizes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetScaler(fitScaler(t, d))
+
+		step := func() {
+			for i, s := range d.Samples {
+				m.TrainStep(s.ACFG, s.Label, sampleSeed(cfg.Seed, 0, i))
+			}
+			for _, p := range m.params {
+				p.Grad.Zero()
+			}
+		}
+		step() // warm-up: size the workspace slab
+		if allocs := testing.AllocsPerRun(5, step); allocs > 0 {
+			t.Errorf("steady-state TrainStep allocated %.1f objects per sweep, want 0", allocs)
+		}
+	})
 }
 
 func TestRunEpochZeroAlloc(t *testing.T) {
@@ -85,50 +100,51 @@ func TestRunEpochZeroAlloc(t *testing.T) {
 }
 
 func TestPredictEngineZeroAlloc(t *testing.T) {
-	cfg := tinyConfig(SortPooling, WeightedVerticesHead)
-	rng := rand.New(rand.NewSource(7))
-	d := twoClassDataset(rng, 6)
-	m, err := NewModel(cfg, d.Sizes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.SetScaler(fitScaler(t, d))
-	engine, err := NewParallelBatch(m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tasks := make([]sampleTask, d.Len())
-	for i, s := range d.Samples {
-		tasks[i] = sampleTask{a: s.ACFG}
-	}
-	out := make([][]float64, d.Len())
-	if err := engine.predictAll(tasks, out); err != nil { // warm-up allocates the out slots
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := engine.predictAll(tasks, out); err != nil {
-			t.Error(err)
+	forEachModel(t, func(t *testing.T, cfg Config) {
+		rng := rand.New(rand.NewSource(7))
+		d := twoClassDataset(rng, 6)
+		m, err := NewModel(cfg, d.Sizes())
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state predictAll allocated %.1f objects per batch, want 0", allocs)
-	}
-	// EvalBatch shares the same machinery; pin it too.
-	for i := range tasks {
-		tasks[i].label = d.Samples[i].Label
-	}
-	results := make([]sampleResult, d.Len())
-	if err := engine.EvalBatch(tasks, results); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(5, func() {
+		m.SetScaler(fitScaler(t, d))
+		engine, err := NewParallelBatch(m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := make([]sampleTask, d.Len())
+		for i, s := range d.Samples {
+			tasks[i] = sampleTask{a: s.ACFG}
+		}
+		out := make([][]float64, d.Len())
+		if err := engine.predictAll(tasks, out); err != nil { // warm-up allocates the out slots
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := engine.predictAll(tasks, out); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("steady-state predictAll allocated %.1f objects per batch, want 0", allocs)
+		}
+		// EvalBatch shares the same machinery; pin it too.
+		for i := range tasks {
+			tasks[i].label = d.Samples[i].Label
+		}
+		results := make([]sampleResult, d.Len())
 		if err := engine.EvalBatch(tasks, results); err != nil {
-			t.Error(err)
+			t.Fatal(err)
+		}
+		allocs = testing.AllocsPerRun(5, func() {
+			if err := engine.EvalBatch(tasks, results); err != nil {
+				t.Error(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("steady-state EvalBatch allocated %.1f objects per batch, want 0", allocs)
 		}
 	})
-	if allocs > 0 {
-		t.Errorf("steady-state EvalBatch allocated %.1f objects per batch, want 0", allocs)
-	}
 }
 
 // chainACFG returns an n-vertex path graph with random attributes.

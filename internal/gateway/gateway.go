@@ -185,18 +185,18 @@ func relayError(w http.ResponseWriter, err error) {
 		_, _ = w.Write(apiErr.Body)
 		return
 	}
-	writeError(w, http.StatusBadGateway, err)
+	service.WriteError(w, http.StatusBadGateway, err)
 }
 
 func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 	raw, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var env sampleEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	key := routingKey(&env, raw)
@@ -241,12 +241,12 @@ func (g *Gateway) handlePredict(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleAddSample(w http.ResponseWriter, r *http.Request) {
 	raw, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	var env sampleEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		service.WriteError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
 		return
 	}
 	key := routingKey(&env, raw)
@@ -319,7 +319,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "down"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, resp)
+	service.WriteJSON(w, status, resp)
 }
 
 // majorityVersion picks the version most healthy backends report, ties
@@ -372,10 +372,10 @@ func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
 		perBackend[b] = map[string]int{"samples": n}
 	}
 	if reached == 0 {
-		writeError(w, http.StatusBadGateway, fmt.Errorf("gateway: no backend reachable"))
+		service.WriteError(w, http.StatusBadGateway, fmt.Errorf("gateway: no backend reachable"))
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	service.WriteJSON(w, http.StatusOK, map[string]any{
 		"samples":  samples,
 		"families": total,
 		"backends": perBackend,
@@ -432,7 +432,7 @@ func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]any{"backends": results})
+	service.WriteJSON(w, status, map[string]any{"backends": results})
 }
 
 // handleModelsPost relays a promote/rollback to every backend, so the
@@ -442,7 +442,7 @@ func (g *Gateway) handleModels(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleModelsPost(w http.ResponseWriter, r *http.Request) {
 	raw, err := readBody(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		service.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	results, ok := g.fanOutModels(r.Context(), http.MethodPost, raw)
@@ -466,15 +466,5 @@ func (g *Gateway) handleModelsPost(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		status = http.StatusBadGateway
 	}
-	writeJSON(w, status, map[string]any{"backends": results})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	service.WriteJSON(w, status, map[string]any{"backends": results})
 }

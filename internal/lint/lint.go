@@ -1,9 +1,13 @@
 // Package lint is the repository's own static-analysis pass: a small
-// analyzer framework plus a suite of repo-specific rules that turn the
-// invariants the MAGIC reproduction rests on — bit-deterministic training,
-// disciplined magic_* metric names, no silently dropped errors, the
-// Replicate weights-alias/grads-private contract, and no exact float
-// comparisons — into a compile-time gate instead of a convention.
+// analyzer framework plus five repo-specific rules that turn invariants the
+// MAGIC reproduction rests on — no unseeded randomness, wall-clock reads or
+// unordered map iteration in numeric code, disciplined magic_* metric
+// names, no silently dropped errors, the Replicate weights-alias/grads-
+// private contract, and no exact float comparisons — into a compile-time
+// gate instead of a convention. Every rule runs on one package at a time.
+// Invariants that need the code to run (the zero-allocation per-sample
+// pass, kernel operand aliasing, goroutine shutdown) are pinned by tests
+// instead; DESIGN.md ("Enforced invariants") maps each to its test.
 //
 // The framework is deliberately built on nothing but the standard library
 // (go/parser, go/ast, go/types, go/token): the loader in loader.go
@@ -72,62 +76,43 @@ func (f Finding) String() string {
 
 // Reporter collects findings during a run. Analyzers report positions in
 // the load's shared FileSet; the runner resolves, filters suppressions,
-// and sorts. Duplicate reports for the same (rule, position) — which the
-// interprocedural rules can produce when one call site is reachable
-// through two parents in the call graph — collapse to the first report.
+// and sorts.
 type Reporter struct {
 	fset *token.FileSet
 	root string
 	out  []Finding
-	seen map[reportKey]bool
 }
 
-// reportKey identifies a finding site for deduplication.
-type reportKey struct {
-	rule string
-	file string
-	line int
-	col  int
-}
-
-// Report records one finding for the given rule at pos. A second report
-// for the same rule at the same resolved position is dropped.
+// Report records one finding for the given rule at pos.
 func (r *Reporter) Report(rule string, pos token.Pos, format string, args ...any) {
 	p := r.fset.Position(pos)
-	file := p.Filename
-	if rel, err := filepath.Rel(r.root, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	key := reportKey{rule: rule, file: file, line: p.Line, col: p.Column}
-	if r.seen[key] {
-		return
-	}
-	if r.seen == nil {
-		r.seen = map[reportKey]bool{}
-	}
-	r.seen[key] = true
 	r.out = append(r.out, Finding{
 		Rule:    rule,
-		File:    file,
+		File:    r.relFile(p.Filename),
 		Line:    p.Line,
 		Col:     p.Column,
 		Message: fmt.Sprintf(format, args...),
 	})
 }
 
-// Analyzer is one named rule. Run, when non-nil, is invoked once per unit.
-// RunModule, when non-nil, is invoked once with the shared interprocedural
-// ModuleContext (call graph + per-function summaries, built lazily on
-// first use). Finish, when non-nil, runs once after all units (for
-// cross-package aggregates such as the duplicate-metric-registration
-// check). Analyzers carry per-run state, so a fresh Suite must be built
-// for every run.
+// relFile renders file relative to the module root (slash-separated), or
+// unchanged when it lies outside it.
+func (r *Reporter) relFile(file string) string {
+	if rel, err := filepath.Rel(r.root, file); err == nil && !strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(rel)
+	}
+	return file
+}
+
+// Analyzer is one named rule. Run is invoked once per unit. Finish, when
+// non-nil, runs once after all units (for cross-package aggregates such as
+// the duplicate-metric-registration check). Analyzers carry per-run state,
+// so a fresh Suite must be built for every run.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(u *Unit, r *Reporter)
-	RunModule func(mc *ModuleContext, r *Reporter)
-	Finish    func(r *Reporter)
+	Name   string
+	Doc    string
+	Run    func(u *Unit, r *Reporter)
+	Finish func(r *Reporter)
 }
 
 // Suite returns fresh instances of every repo analyzer.
@@ -138,9 +123,6 @@ func Suite() []*Analyzer {
 		NewErrCheck(),
 		NewReplicaCopy(),
 		NewFloatCmp(),
-		NewHotPathAlloc(),
-		NewAliasUnsafe(),
-		NewGoroutineHygiene(),
 	}
 }
 
@@ -151,22 +133,9 @@ func Run(res *Result, analyzers []*Analyzer) []Finding {
 	rep := &Reporter{fset: res.Fset, root: res.Root}
 	sup := collectSuppressions(res, rep)
 	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
 		for _, u := range res.Units {
 			a.Run(u, rep)
 		}
-	}
-	var mc *ModuleContext
-	for _, a := range analyzers {
-		if a.RunModule == nil {
-			continue
-		}
-		if mc == nil {
-			mc = newModuleContext(res, sup)
-		}
-		a.RunModule(mc, rep)
 	}
 	for _, a := range analyzers {
 		if a.Finish != nil {
@@ -238,10 +207,7 @@ func collectSuppressions(res *Result, rep *Reporter) suppressions {
 						continue
 					}
 					p := res.Fset.Position(c.Pos())
-					file := p.Filename
-					if rel, err := filepath.Rel(res.Root, file); err == nil && !strings.HasPrefix(rel, "..") {
-						file = filepath.ToSlash(rel)
-					}
+					file := rep.relFile(p.Filename)
 					if sup[file] == nil {
 						sup[file] = map[int]map[string]bool{}
 					}

@@ -3,10 +3,7 @@ package lint
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
-	"go/token"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -59,33 +56,21 @@ func TestGoldenPackages(t *testing.T) {
 	}
 
 	want := map[string]map[string]int{
-		"determinism_bad":      {"determinism": 4},
-		"determinism_ok":       {},
-		"metricnames_bad":      {"metricnames": 5},
-		"metricnames_ok":       {},
-		"errcheck_bad":         {"errcheck": 2},
-		"errcheck_ok":          {},
-		"replicacopy_bad":      {"replicacopy": 4},
-		"replicacopy_ok":       {},
-		"floatcmp_bad":         {"floatcmp": 2},
-		"floatcmp_ok":          {},
-		"hotpathalloc_bad":     {"hotpathalloc": 11},
-		"hotpathalloc_ok":      {},
-		"aliasunsafe_bad":      {"aliasunsafe": 5},
-		"aliasunsafe_ok":       {},
-		"goroutinehygiene_bad": {"goroutinehygiene": 4},
-		"goroutinehygiene_ok":  {},
+		"determinism_bad": {"determinism": 4},
+		"determinism_ok":  {},
+		"metricnames_bad": {"metricnames": 5},
+		"metricnames_ok":  {},
+		"errcheck_bad":    {"errcheck": 2},
+		"errcheck_ok":     {},
+		"replicacopy_bad": {"replicacopy": 4},
+		"replicacopy_ok":  {},
+		"floatcmp_bad":    {"floatcmp": 2},
+		"floatcmp_ok":     {},
 		// Loader edge-case packages: buildtags carries a //go:build ignore
 		// file that must be filtered out, nestpkg hides a flagged package
 		// under its own testdata dir that recursive walks must skip.
-		"buildtags": {},
-		"nestpkg":   {},
-		// The fake internal/tensor, internal/nn, and internal/graph packages
-		// the hotpathalloc and aliasunsafe goldens import (suffix-matched
-		// like the real ones); no findings.
-		"tensor":      {},
-		"nn":          {},
-		"graph":       {},
+		"buildtags":   {},
+		"nestpkg":     {},
 		"suppressed":  {},
 		"suppressbad": {"suppression": 1, "floatcmp": 1},
 	}
@@ -152,7 +137,7 @@ func TestJSONReportShape(t *testing.T) {
 	}
 }
 
-// moduleRoot locates the repository root for tests that run the driver.
+// moduleRoot locates the repository root for the whole-module tests.
 func moduleRoot(t testing.TB) string {
 	t.Helper()
 	wd, err := os.Getwd()
@@ -205,7 +190,7 @@ func documentedSuppressions(t *testing.T, root string) map[string]int {
 }
 
 // TestRepositoryLintClean is the self-clean meta-test: the tree must lint
-// clean under the full eight-rule suite, and the //lint:ignore directives
+// clean under the full five-rule suite, and the //lint:ignore directives
 // present — file, rule, and count — must exactly match the DESIGN.md
 // "Suppression inventory" table. Docs and code cannot drift apart.
 func TestRepositoryLintClean(t *testing.T) {
@@ -243,209 +228,6 @@ func TestRepositoryLintClean(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotSup, documented) {
 		t.Errorf("suppressions in tree = %v, want exactly the DESIGN.md inventory %v", gotSup, documented)
-	}
-}
-
-// buildDriver compiles cmd/magic-lint into a temp dir and returns a runner
-// that executes it from the module root, yielding combined output and exit
-// code.
-func buildDriver(t *testing.T) func(args ...string) (string, int) {
-	t.Helper()
-	root := moduleRoot(t)
-	bin := filepath.Join(t.TempDir(), "magic-lint")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/magic-lint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/magic-lint: %v\n%s", err, out)
-	}
-	return func(args ...string) (string, int) {
-		t.Helper()
-		cmd := exec.Command(bin, args...)
-		cmd.Dir = root
-		var buf bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &buf, &buf
-		err := cmd.Run()
-		code := 0
-		if ee, ok := err.(*exec.ExitError); ok {
-			code = ee.ExitCode()
-		} else if err != nil {
-			t.Fatalf("run %v: %v", args, err)
-		}
-		return buf.String(), code
-	}
-}
-
-// TestDriverExitCodes builds cmd/magic-lint once and checks the contract
-// the CI gate relies on: exit 1 (with findings) on every flagged golden
-// package, exit 0 on the clean ones, exit 2 on a package that fails to
-// type-check, and a parseable -json report.
-func TestDriverExitCodes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the driver binary")
-	}
-	run := buildDriver(t)
-
-	for _, pkg := range []string{
-		"determinism", "metricnames", "errcheck", "replicacopy", "floatcmp",
-		"hotpathalloc", "aliasunsafe", "goroutinehygiene",
-	} {
-		bad := "./internal/lint/testdata/src/" + pkg + "_bad"
-		out, code := run(bad)
-		if code != 1 {
-			t.Errorf("%s: exit = %d, want 1\n%s", bad, code, out)
-		}
-		if !strings.Contains(out, "["+pkg+"]") {
-			t.Errorf("%s: output does not mention rule %q:\n%s", bad, pkg, out)
-		}
-		ok := "./internal/lint/testdata/src/" + pkg + "_ok"
-		if out, code := run(ok); code != 0 {
-			t.Errorf("%s: exit = %d, want 0\n%s", ok, code, out)
-		}
-	}
-
-	out, code := run("-json", "./internal/lint/testdata/src/floatcmp_bad")
-	if code != 1 {
-		t.Errorf("-json on flagged package: exit = %d, want 1", code)
-	}
-	var doc Report
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("-json output is not a Report: %v\n%s", err, out)
-	}
-	if doc.Count != 2 || len(doc.Findings) != 2 {
-		t.Errorf("-json count = %d (%d findings), want 2", doc.Count, len(doc.Findings))
-	}
-	for _, f := range doc.Findings {
-		if f.Rule != "floatcmp" || !strings.HasPrefix(f.File, "internal/lint/testdata/") {
-			t.Errorf("unexpected JSON finding: %+v", f)
-		}
-	}
-
-	// A package that fails type checking is a load error, not a panic.
-	out, code = run("./internal/lint/testdata/broken/badtypes")
-	if code != 2 {
-		t.Errorf("broken package: exit = %d, want 2\n%s", code, out)
-	}
-	if !strings.Contains(out, "typecheck") {
-		t.Errorf("broken package: error does not mention typecheck:\n%s", out)
-	}
-}
-
-// TestReporterDedup pins the duplicate-collapse contract: the same rule at
-// the same position reports once — which the interprocedural rules rely on
-// when a call site is reachable through several call-graph parents — while
-// a different rule at the same position still gets through.
-func TestReporterDedup(t *testing.T) {
-	fset := token.NewFileSet()
-	f := fset.AddFile("x.go", -1, 100)
-	pos := f.Pos(10)
-	other := f.Pos(50)
-
-	r := &Reporter{fset: fset, root: "/"}
-	r.Report("aliasunsafe", pos, "first")
-	r.Report("aliasunsafe", pos, "second (dropped, even with a different message)")
-	r.Report("hotpathalloc", pos, "different rule, same position")
-	r.Report("aliasunsafe", other, "same rule, different position")
-	if len(r.out) != 3 {
-		t.Fatalf("reporter kept %d findings, want 3: %v", len(r.out), r.out)
-	}
-	if r.out[0].Message != "first" {
-		t.Errorf("dedup kept the wrong finding: %v", r.out[0])
-	}
-}
-
-// TestApplyBaseline pins the multiset matching and stale-entry detection.
-func TestApplyBaseline(t *testing.T) {
-	f1 := Finding{Rule: "floatcmp", File: "a.go", Line: 1, Col: 2, Message: "m"}
-	f2 := Finding{Rule: "errcheck", File: "b.go", Line: 3, Col: 4, Message: "n"}
-	gone := Finding{Rule: "floatcmp", File: "fixed.go", Line: 9, Col: 9, Message: "z"}
-
-	kept, stale := ApplyBaseline([]Finding{f1, f2}, &Report{Findings: []Finding{f1, gone}})
-	if !reflect.DeepEqual(kept, []Finding{f2}) {
-		t.Errorf("kept = %v, want [%v]", kept, f2)
-	}
-	if !reflect.DeepEqual(stale, []Finding{gone}) {
-		t.Errorf("stale = %v, want [%v]", stale, gone)
-	}
-
-	// Multiset semantics: one baseline entry absorbs at most one finding.
-	kept, stale = ApplyBaseline([]Finding{f1, f1}, &Report{Findings: []Finding{f1}})
-	if len(kept) != 1 || len(stale) != 0 {
-		t.Errorf("duplicate findings: kept=%v stale=%v, want one kept and none stale", kept, stale)
-	}
-
-	// A baseline entry may differ in message only — still no match.
-	mutated := f1
-	mutated.Message = "different"
-	_, stale = ApplyBaseline([]Finding{f1}, &Report{Findings: []Finding{mutated}})
-	if len(stale) != 1 {
-		t.Errorf("message mismatch should be stale, got stale=%v", stale)
-	}
-}
-
-// TestDriverBaseline exercises the -baseline flag end to end: a full
-// baseline silences the run, a partial one keeps the rest, and a stale
-// entry trips the drift gate with exit 2.
-func TestDriverBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the driver binary")
-	}
-	run := buildDriver(t)
-	target := "./internal/lint/testdata/src/floatcmp_bad"
-
-	out, code := run("-json", target)
-	if code != 1 {
-		t.Fatalf("-json on flagged package: exit = %d, want 1\n%s", code, out)
-	}
-	var doc Report
-	if err := json.Unmarshal([]byte(out), &doc); err != nil {
-		t.Fatalf("-json output is not a Report: %v\n%s", err, out)
-	}
-	if doc.Count != 2 {
-		t.Fatalf("floatcmp_bad findings = %d, want 2", doc.Count)
-	}
-
-	writeBase := func(name string, rep Report) string {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := WriteJSON(&buf, rep.Findings); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), name)
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-
-	// Full baseline: clean exit.
-	full := writeBase("full.json", doc)
-	if out, code := run("-baseline", full, target); code != 0 {
-		t.Errorf("full baseline: exit = %d, want 0\n%s", code, out)
-	}
-
-	// Partial baseline: the unlisted finding still fails the run.
-	partial := writeBase("partial.json", Report{Findings: doc.Findings[:1]})
-	out, code = run("-baseline", partial, target)
-	if code != 1 {
-		t.Errorf("partial baseline: exit = %d, want 1\n%s", code, out)
-	}
-	if !strings.Contains(out, doc.Findings[1].Message) {
-		t.Errorf("partial baseline output lost the unlisted finding:\n%s", out)
-	}
-
-	// Stale entry: the drift gate rejects the whole run.
-	staleRep := doc
-	staleRep.Findings = append([]Finding{}, doc.Findings...)
-	staleRep.Findings = append(staleRep.Findings, Finding{
-		Rule: "floatcmp", File: "internal/does/not/exist.go", Line: 1, Col: 1, Message: "fixed long ago",
-	})
-	stale := writeBase("stale.json", staleRep)
-	out, code = run("-baseline", stale, target)
-	if code != 2 {
-		t.Errorf("stale baseline: exit = %d, want 2\n%s", code, out)
-	}
-	if !strings.Contains(out, "stale baseline entry") {
-		t.Errorf("stale baseline output does not name the drift:\n%s", out)
 	}
 }
 
@@ -510,7 +292,7 @@ func TestLoaderTypeErrorIsError(t *testing.T) {
 }
 
 // BenchmarkLintModule is the CI wall-time benchmark: one whole-repo load
-// plus a full eight-rule run, interprocedural call-graph fixpoint included.
+// plus a full five-rule run.
 func BenchmarkLintModule(b *testing.B) {
 	root := moduleRoot(b)
 	for i := 0; i < b.N; i++ {
@@ -559,5 +341,3 @@ func ExampleWriteJSON() {
 	//   "count": 0
 	// }
 }
-
-var _ = fmt.Sprintf // keep fmt imported for future debug use

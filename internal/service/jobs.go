@@ -455,7 +455,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	// An empty body means "all defaults"; a malformed one is an error even
 	// when the request is chunked and carries no Content-Length.
 	if err := decodeBody(w, r, &body); err != nil && !errors.Is(err, errEmptyBody) {
-		writeError(w, decodeStatus(err), err)
+		WriteError(w, decodeStatus(err), err)
 		return
 	}
 	switch body.Mode {
@@ -463,7 +463,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		body.Mode = TrainModeFull
 	case TrainModeContinual:
 	default:
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			fmt.Errorf("unknown training mode %q (want %q or %q)", body.Mode, TrainModeFull, TrainModeContinual))
 		return
 	}
@@ -472,7 +472,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	if s.curJob != nil {
 		id := s.curJob.id
 		s.mu.Unlock()
-		writeError(w, http.StatusConflict, fmt.Errorf("training already in progress (job %s)", id))
+		WriteError(w, http.StatusConflict, fmt.Errorf("training already in progress (job %s)", id))
 		return
 	}
 
@@ -488,7 +488,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	for i, n := range counts {
 		if n < 2 {
 			s.mu.Unlock()
-			writeError(w, http.StatusPreconditionFailed,
+			WriteError(w, http.StatusPreconditionFailed,
 				fmt.Errorf("family %q has %d samples; need at least 2 per family", s.families[i], n))
 			return
 		}
@@ -504,7 +504,7 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	s.jobMetrics.Started()
 	go s.runTrainJob(job, cfg, train, body.ValFraction, workers)
 
-	writeJSON(w, http.StatusAccepted, job.status())
+	WriteJSON(w, http.StatusAccepted, job.status())
 }
 
 // admitContinualLocked validates and launches a continual fine-tuning job.
@@ -516,7 +516,7 @@ func (s *Server) admitContinualLocked(w http.ResponseWriter, body trainBody) {
 	base := s.model
 	if base == nil {
 		s.mu.Unlock()
-		writeError(w, http.StatusPreconditionFailed,
+		WriteError(w, http.StatusPreconditionFailed,
 			fmt.Errorf("continual training needs a trained model; run a full training job first"))
 		return
 	}
@@ -524,7 +524,7 @@ func (s *Server) admitContinualLocked(w http.ResponseWriter, body trainBody) {
 	total := full.Len()
 	if s.trainedThrough >= total {
 		s.mu.Unlock()
-		writeError(w, http.StatusPreconditionFailed,
+		WriteError(w, http.StatusPreconditionFailed,
 			fmt.Errorf("no new samples since the last training job (corpus %d, trained through %d)", total, s.trainedThrough))
 		return
 	}
@@ -544,7 +544,7 @@ func (s *Server) admitContinualLocked(w http.ResponseWriter, body trainBody) {
 	_, holdout, err := full.split(holdFrac, cfg.Seed)
 	if err != nil {
 		s.mu.Unlock()
-		writeError(w, http.StatusPreconditionFailed, fmt.Errorf("continual holdout split: %w", err))
+		WriteError(w, http.StatusPreconditionFailed, fmt.Errorf("continual holdout split: %w", err))
 		return
 	}
 	workers := s.workersLocked()
@@ -554,17 +554,17 @@ func (s *Server) admitContinualLocked(w http.ResponseWriter, body trainBody) {
 	s.jobMetrics.Started()
 	go s.runContinualJob(job, cfg, base, increment, holdout, total, workers)
 
-	writeJSON(w, http.StatusAccepted, job.status())
+	WriteJSON(w, http.StatusAccepted, job.status())
 }
 
 // handleTrainStatus serves GET /v1/train/{id}.
 func (s *Server) handleTrainStatus(w http.ResponseWriter, r *http.Request) {
 	job := s.lookupJob(r.PathValue("id"))
 	if job == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown training job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown training job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, job.status())
+	WriteJSON(w, http.StatusOK, job.status())
 }
 
 // handleTrainCancel serves DELETE /v1/train/{id}: it requests cooperative
@@ -573,14 +573,14 @@ func (s *Server) handleTrainStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrainCancel(w http.ResponseWriter, r *http.Request) {
 	job := s.lookupJob(r.PathValue("id"))
 	if job == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown training job %q", r.PathValue("id")))
+		WriteError(w, http.StatusNotFound, fmt.Errorf("unknown training job %q", r.PathValue("id")))
 		return
 	}
 	if job.requestCancel() {
-		writeJSON(w, http.StatusAccepted, job.status())
+		WriteJSON(w, http.StatusAccepted, job.status())
 		return
 	}
-	writeJSON(w, http.StatusOK, job.status())
+	WriteJSON(w, http.StatusOK, job.status())
 }
 
 func (s *Server) lookupJob(id string) *trainJob {

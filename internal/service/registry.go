@@ -185,7 +185,7 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	info := s.modelsInfoLocked()
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, info)
+	WriteJSON(w, http.StatusOK, info)
 }
 
 // handleModelsPost serves POST /v1/models: {"action":"promote",
@@ -196,7 +196,7 @@ func (s *Server) handleModels(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleModelsPost(w http.ResponseWriter, r *http.Request) {
 	var body modelsBody
 	if err := decodeBody(w, r, &body); err != nil {
-		writeError(w, decodeStatus(err), err)
+		WriteError(w, decodeStatus(err), err)
 		return
 	}
 
@@ -231,10 +231,10 @@ func (s *Server) handleModelsPost(w http.ResponseWriter, r *http.Request) {
 
 	switch {
 	case err != nil:
-		writeError(w, status, err)
+		WriteError(w, status, err)
 	case ckptErr != nil:
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("swap done but checkpoint failed: %w", ckptErr))
+		WriteError(w, http.StatusInternalServerError, fmt.Errorf("swap done but checkpoint failed: %w", ckptErr))
 	default:
-		writeJSON(w, http.StatusOK, info)
+		WriteJSON(w, http.StatusOK, info)
 	}
 }

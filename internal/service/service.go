@@ -340,7 +340,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		resp.WALSamples = stats.WALRecords
 		resp.CorpusCompactions = stats.Compactions
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
@@ -359,7 +359,7 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 		resp["architecture"] = s.model.String()
 		resp["trainedAt"] = s.trainedAt.UTC().Format(time.RFC3339)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -370,7 +370,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	for i, f := range s.families {
 		perFamily[f] = counts[i]
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	WriteJSON(w, http.StatusOK, map[string]any{
 		"samples":  s.corpus.Len(),
 		"families": perFamily,
 	})
@@ -379,16 +379,16 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 	var body sampleBody
 	if err := decodeBody(w, r, &body); err != nil {
-		writeError(w, decodeStatus(err), err)
+		WriteError(w, decodeStatus(err), err)
 		return
 	}
 	if _, ok := s.labelOf[body.Family]; !ok {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown family %q", body.Family))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("unknown family %q", body.Family))
 		return
 	}
 	a, err := s.extract(&body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	hash := a.ContentHash()
@@ -403,7 +403,7 @@ func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 	// inflate the training set.
 	if s.corpus.contains(hash) {
 		s.corpusMetrics.Deduplicated()
-		writeJSON(w, http.StatusCreated, map[string]any{
+		WriteJSON(w, http.StatusCreated, map[string]any{
 			"name":         name,
 			"samples":      s.corpus.Len(),
 			"deduplicated": true,
@@ -414,12 +414,12 @@ func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 	// fsynced, so an acknowledged upload survives a crash.
 	rec := &corpus.Record{Family: body.Family, Name: name, Hash: hash, ACFG: a}
 	if err := s.commitLocked([]*corpus.Record{rec}); err != nil {
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	s.corpusSize.With(body.Family).Inc() // replay and import Set the absolute count
 	s.publishCorpusGaugesLocked()
-	writeJSON(w, http.StatusCreated, map[string]any{
+	WriteJSON(w, http.StatusCreated, map[string]any{
 		"name":    name,
 		"samples": s.corpus.Len(),
 	})
@@ -428,12 +428,12 @@ func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var body sampleBody
 	if err := decodeBody(w, r, &body); err != nil {
-		writeError(w, decodeStatus(err), err)
+		WriteError(w, decodeStatus(err), err)
 		return
 	}
 	a, err := s.extract(&body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 
@@ -441,7 +441,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// its whole life, however many promotes or rollbacks land meanwhile.
 	sv := s.serving.Load()
 	if sv == nil {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no model trained yet"))
+		WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no model trained yet"))
 		return
 	}
 	probs, err := sv.batch.predict(r.Context(), a)
@@ -452,7 +452,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 			// semantics, but stick to a standard code.
 			status = http.StatusServiceUnavailable
 		}
-		writeError(w, status, err)
+		WriteError(w, status, err)
 		return
 	}
 	preds := make([]prediction, len(probs))
@@ -461,7 +461,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	sort.SliceStable(preds, func(i, j int) bool { return preds[i].Probability > preds[j].Probability })
 	s.predictions.With(preds[0].Family).Inc()
-	writeJSON(w, http.StatusOK, predictResponse{
+	WriteJSON(w, http.StatusOK, predictResponse{
 		Family:       preds[0].Family,
 		Blocks:       a.NumVertices(),
 		ModelVersion: sv.version,
@@ -578,10 +578,12 @@ func decodeStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// writeJSON encodes v before it commits the status line, so a value JSON
-// cannot carry (a NaN probability) is answered 500 with an error body
-// rather than the handler's success code over zero bytes.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers status with v as a JSON body ending in a newline. It
+// encodes v before it commits the status line, so a value JSON cannot carry
+// (a NaN probability) is answered 500 with an error body rather than the
+// handler's success code over zero bytes. The gateway answers through it
+// too.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		status = http.StatusInternalServerError
@@ -593,6 +595,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_, _ = w.Write(append(b, '\n'))
 }
 
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, errorResponse{Error: err.Error()})
+// WriteError answers status with the body {"error": err.Error()}.
+func WriteError(w http.ResponseWriter, status int, err error) {
+	WriteJSON(w, status, errorResponse{Error: err.Error()})
 }

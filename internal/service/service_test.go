@@ -304,7 +304,7 @@ func TestHostileACFGAttributes(t *testing.T) {
 // the caller's success status over an empty body.
 func TestWriteJSONEncodeFailure(t *testing.T) {
 	rec := httptest.NewRecorder()
-	writeJSON(rec, http.StatusOK, math.NaN())
+	WriteJSON(rec, http.StatusOK, math.NaN())
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("status %d, want 500", rec.Code)
 	}
