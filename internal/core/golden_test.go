@@ -26,6 +26,11 @@ import (
 //	go test ./internal/core -run 'TestGoldenModelChecksum|TestConvBackendGoldenChecksums' -v
 //
 // and copy the digests printed in the failure messages.
+//
+// Every digest in this file is an amd64 digest. gc on amd64 never fuses a
+// multiply and an add; gc on arm64 contracts x*y + z into one FMADD with a
+// single rounding, so there the same Go source computes different bits and
+// these runs reach different checkpoints.
 const goldenModelSHA256 = "a638d53148c0c3337ff8ce9b07c7fd20570e49b2c914ae3f3b60d430d3829cc8"
 
 // convGoldenSHA256 pins the same fixed-seed 3-epoch run for every
@@ -121,7 +126,10 @@ func TestConvBackendGoldenChecksums(t *testing.T) {
 // path before the fused nn.ConvAMP replaced it, so they hold
 // the fused layer to that chain bit for bit: the checkpoint digest covers
 // forward, backward and dropout over 3 epochs; the fingerprint covers
-// parameter shapes, order and the RNG draw order at construction.
+// parameter shapes, order and the RNG draw order at construction. Like
+// goldenModelSHA256 they are amd64 digests: on amd64 nn.ConvAMP runs its SSE2
+// kernels, which are bit-identical to the Go loops compiled for amd64, not
+// to the FMADD-contracted loops gc compiles for arm64.
 const (
 	goldenAMPHeadSHA256          = "6840ce8442fda01119b642bd897ee46892a9e46c1860c7750cf831dba7dd1ee3"
 	goldenAMPHeadInitFingerprint = "5749bbfdf25c4bcf8e57fcbf03716272966db6e90cfcca43b98bd31cb7f0963c"

@@ -27,6 +27,9 @@ import (
 // only. Where a window's maximum is ≤ 0 the recorded argmax differs from the
 // three-layer path's (which sees an all-zero window and keeps its first
 // element), but there the ReLU gate zeroes the gradient on both paths.
+// The two inner loops — a row's interior cells and a window's row segment —
+// are convRowInterior and foldWindow: SSE2 assembly on amd64, the Go loops
+// of convamp_generic.go elsewhere, bit-identical to each other.
 //
 // Backward. Per channel, the cells whose winner is > 0 are ordered by
 // conv-map position (stable, so cells sharing a winner — overlapping windows
@@ -114,12 +117,7 @@ func (l *ConvAMP) Forward(in *Volume, _ bool) *Volume {
 					if y == y0[oy] {
 						best, arg = row[lo], y*w+lo
 					}
-					for t, v := range row[lo:x1[ox]] {
-						if v > best {
-							best, arg = v, y*w+lo+t
-						}
-					}
-					cells[ox], args[ox] = best, arg
+					cells[ox], args[ox] = foldWindow(row[lo:x1[ox]], best, arg, y*w+lo)
 				}
 			}
 		}
@@ -156,34 +154,7 @@ func convRow3x3(row []float64, in *Volume, y int, k []float64, bias float64) {
 		}
 		row[x] = acc
 	}
-	if w < 3 {
-		return
-	}
-	k = k[:9]
-	if kyLo == 0 && kyHi == 3 {
-		i0 := in.Data[(y-1)*w : y*w]
-		i1 := in.Data[y*w : (y+1)*w]
-		i2 := in.Data[(y+1)*w : (y+2)*w]
-		k00, k01, k02 := k[0], k[1], k[2]
-		k10, k11, k12 := k[3], k[4], k[5]
-		k20, k21, k22 := k[6], k[7], k[8]
-		for x := 1; x < w-1; x++ {
-			acc := bias
-			acc = ((acc + k00*i0[x-1]) + k01*i0[x]) + k02*i0[x+1]
-			acc = ((acc + k10*i1[x-1]) + k11*i1[x]) + k12*i1[x+1]
-			acc = ((acc + k20*i2[x-1]) + k21*i2[x]) + k22*i2[x+1]
-			row[x] = acc
-		}
-		return
-	}
-	for x := 1; x < w-1; x++ {
-		acc := bias
-		for ky := kyLo; ky < kyHi; ky++ {
-			src := in.Data[(y-1+ky)*w : (y+ky)*w]
-			acc = ((acc + k[ky*3]*src[x-1]) + k[ky*3+1]*src[x]) + k[ky*3+2]*src[x+1]
-		}
-		row[x] = acc
-	}
+	convRowInterior(row, in.Data[(y-1+kyLo)*w:(y-1+kyHi)*w], k[kyLo*3:kyHi*3], bias)
 }
 
 // Backward accumulates filter/bias gradients from the winning conv cells

@@ -11,6 +11,7 @@ const (
 	ampRandom      = iota // Gaussian map, filters and gradients
 	ampAllNegative        // bias −1e3: every window's maximum is < 0, every winner gated
 	ampTies               // identity-like integer filters over a {0,1,2} map: repeated maxima, duplicate winners, gradients that cancel to exactly 0
+	ampTanh               // Gaussian filters over a map in (−1, 1), the range the graph-conv stack emits
 	ampModes
 )
 
@@ -116,9 +117,12 @@ func checkFusedVsLayers(t *testing.T, seed int64, h, w, outC, outH, outW, mode i
 		in := NewVolume(1, sh, w)
 		dout := NewVolume(outC, outH, outW)
 		for i := range in.Data {
-			if mode == ampTies {
+			switch mode {
+			case ampTies:
 				in.Data[i] = float64(rng.Intn(3))
-			} else {
+			case ampTanh:
+				in.Data[i] = math.Tanh(rng.NormFloat64())
+			default:
 				in.Data[i] = rng.NormFloat64()
 			}
 		}
@@ -155,9 +159,10 @@ func checkFusedVsLayers(t *testing.T, seed int64, h, w, outC, outH, outW, mode i
 // ConvAMP shows up as a bit difference against the three layers it replaced.
 func FuzzFusedHeadVsLayers(f *testing.F) {
 	seeds := []struct {
-		seed                   int64
-		h, w, outC, outH, outW uint8
-		mode                   uint8
+		seed                int64
+		h                   uint16
+		w, outC, outH, outW uint8
+		mode                uint8
 	}{
 		{1, 40, 32, 4, 10, 8, ampRandom},      // the shipped grid, H and W above it
 		{2, 63, 39, 3, 10, 8, ampRandom},      // largest map, windows overlap on both axes
@@ -170,13 +175,20 @@ func FuzzFusedHeadVsLayers(f *testing.F) {
 		{9, 15, 12, 2, 10, 8, ampTies},        // repeated maxima on window overlaps
 		{10, 7, 9, 4, 3, 3, ampTies},
 		{11, 3, 3, 1, 2, 2, ampAllNegative},
+		// The map the shipped model feeds the layer: W = Σc = 4 × 32, at the
+		// YANCFG median, the listing mean and the top listing band.
+		{12, 46, 128, 4, 10, 8, ampTanh},
+		{13, 203, 128, 4, 10, 8, ampTanh},
+		{14, 420, 128, 4, 10, 8, ampTanh},
+		{15, 203, 128, 2, 10, 8, ampRandom},
+		{16, 61, 157, 3, 10, 8, ampTies}, // odd W above the shipped one
 	}
 	for _, s := range seeds {
 		f.Add(s.seed, s.h, s.w, s.outC, s.outH, s.outW, s.mode)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, h, w, outC, outH, outW, mode uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, h uint16, w, outC, outH, outW, mode uint8) {
 		checkFusedVsLayers(t, seed,
-			1+int(h-1)%64, 1+int(w-1)%40, 1+int(outC-1)%4, 1+int(outH-1)%10, 1+int(outW-1)%8, int(mode)%ampModes)
+			1+int(h-1)%420, 1+int(w-1)%160, 1+int(outC-1)%4, 1+int(outH-1)%10, 1+int(outW-1)%8, int(mode)%ampModes)
 	})
 }
 
@@ -245,5 +257,46 @@ func TestConvAMPZeroAlloc(t *testing.T) {
 	want := uint64(8 * (16*10*8 + 128 + 179*128))
 	if got := ws.Stats().Bytes; got != want {
 		t.Errorf("workspace holds %d bytes, want %d", got, want)
+	}
+}
+
+// TestFoldWindowScanRules pins the window fold's three rules — on whichever
+// implementation this architecture runs — at window lengths that reach each
+// of the kernel's four-, two- and one-element steps: the first occurrence of
+// the maximum wins with its own bits (so −0 before +0 stays −0), a NaN that
+// seeds the window is kept, and a NaN anywhere else never wins.
+func TestFoldWindowScanRules(t *testing.T) {
+	nan, negZero, inf := math.Float64frombits(0x7ff8000000000001), math.Copysign(0, -1), math.Inf(1)
+	const pos, arg = 100, -1
+	for _, tc := range []struct {
+		name     string
+		seg      []float64
+		best     float64
+		wantBits uint64
+		wantArg  int
+	}{
+		{"seed NaN kept", []float64{nan, 5, inf, 7}, nan, math.Float64bits(nan), arg},
+		{"later NaN skipped", []float64{1, nan, 0.5, 0.25, nan}, 1, math.Float64bits(1), arg},
+		{"NaNs do not hide a later maximum", []float64{1, nan, 2, nan, 5, 0.5}, 0, math.Float64bits(5), pos + 4},
+		{"all-NaN window leaves the winner", []float64{nan, nan, nan}, 0.2, math.Float64bits(0.2), arg},
+		{"−0 before +0", []float64{negZero, 0}, -1, math.Float64bits(negZero), pos},
+		{"+0 before −0", []float64{0, negZero, 0, negZero, negZero}, -1, math.Float64bits(0), pos},
+		{"+0 does not beat −0", []float64{0, 0, 0}, negZero, math.Float64bits(negZero), arg},
+		{"equal does not beat", []float64{3, 2, 3}, 3, math.Float64bits(3), arg},
+		{"first of two maxima", []float64{1, 3, 2, 3, 0, 3}, 0, math.Float64bits(3), pos + 1},
+		{"maximum in the last odd cell", []float64{1, 2, 3, 4, 5, 6, 7}, 6.5, math.Float64bits(7), pos + 6},
+		{"maximum in the second accumulator", []float64{0, 0, 9, 0, 0}, -inf, math.Float64bits(9), pos + 2},
+		{"+Inf wins once", []float64{inf, inf}, math.MaxFloat64, math.Float64bits(inf), pos},
+		{"empty window", nil, 4, math.Float64bits(4), arg},
+	} {
+		for _, impl := range []struct {
+			name string
+			fold func([]float64, float64, int, int) (float64, int)
+		}{{"foldWindow", foldWindow}, {"foldWindowGeneric", foldWindowGeneric}} {
+			best, at := impl.fold(tc.seg, tc.best, arg, pos)
+			if math.Float64bits(best) != tc.wantBits || at != tc.wantArg {
+				t.Errorf("%s: %s = (%#x, %d), want (%#x, %d)", tc.name, impl.name, math.Float64bits(best), at, tc.wantBits, tc.wantArg)
+			}
+		}
 	}
 }
