@@ -13,8 +13,9 @@
 //	magic-server -demo -pprof                                # + /debug/pprof
 //
 // Demo mode seeds the corpus with a small synthetic MSKCFG-style corpus and
-// trains an initial model before serving (skipped when -state-dir already
-// holds a model checkpoint from a previous run).
+// trains an initial model before serving, as an ordinary full training job
+// (skipped when -state-dir already holds a model checkpoint from a previous
+// run).
 //
 // With -state-dir the server is crash-safe: every accepted sample is
 // appended as a checksummed binary frame to the open corpus segment and
@@ -55,7 +56,6 @@ import (
 	"repro/internal/acfg"
 	"repro/internal/core"
 	"repro/internal/malgen"
-	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -147,7 +147,7 @@ func run(args []string) error {
 	}
 
 	if *demo && !haveModel {
-		if err := seedDemo(srv, *demoSamples, *epochs, *workers, cfg.ConvName()); err != nil {
+		if err := seedDemo(srv, *demoSamples, *workers); err != nil {
 			return err
 		}
 	} else if *demo {
@@ -211,10 +211,12 @@ func run(args []string) error {
 	return nil
 }
 
-// seedDemo populates the service corpus with synthetic samples (persisted
-// through the attached store, when any) and trains an initial model so the
-// service can classify immediately.
-func seedDemo(srv *service.Server, samples, epochs, workers int, conv string) error {
+// seedDemo imports a synthetic corpus into the service (persisted through
+// the attached store, when any) and trains the initial model as a full
+// training job, so the service can classify as soon as it listens. The job
+// is the one POST /v1/train runs: it checkpoints the model, sets the
+// continual watermark, and stays in the job history and /metrics.
+func seedDemo(srv *service.Server, samples, workers int) error {
 	log.Printf("demo: generating %d synthetic samples", samples)
 	corpus, err := malgen.MSKCFG(malgen.Options{TotalSamples: samples, Seed: 1, Workers: workers})
 	if err != nil {
@@ -223,44 +225,13 @@ func seedDemo(srv *service.Server, samples, epochs, workers int, conv string) er
 	if err := srv.ImportCorpus(corpus); err != nil {
 		return err
 	}
-	cfg := core.DefaultConfig(corpus.NumClasses(), acfg.NumAttributes)
-	cfg.Epochs = epochs
-	if conv != "gcn" {
-		cfg.Conv = conv
-	}
-	m, err := core.NewModel(cfg, corpus.Sizes())
+	start := time.Now()
+	st, err := srv.Train(service.TrainModeFull, 0, 0)
 	if err != nil {
 		return err
 	}
-	log.Printf("demo: training %s", m)
-	start := time.Now()
-	// Publish the seed run's telemetry on the same registry the service
-	// serves, so /metrics has training gauges from the first scrape.
-	tm := obs.NewTrainingMetrics(srv.Metrics())
-	tm.RunStarted(corpus.Len())
-	opts := core.TrainOptions{
-		Workers: workers,
-		Observer: core.EpochObserverFunc(func(e core.EpochStats) {
-			tm.ObserveEpoch(obs.EpochUpdate{
-				Epoch:        e.Epoch,
-				TrainLoss:    e.TrainLoss,
-				TrainAcc:     e.TrainAcc,
-				HasVal:       e.HasVal,
-				ValLoss:      e.ValLoss,
-				ValAcc:       e.ValAcc,
-				LearningRate: e.LearningRate,
-				Duration:     e.Duration,
-				BestEpoch:    e.BestEpoch,
-			})
-			log.Printf("demo: epoch %3d/%d  loss %.4f  acc %.3f  (%v)",
-				e.Epoch+1, epochs, e.TrainLoss, e.TrainAcc, e.Duration.Round(time.Millisecond))
-		}),
-	}
-	if _, err := core.Train(m, corpus, nil, opts); err != nil {
-		tm.RunFinished(true)
-		return err
-	}
-	tm.RunFinished(false)
-	log.Printf("demo: trained in %v", time.Since(start).Round(time.Second))
-	return srv.LoadModel(m)
+	log.Printf("demo: job %s trained in %v: %d epochs over %d samples, train loss %.4f acc %.3f",
+		st.Job, time.Since(start).Round(time.Millisecond),
+		st.Result.Epochs, st.Result.Samples, st.TrainLoss, st.TrainAcc)
+	return nil
 }

@@ -1,12 +1,19 @@
 package main
 
 import (
+	"context"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/acfg"
+	"repro/internal/core"
+	"repro/internal/malgen"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -31,6 +38,76 @@ func TestRunArgumentErrors(t *testing.T) {
 				t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
 			}
 		})
+	}
+}
+
+// TestSeedDemoIsAJob: the demo seed trains through the job system, so once
+// it returns — before any shutdown — the model is checkpointed, the job is
+// in the history, and the continual watermark covers the seeded corpus.
+func TestSeedDemoIsAJob(t *testing.T) {
+	dir := t.TempDir()
+	families := malgen.MSKCFGFamilies()
+	cfg := core.DefaultConfig(len(families), acfg.NumAttributes)
+	cfg.Epochs = 1
+	srv, err := service.NewWithRegistry(families, cfg, obs.NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := service.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := srv.AttachStore(st); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := srv.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	if err := seedDemo(srv, 30, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := service.NewClient(ts.URL)
+	ctx := context.Background()
+
+	ckpt, err := core.LoadFile(filepath.Join(dir, "model.json"))
+	if err != nil {
+		t.Fatalf("no model checkpoint after the seed: %v", err)
+	}
+	models, err := client.ListModels(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var serving string
+	for _, v := range models.Versions {
+		if v.Active {
+			serving = v.Fingerprint
+		}
+	}
+	if got := ckpt.Fingerprint(); got != serving {
+		t.Fatalf("model.json fingerprint %s, serving model %s", got, serving)
+	}
+
+	job, err := client.TrainStatus(ctx, "train-000001")
+	if err != nil {
+		t.Fatalf("the seed left no job in the history: %v", err)
+	}
+	if job.Status != service.JobSucceeded || job.Mode != service.TrainModeFull {
+		t.Fatalf("seed job is %s %s, want a succeeded full job", job.Status, job.Mode)
+	}
+	if _, err := client.TrainStatus(ctx, "train-000002"); err == nil {
+		t.Fatal("the seed left a second job in the history")
+	}
+
+	_, err = client.StartContinual(ctx, 1, 0)
+	var apiErr *service.APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusPreconditionFailed ||
+		!strings.Contains(apiErr.Message, "no new samples") {
+		t.Fatalf("continual job right after the seed: %v, want 412 no new samples", err)
 	}
 }
 

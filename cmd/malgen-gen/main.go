@@ -11,7 +11,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,14 +39,18 @@ func run(args []string) error {
 	}
 
 	var (
-		d   *dataset.Dataset
-		err error
+		d     *dataset.Dataset
+		texts []string
+		err   error
 	)
 	opts := malgen.Options{TotalSamples: *samples, Seed: *seed, Workers: *workers}
 	switch strings.ToLower(*corpus) {
 	case "mskcfg":
-		d, err = malgen.MSKCFG(opts)
+		d, texts, err = malgen.MSKCFGTexts(opts)
 	case "yancfg":
+		if *asmDir != "" {
+			return fmt.Errorf("-asmdir requires -corpus mskcfg (YANCFG samples are pre-built CFGs)")
+		}
 		d, err = malgen.YANCFG(opts)
 	default:
 		return fmt.Errorf("unknown corpus %q", *corpus)
@@ -70,10 +73,7 @@ func run(args []string) error {
 	fmt.Printf("wrote %d samples (%d families) to %s\n", d.Len(), d.NumClasses(), *out)
 
 	if *asmDir != "" {
-		if strings.ToLower(*corpus) != "mskcfg" {
-			return fmt.Errorf("-asmdir requires -corpus mskcfg (YANCFG samples are pre-built CFGs)")
-		}
-		if err := writeASM(*asmDir, *samples, *seed); err != nil {
+		if err := writeASM(*asmDir, d, texts); err != nil {
 			return err
 		}
 		fmt.Printf("wrote .asm listings to %s\n", *asmDir)
@@ -81,33 +81,15 @@ func run(args []string) error {
 	return nil
 }
 
-// writeASM regenerates the same programs (same seed schedule as
-// malgen.MSKCFG) and writes each listing as a file.
-func writeASM(dir string, total int, seed int64) error {
+// writeASM writes each sample's listing, texts[i] for d.Samples[i], to
+// <dir>/<sample name>.asm.
+func writeASM(dir string, d *dataset.Dataset, texts []string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	// Reproduce the per-sample seed schedule: one rng draw per sample in
-	// family-major order, matching generateASMCorpus.
-	families := malgen.MSKCFGFamilies()
-	counts := make([]int, len(families))
-	// Approximate per-family counts by regenerating the corpus metadata:
-	// generate the dataset (cheap at these sizes) and count.
-	d, err := malgen.MSKCFG(malgen.Options{TotalSamples: total, Seed: seed})
-	if err != nil {
-		return err
-	}
-	copy(counts, d.CountByClass())
-
-	rng := rand.New(rand.NewSource(seed))
-	for label := range families {
-		profile := malgen.MSKProfileFor(label)
-		for i := 0; i < counts[label]; i++ {
-			text := malgen.GenerateProgram(rand.New(rand.NewSource(rng.Int63())), profile)
-			name := fmt.Sprintf("%s-%04d.asm", families[label], i)
-			if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
-				return err
-			}
+	for i, s := range d.Samples {
+		if err := os.WriteFile(filepath.Join(dir, s.Name+".asm"), []byte(texts[i]), 0o644); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -9,8 +9,7 @@ import (
 // Classifier adapts the DGCNN model to the generic Fit/Predict contract
 // used by the cross-validation harness (it satisfies eval.Classifier
 // structurally). ValFraction > 0 carves a stratified validation split out
-// of each training set for the plateau schedule, early stopping and
-// best-epoch selection.
+// of each training set for the plateau schedule and best-epoch selection.
 type Classifier struct {
 	Cfg         Config
 	Opts        TrainOptions

@@ -144,24 +144,10 @@ func TestPredictDatasetHelpers(t *testing.T) {
 	if _, err := Train(m, d, nil, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	preds := PredictDataset(m, d)
-	probs := PredictProbs(m, d)
-	if len(preds) != d.Len() || len(probs) != d.Len() {
-		t.Fatalf("lengths %d/%d", len(preds), len(probs))
-	}
-	for i := range preds {
-		best := 0
-		for c := range probs[i] {
-			if probs[i][c] > probs[i][best] {
-				best = c
-			}
+	for i, s := range d.Samples {
+		if got, want := m.PredictClass(s.ACFG), argmax(m.Predict(s.ACFG)); got != want {
+			t.Fatalf("sample %d: PredictClass = %d, argmax of Predict = %d", i, got, want)
 		}
-		if best != preds[i] {
-			t.Fatal("PredictDataset inconsistent with PredictProbs")
-		}
-	}
-	if loss := EvaluateLoss(m, d); loss <= 0 {
-		t.Fatalf("loss = %v", loss)
 	}
 }
 
@@ -178,28 +164,35 @@ func TestTrainLogging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lines []string
-	opts := TrainOptions{Logf: func(format string, args ...any) {
-		lines = append(lines, format)
-	}}
+	var seen []EpochStats
+	opts := TrainOptions{Observer: EpochObserverFunc(func(e EpochStats) {
+		seen = append(seen, e)
+	})}
+	check := func(hasVal bool) {
+		t.Helper()
+		if len(seen) != 3 {
+			t.Fatalf("observed %d epochs (val %v), want 3", len(seen), hasVal)
+		}
+		for i, e := range seen {
+			if e.Epoch != i || e.HasVal != hasVal {
+				t.Fatalf("call %d: epoch %d, HasVal %v; want epoch %d, HasVal %v", i, e.Epoch, e.HasVal, i, hasVal)
+			}
+		}
+	}
 	if _, err := Train(m, train, val, opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 3 {
-		t.Fatalf("logged %d lines, want 3", len(lines))
-	}
-	// Training without a validation set logs too.
+	check(true)
+	// Training without a validation set is observed too.
 	m2, err := NewModel(cfg, train.Sizes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines = nil
+	seen = nil
 	if _, err := Train(m2, train, nil, opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 3 {
-		t.Fatalf("logged %d lines without val, want 3", len(lines))
-	}
+	check(false)
 }
 
 func TestTrainEmptyDataset(t *testing.T) {

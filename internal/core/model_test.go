@@ -232,31 +232,13 @@ func TestTrainWithValidationAndHistory(t *testing.T) {
 		t.Fatalf("best epoch = %d", hist.BestEpoch)
 	}
 	// Restored parameters must reproduce (approximately) the best loss.
-	got := EvaluateLoss(m, val)
+	got := 0.0
+	for _, s := range val.Samples {
+		got += nn.NLLOfProbs(m.Predict(s.ACFG), s.Label)
+	}
+	got /= float64(val.Len())
 	if math.Abs(got-hist.BestValLoss) > 1e-9 {
 		t.Fatalf("restored val loss %v != best %v", got, hist.BestValLoss)
-	}
-}
-
-func TestTrainEarlyStopping(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	d := twoClassDataset(rng, 16)
-	train, val, err := d.TrainValSplit(0.25, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := tinyConfig(SortPooling, WeightedVerticesHead)
-	cfg.Epochs = 100
-	m, err := NewModel(cfg, train.Sizes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := Train(m, train, val, TrainOptions{Patience: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(hist.TrainLoss) == 100 {
-		t.Log("early stopping never triggered (acceptable but unusual)")
 	}
 }
 

@@ -223,7 +223,7 @@ func discardGradsOnErr(rep *Model, errp *error) {
 
 // EvalBatch computes per-sample inference losses and argmax hits (dropout
 // off, no gradients) into results, which must have len(tasks) slots. The
-// per-sample numbers are identical to a serial EvaluateLoss sweep.
+// per-sample numbers are identical to a serial Model.Predict sweep.
 func (e *ParallelBatch) EvalBatch(tasks []sampleTask, results []sampleResult) error {
 	wall := obs.StartTimer()
 	e.op, e.tasks, e.results = opEval, tasks, results

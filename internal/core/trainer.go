@@ -61,33 +61,6 @@ type EpochObserverFunc func(EpochStats)
 // ObserveEpoch calls f.
 func (f EpochObserverFunc) ObserveEpoch(s EpochStats) { f(s) }
 
-// multiObserver fans one epoch's stats out to several observers.
-type multiObserver []EpochObserver
-
-func (m multiObserver) ObserveEpoch(s EpochStats) {
-	for _, o := range m {
-		o.ObserveEpoch(s)
-	}
-}
-
-// MultiObserver combines observers into one, skipping nils. It returns
-// nil when none remain.
-func MultiObserver(obs ...EpochObserver) EpochObserver {
-	var out multiObserver
-	for _, o := range obs {
-		if o != nil {
-			out = append(out, o)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}
-
 // ErrCancelled is returned by Train when the run was abandoned because
 // TrainOptions.Stop was signalled. Callers distinguish it from genuine
 // failures with errors.Is.
@@ -95,11 +68,6 @@ var ErrCancelled = errors.New("core: training cancelled")
 
 // TrainOptions tunes the training loop beyond the model Config.
 type TrainOptions struct {
-	// Logf, when non-nil, receives one line per epoch.
-	Logf func(format string, args ...any)
-	// Patience stops training early after this many epochs without
-	// validation improvement. Zero disables early stopping.
-	Patience int
 	// Observer, when non-nil, receives an EpochStats snapshot after every
 	// epoch — the hook live-progress output and obs.TrainingMetrics hang
 	// off of.
@@ -284,7 +252,6 @@ func Train(m *Model, train, val dataset.SampleSource, opts TrainOptions) (*Histo
 
 	hist := &History{BestValLoss: -1}
 	var best []*tensor.Matrix
-	sinceBest := 0
 
 	// Validation tasks are fixed across epochs; build them once.
 	var valTasks []sampleTask
@@ -328,26 +295,15 @@ func Train(m *Model, train, val dataset.SampleSource, opts TrainOptions) (*Histo
 			hist.ValLoss = append(hist.ValLoss, valLoss)
 			monitor = valLoss
 		}
-		decayed := sched.Observe(monitor)
+		sched.Observe(monitor)
 
 		improved := hist.BestValLoss < 0 || monitor < hist.BestValLoss
 		if improved {
 			hist.BestValLoss = monitor
 			hist.BestEpoch = epoch
 			best = snapshotParams(m.Params())
-			sinceBest = 0
-		} else {
-			sinceBest++
 		}
 
-		if opts.Logf != nil {
-			if val != nil {
-				opts.Logf("epoch %3d  train %.4f  val %.4f  lr %.2g%s",
-					epoch, trainLoss, valLoss, opt.LR(), decayNote(decayed))
-			} else {
-				opts.Logf("epoch %3d  train %.4f  lr %.2g%s", epoch, trainLoss, opt.LR(), decayNote(decayed))
-			}
-		}
 		if opts.Observer != nil {
 			opts.Observer.ObserveEpoch(EpochStats{
 				Epoch:        epoch,
@@ -361,9 +317,6 @@ func Train(m *Model, train, val dataset.SampleSource, opts TrainOptions) (*Histo
 				BestEpoch:    hist.BestEpoch,
 				Improved:     improved,
 			})
-		}
-		if opts.Patience > 0 && sinceBest >= opts.Patience {
-			break
 		}
 	}
 	if best != nil {
@@ -381,36 +334,6 @@ func Train(m *Model, train, val dataset.SampleSource, opts TrainOptions) (*Histo
 // in. optim_test.go pins this contract down.
 func stepBatch(opt nn.Optimizer, n int) {
 	opt.Step(n)
-}
-
-// EvaluateLoss computes the mean NLL of the model over a dataset.
-func EvaluateLoss(m *Model, d *dataset.Dataset) float64 {
-	if d.Len() == 0 {
-		return 0
-	}
-	total := 0.0
-	for _, s := range d.Samples {
-		total += nn.NLLOfProbs(m.Predict(s.ACFG), s.Label)
-	}
-	return total / float64(d.Len())
-}
-
-// PredictDataset returns the predicted class per sample.
-func PredictDataset(m *Model, d *dataset.Dataset) []int {
-	preds := make([]int, d.Len())
-	for i, s := range d.Samples {
-		preds[i] = m.PredictClass(s.ACFG)
-	}
-	return preds
-}
-
-// PredictProbs returns per-sample probability vectors.
-func PredictProbs(m *Model, d *dataset.Dataset) [][]float64 {
-	probs := make([][]float64, d.Len())
-	for i, s := range d.Samples {
-		probs[i] = m.Predict(s.ACFG)
-	}
-	return probs
 }
 
 func snapshotParams(ps []*nn.Param) []*tensor.Matrix {
@@ -435,11 +358,4 @@ func argmax(xs []float64) int {
 		}
 	}
 	return best
-}
-
-func decayNote(decayed bool) string {
-	if decayed {
-		return "  (lr decayed)"
-	}
-	return ""
 }

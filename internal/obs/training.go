@@ -17,37 +17,45 @@ type EpochUpdate struct {
 	BestEpoch    int
 }
 
-// TrainingMetrics publishes training-loop telemetry: per-epoch loss and
+// TrainingMetrics publishes the telemetry of the service's training jobs
+// (POST /v1/train returns a job ID; GET/DELETE /v1/train/{id} observe and
+// cancel it): submissions, the running flag, outcomes and durations of
+// whole jobs, and the per-epoch numbers of the running one — loss and
 // accuracy gauges (train and validation), epoch duration histogram,
-// best-epoch and learning-rate gauges, and run/epoch counters.
+// best-epoch and learning-rate gauges.
 type TrainingMetrics struct {
-	runs       *CounterVec // outcome
-	inProgress *Gauge
-	samples    *Gauge
-	epochs     *Counter
-	epoch      *Gauge
-	loss       *GaugeVec // set
-	accuracy   *GaugeVec // set
-	lr         *Gauge
-	bestEpoch  *Gauge
-	epochDur   *Histogram
+	submitted *Counter
+	active    *Gauge
+	completed *CounterVec // outcome
+	duration  *Histogram
+	samples   *Gauge
+	epochs    *Counter
+	epoch     *Gauge
+	loss      *GaugeVec // set
+	accuracy  *GaugeVec // set
+	lr        *Gauge
+	bestEpoch *Gauge
+	epochDur  *Histogram
 }
 
-// NewTrainingMetrics registers the training metric families on r. Like all
-// registration it is idempotent, so several training paths (the service's
-// /v1/train, a demo seed) can share one registry.
+// NewTrainingMetrics registers the training metric families on r.
+// Registration is idempotent, like all registry calls.
 func NewTrainingMetrics(r *Registry) *TrainingMetrics {
 	return &TrainingMetrics{
-		runs: r.CounterVec("magic_train_runs_total",
-			"Completed training runs by outcome (ok or error).", "outcome"),
-		inProgress: r.Gauge("magic_train_in_progress",
-			"1 while a training run is active, else 0."),
+		submitted: r.Counter("magic_train_job_submitted_total",
+			"Training jobs accepted by POST /v1/train."),
+		active: r.Gauge("magic_train_job_active",
+			"1 while a training job is running, else 0."),
+		completed: r.CounterVec("magic_train_job_completed_total",
+			"Training jobs finished, by outcome (ok, error or cancelled).", "outcome"),
+		duration: r.Histogram("magic_train_job_duration_seconds",
+			"Wall-clock duration of finished training jobs.", DefBuckets),
 		samples: r.Gauge("magic_train_samples",
-			"Number of samples in the most recent training run."),
+			"Number of samples in the most recent training job."),
 		epochs: r.Counter("magic_train_epochs_total",
-			"Total training epochs completed across all runs."),
+			"Total training epochs completed across all jobs."),
 		epoch: r.Gauge("magic_train_epoch",
-			"Index of the most recently completed epoch in the current run."),
+			"Index of the most recently completed epoch in the current job."),
 		loss: r.GaugeVec("magic_train_loss",
 			"Loss of the most recently completed epoch.", "set"),
 		accuracy: r.GaugeVec("magic_train_accuracy",
@@ -55,26 +63,26 @@ func NewTrainingMetrics(r *Registry) *TrainingMetrics {
 		lr: r.Gauge("magic_train_learning_rate",
 			"Learning rate after the most recently completed epoch."),
 		bestEpoch: r.Gauge("magic_train_best_epoch",
-			"Epoch with the lowest monitored loss so far in the current run."),
+			"Epoch with the lowest monitored loss so far in the current job."),
 		epochDur: r.Histogram("magic_train_epoch_duration_seconds",
 			"Wall-clock duration of each training epoch.", DefBuckets),
 	}
 }
 
-// RunStarted marks a training run active over the given sample count.
-func (t *TrainingMetrics) RunStarted(samples int) {
-	t.inProgress.Set(1)
+// JobStarted marks a job accepted and running over the given sample count.
+// The service admits one job at a time, so the active gauge is a 0/1 flag.
+func (t *TrainingMetrics) JobStarted(samples int) {
+	t.submitted.Inc()
+	t.active.Set(1)
 	t.samples.Set(float64(samples))
 }
 
-// RunFinished marks the run complete.
-func (t *TrainingMetrics) RunFinished(failed bool) {
-	t.inProgress.Set(0)
-	outcome := "ok"
-	if failed {
-		outcome = "error"
-	}
-	t.runs.With(outcome).Inc()
+// JobFinished marks the running job terminal with the given outcome ("ok",
+// "error" or "cancelled") and wall-clock duration.
+func (t *TrainingMetrics) JobFinished(outcome string, d time.Duration) {
+	t.active.Set(0)
+	t.completed.With(outcome).Inc()
+	t.duration.Observe(d.Seconds())
 }
 
 // ObserveEpoch publishes one epoch's telemetry. It is the obs-side half of

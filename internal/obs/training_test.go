@@ -10,9 +10,12 @@ func TestTrainingMetricsLifecycle(t *testing.T) {
 	r := NewRegistry()
 	tm := NewTrainingMetrics(r)
 
-	tm.RunStarted(42)
-	if got := tm.inProgress.Value(); got != 1 {
-		t.Fatalf("in progress = %v, want 1", got)
+	tm.JobStarted(42)
+	if got := tm.active.Value(); got != 1 {
+		t.Fatalf("active = %v, want 1", got)
+	}
+	if got := tm.submitted.Value(); got != 1 {
+		t.Fatalf("submitted = %v, want 1", got)
 	}
 	if got := tm.samples.Value(); got != 42 {
 		t.Fatalf("samples = %v, want 42", got)
@@ -31,7 +34,7 @@ func TestTrainingMetricsLifecycle(t *testing.T) {
 			BestEpoch:    epoch,
 		})
 	}
-	tm.RunFinished(false)
+	tm.JobFinished("ok", 20*time.Millisecond)
 
 	if got := tm.epochs.Value(); got != 3 {
 		t.Fatalf("epochs total = %v, want 3", got)
@@ -49,17 +52,20 @@ func TestTrainingMetricsLifecycle(t *testing.T) {
 	if got := tm.epochDur.Count(); got != 3 {
 		t.Fatalf("epoch duration observations = %v, want 3", got)
 	}
-	if got := tm.inProgress.Value(); got != 0 {
-		t.Fatalf("in progress = %v, want 0 after finish", got)
+	if got := tm.active.Value(); got != 0 {
+		t.Fatalf("active = %v, want 0 after finish", got)
 	}
-	if got := tm.runs.With("ok").Value(); got != 1 {
-		t.Fatalf("ok runs = %v, want 1", got)
+	if got := tm.completed.With("ok").Value(); got != 1 {
+		t.Fatalf("ok jobs = %v, want 1", got)
 	}
 
-	tm.RunStarted(7)
-	tm.RunFinished(true)
-	if got := tm.runs.With("error").Value(); got != 1 {
-		t.Fatalf("error runs = %v, want 1", got)
+	tm.JobStarted(7)
+	tm.JobFinished("cancelled", time.Millisecond)
+	if got := tm.completed.With("cancelled").Value(); got != 1 {
+		t.Fatalf("cancelled jobs = %v, want 1", got)
+	}
+	if got := tm.duration.Count(); got != 2 {
+		t.Fatalf("job duration observations = %v, want 2", got)
 	}
 }
 

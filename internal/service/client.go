@@ -151,12 +151,7 @@ const trainPollInterval = 25 * time.Millisecond
 // StartTrain submits an asynchronous training job and returns its initial
 // status (202) without waiting for the run.
 func (c *Client) StartTrain(ctx context.Context, epochs int, valFraction float64) (*TrainJobStatus, error) {
-	raw, err := c.do(ctx, http.MethodPost, "/v1/train",
-		trainBody{Epochs: epochs, ValFraction: valFraction}, http.StatusAccepted)
-	if err != nil {
-		return nil, err
-	}
-	return decodeJobStatus(raw)
+	return c.startJob(ctx, trainBody{Epochs: epochs, ValFraction: valFraction})
 }
 
 // StartContinual submits an asynchronous continual fine-tuning job: the
@@ -164,8 +159,11 @@ func (c *Client) StartTrain(ctx context.Context, epochs int, valFraction float64
 // and promoted only if holdout accuracy does not regress. valFraction sets
 // the holdout share (0 uses the server default).
 func (c *Client) StartContinual(ctx context.Context, epochs int, valFraction float64) (*TrainJobStatus, error) {
-	raw, err := c.do(ctx, http.MethodPost, "/v1/train",
-		trainBody{Mode: TrainModeContinual, Epochs: epochs, ValFraction: valFraction}, http.StatusAccepted)
+	return c.startJob(ctx, trainBody{Mode: TrainModeContinual, Epochs: epochs, ValFraction: valFraction})
+}
+
+func (c *Client) startJob(ctx context.Context, body trainBody) (*TrainJobStatus, error) {
+	raw, err := c.do(ctx, http.MethodPost, "/v1/train", body, http.StatusAccepted)
 	if err != nil {
 		return nil, err
 	}
@@ -223,17 +221,19 @@ func (c *Client) WaitTrain(ctx context.Context, id string) (*TrainJobStatus, err
 	}
 }
 
-// Train triggers (re)training on the accumulated corpus and blocks until
-// the run finishes: it submits an asynchronous job and polls it to a
-// terminal state, so it works for runs of any length without an HTTP
-// request outliving the client timeout.
+// Train triggers full retraining on the accumulated corpus and blocks
+// until the run finishes; it is TrainAndWait with TrainModeFull.
 func (c *Client) Train(epochs int, valFraction float64) (*TrainResult, error) {
-	return c.TrainContext(context.Background(), epochs, valFraction)
+	return c.TrainAndWait(context.Background(), TrainModeFull, epochs, valFraction)
 }
 
-// TrainContext is Train bounded by ctx.
-func (c *Client) TrainContext(ctx context.Context, epochs int, valFraction float64) (*TrainResult, error) {
-	job, err := c.StartTrain(ctx, epochs, valFraction)
+// TrainAndWait submits a training job of the given mode (TrainModeFull or
+// TrainModeContinual) and polls it to a terminal state, so it works for
+// runs of any length without an HTTP request outliving the client timeout.
+// It returns the succeeded job's result — for a continual job, Promoted
+// reports the eval gate's verdict — and an error for any other outcome.
+func (c *Client) TrainAndWait(ctx context.Context, mode string, epochs int, valFraction float64) (*TrainResult, error) {
+	job, err := c.startJob(ctx, trainBody{Mode: mode, Epochs: epochs, ValFraction: valFraction})
 	if err != nil {
 		return nil, err
 	}
@@ -241,42 +241,13 @@ func (c *Client) TrainContext(ctx context.Context, epochs int, valFraction float
 	if err != nil {
 		return nil, err
 	}
-	switch st.Status {
-	case JobSucceeded:
-		if st.Result == nil {
-			return nil, fmt.Errorf("service client: job %s succeeded without a result", st.Job)
-		}
-		return st.Result, nil
-	case JobCancelled:
-		return nil, fmt.Errorf("service client: training job %s was cancelled", st.Job)
-	default:
-		return nil, fmt.Errorf("service client: training job %s failed: %s", st.Job, st.Error)
+	if err := st.err(); err != nil {
+		return nil, fmt.Errorf("service client: %w", err)
 	}
-}
-
-// ContinualTrain submits a continual fine-tuning job and blocks until it
-// reaches a terminal state, returning the result (whose Promoted field
-// reports the eval gate's verdict).
-func (c *Client) ContinualTrain(ctx context.Context, epochs int, valFraction float64) (*TrainResult, error) {
-	job, err := c.StartContinual(ctx, epochs, valFraction)
-	if err != nil {
-		return nil, err
+	if st.Result == nil {
+		return nil, fmt.Errorf("service client: job %s succeeded without a result", st.Job)
 	}
-	st, err := c.WaitTrain(ctx, job.Job)
-	if err != nil {
-		return nil, err
-	}
-	switch st.Status {
-	case JobSucceeded:
-		if st.Result == nil {
-			return nil, fmt.Errorf("service client: job %s succeeded without a result", st.Job)
-		}
-		return st.Result, nil
-	case JobCancelled:
-		return nil, fmt.Errorf("service client: training job %s was cancelled", st.Job)
-	default:
-		return nil, fmt.Errorf("service client: training job %s failed: %s", st.Job, st.Error)
-	}
+	return st.Result, nil
 }
 
 func decodeJobStatus(raw []byte) (*TrainJobStatus, error) {

@@ -133,7 +133,7 @@ func TestContinualTrainGateRejects(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := client.ContinualTrain(ctx, 4, 0)
+	res, err := client.TrainAndWait(ctx, TrainModeContinual, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/acfg"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 )
 
 // Training job modes. Full retrains from scratch on the whole corpus;
@@ -66,6 +67,17 @@ type TrainJobStatus struct {
 // Terminal reports whether the job has reached a final state.
 func (s *TrainJobStatus) Terminal() bool {
 	return s.Status == JobSucceeded || s.Status == JobFailed || s.Status == JobCancelled
+}
+
+// err is nil for a succeeded job and describes a cancelled or failed one.
+func (s *TrainJobStatus) err() error {
+	switch s.Status {
+	case JobSucceeded:
+		return nil
+	case JobCancelled:
+		return fmt.Errorf("training job %s was cancelled", s.Job)
+	}
+	return fmt.Errorf("training job %s failed: %s", s.Job, s.Error)
 }
 
 // trainJob is the server-side record of one asynchronous training run. The
@@ -165,8 +177,9 @@ func (s *Server) TrainingActive() bool {
 	return s.curJob != nil
 }
 
-// startTrainJobLocked admits a new job (callers hold s.mu and have already
-// rejected a concurrent run) and registers it in the history ring.
+// startTrainJobLocked registers a new running job as the server's current
+// one (callers hold s.mu and have already rejected a concurrent run) and
+// in the history ring.
 func (s *Server) startTrainJobLocked(mode string, epochs, samples int) *trainJob {
 	s.jobSeq++
 	job := &trainJob{
@@ -194,96 +207,208 @@ func (s *Server) startTrainJobLocked(mode string, epochs, samples int) *trainJob
 	return job
 }
 
-// runTrainJob is the job goroutine: it owns the whole training lifecycle
-// from validation split to model install and checkpoint, and always leaves
-// the server idle (curJob nil) and the job terminal on exit.
-func (s *Server) runTrainJob(job *trainJob, cfg core.Config, train *samples, valFraction float64, workers int) {
-	defer close(job.done)
-	s.trainMetrics.RunStarted(train.Len())
+// trainRun is a job's plan, fixed at admission. Full and continual runs
+// differ only in these values: a full run trains a fresh model on the
+// corpus snapshot (less an optional validation split) and installs it; a
+// continual run fine-tunes a clone of the serving model on the samples past
+// the watermark, keeping its scaler, and installs the result only if its
+// accuracy on a holdout of the whole corpus does not regress.
+type trainRun struct {
+	cfg      core.Config
+	base     *core.Model // model to fine-tune; nil trains a fresh one
+	fit, val *samples    // val is nil without a validation split
+	holdout  *samples    // eval gate's holdout; nil installs unconditionally
+	through  int         // corpus length trainedThrough moves to on install
+	source   string      // registry source tag of the installed model
+	workers  int
+}
 
-	settle := func(state, errMsg string, result *TrainResult) {
-		now := s.now()
-		job.finish(state, errMsg, result, now)
-		s.mu.Lock()
-		s.curJob = nil
-		s.mu.Unlock()
-		outcome := "ok"
-		switch state {
-		case JobFailed:
-			outcome = "error"
-		case JobCancelled:
-			outcome = "cancelled"
-		}
-		// The run-level counters predate cancellation and only know
-		// ok/error; a cancelled run lands in "error" there, while the job
-		// counters carry the distinct outcome.
-		s.trainMetrics.RunFinished(state != JobSucceeded)
-		s.jobMetrics.Finished(outcome, now.Sub(job.startedAt).Seconds())
+// admitTrain validates a training request against the corpus and the
+// serving model and, once it is admitted, starts its job. A refusal comes
+// with the HTTP status that answers it: 400 for an unknown mode, 409 while
+// another job runs, 412 when the corpus or the serving model cannot support
+// the run. POST /v1/train and Train both admit through it.
+func (s *Server) admitTrain(body trainBody) (*trainJob, int, error) {
+	switch body.Mode {
+	case "", TrainModeFull:
+		body.Mode = TrainModeFull
+	case TrainModeContinual:
+	default:
+		return nil, http.StatusBadRequest,
+			fmt.Errorf("unknown training mode %q (want %q or %q)", body.Mode, TrainModeFull, TrainModeContinual)
 	}
 
-	fit := train
-	var val dataset.SampleSource // nil, not a nil *samples: Train tests it against nil
-	if valFraction > 0 && valFraction < 1 {
-		tr, v, err := train.split(valFraction, cfg.Seed)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.curJob != nil {
+		return nil, http.StatusConflict, fmt.Errorf("training already in progress (job %s)", s.curJob.id)
+	}
+	// Snapshot the corpus under the lock; train outside it so predictions
+	// against the previous model keep serving.
+	snap := s.corpus.snapshot()
+	run := trainRun{cfg: s.cfgTemplate, fit: snap, through: snap.Len(), source: "train", workers: s.workersLocked()}
+	if body.Epochs > 0 {
+		run.cfg.Epochs = body.Epochs
+	}
+	valFraction := body.ValFraction
+	if valFraction <= 0 || valFraction >= 1 {
+		valFraction = 0
+	}
+	n := snap.Len() // the job's sample count: the whole snapshot, or the increment
+	if body.Mode == TrainModeFull {
+		for i, c := range snap.CountByClass() {
+			if c < 2 {
+				return nil, http.StatusPreconditionFailed,
+					fmt.Errorf("family %q has %d samples; need at least 2 per family", s.families[i], c)
+			}
+		}
+		if valFraction > 0 {
+			var err error
+			if run.fit, run.val, err = snap.split(valFraction, run.cfg.Seed); err != nil {
+				return nil, http.StatusPreconditionFailed, fmt.Errorf("validation split: %w", err)
+			}
+		}
+	} else {
+		if s.model == nil {
+			return nil, http.StatusPreconditionFailed,
+				fmt.Errorf("continual training needs a trained model; run a full training job first")
+		}
+		if s.trainedThrough >= snap.Len() {
+			return nil, http.StatusPreconditionFailed,
+				fmt.Errorf("no new samples since the last training job (corpus %d, trained through %d)", snap.Len(), s.trainedThrough)
+		}
+		if valFraction == 0 {
+			valFraction = continualHoldoutFraction
+		}
+		// The gate's holdout is a stratified slice of the whole corpus (old
+		// and new samples alike): the tuned model must not trade
+		// established families for the increment's.
+		_, holdout, err := snap.split(valFraction, run.cfg.Seed)
 		if err != nil {
-			settle(JobFailed, err.Error(), nil)
-			return
+			return nil, http.StatusPreconditionFailed, fmt.Errorf("continual holdout split: %w", err)
 		}
-		fit, val = tr, v
+		run.base, run.holdout, run.source = s.model, holdout, TrainModeContinual
+		run.fit = &samples{classes: snap.classes, entries: snap.entries[s.trainedThrough:]}
+		n = run.fit.Len()
 	}
-	m, err := core.NewModel(cfg, fit.Sizes())
+	job := s.startTrainJobLocked(body.Mode, run.cfg.Epochs, n)
+	s.trainMetrics.JobStarted(n)
+	go s.runTrainJob(job, run)
+	return job, http.StatusAccepted, nil
+}
+
+// runTrainJob is the job goroutine. It trains, releases the server (curJob
+// nil) and records the outcome before the job turns terminal, so a client
+// that sees a terminal status finds the server idle and the job counted.
+func (s *Server) runTrainJob(job *trainJob, run trainRun) {
+	defer close(job.done)
+	result, err := s.fit(job, run)
+	state, outcome, errMsg := JobSucceeded, "ok", ""
+	if errors.Is(err, core.ErrCancelled) {
+		state, outcome = JobCancelled, "cancelled"
+	} else if err != nil {
+		state, outcome, errMsg = JobFailed, "error", err.Error()
+	}
+	now := s.now()
+	s.mu.Lock()
+	s.curJob = nil
+	s.trainMetrics.JobFinished(outcome, now.Sub(job.startedAt))
+	s.mu.Unlock()
+	job.finish(state, errMsg, result, now)
+}
+
+// fit executes run: it builds the starting model, trains it, applies the
+// eval gate, and installs and checkpoints a model that passes. It returns
+// the job's result, or the error that ends the job (core.ErrCancelled for
+// a cancelled one). A cancelled or failed run leaves the serving model and
+// the watermark as they were.
+func (s *Server) fit(job *trainJob, run trainRun) (*TrainResult, error) {
+	var m *core.Model
+	var err error
+	if run.base == nil {
+		m, err = core.NewModel(run.cfg, run.fit.Sizes())
+	} else if m, err = cloneModel(run.base); err == nil {
+		// The clone inherits the base model's architecture (it must — the
+		// weights match it), but the epoch budget is this job's: the
+		// training loop reads it from the model config.
+		m.Config.Epochs = run.cfg.Epochs
+	}
 	if err != nil {
-		settle(JobFailed, err.Error(), nil)
-		return
+		return nil, err
 	}
-	hist, err := core.Train(m, fit, val, core.TrainOptions{
-		Workers: workers,
+	res := &TrainResult{Mode: job.mode, Samples: job.samples}
+	if run.holdout != nil {
+		res.NewSamples = job.samples
+		// The clone is parameter-identical to the serving model: its
+		// accuracy is the baseline the tuned model must not fall below.
+		if res.BaselineAcc, err = accuracyOn(m, run.holdout, run.workers); err != nil {
+			return nil, fmt.Errorf("baseline eval: %w", err)
+		}
+	}
+	var val dataset.SampleSource // nil, not a nil *samples: Train tests it against nil
+	if run.val != nil {
+		val = run.val
+	}
+	hist, err := core.Train(m, run.fit, val, core.TrainOptions{
+		Workers: run.workers,
 		Stop:    job.stop,
+		// A fine-tune keeps the base model's fitted attribute statistics:
+		// refitting on the (differently distributed) increment would shift
+		// every input the inherited parameters were trained against.
+		PreserveScaler: run.base != nil,
 		Observer: core.EpochObserverFunc(func(e core.EpochStats) {
 			s.trainMetrics.ObserveEpoch(epochUpdate(e))
 			job.observeEpoch(e)
 		}),
 	})
-	switch {
-	case errors.Is(err, core.ErrCancelled):
-		settle(JobCancelled, "", nil)
-		return
-	case err != nil:
-		settle(JobFailed, err.Error(), nil)
-		return
+	if err != nil {
+		return nil, err
+	}
+	res.Epochs, res.BestEpoch, res.BestLoss = len(hist.TrainLoss), hist.BestEpoch, hist.BestValLoss
+	res.Parameters = m.NumParameters()
+	if run.holdout != nil {
+		if res.HoldoutAcc, err = accuracyOn(m, run.holdout, run.workers); err != nil {
+			return nil, fmt.Errorf("holdout eval: %w", err)
+		}
+		if res.HoldoutAcc < res.BaselineAcc {
+			// Eval gate: the increment made the model worse on held-out
+			// data. Keep serving the baseline and leave the watermark so
+			// the samples are retried (with more company) by the next job.
+			return res, nil
+		}
 	}
 
 	s.mu.Lock()
-	installErr := s.installModelLocked(m, "train")
+	s.installModelLocked(m, run.source)
+	s.trainedThrough = run.through
 	var ckptErr error
-	if installErr == nil && s.store != nil {
+	if s.store != nil {
 		ckptErr = s.store.SaveModel(m)
 	}
-	if installErr == nil {
-		// The continual mode fine-tunes on corpus samples past this
-		// watermark; a full run covers the whole snapshot.
-		s.trainedThrough = train.Len()
-	}
 	s.mu.Unlock()
-	if installErr != nil {
-		settle(JobFailed, installErr.Error(), nil)
-		return
-	}
 	if ckptErr != nil {
 		// The model is installed and serving, but durability is broken —
 		// surface that as a failed job so operators notice.
-		settle(JobFailed, fmt.Sprintf("checkpoint model: %v", ckptErr), nil)
-		return
+		return nil, fmt.Errorf("checkpoint model: %w", ckptErr)
 	}
-	settle(JobSucceeded, "", &TrainResult{
-		Mode:       TrainModeFull,
-		Promoted:   true,
-		Epochs:     len(hist.TrainLoss),
-		BestEpoch:  hist.BestEpoch,
-		BestLoss:   hist.BestValLoss,
-		Samples:    train.Len(),
-		Parameters: m.NumParameters(),
-	})
+	res.Promoted = true
+	return res, nil
+}
+
+// epochUpdate bridges core's per-epoch stats to the obs telemetry struct
+// (obs cannot import core, being dependency-free).
+func epochUpdate(e core.EpochStats) obs.EpochUpdate {
+	return obs.EpochUpdate{
+		Epoch:        e.Epoch,
+		TrainLoss:    e.TrainLoss,
+		TrainAcc:     e.TrainAcc,
+		HasVal:       e.HasVal,
+		ValLoss:      e.ValLoss,
+		ValAcc:       e.ValAcc,
+		LearningRate: e.LearningRate,
+		Duration:     e.Duration,
+		BestEpoch:    e.BestEpoch,
+	}
 }
 
 // cloneModel round-trips a model through its serialized form, yielding an
@@ -336,114 +461,23 @@ func accuracyOn(m *core.Model, d dataset.SampleSource, workers int) (float64, er
 	return float64(hits) / float64(d.Len()), nil
 }
 
-// runContinualJob fine-tunes a clone of the serving model on the corpus
-// increment since the last completed job, then gates promotion on holdout
-// accuracy: the tuned model is installed only if it does not regress
-// against the baseline (the clone evaluated before fine-tuning, which is
-// parameter-identical to the serving model). A rejected run still succeeds
-// — Result.Promoted reports the gate's verdict — and leaves the watermark
-// untouched so the increment is retried by the next job.
-func (s *Server) runContinualJob(job *trainJob, cfg core.Config, base *core.Model, increment, holdout *samples, snapshotLen, workers int) {
-	defer close(job.done)
-	s.trainMetrics.RunStarted(increment.Len())
-
-	settle := func(state, errMsg string, result *TrainResult) {
-		now := s.now()
-		job.finish(state, errMsg, result, now)
-		s.mu.Lock()
-		s.curJob = nil
-		s.mu.Unlock()
-		outcome := "ok"
-		switch state {
-		case JobFailed:
-			outcome = "error"
-		case JobCancelled:
-			outcome = "cancelled"
-		}
-		s.trainMetrics.RunFinished(state != JobSucceeded)
-		s.jobMetrics.Finished(outcome, now.Sub(job.startedAt).Seconds())
-	}
-
-	m, err := cloneModel(base)
+// Train runs one training job in process and blocks until it is terminal:
+// POST /v1/train {"mode","epochs","valFraction"} without the HTTP round
+// trip — the same admission, runner, job history and metrics — for callers
+// that train before they serve, like magic-server's demo seed. A refused
+// request returns only the error; a job that ends other than succeeded
+// returns its final status and an error describing it.
+func (s *Server) Train(mode string, epochs int, valFraction float64) (*TrainJobStatus, error) {
+	job, _, err := s.admitTrain(trainBody{Mode: mode, Epochs: epochs, ValFraction: valFraction})
 	if err != nil {
-		settle(JobFailed, err.Error(), nil)
-		return
+		return nil, fmt.Errorf("service: %w", err)
 	}
-	// The clone inherits the base model's architecture (it must — the
-	// weights match it), but the epoch budget is this job's: the training
-	// loop reads it from the model config.
-	m.Config.Epochs = cfg.Epochs
-	baselineAcc, err := accuracyOn(m, holdout, workers)
-	if err != nil {
-		settle(JobFailed, fmt.Sprintf("baseline eval: %v", err), nil)
-		return
+	<-job.done
+	st := job.status()
+	if err := st.err(); err != nil {
+		return st, fmt.Errorf("service: %w", err)
 	}
-
-	hist, err := core.Train(m, increment, nil, core.TrainOptions{
-		Workers: workers,
-		Stop:    job.stop,
-		// Keep the base model's fitted attribute statistics: refitting on
-		// the (differently distributed) increment would shift every input
-		// the inherited parameters were trained against.
-		PreserveScaler: true,
-		Observer: core.EpochObserverFunc(func(e core.EpochStats) {
-			s.trainMetrics.ObserveEpoch(epochUpdate(e))
-			job.observeEpoch(e)
-		}),
-	})
-	switch {
-	case errors.Is(err, core.ErrCancelled):
-		settle(JobCancelled, "", nil)
-		return
-	case err != nil:
-		settle(JobFailed, err.Error(), nil)
-		return
-	}
-	tunedAcc, err := accuracyOn(m, holdout, workers)
-	if err != nil {
-		settle(JobFailed, fmt.Sprintf("holdout eval: %v", err), nil)
-		return
-	}
-
-	result := &TrainResult{
-		Mode:        TrainModeContinual,
-		Epochs:      len(hist.TrainLoss),
-		BestEpoch:   hist.BestEpoch,
-		BestLoss:    hist.BestValLoss,
-		Samples:     increment.Len(),
-		NewSamples:  increment.Len(),
-		Parameters:  m.NumParameters(),
-		HoldoutAcc:  tunedAcc,
-		BaselineAcc: baselineAcc,
-	}
-	if tunedAcc < baselineAcc {
-		// Eval gate: the increment made the model worse on held-out data.
-		// Keep serving the baseline and leave the watermark so the samples
-		// are retried (with more company) by the next job.
-		settle(JobSucceeded, "", result)
-		return
-	}
-
-	s.mu.Lock()
-	installErr := s.installModelLocked(m, "continual")
-	var ckptErr error
-	if installErr == nil && s.store != nil {
-		ckptErr = s.store.SaveModel(m)
-	}
-	if installErr == nil {
-		s.trainedThrough = snapshotLen
-	}
-	s.mu.Unlock()
-	if installErr != nil {
-		settle(JobFailed, installErr.Error(), nil)
-		return
-	}
-	if ckptErr != nil {
-		settle(JobFailed, fmt.Sprintf("checkpoint model: %v", ckptErr), nil)
-		return
-	}
-	result.Promoted = true
-	settle(JobSucceeded, "", result)
+	return st, nil
 }
 
 // handleTrain admits an asynchronous training job: it validates the
@@ -458,103 +492,12 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, decodeStatus(err), err)
 		return
 	}
-	switch body.Mode {
-	case "", TrainModeFull:
-		body.Mode = TrainModeFull
-	case TrainModeContinual:
-	default:
-		WriteError(w, http.StatusBadRequest,
-			fmt.Errorf("unknown training mode %q (want %q or %q)", body.Mode, TrainModeFull, TrainModeContinual))
-		return
-	}
-
-	s.mu.Lock()
-	if s.curJob != nil {
-		id := s.curJob.id
-		s.mu.Unlock()
-		WriteError(w, http.StatusConflict, fmt.Errorf("training already in progress (job %s)", id))
-		return
-	}
-
-	if body.Mode == TrainModeContinual {
-		s.admitContinualLocked(w, body)
-		return
-	}
-
-	// Snapshot the corpus under the lock; train outside it so predictions
-	// against the previous model keep serving.
-	train := s.corpus.snapshot()
-	counts := train.CountByClass()
-	for i, n := range counts {
-		if n < 2 {
-			s.mu.Unlock()
-			WriteError(w, http.StatusPreconditionFailed,
-				fmt.Errorf("family %q has %d samples; need at least 2 per family", s.families[i], n))
-			return
-		}
-	}
-	cfg := s.cfgTemplate
-	if body.Epochs > 0 {
-		cfg.Epochs = body.Epochs
-	}
-	workers := s.workersLocked()
-	job := s.startTrainJobLocked(TrainModeFull, cfg.Epochs, train.Len())
-	s.mu.Unlock()
-
-	s.jobMetrics.Started()
-	go s.runTrainJob(job, cfg, train, body.ValFraction, workers)
-
-	WriteJSON(w, http.StatusAccepted, job.status())
-}
-
-// admitContinualLocked validates and launches a continual fine-tuning job.
-// It is called with s.mu held (no running job) and releases it on every
-// path. Preconditions beyond full training's: a trained model must be
-// serving, there must be new samples past the watermark, and the corpus
-// must support a stratified holdout split for the eval gate.
-func (s *Server) admitContinualLocked(w http.ResponseWriter, body trainBody) {
-	base := s.model
-	if base == nil {
-		s.mu.Unlock()
-		WriteError(w, http.StatusPreconditionFailed,
-			fmt.Errorf("continual training needs a trained model; run a full training job first"))
-		return
-	}
-	full := s.corpus.snapshot()
-	total := full.Len()
-	if s.trainedThrough >= total {
-		s.mu.Unlock()
-		WriteError(w, http.StatusPreconditionFailed,
-			fmt.Errorf("no new samples since the last training job (corpus %d, trained through %d)", total, s.trainedThrough))
-		return
-	}
-	increment := &samples{classes: full.classes, entries: full.entries[s.trainedThrough:]}
-
-	cfg := s.cfgTemplate
-	if body.Epochs > 0 {
-		cfg.Epochs = body.Epochs
-	}
-	holdFrac := continualHoldoutFraction
-	if body.ValFraction > 0 && body.ValFraction < 1 {
-		holdFrac = body.ValFraction
-	}
-	// The gate's holdout is a stratified slice of the whole corpus (old and
-	// new samples alike): the tuned model must not trade established
-	// families for the increment's.
-	_, holdout, err := full.split(holdFrac, cfg.Seed)
+	job, status, err := s.admitTrain(body)
 	if err != nil {
-		s.mu.Unlock()
-		WriteError(w, http.StatusPreconditionFailed, fmt.Errorf("continual holdout split: %w", err))
+		WriteError(w, status, err)
 		return
 	}
-	workers := s.workersLocked()
-	job := s.startTrainJobLocked(TrainModeContinual, cfg.Epochs, increment.Len())
-	s.mu.Unlock()
-
-	s.jobMetrics.Started()
-	go s.runContinualJob(job, cfg, base, increment, holdout, total, workers)
-
-	WriteJSON(w, http.StatusAccepted, job.status())
+	WriteJSON(w, status, job.status())
 }
 
 // handleTrainStatus serves GET /v1/train/{id}.

@@ -90,9 +90,7 @@ func TestMetricsEndpointRoundTrip(t *testing.T) {
 		// Training telemetry populated by the run.
 		`magic_train_epochs_total`:                 float64(res.Epochs),
 		`magic_train_epoch_duration_seconds_count`: float64(res.Epochs),
-		`magic_train_in_progress`:                  0,
 		`magic_train_samples`:                      8,
-		`magic_train_runs_total{outcome="ok"}`:     1,
 		`magic_train_best_epoch`:                   float64(res.BestEpoch),
 		`magic_model_parameters`:                   float64(res.Parameters),
 		// Async-job telemetry: one submitted job, finished ok.
@@ -230,10 +228,10 @@ func TestPredictDuringTrain(t *testing.T) {
 	if got := samples[`magic_http_requests_in_flight{endpoint="/v1/predict"}`]; got != 0 {
 		t.Errorf("in-flight = %v, want 0", got)
 	}
-	if got := samples[`magic_train_runs_total{outcome="ok"}`]; got != 2 {
+	if got := samples[`magic_train_job_completed_total{outcome="ok"}`]; got != 2 {
 		t.Errorf("train runs = %v, want 2", got)
 	}
-	if got := samples[`magic_train_in_progress`]; got != 0 {
+	if got := samples[`magic_train_job_active`]; got != 0 {
 		t.Errorf("train in progress = %v, want 0", got)
 	}
 }

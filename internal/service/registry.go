@@ -40,7 +40,7 @@ type modelVersion struct {
 	model       *core.Model
 	state       *servingState
 	fingerprint string
-	source      string // "train", "load" or "checkpoint"
+	source      string // "train", "continual", "load" or "checkpoint"
 	registered  time.Time
 }
 

@@ -111,7 +111,6 @@ type Server struct {
 	registry       *obs.Registry
 	httpMetrics    *obs.HTTPMetrics
 	trainMetrics   *obs.TrainingMetrics
-	jobMetrics     *obs.TrainJobMetrics
 	servingMetrics *obs.ServingMetrics
 	corpusMetrics  *obs.CorpusMetrics
 	predictions    *obs.CounterVec // family
@@ -166,7 +165,6 @@ func NewWithRegistry(families []string, cfgTemplate core.Config, reg *obs.Regist
 		registry:       reg,
 		httpMetrics:    obs.NewHTTPMetrics(reg),
 		trainMetrics:   obs.NewTrainingMetrics(reg),
-		jobMetrics:     obs.NewTrainJobMetrics(reg),
 		servingMetrics: obs.NewServingMetrics(reg),
 		corpusMetrics:  corpusMetrics,
 		predictions: reg.CounterVec("magic_predictions_total",
@@ -234,17 +232,15 @@ func (s *Server) LoadModel(m *core.Model) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.installModelLocked(m, "load")
+	s.installModelLocked(m, "load")
+	return nil
 }
 
 // installModelLocked registers m as a new version under the given source
-// tag ("train", "load" or "checkpoint") and makes it the serving model;
-// callers hold s.mu. The error return is kept for call-site symmetry —
-// registration itself cannot fail.
-func (s *Server) installModelLocked(m *core.Model, source string) error {
-	mv := s.registerModelLocked(m, source)
-	s.promoteLocked(mv.version, "install")
-	return nil
+// tag ("train", "continual", "load" or "checkpoint") and makes it the
+// serving model; callers hold s.mu.
+func (s *Server) installModelLocked(m *core.Model, source string) {
+	s.promoteLocked(s.registerModelLocked(m, source).version, "install")
 }
 
 // Handler returns the HTTP routing for the service. Every route is
@@ -523,22 +519,6 @@ func (s *Server) extract(body *sampleBody) (*acfg.ACFG, error) {
 		return nil, fmt.Errorf("graph has %d vertices, limit is %d", n, maxGraphVertices)
 	}
 	return a, nil
-}
-
-// epochUpdate bridges core's per-epoch stats to the obs telemetry struct
-// (obs cannot import core, being dependency-free).
-func epochUpdate(e core.EpochStats) obs.EpochUpdate {
-	return obs.EpochUpdate{
-		Epoch:        e.Epoch,
-		TrainLoss:    e.TrainLoss,
-		TrainAcc:     e.TrainAcc,
-		HasVal:       e.HasVal,
-		ValLoss:      e.ValLoss,
-		ValAcc:       e.ValAcc,
-		LearningRate: e.LearningRate,
-		Duration:     e.Duration,
-		BestEpoch:    e.BestEpoch,
-	}
 }
 
 // errEmptyBody marks a request whose body held no JSON value at all (as

@@ -48,7 +48,7 @@ func TestCloseLeavesNoGoroutine(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := client.ContinualTrain(ctx, 2, 0); err != nil {
+	if _, err := client.TrainAndWait(ctx, TrainModeContinual, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 

@@ -446,9 +446,7 @@ func (s *Server) AttachStore(st *Store) (replayed int, modelLoaded bool, err err
 			return replayed, false, fmt.Errorf("service: checkpointed model has %d classes, server has %d families",
 				m.Config.Classes, len(s.families))
 		}
-		if err := s.installModelLocked(m, "checkpoint"); err != nil {
-			return replayed, false, err
-		}
+		s.installModelLocked(m, "checkpoint")
 		modelLoaded = true
 	}
 	s.store = st
