@@ -526,9 +526,10 @@ func BenchmarkMatMul(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	x := tensor.Uniform(rng, 128, 128, -1, 1)
 	y := tensor.Uniform(rng, 128, 128, -1, 1)
+	dst := tensor.New(128, 128)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tensor.MatMul(x, y)
+		tensor.MatMulInto(dst, x, y)
 	}
 }
 

@@ -334,7 +334,7 @@ func TestTagProgramUnconditionalJump(t *testing.T) {
 }
 
 func TestTagProgramEmpty(t *testing.T) {
-	p, err := NewProgram(nil)
+	p, err := ParseString("")
 	if err != nil {
 		t.Fatal(err)
 	}

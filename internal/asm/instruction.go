@@ -59,7 +59,7 @@ type Instruction struct {
 	Return      bool
 
 	// What the text decides, counted once when the instruction enters a
-	// Program (ParseString, NewProgram): kind 0 marks an instruction built
+	// Program (ParseString): kind 0 marks an instruction built
 	// by hand, whose Kind, Category and NumericConstants read the text on
 	// every call. Mnemonic and Operands must not change after that.
 	kind   uint8

@@ -22,20 +22,10 @@ type Program struct {
 	Insts []*Instruction
 }
 
-// NewProgram builds a Program from instructions, sorting them by address and
+// newProgram builds a Program from instructions whose text is already
+// counted, sorting them by address (it may reorder and keep the slice) and
 // deriving each instruction's Size from the gap to its successor (the final
 // instruction gets size 1). Duplicate addresses are rejected.
-func NewProgram(insts []*Instruction) (*Program, error) {
-	owned := make([]*Instruction, len(insts))
-	copy(owned, insts)
-	for _, in := range owned {
-		in.store()
-	}
-	return newProgram(owned)
-}
-
-// newProgram is NewProgram over a slice it may reorder and keep, holding
-// instructions whose text is already counted.
 func newProgram(insts []*Instruction) (*Program, error) {
 	ascending := true
 	for i := 1; i < len(insts) && ascending; i++ {

@@ -178,12 +178,3 @@ func jaccardEstimate(a, b signature) float64 {
 	}
 	return float64(match) / float64(len(a))
 }
-
-// Sketchable exposes sketch sizes for tests.
-func (st *Strand) Sketchable() (int, int) {
-	total := 0
-	for _, refs := range st.refs {
-		total += len(refs)
-	}
-	return st.classes, total
-}

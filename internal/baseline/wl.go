@@ -130,7 +130,3 @@ func wlNorm(a map[uint64]float64) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// NumReferences reports the stored training-set size (prediction cost is
-// linear in it — the motivation bench's subject).
-func (w *WLKernelKNN) NumReferences() int { return len(w.refs) }

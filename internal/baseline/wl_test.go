@@ -120,8 +120,8 @@ func TestWLPredictionCostGrowsWithTrainingSet(t *testing.T) {
 	if err := w2.Fit(big); err != nil {
 		t.Fatal(err)
 	}
-	if w1.NumReferences() != small.Len() || w2.NumReferences() != big.Len() {
+	if len(w1.refs) != small.Len() || len(w2.refs) != big.Len() {
 		t.Fatalf("references %d/%d, want %d/%d",
-			w1.NumReferences(), w2.NumReferences(), small.Len(), big.Len())
+			len(w1.refs), len(w2.refs), small.Len(), big.Len())
 	}
 }

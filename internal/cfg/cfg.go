@@ -24,9 +24,6 @@ type Block struct {
 	Insts []*asm.Instruction
 }
 
-// NumInsts returns the number of instructions in the block.
-func (b *Block) NumInsts() int { return len(b.Insts) }
-
 // CFG is a control flow graph: basic blocks (sorted by start address, IDs
 // dense 0..n-1) plus the directed edge structure between them.
 type CFG struct {
@@ -116,15 +113,6 @@ func (c *CFG) NumBlocks() int { return len(c.Blocks) }
 
 // NumEdges returns the number of directed edges.
 func (c *CFG) NumEdges() int { return c.Graph.NumEdges() }
-
-// TotalInstructions returns the instruction count across all blocks.
-func (c *CFG) TotalInstructions() int {
-	total := 0
-	for _, b := range c.Blocks {
-		total += len(b.Insts)
-	}
-	return total
-}
 
 // Validate checks structural invariants: dense sorted IDs, non-overlapping
 // blocks, every edge endpoint in range, and each non-empty block's

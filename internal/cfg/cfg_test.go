@@ -3,6 +3,7 @@ package cfg
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -68,7 +69,7 @@ func TestBuildLoopFunction(t *testing.T) {
 		{0x401012, 0x401017}, // call return-site fall-through
 	}
 	for _, e := range edges {
-		if !c.Graph.HasEdge(id(e[0]), id(e[1])) {
+		if !hasEdge(c, id(e[0]), id(e[1])) {
 			t.Errorf("missing edge %#x -> %#x\n%s", e[0], e[1], c)
 		}
 	}
@@ -81,17 +82,24 @@ func TestBuildLoopFunction(t *testing.T) {
 	}
 }
 
+// hasEdge reports whether c's graph has the edge u→v.
+func hasEdge(c *CFG, u, v int) bool { return slices.Contains(c.Graph.Succ(u), v) }
+
 func TestBlockInstructionPartition(t *testing.T) {
 	c := buildFrom(t, loopAsm)
-	if c.TotalInstructions() != 13 {
-		t.Fatalf("total instructions = %d, want 13", c.TotalInstructions())
+	total := 0
+	for _, b := range c.Blocks {
+		total += len(b.Insts)
+	}
+	if total != 13 {
+		t.Fatalf("total instructions = %d, want 13", total)
 	}
 	// Entry block holds the four instructions before the loop leader.
-	if got := c.Blocks[0].NumInsts(); got != 4 {
+	if got := len(c.Blocks[0].Insts); got != 4 {
 		t.Fatalf("entry block has %d instructions, want 4\n%s", got, c)
 	}
 	// Loop body: add, dec, cmp, jnz.
-	if got := c.BlockAt(0x40100a).NumInsts(); got != 4 {
+	if got := len(c.BlockAt(0x40100a).Insts); got != 4 {
 		t.Fatalf("loop block has %d instructions, want 4", got)
 	}
 }
@@ -108,14 +116,14 @@ func TestUnconditionalJumpBlockSplit(t *testing.T) {
 		t.Fatalf("blocks = %d, want 3\n%s", c.NumBlocks(), c)
 	}
 	entry, dead, target := c.Blocks[0], c.Blocks[1], c.Blocks[2]
-	if !c.Graph.HasEdge(entry.ID, target.ID) {
+	if !hasEdge(c, entry.ID, target.ID) {
 		t.Fatal("missing jmp edge")
 	}
-	if c.Graph.HasEdge(entry.ID, dead.ID) {
+	if hasEdge(c, entry.ID, dead.ID) {
 		t.Fatal("jmp must not fall through to dead code")
 	}
 	// Dead code falls through into the target block.
-	if !c.Graph.HasEdge(dead.ID, target.ID) {
+	if !hasEdge(c, dead.ID, target.ID) {
 		t.Fatal("dead block should fall through to target")
 	}
 }
@@ -130,10 +138,10 @@ func TestBranchOutsideProgramCreatesExternalBlock(t *testing.T) {
 	if ext == nil {
 		t.Fatalf("no external block\n%s", c)
 	}
-	if ext.NumInsts() != 0 {
-		t.Fatalf("external block has %d instructions, want 0", ext.NumInsts())
+	if len(ext.Insts) != 0 {
+		t.Fatalf("external block has %d instructions, want 0", len(ext.Insts))
 	}
-	if !c.Graph.HasEdge(c.BlockAt(0x401000).ID, ext.ID) {
+	if !hasEdge(c, c.BlockAt(0x401000).ID, ext.ID) {
 		t.Fatal("missing edge to external block")
 	}
 }
@@ -163,7 +171,7 @@ func TestSingleBlockProgram(t *testing.T) {
 }
 
 func TestEmptyProgram(t *testing.T) {
-	p, err := asm.NewProgram(nil)
+	p, err := asm.ParseString("")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +202,11 @@ func TestConsecutiveJumps(t *testing.T) {
 	if c.NumBlocks() != 4 {
 		t.Fatalf("blocks = %d, want 4\n%s", c.NumBlocks(), c)
 	}
-	if b2.NumInsts() != 2 {
-		t.Fatalf("nop block has %d instructions, want 2 (nop+ret)", b2.NumInsts())
+	if len(b2.Insts) != 2 {
+		t.Fatalf("nop block has %d instructions, want 2 (nop+ret)", len(b2.Insts))
 	}
 	for _, e := range [][2]int{{b0.ID, b2.ID}, {b0.ID, b1.ID}, {b1.ID, b3.ID}} {
-		if !c.Graph.HasEdge(e[0], e[1]) {
+		if !hasEdge(c, e[0], e[1]) {
 			t.Fatalf("missing edge %v\n%s", e, c)
 		}
 	}
@@ -217,10 +225,10 @@ func TestBackToBackCalls(t *testing.T) {
 	if b0 == nil || b1 == nil || callee == nil {
 		t.Fatalf("missing blocks\n%s", c)
 	}
-	if !c.Graph.HasEdge(b0.ID, callee.ID) || !c.Graph.HasEdge(b1.ID, callee.ID) {
+	if !hasEdge(c, b0.ID, callee.ID) || !hasEdge(c, b1.ID, callee.ID) {
 		t.Fatal("both call sites must edge to the callee")
 	}
-	if !c.Graph.HasEdge(b0.ID, b1.ID) {
+	if !hasEdge(c, b0.ID, b1.ID) {
 		t.Fatal("first call must fall through to second")
 	}
 }

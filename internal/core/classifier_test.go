@@ -132,6 +132,18 @@ func TestPoolingAndHeadStrings(t *testing.T) {
 	}
 }
 
+// argmax is the first index of the largest element, written out here as
+// an independent reference for PredictClass.
+func argmax(xs []float64) int {
+	best := 0
+	for i, x := range xs {
+		if x > xs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
 func TestPredictDatasetHelpers(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	d := twoClassDataset(rng, 6)

@@ -310,7 +310,7 @@ func (m *Model) TrainStep(a *acfg.ACFG, label int, seed int64) (loss float64, hi
 	m.SeedSampleNoise(seed)
 	logits := m.forwardLogits(a, true)
 	loss = nn.SoftmaxNLLInto(logits, label, m.probs, m.dlogits)
-	hit = argmax(logits) == label
+	hit = nn.ArgMax(logits) == label
 	m.Backward(m.dlogits)
 	return loss, hit
 }
@@ -327,14 +327,7 @@ func (m *Model) Predict(a *acfg.ACFG) []float64 {
 
 // PredictClass returns the most likely class index.
 func (m *Model) PredictClass(a *acfg.ACFG) int {
-	probs := m.Predict(a)
-	best, bestP := 0, probs[0]
-	for i, p := range probs[1:] {
-		if p > bestP {
-			best, bestP = i+1, p
-		}
-	}
-	return best
+	return nn.ArgMax(m.Predict(a))
 }
 
 // NumParameters returns the total trainable scalar count, for reporting.

@@ -382,7 +382,8 @@ func TestScalerStandardizes(t *testing.T) {
 	// Transform all training attributes and verify near-zero mean.
 	var sum, count float64
 	for _, sample := range d.Samples {
-		tr := s.Transform(sample.ACFG.Attrs)
+		tr := tensor.New(sample.ACFG.Attrs.Rows, sample.ACFG.Attrs.Cols)
+		s.TransformInto(tr, sample.ACFG.Attrs)
 		for i := 0; i < tr.Rows; i++ {
 			sum += tr.Row(i)[acfg.AttrTotalInstructions]
 			count++

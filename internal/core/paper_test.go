@@ -33,9 +33,23 @@ func figure2Graph() *graph.Directed {
 	return g
 }
 
+// mat is tensor.FromRows for literals: it panics on ragged rows.
+func mat(rows [][]float64) *tensor.Matrix {
+	m, err := tensor.FromRows(rows)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// volumeOf wraps a matrix's data as a 1×rows×cols volume (no copy).
+func volumeOf(m *tensor.Matrix) *nn.Volume {
+	return &nn.Volume{C: 1, H: m.Rows, W: m.Cols, Data: m.Data}
+}
+
 // figure2X is the attribute matrix with two channels F1, F2.
 func figure2X() *tensor.Matrix {
-	return tensor.MustFromRows([][]float64{
+	return mat([][]float64{
 		{1, 2},
 		{3, 1},
 		{0, 4},
@@ -48,7 +62,7 @@ func figure2X() *tensor.Matrix {
 func TestPaperFigure2(t *testing.T) {
 	g := figure2Graph()
 	aug := g.AugmentedAdjacency()
-	wantAug := tensor.MustFromRows([][]float64{
+	wantAug := mat([][]float64{
 		{1, 1, 0, 0, 1},
 		{0, 1, 1, 0, 0},
 		{0, 0, 1, 1, 0},
@@ -69,11 +83,11 @@ func TestPaperFigure2(t *testing.T) {
 
 // figure3Weights returns the fixed layer weights of Figure 3.
 func figure3Weights() (*tensor.Matrix, *tensor.Matrix) {
-	w1 := tensor.MustFromRows([][]float64{
+	w1 := mat([][]float64{
 		{1, 0, 1},
 		{0, 1, 0},
 	})
-	w2 := tensor.MustFromRows([][]float64{
+	w2 := mat([][]float64{
 		{0, 1, -2, 2},
 		{1, 1, 7, -2},
 		{1, 0, -1, 4},
@@ -99,9 +113,8 @@ func TestPaperFigure3(t *testing.T) {
 
 	// Dense reference.
 	p := csr.Dense()
-	reluF := func(v float64) float64 { return math.Max(v, 0) }
-	z1 := tensor.MatMul(p, tensor.MatMul(x, w1)).Map(reluF)
-	z2 := tensor.MatMul(p, tensor.MatMul(z1, w2)).Map(reluF)
+	z1 := oracleRelu(oracleMatMul(p, oracleMatMul(x, w1)))
+	z2 := oracleRelu(oracleMatMul(p, oracleMatMul(z1, w2)))
 	want := tensor.HConcat(z1, z2)
 	if !tensor.Equal(got, want, 1e-12) {
 		t.Fatalf("Z^{1:2} =\n%v\nwant\n%v", got, want)
@@ -135,7 +148,7 @@ func TestPaperFigure3(t *testing.T) {
 func TestPaperFigure4(t *testing.T) {
 	// Z^{1:2} with distinct last-channel values so sorting is by the last
 	// column only, as in the figure.
-	z := tensor.MustFromRows([][]float64{
+	z := mat([][]float64{
 		{0.1, 1, 5.0},
 		{0.2, 2, 3.0},
 		{0.3, 3, 9.0},
@@ -150,7 +163,7 @@ func TestPaperFigure4(t *testing.T) {
 	// Order by last channel desc: vertices 2 (9), 4 (7), 0 (5); 1 and 3
 	// truncated.
 	wantOrder := []int{2, 4, 0}
-	gotOrder := sp.Order()
+	gotOrder := sp.order
 	for i, w := range wantOrder {
 		if gotOrder[i] != w {
 			t.Fatalf("sort order = %v, want %v", gotOrder, wantOrder)
@@ -164,7 +177,7 @@ func TestPaperFigure4(t *testing.T) {
 // TestPaperFigure4TieBreaking checks the Weisfeiler-Lehman-style
 // tie-breaking: equal last channels defer to the second-to-last channel.
 func TestPaperFigure4TieBreaking(t *testing.T) {
-	z := tensor.MustFromRows([][]float64{
+	z := mat([][]float64{
 		{1, 2, 5},
 		{9, 9, 5},
 		{1, 7, 5},
@@ -172,7 +185,7 @@ func TestPaperFigure4TieBreaking(t *testing.T) {
 	sp := NewSortPool(3)
 	sp.Forward(z)
 	want := []int{1, 2, 0} // ties on channel 2 broken by channel 1 desc
-	got := sp.Order()
+	got := sp.order
 	for i, w := range want {
 		if got[i] != w {
 			t.Fatalf("tie-broken order = %v, want %v", got, want)
@@ -182,7 +195,7 @@ func TestPaperFigure4TieBreaking(t *testing.T) {
 
 // TestPaperFigure4Padding: graphs smaller than k are zero-padded.
 func TestPaperFigure4Padding(t *testing.T) {
-	z := tensor.MustFromRows([][]float64{{1, 2}})
+	z := mat([][]float64{{1, 2}})
 	sp := NewSortPool(3)
 	out := sp.Forward(z)
 	if out.Rows != 3 {
@@ -191,7 +204,7 @@ func TestPaperFigure4Padding(t *testing.T) {
 	if out.At(1, 0) != 0 || out.At(2, 1) != 0 {
 		t.Fatal("padding rows must be zero")
 	}
-	order := sp.Order()
+	order := sp.order
 	if order[1] != -1 || order[2] != -1 {
 		t.Fatalf("padding order = %v", order)
 	}
@@ -201,16 +214,16 @@ func TestPaperFigure4Padding(t *testing.T) {
 // weights W = [0.4, 0.1, 0.5] on a fixed Zsp and compares against the
 // hand-evaluated E = relu(W × Zsp) of Eq. 3.
 func TestPaperFigure5(t *testing.T) {
-	zsp := tensor.MustFromRows([][]float64{
+	zsp := mat([][]float64{
 		{1, 0, 2, -1},
 		{3, 1, 0, 2},
 		{0, 2, -4, 1},
 	})
 	wv := &WeightedVertices{
 		K: 3,
-		W: nn.NewParam("W", tensor.MustFromRows([][]float64{{0.4, 0.1, 0.5}})),
+		W: nn.NewParam("W", mat([][]float64{{0.4, 0.1, 0.5}})),
 	}
-	out := wv.Forward(nn.MatrixVolume(zsp), false)
+	out := wv.Forward(volumeOf(zsp), false)
 	// W×Zsp = [0.4·1+0.1·3+0.5·0, 0.4·0+0.1·1+0.5·2,
 	//          0.4·2+0.1·0+0.5·(-4), 0.4·(-1)+0.1·2+0.5·1]
 	//       = [0.7, 1.1, -1.2, 0.3] → relu → [0.7, 1.1, 0, 0.3]
@@ -227,14 +240,14 @@ func TestPaperFigure5(t *testing.T) {
 
 // TestSortPoolBackwardRouting: gradients flow only to the kept vertices.
 func TestSortPoolBackwardRouting(t *testing.T) {
-	z := tensor.MustFromRows([][]float64{
+	z := mat([][]float64{
 		{0, 0, 5},
 		{0, 0, 3},
 		{0, 0, 9},
 	})
 	sp := NewSortPool(2)
 	sp.Forward(z) // keeps vertices 2, 0
-	dout := tensor.MustFromRows([][]float64{
+	dout := mat([][]float64{
 		{1, 2, 3},
 		{4, 5, 6},
 	})
@@ -260,7 +273,7 @@ func TestGraphConvGradients(t *testing.T) {
 
 	weights := tensor.Uniform(rng, 5, 7, -1, 1) // loss weights over Z^{1:2}
 	lossOf := func() float64 {
-		return tensor.Hadamard(stack.Forward(csr, x), weights).Sum()
+		return dot(weights.Data, stack.Forward(csr, x).Data)
 	}
 
 	stack.Forward(csr, x)
@@ -302,7 +315,7 @@ func TestGraphConvGradients(t *testing.T) {
 func TestWeightedVerticesGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	wv := NewWeightedVertices(rng, 3)
-	in := nn.MatrixVolume(tensor.Uniform(rng, 3, 4, -2, 2))
+	in := volumeOf(tensor.Uniform(rng, 3, 4, -2, 2))
 	weights := make([]float64, 4)
 	for i := range weights {
 		weights[i] = rng.Float64()*2 - 1

@@ -127,9 +127,6 @@ func (e *ParallelBatch) allocShardGrads() {
 	}
 }
 
-// Workers returns the engine's worker count.
-func (e *ParallelBatch) Workers() int { return e.workers }
-
 // shardRanges splits n items into at most shards contiguous [start, end)
 // ranges, front-loading the remainder so sizes differ by at most one. The
 // decomposition is a pure function of (n, shards).
@@ -242,7 +239,7 @@ func (e *ParallelBatch) runEvalChunk(rep *Model, si int) (err error) {
 		t := e.tasks[i]
 		logits := rep.forwardLogits(t.a, false)
 		nn.SoftmaxInto(rep.probs, logits)
-		e.results[i] = sampleResult{loss: nn.NLLOfProbs(rep.probs, t.label), hit: argmax(rep.probs) == t.label}
+		e.results[i] = sampleResult{loss: nn.NLLOfProbs(rep.probs, t.label), hit: nn.ArgMax(rep.probs) == t.label}
 	}
 	return nil
 }

@@ -90,16 +90,6 @@ func FitScaler(src dataset.SampleSource) (*Scaler, error) {
 	return s, nil
 }
 
-// Transform returns the standardized copy of an attribute matrix.
-func (s *Scaler) Transform(m *tensor.Matrix) *tensor.Matrix {
-	if s == nil {
-		return m
-	}
-	out := tensor.New(m.Rows, m.Cols)
-	s.TransformInto(out, m)
-	return out
-}
-
 // TransformInto writes the standardized copy of m into dst (same shape,
 // fully overwritten, so dirty scratch buffers are valid destinations). It
 // must not be called on a nil scaler: without fitted statistics there is

@@ -119,12 +119,3 @@ func (s *SortPool) Backward(dout *tensor.Matrix) *tensor.Matrix {
 	}
 	return din
 }
-
-// Order exposes the last forward pass's row permutation (output row →
-// source vertex, -1 for padding). Used by tests and the paper's Figure 4
-// walk-through.
-func (s *SortPool) Order() []int {
-	out := make([]int, len(s.order))
-	copy(out, s.order)
-	return out
-}

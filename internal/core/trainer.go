@@ -127,7 +127,7 @@ type TrainSession struct {
 	m       *Model
 	src     dataset.SampleSource
 	engine  *ParallelBatch
-	opt     nn.Optimizer
+	opt     *nn.Adam
 	rng     *rand.Rand
 	order   []int
 	swap    func(i, j int) // hoisted shuffle closure: allocated once, reused every epoch
@@ -332,7 +332,7 @@ func Train(m *Model, train, val dataset.SampleSource, opts TrainOptions) (*Histo
 // learning rate therefore depends only on the batch size — never on how
 // the batch was sharded across workers or the order shards were reduced
 // in. optim_test.go pins this contract down.
-func stepBatch(opt nn.Optimizer, n int) {
+func stepBatch(opt *nn.Adam, n int) {
 	opt.Step(n)
 }
 
@@ -348,14 +348,4 @@ func restoreParams(ps []*nn.Param, snap []*tensor.Matrix) {
 	for i, p := range ps {
 		copy(p.Value.Data, snap[i].Data)
 	}
-}
-
-func argmax(xs []float64) int {
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
-			best = i
-		}
-	}
-	return best
 }

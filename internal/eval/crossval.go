@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dataset"
+	"repro/internal/nn"
 )
 
 // Classifier is anything that can be fitted on a labeled dataset and then
@@ -39,33 +40,6 @@ func (r *CVResult) StdAccuracy() float64 {
 		varSum += d * d
 	}
 	return math.Sqrt(varSum / float64(len(r.Folds)))
-}
-
-// StdF1For returns the standard deviation of one class's F1 across folds.
-func (r *CVResult) StdF1For(class string) float64 {
-	if len(r.Folds) < 2 {
-		return 0
-	}
-	var vals []float64
-	for _, f := range r.Folds {
-		if s, ok := f.ScoreFor(class); ok {
-			vals = append(vals, s.F1)
-		}
-	}
-	if len(vals) < 2 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range vals {
-		mean += v
-	}
-	mean /= float64(len(vals))
-	varSum := 0.0
-	for _, v := range vals {
-		d := v - mean
-		varSum += d * d
-	}
-	return math.Sqrt(varSum / float64(len(vals)))
 }
 
 // CrossValidate runs stratified k-fold cross-validation (the paper uses
@@ -107,13 +81,7 @@ func Score(clf Classifier, d *dataset.Dataset, classNames []string) (*Metrics, e
 		labels[i] = s.Label
 		p := clf.Predict(s)
 		probs[i] = p
-		best := 0
-		for j, v := range p {
-			if v > p[best] {
-				best = j
-			}
-		}
-		preds[i] = best
+		preds[i] = nn.ArgMax(p)
 	}
 	return Compute(classNames, labels, preds, probs)
 }

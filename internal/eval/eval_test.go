@@ -292,10 +292,4 @@ func TestCVResultStdAccuracy(t *testing.T) {
 	if single.StdAccuracy() != 0 {
 		t.Fatal("single fold std must be 0")
 	}
-	if got := cv.StdF1For("b"); got <= 0 {
-		t.Fatalf("std F1 = %v", got)
-	}
-	if cv.StdF1For("ghost") != 0 {
-		t.Fatal("unknown class std must be 0")
-	}
 }

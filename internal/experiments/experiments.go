@@ -9,7 +9,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -611,9 +610,4 @@ func FormatAblation(rows []AblationRow) string {
 		fmt.Fprintf(&sb, "%-46s %9.2f%% %10.4f %10.4f\n", r.Name, 100*r.Accuracy, r.MeanNLL, r.MacroF1)
 	}
 	return sb.String()
-}
-
-// SortRowsByFamily orders Fig11 rows alphabetically for stable output.
-func SortRowsByFamily(rows []Fig11Row) {
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Family < rows[j].Family })
 }

@@ -104,8 +104,3 @@ func (r *Ring) Sequence(key [sha256.Size]byte) []string {
 	}
 	return seq
 }
-
-// Owner returns the backend that owns key: the first entry of Sequence.
-func (r *Ring) Owner(key [sha256.Size]byte) string {
-	return r.Sequence(key)[0]
-}

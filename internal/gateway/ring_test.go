@@ -27,7 +27,7 @@ func TestRingValidation(t *testing.T) {
 }
 
 // TestRingSequenceCoversAllBackends checks every failover sequence is a
-// permutation of the backend set starting at the key's owner.
+// permutation of the backend set.
 func TestRingSequenceCoversAllBackends(t *testing.T) {
 	r, err := NewRing(testBackends(5))
 	if err != nil {
@@ -46,9 +46,6 @@ func TestRingSequenceCoversAllBackends(t *testing.T) {
 			}
 			seen[b] = true
 		}
-		if seq[0] != r.Owner(key) {
-			t.Fatalf("key %d: sequence head %s != owner %s", i, seq[0], r.Owner(key))
-		}
 	}
 }
 
@@ -66,8 +63,8 @@ func TestRingStableAcrossConstruction(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		key := sha256.Sum256([]byte(fmt.Sprintf("key-%d", i)))
-		if r1.Owner(key) != r2.Owner(key) {
-			t.Fatalf("key %d: owners differ: %s vs %s", i, r1.Owner(key), r2.Owner(key))
+		if r1.Sequence(key)[0] != r2.Sequence(key)[0] {
+			t.Fatalf("key %d: owners differ: %s vs %s", i, r1.Sequence(key)[0], r2.Sequence(key)[0])
 		}
 	}
 }
@@ -84,7 +81,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	for i := 0; i < keys; i++ {
 		key := sha256.Sum256([]byte(fmt.Sprintf("key-%d", i)))
-		counts[r.Owner(key)]++
+		counts[r.Sequence(key)[0]]++
 	}
 	want := keys / backends
 	for b, c := range counts {
@@ -109,7 +106,7 @@ func TestRingMinimalRemapping(t *testing.T) {
 	moved := 0
 	for i := 0; i < keys; i++ {
 		key := sha256.Sum256([]byte(fmt.Sprintf("key-%d", i)))
-		if r4.Owner(key) != r5.Owner(key) {
+		if r4.Sequence(key)[0] != r5.Sequence(key)[0] {
 			moved++
 		}
 	}

@@ -60,16 +60,6 @@ func (g *Directed) AddEdge(u, v int) {
 	g.out[u] = row
 }
 
-// HasEdge reports whether u→v exists.
-func (g *Directed) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n {
-		return false
-	}
-	row := g.out[u]
-	i := sort.SearchInts(row, v)
-	return i < len(row) && row[i] == v
-}
-
 // Succ returns the successors of u. The returned slice is sorted and must
 // not be modified. Succ performs no writes, so a fully built graph may be
 // read from multiple goroutines concurrently.

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -25,15 +26,18 @@ func paperSampleGraph() *Directed {
 	return g
 }
 
+// hasEdge reports whether u→v is among u's successors.
+func hasEdge(g *Directed, u, v int) bool { return slices.Contains(g.Succ(u), v) }
+
 func TestAddEdgeAndHasEdge(t *testing.T) {
 	g := NewDirected(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 1) // duplicate ignored
 	g.AddEdge(1, 2)
-	if !g.HasEdge(0, 1) || !g.HasEdge(1, 2) {
+	if !hasEdge(g, 0, 1) || !hasEdge(g, 1, 2) {
 		t.Fatal("missing inserted edges")
 	}
-	if g.HasEdge(1, 0) {
+	if hasEdge(g, 1, 0) {
 		t.Fatal("reverse edge should not exist (directed)")
 	}
 	if g.NumEdges() != 2 {
@@ -41,13 +45,6 @@ func TestAddEdgeAndHasEdge(t *testing.T) {
 	}
 	if g.OutDegree(0) != 1 {
 		t.Fatalf("OutDegree(0) = %d, want 1", g.OutDegree(0))
-	}
-}
-
-func TestHasEdgeOutOfRange(t *testing.T) {
-	g := NewDirected(2)
-	if g.HasEdge(-1, 0) || g.HasEdge(5, 0) {
-		t.Fatal("out of range vertices must report no edge")
 	}
 }
 
@@ -146,7 +143,9 @@ func TestPropagatorMatchesDenseDefinition(t *testing.T) {
 			return false
 		}
 		x := tensor.Uniform(rng, n, 3, -5, 5)
-		return tensor.Equal(spmm(p, x), tensor.MatMul(ref, x), 1e-10)
+		want := tensor.New(n, 3)
+		tensor.MatMulNaiveInto(want, ref, x)
+		return tensor.Equal(spmm(p, x), want, 1e-10)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -182,8 +181,11 @@ func TestPropagatorTransposeIsAdjoint(t *testing.T) {
 		y := tensor.Uniform(rng, n, 2, -3, 3)
 		px := spmm(p, x)
 		pty := spmmT(p, y)
-		lhs := tensor.Hadamard(px, y).Sum()
-		rhs := tensor.Hadamard(x, pty).Sum()
+		lhs, rhs := 0.0, 0.0
+		for i := range px.Data {
+			lhs += px.Data[i] * y.Data[i]
+			rhs += x.Data[i] * pty.Data[i]
+		}
 		return math.Abs(lhs-rhs) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

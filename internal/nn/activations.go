@@ -64,55 +64,6 @@ func (r *ReLU) Backward(dout *Volume) *Volume {
 // Params returns nil: ReLU has no trainable state.
 func (r *ReLU) Params() []*Param { return nil }
 
-// LeakyReLU applies max(x, αx) elementwise, keeping a small gradient for
-// negative inputs — useful when deep graph-convolution stacks suffer dead
-// units under plain ReLU.
-type LeakyReLU struct {
-	Alpha float64
-
-	wsHolder
-	lastIn *Volume
-}
-
-// NewLeakyReLU returns the activation with the given negative slope
-// (commonly 0.01).
-func NewLeakyReLU(alpha float64) *LeakyReLU {
-	if alpha < 0 || alpha >= 1 {
-		panic("nn: leaky relu alpha must be in [0, 1)")
-	}
-	return &LeakyReLU{Alpha: alpha}
-}
-
-// Forward applies the leaky rectifier.
-func (r *LeakyReLU) Forward(in *Volume, _ bool) *Volume {
-	r.lastIn = in
-	out := r.ws.Volume(in.C, in.H, in.W)
-	for i, v := range in.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = r.Alpha * v
-		}
-	}
-	return out
-}
-
-// Backward scales the gradient by 1 or α depending on the input sign.
-func (r *LeakyReLU) Backward(dout *Volume) *Volume {
-	din := r.ws.Volume(dout.C, dout.H, dout.W)
-	for i, g := range dout.Data {
-		if r.lastIn.Data[i] > 0 {
-			din.Data[i] = g
-		} else {
-			din.Data[i] = r.Alpha * g
-		}
-	}
-	return din
-}
-
-// Params returns nil: LeakyReLU has no trainable state.
-func (r *LeakyReLU) Params() []*Param { return nil }
-
 // Tanh applies the hyperbolic tangent elementwise.
 type Tanh struct {
 	wsHolder
@@ -144,39 +95,6 @@ func (t *Tanh) Backward(dout *Volume) *Volume {
 
 // Params returns nil: Tanh has no trainable state.
 func (t *Tanh) Params() []*Param { return nil }
-
-// Sigmoid applies the logistic function elementwise (used by the autoencoder
-// baseline).
-type Sigmoid struct {
-	wsHolder
-	lastOut *Volume
-}
-
-// NewSigmoid returns a Sigmoid activation layer.
-func NewSigmoid() *Sigmoid { return &Sigmoid{} }
-
-// Forward applies 1/(1+e^-x).
-func (s *Sigmoid) Forward(in *Volume, _ bool) *Volume {
-	out := s.ws.Volume(in.C, in.H, in.W)
-	for i, v := range in.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
-	}
-	s.lastOut = out
-	return out
-}
-
-// Backward multiplies by σ(1-σ).
-func (s *Sigmoid) Backward(dout *Volume) *Volume {
-	din := s.ws.Volume(dout.C, dout.H, dout.W)
-	for i, g := range dout.Data {
-		y := s.lastOut.Data[i]
-		din.Data[i] = g * y * (1 - y)
-	}
-	return din
-}
-
-// Params returns nil: Sigmoid has no trainable state.
-func (s *Sigmoid) Params() []*Param { return nil }
 
 // Dropout zeroes each activation with probability Rate during training and
 // rescales survivors by 1/(1-Rate) (inverted dropout), so inference needs no
@@ -269,9 +187,7 @@ func (d *Dropout) Params() []*Param { return nil }
 
 var (
 	_ Layer         = (*ReLU)(nil)
-	_ Layer         = (*LeakyReLU)(nil)
 	_ Layer         = (*Tanh)(nil)
-	_ Layer         = (*Sigmoid)(nil)
 	_ Layer         = (*Dropout)(nil)
 	_ WorkspaceUser = (*ReLU)(nil)
 	_ WorkspaceUser = (*Dropout)(nil)

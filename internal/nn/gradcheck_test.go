@@ -98,11 +98,6 @@ func TestTanhGradients(t *testing.T) {
 	checkLayerGradients(t, NewTanh(), randVolume(rng, 1, 2, 5), 1e-5)
 }
 
-func TestSigmoidGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	checkLayerGradients(t, NewSigmoid(), randVolume(rng, 1, 1, 7), 1e-5)
-}
-
 func TestConv1DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	l := NewConv1D(rng, 2, 3, 3, 2)
@@ -207,15 +202,4 @@ func TestMSEGradient(t *testing.T) {
 	if loss <= 0 {
 		t.Fatalf("loss = %v", loss)
 	}
-}
-
-func TestLeakyReLUGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	in := randVolume(rng, 2, 3, 3)
-	for i, v := range in.Data {
-		if math.Abs(v) < 0.05 {
-			in.Data[i] = v + 0.1
-		}
-	}
-	checkLayerGradients(t, NewLeakyReLU(0.05), in, 1e-5)
 }

@@ -16,6 +16,22 @@ func Softmax(logits []float64) []float64 {
 	return out
 }
 
+// ArgMax returns the index of the largest element of xs, the first on ties,
+// and 0 for an empty slice. NaN compares false with everything, so a NaN
+// never displaces the running maximum (and one at index 0 is never
+// displaced). Every prediction in the repository — a model's class, a
+// training hit, a holdout or cross-validation score — is this rule over a
+// probability or logit vector.
+func ArgMax(xs []float64) int {
+	best := 0
+	for i, x := range xs {
+		if x > xs[best] {
+			best = i
+		}
+	}
+	return best
+}
+
 // SoftmaxInto writes softmax(logits) into dst, which must have the same
 // length. Every element of dst is overwritten, so dirty scratch buffers are
 // valid destinations. dst may alias logits. Bit-identical to Softmax.

@@ -6,48 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the accumulated gradients and zeroes
-	// them. batchSize divides the accumulated gradients so updates are
-	// means over the mini-batch.
-	Step(batchSize int)
-	// SetLR changes the learning rate (used by the plateau scheduler).
-	SetLR(lr float64)
-	// LR returns the current learning rate.
-	LR() float64
-}
-
-// SGD is plain stochastic gradient descent with optional L2 weight decay.
-type SGD struct {
-	params      []*Param
-	lr          float64
-	weightDecay float64
-}
-
-// NewSGD builds an SGD optimizer over params.
-func NewSGD(params []*Param, lr, weightDecay float64) *SGD {
-	return &SGD{params: params, lr: lr, weightDecay: weightDecay}
-}
-
-// Step applies w -= lr * (g/batch + wd*w) and zeroes gradients.
-func (s *SGD) Step(batchSize int) {
-	scale := 1.0 / float64(max(batchSize, 1))
-	for _, p := range s.params {
-		for i, g := range p.Grad.Data {
-			grad := g*scale + s.weightDecay*p.Value.Data[i]
-			p.Value.Data[i] -= s.lr * grad
-		}
-		p.ZeroGrad()
-	}
-}
-
-// SetLR changes the learning rate.
-func (s *SGD) SetLR(lr float64) { s.lr = lr }
-
-// LR returns the current learning rate.
-func (s *SGD) LR() float64 { return s.lr }
-
 // Adam implements the Adam optimizer (Kingma & Ba) used by the paper for
 // end-to-end training, with decoupled-from-nothing classic L2 regularization
 // folded into the gradient (matching PyTorch's weight_decay semantics that
@@ -82,7 +40,9 @@ func NewAdam(params []*Param, lr, weightDecay float64) *Adam {
 	return a
 }
 
-// Step applies one bias-corrected Adam update and zeroes gradients.
+// Step applies one bias-corrected Adam update and zeroes gradients. Each
+// Param.Grad holds the SUM of its per-sample gradients; batchSize divides
+// it, so the update is the mean over the mini-batch.
 func (a *Adam) Step(batchSize int) {
 	a.t++
 	scale := 1.0 / float64(max(batchSize, 1))
@@ -102,84 +62,36 @@ func (a *Adam) Step(batchSize int) {
 	}
 }
 
-// SetLR changes the learning rate.
+// SetLR changes the learning rate (used by the plateau scheduler).
 func (a *Adam) SetLR(lr float64) { a.lr = lr }
 
 // LR returns the current learning rate.
 func (a *Adam) LR() float64 { return a.lr }
 
-// RMSProp implements the RMSProp optimizer: per-parameter learning rates
-// scaled by a running average of squared gradients. Provided as an
-// alternative to Adam for optimizer ablations.
-type RMSProp struct {
-	params      []*Param
-	lr          float64
-	decay       float64
-	eps         float64
-	weightDecay float64
-
-	v []*tensor.Matrix
-}
-
-// NewRMSProp builds an RMSProp optimizer with the standard decay 0.9 and
-// ε = 1e-8.
-func NewRMSProp(params []*Param, lr, weightDecay float64) *RMSProp {
-	r := &RMSProp{
-		params: params, lr: lr, decay: 0.9, eps: 1e-8,
-		weightDecay: weightDecay,
-		v:           make([]*tensor.Matrix, len(params)),
-	}
-	for i, p := range params {
-		r.v[i] = tensor.New(p.Value.Rows, p.Value.Cols)
-	}
-	return r
-}
-
-// Step applies one RMSProp update and zeroes gradients.
-func (r *RMSProp) Step(batchSize int) {
-	scale := 1.0 / float64(max(batchSize, 1))
-	for pi, p := range r.params {
-		v := r.v[pi]
-		for i, g := range p.Grad.Data {
-			grad := g*scale + r.weightDecay*p.Value.Data[i]
-			v.Data[i] = r.decay*v.Data[i] + (1-r.decay)*grad*grad
-			p.Value.Data[i] -= r.lr * grad / (math.Sqrt(v.Data[i]) + r.eps)
-		}
-		p.ZeroGrad()
-	}
-}
-
-// SetLR changes the learning rate.
-func (r *RMSProp) SetLR(lr float64) { r.lr = lr }
-
-// LR returns the current learning rate.
-func (r *RMSProp) LR() float64 { return r.lr }
-
-var (
-	_ Optimizer = (*SGD)(nil)
-	_ Optimizer = (*Adam)(nil)
-	_ Optimizer = (*RMSProp)(nil)
+// The paper's decay-on-plateau schedule (Section V-B): the learning rate
+// falls by plateauFactor once the validation loss has risen for
+// plateauPatience consecutive epochs, and never below plateauMinLR.
+const (
+	plateauFactor   = 0.1
+	plateauPatience = 2
+	plateauMinLR    = 1e-7
 )
 
-// PlateauScheduler decays the learning rate by Factor once the monitored
-// validation loss has risen for Patience consecutive epochs — the schedule
-// described in Section V-B ("once the validation loss increases for two
-// continuous epochs, we decrease the learning rate by a factor of ten").
+// PlateauScheduler decays an Adam optimizer's learning rate on a validation
+// plateau — the schedule described in Section V-B ("once the validation loss
+// increases for two continuous epochs, we decrease the learning rate by a
+// factor of ten").
 type PlateauScheduler struct {
-	Opt      Optimizer
-	Factor   float64
-	Patience int
-	MinLR    float64
+	opt *Adam
 
 	prevLoss   float64
 	hasPrev    bool
 	riseStreak int
 }
 
-// NewPlateauScheduler builds the paper's decay-on-plateau schedule
-// (factor 0.1, patience 2).
-func NewPlateauScheduler(opt Optimizer) *PlateauScheduler {
-	return &PlateauScheduler{Opt: opt, Factor: 0.1, Patience: 2, MinLR: 1e-7}
+// NewPlateauScheduler builds the paper's decay-on-plateau schedule over opt.
+func NewPlateauScheduler(opt *Adam) *PlateauScheduler {
+	return &PlateauScheduler{opt: opt}
 }
 
 // Observe records an epoch's validation loss and decays the learning rate
@@ -192,12 +104,8 @@ func (s *PlateauScheduler) Observe(valLoss float64) bool {
 	} else {
 		s.riseStreak = 0
 	}
-	if s.riseStreak >= s.Patience {
-		newLR := s.Opt.LR() * s.Factor
-		if newLR < s.MinLR {
-			newLR = s.MinLR
-		}
-		s.Opt.SetLR(newLR)
+	if s.riseStreak >= plateauPatience {
+		s.opt.SetLR(max(s.opt.LR()*plateauFactor, plateauMinLR))
 		s.riseStreak = 0
 		decayed = true
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/acfg"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/nn"
 	"repro/internal/obs"
 )
 
@@ -168,13 +169,6 @@ func (j *trainJob) status() *TrainJobStatus {
 		st.FinishedAt = j.finishedAt.UTC().Format(time.RFC3339Nano)
 	}
 	return st
-}
-
-// TrainingActive reports whether a training job is currently running.
-func (s *Server) TrainingActive() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.curJob != nil
 }
 
 // startTrainJobLocked registers a new running job as the server's current
@@ -448,13 +442,7 @@ func accuracyOn(m *core.Model, d dataset.SampleSource, workers int) (float64, er
 	}
 	hits := 0
 	for i, p := range probs {
-		best := 0
-		for c, v := range p {
-			if v > p[best] {
-				best = c
-			}
-		}
-		if best == labels[i] {
+		if nn.ArgMax(p) == labels[i] {
 			hits++
 		}
 	}

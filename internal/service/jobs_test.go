@@ -27,6 +27,13 @@ func seedCorpus(t *testing.T, client *Client, n int) {
 // TestTrainJobLifecycle drives the full async contract over the wire:
 // submit returns 202 with a running job, status polling reaches a terminal
 // succeeded state carrying the result, and the model is installed.
+// trainingActive reports whether a training job is currently running.
+func trainingActive(s *Server) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.curJob != nil
+}
+
 func TestTrainJobLifecycle(t *testing.T) {
 	srv, ts, client := newTestServer(t, []string{"clean", "dirty"})
 	seedCorpus(t, client, 3)
@@ -72,7 +79,7 @@ func TestTrainJobLifecycle(t *testing.T) {
 	if st.FinishedAt == "" {
 		t.Fatal("terminal job has no finishedAt")
 	}
-	if srv.TrainingActive() {
+	if trainingActive(srv) {
 		t.Fatal("server still reports training after terminal job")
 	}
 	if _, err := client.PredictASM(loopProgram); err != nil {
@@ -148,7 +155,7 @@ func TestTrainJobCancel(t *testing.T) {
 	if st.Result != nil {
 		t.Fatal("cancelled job carries a result")
 	}
-	if srv.TrainingActive() {
+	if trainingActive(srv) {
 		t.Fatal("server still reports training after cancellation")
 	}
 

@@ -181,7 +181,7 @@ func TestPredictDuringTrain(t *testing.T) {
 	// exercise the same code path, just without overlap).
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if srv.TrainingActive() {
+		if trainingActive(srv) {
 			break
 		}
 		select {

@@ -176,10 +176,6 @@ func NewWithRegistry(families []string, cfgTemplate core.Config, reg *obs.Regist
 	}, nil
 }
 
-// Metrics returns the registry this server publishes to, for callers that
-// want to mount or inspect it directly.
-func (s *Server) Metrics() *obs.Registry { return s.registry }
-
 // SetParallelism sets the worker count used for training batches and
 // batched inference. n < 1 selects runtime.GOMAXPROCS. Serving snapshots
 // of every retained model version are rebuilt at the new width; in-flight

@@ -120,9 +120,6 @@ func lockStateDir(dir string) (*os.File, error) {
 	return f, nil
 }
 
-// Dir returns the state directory path.
-func (st *Store) Dir() string { return st.dir }
-
 func (st *Store) modelPath() string { return filepath.Join(st.dir, modelFilename) }
 
 // StoreStats is a point-in-time snapshot of the storage tier, surfaced on

@@ -330,7 +330,7 @@ func TestCheckpointOnGracefulClose(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.TrainingActive() {
+	if trainingActive(srv) {
 		t.Fatal("training still active after Close")
 	}
 	fi, err := os.Stat(filepath.Join(dir, modelFilename))

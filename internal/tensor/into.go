@@ -9,11 +9,9 @@ import "fmt"
 // panics when dst has the wrong shape, because a shape mismatch is always a
 // programming error here, never a runtime condition.
 //
-// The allocating forms (MatMul, Add, T, …) are thin wrappers over these
-// kernels and double as the reference oracles for the differential fuzz
-// tests in into_test.go. Each kernel performs its floating-point operations
-// in exactly the order of its oracle, so replacing an allocating call with
-// its *Into form never changes a single output bit — the property the
+// The matmul kernels' references are the straight-loop oracles of
+// oracle.go; the differential fuzz tests in into_test.go hold every kernel
+// to its reference bit for bit on dirty destinations — the property the
 // trainer's bit-determinism contract rests on.
 
 // sameBuffer reports whether two matrices share a backing array. The check
@@ -78,15 +76,15 @@ func MatMulInto(dst, a, b *Matrix) {
 }
 
 // MatMulTAInto computes dst = aᵀ·b without materializing aᵀ. Contribution
-// order per destination element is ascending over a's rows — identical to
-// MatMul(a.T(), b) — so the result is bit-for-bit the oracle's.
+// order per destination element is ascending over a's rows, so the result
+// is bit-for-bit MatMulTANaiveInto's.
 func MatMulTAInto(dst, a, b *Matrix) {
 	checkMatMulTA(dst, a, b)
 	matMulTABlocked(dst, a, b)
 }
 
 // MatMulTBInto computes dst = a·bᵀ without materializing bᵀ. The summation
-// order per destination element matches MatMul(a, b.T()) exactly.
+// order per destination element matches MatMulTBNaiveInto's exactly.
 func MatMulTBInto(dst, a, b *Matrix) {
 	checkMatMulTB(dst, a, b)
 	matMulTBBlocked(dst, a, b)
@@ -98,47 +96,6 @@ func AddInto(dst, a, b *Matrix) {
 	mustDims(dst, a.Rows, a.Cols, "add")
 	for i, v := range a.Data {
 		dst.Data[i] = v + b.Data[i]
-	}
-}
-
-// SubInto computes dst = a-b elementwise. dst may alias a or b.
-func SubInto(dst, a, b *Matrix) {
-	mustSameShape(a, b, "sub")
-	mustDims(dst, a.Rows, a.Cols, "sub")
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
-	}
-}
-
-// HadamardInto computes dst = a⊙b elementwise. dst may alias a or b.
-func HadamardInto(dst, a, b *Matrix) {
-	mustSameShape(a, b, "hadamard")
-	mustDims(dst, a.Rows, a.Cols, "hadamard")
-	for i, v := range a.Data {
-		dst.Data[i] = v * b.Data[i]
-	}
-}
-
-// TInto computes dst = mᵀ. It panics if dst aliases m: the transpose
-// permutes every element, so an in-place form would need extra state.
-func TInto(dst, m *Matrix) {
-	mustDims(dst, m.Cols, m.Rows, "transpose")
-	if sameBuffer(dst, m) {
-		panic("tensor: transpose destination aliases the operand")
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst.Data[j*dst.Cols+i] = v
-		}
-	}
-}
-
-// ScaleInto computes dst = s·m elementwise. dst may alias m.
-func ScaleInto(dst, m *Matrix, s float64) {
-	mustDims(dst, m.Rows, m.Cols, "scale")
-	for i, v := range m.Data {
-		dst.Data[i] = v * s
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package tensor provides a small dense linear-algebra substrate used by the
 // neural-network layers in this repository. It implements row-major float64
 // matrices with the operations required for forward and backward passes of
-// the DGCNN model: matrix multiplication, transposition, elementwise maps,
-// row/column reductions and stable sorting helpers.
+// the DGCNN model: destination-passing matrix products (plain and with
+// either operand transposed), elementwise kernels, concatenation and column
+// slicing, and a scratch Workspace.
 //
 // The package is intentionally minimal and allocation-conscious rather than a
 // general tensor library: everything the paper's model needs is expressible
@@ -54,16 +55,6 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 	return m, nil
 }
 
-// MustFromRows is FromRows that panics on ragged input. Intended for tests
-// and literals.
-func MustFromRows(rows [][]float64) *Matrix {
-	m, err := FromRows(rows)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -94,78 +85,12 @@ func (m *Matrix) Fill(v float64) {
 	}
 }
 
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := New(m.Cols, m.Rows)
-	TInto(t, m)
-	return t
-}
-
-// MatMul returns a*b. It panics if the inner dimensions disagree, because a
-// shape mismatch is always a programming error in this codebase, never a
-// runtime condition.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul %dx%d by %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
-	mustSameShape(a, b, "add")
-	out := New(a.Rows, a.Cols)
-	AddInto(out, a, b)
-	return out
-}
-
-// Sub returns a-b elementwise.
-func Sub(a, b *Matrix) *Matrix {
-	mustSameShape(a, b, "sub")
-	out := New(a.Rows, a.Cols)
-	SubInto(out, a, b)
-	return out
-}
-
-// Hadamard returns the elementwise product a*b.
-func Hadamard(a, b *Matrix) *Matrix {
-	mustSameShape(a, b, "hadamard")
-	out := New(a.Rows, a.Cols)
-	HadamardInto(out, a, b)
-	return out
-}
-
 // AddInPlace adds b into a.
 func (m *Matrix) AddInPlace(b *Matrix) {
 	mustSameShape(m, b, "add in place")
 	for i, v := range b.Data {
 		m.Data[i] += v
 	}
-}
-
-// Scale multiplies every element by s in place and returns m for chaining.
-func (m *Matrix) Scale(s float64) *Matrix {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-	return m
-}
-
-// Apply replaces every element x with f(x) in place and returns m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	for i, v := range m.Data {
-		m.Data[i] = f(v)
-	}
-	return m
-}
-
-// Map returns a new matrix whose elements are f applied to m's elements.
-func (m *Matrix) Map(f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	MapInto(out, m, f)
-	return out
 }
 
 // HConcat concatenates matrices horizontally (same row count).
@@ -193,28 +118,6 @@ func HConcat(ms ...*Matrix) *Matrix {
 	return out
 }
 
-// VConcat concatenates matrices vertically (same column count).
-func VConcat(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic(fmt.Sprintf("tensor: vconcat col mismatch %d vs %d", m.Cols, cols))
-		}
-		rows += m.Rows
-	}
-	out := New(rows, cols)
-	off := 0
-	for _, m := range ms {
-		copy(out.Data[off:off+len(m.Data)], m.Data)
-		off += len(m.Data)
-	}
-	return out
-}
-
 // SliceCols returns a copy of columns [lo, hi) of m.
 func (m *Matrix) SliceCols(lo, hi int) *Matrix {
 	if lo < 0 || hi > m.Cols || lo > hi {
@@ -225,68 +128,6 @@ func (m *Matrix) SliceCols(lo, hi int) *Matrix {
 		copy(out.Row(i), m.Row(i)[lo:hi])
 	}
 	return out
-}
-
-// SliceRows returns a copy of rows [lo, hi) of m.
-func (m *Matrix) SliceRows(lo, hi int) *Matrix {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(fmt.Sprintf("tensor: slice rows [%d,%d) of %d", lo, hi, m.Rows))
-	}
-	out := New(hi-lo, m.Cols)
-	copy(out.Data, m.Data[lo*m.Cols:hi*m.Cols])
-	return out
-}
-
-// SelectRows returns a new matrix whose i-th row is m's row idx[i]. Indices
-// may repeat.
-func (m *Matrix) SelectRows(idx []int) *Matrix {
-	out := New(len(idx), m.Cols)
-	for i, r := range idx {
-		copy(out.Row(i), m.Row(r))
-	}
-	return out
-}
-
-// Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v
-	}
-	return s
-}
-
-// MaxAbs returns the largest absolute element value, or 0 for empty matrices.
-func (m *Matrix) MaxAbs() float64 {
-	best := 0.0
-	for _, v := range m.Data {
-		if a := math.Abs(v); a > best {
-			best = a
-		}
-	}
-	return best
-}
-
-// Norm2 returns the Frobenius norm of m.
-func (m *Matrix) Norm2() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// ArgMaxRow returns the index of the largest element in row i (first on
-// ties).
-func (m *Matrix) ArgMaxRow(i int) int {
-	row := m.Row(i)
-	best, bestV := 0, math.Inf(-1)
-	for j, v := range row {
-		if v > bestV {
-			best, bestV = j, v
-		}
-	}
-	return best
 }
 
 // Equal reports whether a and b have the same shape and elements within tol.

@@ -29,12 +29,3 @@ func Uniform(rng *rand.Rand, rows, cols int, lo, hi float64) *Matrix {
 	}
 	return m
 }
-
-// Normal fills a new rows x cols matrix with samples from N(mean, std²).
-func Normal(rng *rand.Rand, rows, cols int, mean, std float64) *Matrix {
-	m := New(rows, cols)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()*std + mean
-	}
-	return m
-}

@@ -174,7 +174,7 @@ func TestWorkspaceZeroLengthCheckouts(t *testing.T) {
 			t.Fatalf("pass %d: an empty checkout reads as aliasing its neighbour", pass)
 		}
 		MatMulInto(dst, a, b)
-		TInto(ws.Matrix(5, 0), a)
+		MatMulTAInto(ws.Matrix(5, 3), a, dst) // an empty inner dimension
 		if f := ws.Floats(0); len(f) != 0 {
 			t.Fatalf("pass %d: Floats(0) has length %d", pass, len(f))
 		}
