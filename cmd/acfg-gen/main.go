@@ -9,11 +9,16 @@
 // Usage:
 //
 //	acfg-gen [-out dir] [-workers n] file.asm [file2.asm ...]
+//
+// Exit status: 0 when every input was extracted, 1 when any failed (each is
+// named on stderr), 2 for a usage error such as no input files.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,25 +28,36 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "acfg-gen:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) error {
+// run extracts an ACFG from every input and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("acfg-gen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	outDir := fs.String("out", ".", "output directory for .acfg.json files")
 	workers := fs.Int("workers", 4, "concurrent extraction workers")
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "acfg-gen:", msg)
+		fs.Usage()
+		return 2
+	}
+	if *workers < 1 {
+		return usage(fmt.Sprintf("-workers %d: need at least 1", *workers))
 	}
 	files := fs.Args()
 	if len(files) == 0 {
-		return fmt.Errorf("no input files (usage: acfg-gen [-out dir] file.asm ...)")
+		return usage("no input files (usage: acfg-gen [-out dir] file.asm ...)")
 	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		return fmt.Errorf("create output dir: %w", err)
+		fmt.Fprintln(stderr, "acfg-gen: create output dir:", err)
+		return 1
 	}
 
 	type result struct {
@@ -73,15 +89,16 @@ func run(args []string) error {
 	for r := range results {
 		if r.err != nil {
 			failed++
-			fmt.Fprintf(os.Stderr, "acfg-gen: %s: %v\n", r.file, r.err)
+			fmt.Fprintf(stderr, "acfg-gen: %s: %v\n", r.file, r.err)
 		} else {
-			fmt.Printf("%s: ok\n", r.file)
+			fmt.Fprintf(stdout, "%s: ok\n", r.file)
 		}
 	}
 	if failed > 0 {
-		return fmt.Errorf("%d of %d files failed", failed, len(files))
+		fmt.Fprintf(stderr, "acfg-gen: %d of %d files failed\n", failed, len(files))
+		return 1
 	}
-	return nil
+	return 0
 }
 
 func extract(path, outDir string) error {

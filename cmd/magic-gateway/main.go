@@ -12,6 +12,10 @@
 // The gateway is stateless apart from its in-memory cache: it can be
 // restarted freely, and because ring placement is derived from SHA-256
 // the restarted process routes every key exactly as before.
+//
+// Exit status: 0 after a clean shutdown, 1 when serving fails (e.g. the
+// address cannot be bound), 2 for a usage error such as a missing or
+// invalid -backends list.
 package main
 
 import (
@@ -19,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -35,23 +40,31 @@ import (
 const shutdownTimeout = 15 * time.Second
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "magic-gateway:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) error {
+// run serves until SIGINT or SIGTERM and returns the exit status. The
+// gateway logs to stderr and writes nothing to stdout.
+func run(args []string, _, stderr io.Writer) int {
 	fs := flag.NewFlagSet("magic-gateway", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	addr := fs.String("addr", ":8090", "listen address")
 	backendsFlag := fs.String("backends", "", "comma-separated magic-server base URLs (required)")
 	cacheSize := fs.Int("cache-size", gateway.DefaultCacheSize, "prediction cache capacity (entries)")
 	retries := fs.Int("retries", 0, "per-backend retry budget before failing over (0 = client default)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "magic-gateway:", msg)
+		fs.Usage()
+		return 2
 	}
 	if *backendsFlag == "" {
-		return fmt.Errorf("need -backends")
+		return usage("need -backends")
 	}
 	backends := strings.Split(*backendsFlag, ",")
 
@@ -61,11 +74,20 @@ func run(args []string) error {
 		MaxRetries: *retries,
 	})
 	if err != nil {
-		return err
+		return usage(err.Error())
 	}
+	if err := serve(gw, *addr, len(backends), log.New(stderr, "", log.LstdFlags)); err != nil {
+		fmt.Fprintln(stderr, "magic-gateway:", err)
+		return 1
+	}
+	return 0
+}
 
+// serve runs the gateway on addr until a termination signal, then drains
+// in-flight requests.
+func serve(gw *gateway.Gateway, addr string, backends int, logger *log.Logger) error {
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              addr,
 		Handler:           gw.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 	}
@@ -75,7 +97,7 @@ func run(args []string) error {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	log.Printf("MAGIC gateway listening on %s over %d backends, metrics at /metrics", *addr, len(backends))
+	logger.Printf("MAGIC gateway listening on %s over %d backends, metrics at /metrics", addr, backends)
 
 	select {
 	case err := <-serveErr:
@@ -84,17 +106,17 @@ func run(args []string) error {
 	}
 	stop() // restore default signal handling: a second signal kills hard
 
-	log.Printf("shutdown: draining in-flight requests")
+	logger.Printf("shutdown: draining in-flight requests")
 	drainCtx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancel()
 	shutdownErr := httpSrv.Shutdown(drainCtx)
 	if errors.Is(shutdownErr, context.DeadlineExceeded) {
-		log.Printf("shutdown: drain timed out; closing remaining connections")
+		logger.Printf("shutdown: drain timed out; closing remaining connections")
 		shutdownErr = nil
 	}
 	if shutdownErr != nil {
 		return shutdownErr
 	}
-	log.Printf("shutdown: clean exit")
+	logger.Printf("shutdown: clean exit")
 	return nil
 }

@@ -7,13 +7,20 @@
 // Usage:
 //
 //	magic-train -corpus mskcfg -samples 360 -epochs 20 -out model.json
+//
+// Exit status: 0 when the model was trained and saved, 1 when loading the
+// corpus, training or saving failed, 2 for a usage error such as an unknown
+// -pooling, -head or -conv.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -25,72 +32,92 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "magic-train:", err)
-		os.Exit(1)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) error {
+// run trains and saves one model and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("magic-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	corpus := fs.String("corpus", "mskcfg", "training corpus: mskcfg, yancfg, or a dataset .jsonl path")
 	samples := fs.Int("samples", 360, "synthetic corpus size (ignored for file corpora)")
 	epochs := fs.Int("epochs", 20, "training epochs")
 	seed := fs.Int64("seed", 1, "random seed")
-	pooling := fs.String("pooling", "adaptive", "pooling type: adaptive or sort")
-	conv := fs.String("conv", "", "graph-convolution backend: "+strings.Join(core.ConvBackendNames(), ", ")+" (empty = gcn, the paper's rule)")
+	poolingName := fs.String("pooling", "adaptive", "pooling type: adaptive or sort")
+	convName := fs.String("conv", "", "graph-convolution backend: "+strings.Join(core.ConvBackendNames(), ", ")+" (empty = gcn, the paper's rule)")
 	hops := fs.Int("hops", 0, "propagation hops for -conv tag (0 = default 2)")
-	head := fs.String("head", "conv1d", "remaining layer for sort pooling: conv1d or weightedvertices")
+	headName := fs.String("head", "conv1d", "remaining layer for sort pooling: conv1d or weightedvertices")
 	ratio := fs.Float64("ratio", 0.64, "pooling ratio")
 	valFrac := fs.Float64("val", 0.2, "validation fraction for model selection")
 	out := fs.String("out", "magic-model.json", "output model path")
 	quiet := fs.Bool("quiet", false, "suppress per-epoch logs")
 	workers := fs.Int("workers", 0, "data-parallel workers for extraction and training (0 = GOMAXPROCS); results are identical at any value")
 	if err := fs.Parse(args); err != nil {
-		return err
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	usage := func(msg string) int {
+		fmt.Fprintln(stderr, "magic-train:", msg)
+		fs.Usage()
+		return 2
 	}
 	if *workers < 1 {
 		*workers = runtime.GOMAXPROCS(0)
 	}
 
+	conv := strings.ToLower(*convName)
+	if conv != "" && !slices.Contains(core.ConvBackendNames(), conv) {
+		return usage(fmt.Sprintf("unknown conv %q", *convName))
+	}
+	var pooling core.PoolingType
+	switch strings.ToLower(*poolingName) {
+	case "adaptive":
+		pooling = core.AdaptivePooling
+	case "sort":
+		pooling = core.SortPooling
+	default:
+		return usage(fmt.Sprintf("unknown pooling %q", *poolingName))
+	}
+	var head core.HeadType
+	switch strings.ToLower(*headName) {
+	case "conv1d":
+		head = core.Conv1DHead
+	case "weightedvertices":
+		head = core.WeightedVerticesHead
+	default:
+		return usage(fmt.Sprintf("unknown head %q", *headName))
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "magic-train:", err)
+		return 1
+	}
+
 	d, err := loadCorpus(*corpus, *samples, *seed, *workers)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Printf("corpus: %d samples, %d families %v\n", d.Len(), d.NumClasses(), d.Families)
+	fmt.Fprintf(stdout, "corpus: %d samples, %d families %v\n", d.Len(), d.NumClasses(), d.Families)
 
 	cfg := core.DefaultConfig(d.NumClasses(), acfg.NumAttributes)
 	cfg.Epochs = *epochs
 	cfg.Seed = *seed
 	cfg.PoolingRatio = *ratio
-	cfg.Conv = strings.ToLower(*conv)
+	cfg.Conv = conv
 	cfg.ConvHops = *hops
-	switch strings.ToLower(*pooling) {
-	case "adaptive":
-		cfg.Pooling = core.AdaptivePooling
-	case "sort":
-		cfg.Pooling = core.SortPooling
-	default:
-		return fmt.Errorf("unknown pooling %q", *pooling)
-	}
-	switch strings.ToLower(*head) {
-	case "conv1d":
-		cfg.Head = core.Conv1DHead
-	case "weightedvertices":
-		cfg.Head = core.WeightedVerticesHead
-	default:
-		return fmt.Errorf("unknown head %q", *head)
-	}
+	cfg.Pooling = pooling
+	cfg.Head = head
 
 	train, val, err := d.TrainValSplit(*valFrac, *seed)
 	if err != nil {
-		return err
+		return fail(err)
 	}
 	m, err := core.NewModel(cfg, train.Sizes())
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Println("model:", m)
+	fmt.Fprintln(stdout, "model:", m)
 
 	opts := core.TrainOptions{Workers: *workers}
 	if !*quiet {
@@ -106,26 +133,26 @@ func run(args []string) error {
 			if e.Improved {
 				line += "  *"
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		})
 	}
 	hist, err := core.Train(m, train, val, opts)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Printf("best epoch %d, validation loss %.4f\n", hist.BestEpoch, hist.BestValLoss)
+	fmt.Fprintf(stdout, "best epoch %d, validation loss %.4f\n", hist.BestEpoch, hist.BestValLoss)
 
 	met, err := eval.Score(&fitted{m}, val, d.Families)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Println(met.Table())
+	fmt.Fprintln(stdout, met.Table())
 
 	if err := m.SaveFile(*out); err != nil {
-		return err
+		return fail(err)
 	}
-	fmt.Println("model saved to", *out)
-	return nil
+	fmt.Fprintln(stdout, "model saved to", *out)
+	return 0
 }
 
 // fitted adapts an already-trained model to eval.Classifier.

@@ -143,7 +143,8 @@ func (t *DecisionTree) bestGiniSplit(xs [][]float64, ys []int, idx []int, counts
 			rightCounts[y]--
 			nLeft++
 			a, b := xs[order[k]][f], xs[order[k+1]][f]
-			//lint:ignore floatcmp duplicate detection in a sorted scan wants bit equality, not tolerance
+			// Exact comparison: duplicate detection in a sorted scan wants bit
+			// equality, not a tolerance.
 			if a == b {
 				continue
 			}
@@ -287,7 +288,8 @@ func bestVarianceSplit(xs [][]float64, targets []float64, idx []int) (int, float
 			leftSq += y * y
 			nLeft++
 			a, b := xs[order[k]][f], xs[order[k+1]][f]
-			//lint:ignore floatcmp duplicate detection in a sorted scan wants bit equality, not tolerance
+			// Exact comparison: duplicate detection in a sorted scan wants bit
+			// equality, not a tolerance.
 			if a == b {
 				continue
 			}

@@ -48,6 +48,3 @@ func (c *Classifier) Predict(s *dataset.Sample) []float64 {
 	}
 	return c.model.Predict(s.ACFG)
 }
-
-// Model exposes the fitted model (nil before Fit).
-func (c *Classifier) Model() *Model { return c.model }

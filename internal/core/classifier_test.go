@@ -14,13 +14,13 @@ func TestClassifierFitPredict(t *testing.T) {
 	cfg := tinyConfig(SortPooling, WeightedVerticesHead)
 	cfg.Epochs = 6
 	clf := &Classifier{Cfg: cfg, ValFraction: 0.25}
-	if clf.Model() != nil {
+	if clf.model != nil {
 		t.Fatal("model must be nil before Fit")
 	}
 	if err := clf.Fit(train); err != nil {
 		t.Fatal(err)
 	}
-	if clf.Model() == nil {
+	if clf.model == nil {
 		t.Fatal("model must exist after Fit")
 	}
 	probs := clf.Predict(train.Samples[0])

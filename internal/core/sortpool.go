@@ -57,7 +57,8 @@ func (p *sortPoolSorter) Swap(a, b int) { p.idx[a], p.idx[b] = p.idx[b], p.idx[a
 func (p *sortPoolSorter) Less(a, b int) bool {
 	ra, rb := p.z.Row(p.idx[a]), p.z.Row(p.idx[b])
 	for c := len(ra) - 1; c >= 0; c-- {
-		//lint:ignore floatcmp the comparator must order on exact bits; a tolerance would make sort order input-dependent
+		// The comparator must order on exact bits; a tolerance would make
+		// the sort order input-dependent.
 		if ra[c] != rb[c] {
 			return ra[c] > rb[c]
 		}

@@ -80,13 +80,6 @@ func (d *Dataset) Subset(idx []int) *Dataset {
 	return sub
 }
 
-// Shuffle permutes samples in place, deterministically for a given seed.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(d.Samples), func(i, j int) {
-		d.Samples[i], d.Samples[j] = d.Samples[j], d.Samples[i]
-	})
-}
-
 // Fold is one cross-validation fold: sample indices for training and
 // validation.
 type Fold struct {

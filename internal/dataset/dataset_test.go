@@ -2,7 +2,6 @@ package dataset
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"repro/internal/acfg"
@@ -182,22 +181,6 @@ func TestSubsetAndSizes(t *testing.T) {
 	sizes := d.Sizes()
 	if len(sizes) != 4 || sizes[0] != 3 || sizes[1] != 4 {
 		t.Fatalf("sizes = %v", sizes)
-	}
-}
-
-func TestShuffleDeterministic(t *testing.T) {
-	d1 := buildDataset([]int{10})
-	d2 := buildDataset([]int{10})
-	for i := range d1.Samples {
-		d1.Samples[i].Name = string(rune('a' + i))
-		d2.Samples[i].Name = string(rune('a' + i))
-	}
-	d1.Shuffle(rand.New(rand.NewSource(5)))
-	d2.Shuffle(rand.New(rand.NewSource(5)))
-	for i := range d1.Samples {
-		if d1.Samples[i].Name != d2.Samples[i].Name {
-			t.Fatal("shuffle not deterministic per seed")
-		}
 	}
 }
 

@@ -5,9 +5,8 @@ import (
 	"go/types"
 )
 
-// NewDeterminism builds the "determinism" analyzer. It guards the
-// bit-reproducibility contract of the training engine (PR 2) with three
-// checks:
+// checkDeterminism is the "determinism" check. It guards the
+// bit-reproducibility contract of the training engine with three parts:
 //
 //   - Global math/rand entropy: calls to the package-level functions of
 //     math/rand or math/rand/v2 that draw from the shared global source
@@ -27,14 +26,7 @@ import (
 //     leaks into any numeric state the loop body feeds. The one recognized
 //     clean shape is a pure key-collection loop (a single append into a
 //     slice) whose slice is sorted later in the same function.
-func NewDeterminism() *Analyzer {
-	return &Analyzer{
-		Name: "determinism",
-		Doc:  "forbid global math/rand, wall-clock reads and unordered map iteration in numeric code",
-		Run:  runDeterminism,
-	}
-}
-
+//
 // randAllowed are the math/rand{,/v2} package-level functions that do not
 // touch the global source.
 var randAllowed = map[string]bool{
@@ -45,7 +37,7 @@ var randAllowed = map[string]bool{
 	"NewChaCha8": true,
 }
 
-func runDeterminism(u *Unit, rep *Reporter) {
+func checkDeterminism(u *Unit, rep *reporter) {
 	restricted := inRestrictedScope(u)
 	for _, file := range u.Files {
 		// Global-source rand and wall-clock uses: resolved through the
@@ -66,13 +58,13 @@ func runDeterminism(u *Unit, rep *Reporter) {
 			switch fn.Pkg().Path() {
 			case "math/rand", "math/rand/v2":
 				if !randAllowed[fn.Name()] {
-					rep.Report("determinism", sel.Pos(),
+					rep.report("determinism", sel.Pos(),
 						"%s.%s draws from the process-global random source; use an explicitly seeded *rand.Rand",
 						fn.Pkg().Name(), fn.Name())
 				}
 			case "time":
 				if restricted && (fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until") {
-					rep.Report("determinism", sel.Pos(),
+					rep.report("determinism", sel.Pos(),
 						"time.%s in a numeric package; route timing through internal/obs (Stopwatch/BusyMeter) so numeric code stays a pure function of (config, seed, data)",
 						fn.Name())
 				}
@@ -97,7 +89,7 @@ func runDeterminism(u *Unit, rep *Reporter) {
 
 // checkMapRanges flags map ranges inside fd, exempting single-statement
 // key-collection loops whose target slice is sorted elsewhere in fd.
-func checkMapRanges(u *Unit, fd *ast.FuncDecl, rep *Reporter) {
+func checkMapRanges(u *Unit, fd *ast.FuncDecl, rep *reporter) {
 	sorted := sortedSlices(u, fd)
 	ast.Inspect(fd, func(n ast.Node) bool {
 		rng, ok := n.(*ast.RangeStmt)
@@ -114,7 +106,7 @@ func checkMapRanges(u *Unit, fd *ast.FuncDecl, rep *Reporter) {
 		if obj := collectTarget(u, rng); obj != nil && sorted[obj] {
 			return true
 		}
-		rep.Report("determinism", rng.Pos(),
+		rep.report("determinism", rng.Pos(),
 			"map iteration order is nondeterministic; collect keys into a slice and sort, or iterate a sorted key list")
 		return true
 	})

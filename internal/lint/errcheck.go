@@ -5,24 +5,15 @@ import (
 	"go/types"
 )
 
-// NewErrCheck builds the "errcheck" analyzer: a call whose results include
-// an error may not be used as a bare statement (plain, deferred, or in a
-// go statement) — the error must be handled or visibly discarded with
-// `_ =`. Test files are never loaded, so the rule bites only production
-// code.
+// checkErrors is the "errcheck" check: a call whose results include an
+// error may not be used as a bare statement (plain, deferred, or in a go
+// statement) — the error must be handled or visibly discarded with `_ =`.
+// Test files are never loaded, so the rule bites only production code.
 //
 // A small allowlist keeps the rule signal-dense: the fmt printing
 // functions (their errors surface only for broken writers, and the repo
 // prints to stdout/stderr) and the never-failing writers strings.Builder
 // and bytes.Buffer.
-func NewErrCheck() *Analyzer {
-	return &Analyzer{
-		Name: "errcheck",
-		Doc:  "no discarded error returns in non-test code",
-		Run:  runErrCheck,
-	}
-}
-
 // errcheckAllowedRecv are receiver types whose methods are documented to
 // never return a non-nil error.
 var errcheckAllowedRecv = map[string]bool{
@@ -30,7 +21,7 @@ var errcheckAllowedRecv = map[string]bool{
 	"bytes.Buffer":    true,
 }
 
-func runErrCheck(u *Unit, rep *Reporter) {
+func checkErrors(u *Unit, rep *reporter) {
 	for _, file := range u.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			var call *ast.CallExpr
@@ -50,7 +41,7 @@ func runErrCheck(u *Unit, rep *Reporter) {
 			if deferred {
 				fix = "handle it in a deferred closure (defer func() { _ = … }())"
 			}
-			rep.Report("errcheck", call.Pos(), "%s returns an error that is silently discarded; %s",
+			rep.report("errcheck", call.Pos(), "%s returns an error that is silently discarded; %s",
 				calleeName(u.Info, call), fix)
 			return true
 		})

@@ -14,29 +14,20 @@ import (
 	"strings"
 )
 
-// Result is one load: the module identity, every requested unit (sorted by
+// Result is one load: the module root, every package found (sorted by
 // import path), and the FileSet all positions resolve against.
 type Result struct {
-	ModPath string
-	Root    string // absolute module root directory
-	Fset    *token.FileSet
-	Units   []*Unit
+	Root  string // absolute module root directory
+	Fset  *token.FileSet
+	Units []*Unit
 }
 
-// Load locates the enclosing module (walking up from dir, or the working
-// directory when dir is empty), expands the given package patterns, and
-// parses + type-checks each matched package with only the standard
-// library's go/* machinery.
-//
-// Supported patterns, mirroring the go tool:
-//
-//	./...        every package under dir (testdata, vendor and dot-dirs skipped)
-//	path/...     every package under path
-//	path         the single package in path
-//
-// Paths may be relative (to dir) or absolute, but must lie inside the
-// module. Directories under testdata are only loaded when named directly —
-// that is how the analyzer golden packages are reached.
+// Load locates the module enclosing dir (walking up to the first go.mod)
+// and parses + type-checks every package at or below dir with only the
+// standard library's go/* machinery. Below dir, testdata, vendor, dot- and
+// underscore-directories are skipped, as the go tool skips them for
+// "dir/..."; a golden package under testdata is reached by naming its
+// directory.
 //
 // Module-internal imports resolve to freshly checked packages; everything
 // else (the standard library) is type-checked from GOROOT source via the
@@ -45,14 +36,7 @@ type Result struct {
 // GOOS/GOARCH-suffixed file for another platform) is skipped exactly as
 // the go tool would skip it, instead of being force-fed to the type
 // checker.
-func Load(dir string, patterns ...string) (*Result, error) {
-	if dir == "" {
-		wd, err := os.Getwd()
-		if err != nil {
-			return nil, err
-		}
-		dir = wd
-	}
+func Load(dir string) (*Result, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {
 		return nil, err
@@ -60,9 +44,6 @@ func Load(dir string, patterns ...string) (*Result, error) {
 	root, modPath, err := findModule(dir)
 	if err != nil {
 		return nil, err
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
 	}
 
 	// The module is pure Go; checking the cgo variants of stdlib packages
@@ -82,19 +63,20 @@ func Load(dir string, patterns ...string) (*Result, error) {
 		stdPkgs: map[string]*types.Package{},
 	}
 
-	dirs, err := expandPatterns(dir, root, patterns)
+	dirs, err := packageDirs(dir)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{ModPath: modPath, Root: root, Fset: fset}
+	if len(dirs) == 0 {
+		return nil, fmt.Errorf("lint: no buildable Go files at or below %s", dir)
+	}
+	res := &Result{Root: root, Fset: fset}
 	for _, d := range dirs {
 		u, err := ld.load(ld.pathFor(d))
 		if err != nil {
 			return nil, err
 		}
-		if u != nil {
-			res.Units = append(res.Units, u)
-		}
+		res.Units = append(res.Units, u)
 	}
 	sort.Slice(res.Units, func(i, j int) bool { return res.Units[i].Path < res.Units[j].Path })
 	return res, nil
@@ -122,60 +104,27 @@ func findModule(dir string) (root, modPath string, err error) {
 	}
 }
 
-// expandPatterns resolves patterns to absolute package directories
-// (deduplicated, sorted).
-func expandPatterns(base, root string, patterns []string) ([]string, error) {
-	seen := map[string]bool{}
+// packageDirs returns every directory at or below dir that holds a
+// non-test Go file, in walk (lexical) order.
+func packageDirs(dir string) ([]string, error) {
 	var out []string
-	add := func(d string) {
-		if !seen[d] {
-			seen[d] = true
+	err := filepath.WalkDir(dir, func(d string, ent os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if !ent.IsDir() {
+			return nil
+		}
+		name := ent.Name()
+		if d != dir && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if hasGoFiles(d) {
 			out = append(out, d)
 		}
-	}
-	for _, p := range patterns {
-		recursive := false
-		if p == "..." {
-			p, recursive = ".", true
-		} else if strings.HasSuffix(p, "/...") {
-			p, recursive = strings.TrimSuffix(p, "/..."), true
-		}
-		if !filepath.IsAbs(p) {
-			p = filepath.Join(base, p)
-		}
-		p = filepath.Clean(p)
-		if p != root && !strings.HasPrefix(p, root+string(filepath.Separator)) {
-			return nil, fmt.Errorf("lint: pattern %q resolves outside the module at %s", p, root)
-		}
-		if !recursive {
-			if !hasGoFiles(p) {
-				return nil, fmt.Errorf("lint: no buildable Go files in %s", p)
-			}
-			add(p)
-			continue
-		}
-		err := filepath.WalkDir(p, func(d string, ent os.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !ent.IsDir() {
-				return nil
-			}
-			name := ent.Name()
-			if d != p && (name == "testdata" || name == "vendor" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
-				return filepath.SkipDir
-			}
-			if hasGoFiles(d) {
-				add(d)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	sort.Strings(out)
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // hasGoFiles reports whether dir holds at least one non-test Go file.
@@ -222,8 +171,8 @@ func (l *loader) dirFor(path string) string {
 }
 
 // Import implements types.Importer over the chain: module packages are
-// loaded (and linted later, if requested); the rest comes from GOROOT
-// source.
+// loaded (and checked later, if they lie under Load's directory); the rest
+// comes from GOROOT source.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == l.modPath || strings.HasPrefix(path, l.modPath+"/") {
 		u, err := l.load(path)
@@ -294,10 +243,9 @@ func (l *loader) load(path string) (*Unit, error) {
 
 	conf := types.Config{Importer: l}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
@@ -309,7 +257,6 @@ func (l *loader) load(path string) (*Unit, error) {
 		Path:     path,
 		Rel:      rel,
 		Dir:      dir,
-		Fset:     l.fset,
 		Files:    files,
 		Pkg:      pkg,
 		Info:     info,

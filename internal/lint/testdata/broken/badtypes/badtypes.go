@@ -1,5 +1,5 @@
 // Package badtypes fails type checking on purpose: the loader must surface
-// a clean error (driver exit 2), not panic.
+// a clean error, not panic.
 package badtypes
 
 func Mismatched() int {

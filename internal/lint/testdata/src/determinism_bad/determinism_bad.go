@@ -1,6 +1,6 @@
-// Package determinism_bad is a magic-lint golden case: every statement in
-// Sum violates the determinism rule (testdata packages count as
-// restricted scope).
+// Package determinism_bad is a golden case of the lint checks: every
+// statement in Sum violates the determinism rule (testdata packages count
+// as restricted scope).
 package determinism_bad
 
 import (

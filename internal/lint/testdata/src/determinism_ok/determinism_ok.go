@@ -1,4 +1,4 @@
-// Package determinism_ok is a magic-lint golden case: the deterministic
+// Package determinism_ok is a golden case of the lint checks: the deterministic
 // counterpart of determinism_bad. Expected findings: 0.
 package determinism_ok
 

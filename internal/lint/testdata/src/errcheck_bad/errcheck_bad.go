@@ -1,4 +1,4 @@
-// Package errcheck_bad is a magic-lint golden case for the errcheck
+// Package errcheck_bad is a golden case of the lint checks for the errcheck
 // rule. Expected findings: 2.
 package errcheck_bad
 

@@ -1,4 +1,4 @@
-// Package errcheck_ok is a magic-lint golden case: every error is
+// Package errcheck_ok is a golden case of the lint checks: every error is
 // handled, explicitly discarded, or allowlisted. Expected findings: 0.
 package errcheck_ok
 

@@ -1,5 +1,7 @@
 // Package inner lives under nestpkg/testdata and is skipped by recursive
-// walks; loaded directly it yields one floatcmp finding.
+// walks; loaded directly it yields one determinism finding.
 package inner
 
-func Same(a, b float64) bool { return a == b }
+import "math/rand"
+
+func Roll() int { return rand.Intn(6) }

@@ -11,7 +11,7 @@ import (
 // round-trip. Run with: go test ./internal/obs -bench . -benchmem
 
 func BenchmarkCounterInc(b *testing.B) {
-	c := NewRegistry().Counter("bench_ops_total", "ops")
+	c := NewRegistry().Counter("magic_bench_ops_total", "ops")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		c.Inc()
@@ -19,7 +19,7 @@ func BenchmarkCounterInc(b *testing.B) {
 }
 
 func BenchmarkCounterIncParallel(b *testing.B) {
-	c := NewRegistry().Counter("bench_ops_total", "ops")
+	c := NewRegistry().Counter("magic_bench_ops_total", "ops")
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -29,7 +29,7 @@ func BenchmarkCounterIncParallel(b *testing.B) {
 }
 
 func BenchmarkCounterVecWith(b *testing.B) {
-	v := NewRegistry().CounterVec("bench_ops_total", "ops", "endpoint", "code")
+	v := NewRegistry().CounterVec("magic_bench_ops_total", "ops", "endpoint", "code")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		v.With("/v1/predict", "200").Inc()
@@ -37,7 +37,7 @@ func BenchmarkCounterVecWith(b *testing.B) {
 }
 
 func BenchmarkHistogramObserve(b *testing.B) {
-	h := NewRegistry().Histogram("bench_latency_seconds", "latency", DefBuckets)
+	h := NewRegistry().Histogram("magic_bench_latency_seconds", "latency", DefBuckets)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.0042)
@@ -45,7 +45,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 func BenchmarkHistogramObserveParallel(b *testing.B) {
-	h := NewRegistry().Histogram("bench_latency_seconds", "latency", DefBuckets)
+	h := NewRegistry().Histogram("magic_bench_latency_seconds", "latency", DefBuckets)
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
@@ -58,8 +58,8 @@ func BenchmarkHistogramObserveParallel(b *testing.B) {
 // pays: resolve a labeled counter, increment it, and observe a latency.
 func BenchmarkRequestHotPath(b *testing.B) {
 	r := NewRegistry()
-	requests := r.CounterVec("bench_requests_total", "req", "endpoint", "method", "code")
-	latency := r.HistogramVec("bench_latency_seconds", "lat", DefBuckets, "endpoint").With("/v1/predict")
+	requests := r.CounterVec("magic_bench_requests_total", "req", "endpoint", "method", "code")
+	latency := r.HistogramVec("magic_bench_latency_seconds", "lat", DefBuckets, "endpoint").With("/v1/predict")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		latency.Observe(0.0042)
@@ -84,8 +84,8 @@ func TestHotPathUnderMicrosecond(t *testing.T) {
 		t.Skip("timing test")
 	}
 	r := NewRegistry()
-	c := r.CounterVec("hot_total", "ops", "endpoint", "code")
-	h := r.Histogram("hot_seconds", "lat", DefBuckets)
+	c := r.CounterVec("magic_hot_total", "ops", "endpoint", "code")
+	h := r.Histogram("magic_hot_seconds", "lat", DefBuckets)
 	const n = 200_000
 	start := time.Now()
 	for i := 0; i < n; i++ {

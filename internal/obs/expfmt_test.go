@@ -15,18 +15,18 @@ var update = flag.Bool("update", false, "rewrite golden files")
 func goldenRegistry() *Registry {
 	r := NewRegistry()
 
-	lat := r.Histogram("demo_latency_seconds", "Demo latency.", []float64{0.25, 1, 10})
+	lat := r.Histogram("magic_demo_latency_seconds", "Demo latency.", []float64{0.25, 1, 10})
 	for _, v := range []float64{0.125, 0.25, 5, 20} {
 		lat.Observe(v)
 	}
 
-	r.GaugeVec("demo_quoted", "Quoted label value.", "path").With(`a"b\c`).Set(1)
+	r.GaugeVec("magic_demo_quoted", "Quoted label value.", "path").With(`a"b\c`).Set(1)
 
-	req := r.CounterVec("demo_requests_total", "Total demo requests.", "endpoint", "code")
+	req := r.CounterVec("magic_demo_requests_total", "Total demo requests.", "endpoint", "code")
 	req.With("/predict", "200").Add(3)
 	req.With("/train", "500").Inc()
 
-	r.Gauge("demo_temperature", "Current temperature.").Set(-2.5)
+	r.Gauge("magic_demo_temperature", "Current temperature.").Set(-2.5)
 	return r
 }
 

@@ -92,7 +92,7 @@ func TestWrapInFlightDuringRequest(t *testing.T) {
 
 func TestRegistryHandlerServesText(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_total", "help").Inc()
+	r.Counter("magic_test_total", "help").Inc()
 	ts := httptest.NewServer(r.Handler())
 	defer ts.Close()
 	resp, err := http.Get(ts.URL)
@@ -107,7 +107,7 @@ func TestRegistryHandlerServesText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(body), "test_total 1") {
+	if !strings.Contains(string(body), "magic_test_total 1") {
 		t.Fatalf("exposition missing counter: %q", body)
 	}
 }

@@ -73,9 +73,6 @@ func (g *Gauge) labelValues() []string { return g.vals }
 // Set replaces the value.
 func (g *Gauge) Set(v float64) { g.v.store(v) }
 
-// Add adds delta (which may be negative).
-func (g *Gauge) Add(delta float64) { g.v.add(delta) }
-
 // Inc adds 1.
 func (g *Gauge) Inc() { g.v.add(1) }
 

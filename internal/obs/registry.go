@@ -3,9 +3,22 @@ package obs
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"strings"
 	"sync"
 )
+
+// The repository's metric grammar, a subset of the Prometheus identifier
+// charset: names live in the magic_ namespace in lowercase snake case, and
+// label keys are lowercase snake case. maxLabelKeys bounds a family's
+// label keys: labels multiply time series, and past a handful that is a
+// cardinality bug, not telemetry.
+var (
+	metricNameRe = regexp.MustCompile(`^magic_[a-z0-9_]+$`)
+	labelKeyRe   = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+)
+
+const maxLabelKeys = 4
 
 type metricType int
 
@@ -97,11 +110,21 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 	return r.HistogramVec(name, help, buckets).With()
 }
 
-// family is the idempotent get-or-create at the heart of registration.
+// family is the idempotent get-or-create at the heart of registration. An
+// invalid name, label key or bucket list, or a re-registration with a
+// different shape, panics: every registration runs when a package or
+// server is built, so a bad one fails the first test that builds it.
 func (r *Registry) family(name, help string, typ metricType, labelKeys []string, buckets []float64) *family {
-	mustValidName("metric", name)
+	if !metricNameRe.MatchString(name) {
+		panic(fmt.Sprintf("obs: metric name %q does not match %s", name, metricNameRe))
+	}
+	if len(labelKeys) > maxLabelKeys {
+		panic(fmt.Sprintf("obs: metric %q has %d label keys, more than %d", name, len(labelKeys), maxLabelKeys))
+	}
 	for _, k := range labelKeys {
-		mustValidName("label", k)
+		if !labelKeyRe.MatchString(k) {
+			panic(fmt.Sprintf("obs: metric %q label key %q does not match %s", name, k, labelKeyRe))
+		}
 	}
 	if typ == histogramType {
 		if len(buckets) == 0 {
@@ -180,24 +203,6 @@ func (f *family) snapshot() []metric {
 	f.mu.RUnlock()
 	sortMetrics(out)
 	return out
-}
-
-// mustValidName enforces the Prometheus identifier charset
-// [a-zA-Z_:][a-zA-Z0-9_:]* (colons disallowed in label names).
-func mustValidName(kind, name string) {
-	if name == "" {
-		panic(fmt.Sprintf("obs: empty %s name", kind))
-	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-		case c == ':' && kind == "metric":
-		case c >= '0' && c <= '9' && i > 0:
-		default:
-			panic(fmt.Sprintf("obs: invalid %s name %q", kind, name))
-		}
-	}
 }
 
 func equalStrings(a, b []string) bool {

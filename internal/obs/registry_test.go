@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func TestCounterConcurrentIncrements(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_ops_total", "ops")
+	c := r.Counter("magic_test_ops_total", "ops")
 	const goroutines, perG = 16, 1000
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -28,7 +29,7 @@ func TestCounterConcurrentIncrements(t *testing.T) {
 
 func TestCounterVecConcurrentChildren(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("test_labeled_total", "labeled", "shard")
+	v := r.CounterVec("magic_test_labeled_total", "labeled", "shard")
 	shards := []string{"a", "b", "c"}
 	const goroutines, perG = 12, 500
 	var wg sync.WaitGroup
@@ -55,19 +56,19 @@ func TestCounterVecConcurrentChildren(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("test_inflight", "inflight")
+	g := r.Gauge("magic_test_inflight", "inflight")
 	g.Set(5)
 	g.Inc()
+	g.Inc()
 	g.Dec()
-	g.Add(-2.5)
-	if got := g.Value(); got != 2.5 {
-		t.Fatalf("gauge = %v, want 2.5", got)
+	if got := g.Value(); got != 6 {
+		t.Fatalf("gauge = %v, want 6", got)
 	}
 }
 
 func TestGaugeConcurrentAdd(t *testing.T) {
 	r := NewRegistry()
-	g := r.Gauge("test_updown", "pairs of inc/dec")
+	g := r.Gauge("magic_test_updown", "pairs of inc/dec")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -87,7 +88,7 @@ func TestGaugeConcurrentAdd(t *testing.T) {
 
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_latency_seconds", "latency", []float64{1, 2, 4})
+	h := r.Histogram("magic_test_latency_seconds", "latency", []float64{1, 2, 4})
 	// le bounds are inclusive: an observation exactly on a bound lands in
 	// that bound's bucket.
 	for _, v := range []float64{0.5, 1.0, 1.5, 2.0, 4.0, 4.5} {
@@ -110,7 +111,7 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 
 func TestHistogramConcurrentObserve(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_conc_seconds", "latency", ExpBuckets(0.001, 2, 10))
+	h := r.Histogram("magic_test_conc_seconds", "latency", ExpBuckets(0.001, 2, 10))
 	var wg sync.WaitGroup
 	const goroutines, perG = 10, 800
 	for g := 0; g < goroutines; g++ {
@@ -134,8 +135,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestRegistrationIdempotent(t *testing.T) {
 	r := NewRegistry()
-	a := r.CounterVec("test_total", "help", "k")
-	b := r.CounterVec("test_total", "help", "k")
+	a := r.CounterVec("magic_test_total", "help", "k")
+	b := r.CounterVec("magic_test_total", "help", "k")
 	a.With("x").Inc()
 	if got := b.With("x").Value(); got != 1 {
 		t.Fatalf("second registration saw %v, want shared child with 1", got)
@@ -144,10 +145,10 @@ func TestRegistrationIdempotent(t *testing.T) {
 
 func TestRegistrationConflictPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_total", "help")
+	r.Counter("magic_test_total", "help")
 	for name, f := range map[string]func(){
-		"type change":  func() { r.Gauge("test_total", "help") },
-		"label change": func() { r.CounterVec("test_total", "help", "k") },
+		"type change":  func() { r.Gauge("magic_test_total", "help") },
+		"label change": func() { r.CounterVec("magic_test_total", "help", "k") },
 	} {
 		func() {
 			defer func() {
@@ -162,29 +163,30 @@ func TestRegistrationConflictPanics(t *testing.T) {
 
 func TestInvalidNamesPanic(t *testing.T) {
 	r := NewRegistry()
-	for _, name := range []string{"", "9leading", "has space", "dash-ed"} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("metric name %q: want panic", name)
-				}
-			}()
-			r.Counter(name, "help")
-		}()
-	}
-	func() {
+	mustPanic := func(what string, register func()) {
+		t.Helper()
 		defer func() {
 			if recover() == nil {
-				t.Error("label name with colon: want panic")
+				t.Errorf("%s: want panic", what)
 			}
 		}()
-		r.CounterVec("test_ok_total", "help", "bad:label")
-	}()
+		register()
+	}
+	// Outside the Prometheus charset, then outside the magic_ grammar.
+	for _, name := range []string{"", "9leading", "has space", "dash-ed",
+		"predict_batches_total", "magic_", "magic_Model_Versions", "magic:x"} {
+		mustPanic(fmt.Sprintf("metric name %q", name), func() { r.Counter(name, "help") })
+	}
+	for _, key := range []string{"bad:label", "Kind", "_lead", "9lead", ""} {
+		mustPanic(fmt.Sprintf("label key %q", key), func() { r.CounterVec("magic_test_ok_total", "help", key) })
+	}
+	mustPanic("five label keys", func() { r.GaugeVec("magic_test_wide", "help", "a", "b", "c", "d", "e") })
+	r.GaugeVec("magic_test_four_keys", "help", "a", "b", "c", "d") // the bound itself is allowed
 }
 
 func TestWithWrongArity(t *testing.T) {
 	r := NewRegistry()
-	v := r.CounterVec("test_total", "help", "a", "b")
+	v := r.CounterVec("magic_test_total", "help", "a", "b")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic on wrong label arity")
@@ -195,7 +197,7 @@ func TestWithWrongArity(t *testing.T) {
 
 func TestCounterAddNegativePanics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_total", "help")
+	c := r.Counter("magic_test_total", "help")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("want panic on negative counter add")

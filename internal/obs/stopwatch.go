@@ -7,11 +7,12 @@ import (
 
 // The numeric packages (internal/core, internal/dataset, …) are forbidden
 // from reading the wall clock — their outputs must be a pure function of
-// (config, seed, data), and magic-lint's determinism rule enforces the
-// ban. Telemetry still wants durations, so the clock lives here: obs owns
-// every time.Now in the training and extraction paths, and numeric code
-// handles only opaque Stopwatch/BusyMeter values whose readings flow
-// exclusively into metrics.
+// (config, seed, data), and internal/lint's determinism check, which
+// `go test ./...` runs as TestRepositoryLintClean, enforces the ban.
+// Telemetry still wants durations, so the clock lives here: obs owns every
+// time.Now in the training and extraction paths, and numeric code handles
+// only opaque Stopwatch/BusyMeter values whose readings flow exclusively
+// into metrics.
 
 // Stopwatch marks an instant; Elapsed reads the wall-clock distance from
 // it. The zero Stopwatch is not meaningful — always start with StartTimer.
