@@ -304,11 +304,14 @@ func BenchmarkParallelTrain(b *testing.B) {
 }
 
 // BenchmarkPredictBatch times pooled batch inference at several worker
-// counts (the /v1/predict serving path uses the same replica machinery).
-// Each sub-benchmark runs one untimed warm-up batch so the measured
-// iterations exercise the steady-state serving path — cached prediction
-// engine, grown workspaces — rather than the one-time cache build, matching
-// how BenchmarkTrainEpoch measures steady-state epochs.
+// counts (the /v1/predict serving path uses the same replica machinery):
+// the whole 60-sample set at one and four workers, and batches of two at two
+// workers — the admission batcher's usual batch under concurrent callers on
+// a two-core server, where each sample gets its own replica. Each
+// sub-benchmark runs one untimed warm-up pass so the measured iterations
+// exercise the steady-state serving path — cached prediction engine, grown
+// workspaces — rather than the one-time cache build, matching how
+// BenchmarkTrainEpoch measures steady-state epochs.
 func BenchmarkPredictBatch(b *testing.B) {
 	d, err := malgen.MSKCFG(malgen.Options{TotalSamples: 60, Seed: 3, Workers: 4})
 	if err != nil {
@@ -323,15 +326,24 @@ func BenchmarkPredictBatch(b *testing.B) {
 	for i, s := range d.Samples {
 		as[i] = s.ACFG
 	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
-			if _, err := m.PredictBatch(as, workers); err != nil {
-				b.Fatal(err)
+	for _, c := range []struct {
+		name           string
+		workers, batch int
+	}{{"workers1", 1, len(as)}, {"workers4", 4, len(as)}, {"workers2", 2, 2}} {
+		b.Run(c.name, func(b *testing.B) {
+			batch := func(i int) []*acfg.ACFG {
+				lo := i * c.batch % len(as)
+				return as[lo : lo+c.batch]
+			}
+			for i := 0; i < len(as)/c.batch; i++ {
+				if _, err := m.PredictBatch(batch(i), c.workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.PredictBatch(as, workers); err != nil {
+				if _, err := m.PredictBatch(batch(i), c.workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -481,7 +493,11 @@ func BenchmarkSortPooling(b *testing.B) {
 // inputs in (−1, 1) as the tanh graph-conv stack emits them. n is the
 // YANCFG median (46), the classify-asm-large listing mean (203) and its top
 // listing band (420). It is the one layer of the default model whose cost
-// grows with the vertex count.
+// grows with the vertex count. Beside it runs the head's second
+// convolution, Conv2D(16→32, 3×3, same) on the pooled 16×gh×8 grid, at the
+// grid heights Config.AMPGrid gives for PoolingRatio 0.2, 0.64 and 1.0: the
+// same work whatever the graph's size, reported also per nominal
+// multiply-add (OutC·oh·ow·InC·KH·KW, padding taps included).
 func BenchmarkAMPHead(b *testing.B) {
 	for _, h := range []int{46, 203, 420} {
 		rng := rand.New(rand.NewSource(6))
@@ -518,6 +534,30 @@ func BenchmarkAMPHead(b *testing.B) {
 				}
 			})
 		}
+	}
+	for _, gh := range []int{3, 10, 16} {
+		rng := rand.New(rand.NewSource(6))
+		conv := nn.NewConv2D(rng, 16, 32, 3, 3, 1, 1)
+		in := nn.NewVolume(16, gh, 8)
+		for i := range in.Data {
+			in.Data[i] = rng.Float64() // ReLU'd pooled maxima: ≥ 0
+		}
+		ws := nn.NewWorkspace()
+		conv.SetWorkspace(ws)
+		macs := float64(32 * gh * 8 * 16 * 9)
+		b.Run(fmt.Sprintf("conv2d/h%d", gh), func(b *testing.B) {
+			for warm := 0; warm < 2; warm++ { // grow the slab, then consolidate it
+				ws.Reset()
+				conv.Forward(in, false)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Reset()
+				conv.Forward(in, false)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/macs, "ns/mac")
+		})
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -87,8 +88,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runLocalMode classifies every file with a loaded model and returns how
-// many failed.
+// many failed. The readable files are classified in one PredictBatch, one
+// sample per core and no more workers than files; the report keeps the input
+// order, and each unreadable file is named on stderr as it is loaded.
 func runLocalMode(stdout, stderr io.Writer, m *core.Model, names []string, files []string, topK int) (failed int) {
+	var loaded []string
+	var as []*acfg.ACFG
 	for _, file := range files {
 		a, err := loadSample(file)
 		if err != nil {
@@ -96,14 +101,24 @@ func runLocalMode(stdout, stderr io.Writer, m *core.Model, names []string, files
 			failed++
 			continue
 		}
-		probs := m.Predict(a)
-		fmt.Fprintf(stdout, "%s (%d blocks):\n", file, a.NumVertices())
-		for rank, c := range topClasses(probs, topK) {
+		loaded, as = append(loaded, file), append(as, a)
+	}
+	if len(as) == 0 {
+		return failed
+	}
+	probs, err := m.PredictBatch(as, min(len(as), runtime.GOMAXPROCS(0)))
+	if err != nil {
+		fmt.Fprintln(stderr, "magic-predict:", err)
+		return failed + len(as)
+	}
+	for i, file := range loaded {
+		fmt.Fprintf(stdout, "%s (%d blocks):\n", file, as[i].NumVertices())
+		for rank, c := range topClasses(probs[i], topK) {
 			name := fmt.Sprintf("class %d", c)
 			if c < len(names) {
 				name = names[c]
 			}
-			fmt.Fprintf(stdout, "  %d. %-20s %6.2f%%\n", rank+1, name, 100*probs[c])
+			fmt.Fprintf(stdout, "  %d. %-20s %6.2f%%\n", rank+1, name, 100*probs[i][c])
 		}
 	}
 	return failed

@@ -90,3 +90,38 @@ func TestRunExitStatus(t *testing.T) {
 		})
 	}
 }
+
+// TestLocalModeUnreadableInTheMiddle: local mode classifies the readable
+// files in one batch, yet its report is the per-file one — the same stdout
+// bytes, in input order, as classifying each file alone — and the
+// unreadable file between them is named on stderr with the error a lone
+// run gives.
+func TestLocalModeUnreadableInTheMiddle(t *testing.T) {
+	model, first := fixtures(t)
+	dir := t.TempDir()
+	second := filepath.Join(dir, "second.asm")
+	text := malgen.GenerateProgram(rand.New(rand.NewSource(2)), malgen.MSKProfileFor(1))
+	if err := os.WriteFile(second, []byte(text), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	missing := filepath.Join(dir, "nope.asm")
+	alone := func(file string) (string, string) {
+		var stdout, stderr bytes.Buffer
+		run([]string{"-model", model, "-families", "a,b,c", file}, &stdout, &stderr)
+		return stdout.String(), stderr.String()
+	}
+	firstOut, _ := alone(first)
+	secondOut, _ := alone(second)
+	_, missingErr := alone(missing)
+
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-model", model, "-families", "a,b,c", first, missing, second}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1\nstderr: %s", code, stderr.String())
+	}
+	if want := firstOut + secondOut; stdout.String() != want {
+		t.Errorf("stdout:\n%s\nwant the lone runs' output in input order:\n%s", stdout.String(), want)
+	}
+	if want := strings.Replace(missingErr, "1 of 1", "1 of 3", 1); stderr.String() != want {
+		t.Errorf("stderr = %q, want %q", stderr.String(), want)
+	}
+}

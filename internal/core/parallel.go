@@ -22,11 +22,6 @@ import (
 // golden test in parallel_test.go enforces.
 const maxGradShards = 8
 
-// evalChunk is the work granularity of gradient-free phases (validation,
-// PredictBatch). Results are written to per-sample slots, so chunking only
-// affects load balance, never the outcome.
-const evalChunk = 4
-
 // batchOp selects the per-shard work the engine dispatches. The engine
 // carries its inputs in fields rather than closures so a steady-state batch
 // captures nothing and allocates nothing.
@@ -224,23 +219,23 @@ func discardGradsOnErr(rep *Model, errp *error) {
 func (e *ParallelBatch) EvalBatch(tasks []sampleTask, results []sampleResult) error {
 	wall := obs.StartTimer()
 	e.op, e.tasks, e.results = opEval, tasks, results
-	e.ranges = appendShardRanges(e.ranges[:0], len(tasks), (len(tasks)+evalChunk-1)/evalChunk)
-	if err := e.runShards(len(e.ranges)); err != nil {
+	if err := e.runShards(len(tasks)); err != nil {
 		return err
 	}
 	e.observe(obs.PhaseValidate, len(tasks), wall.Elapsed())
 	return nil
 }
 
-func (e *ParallelBatch) runEvalChunk(rep *Model, si int) (err error) {
-	defer recoverShard(&err, "eval chunk", si)
-	r := e.ranges[si]
-	for i := r[0]; i < r[1]; i++ {
-		t := e.tasks[i]
-		logits := rep.forwardLogits(t.a, false)
-		nn.SoftmaxInto(rep.probs, logits)
-		e.results[i] = sampleResult{loss: nn.NLLOfProbs(rep.probs, t.label), hit: nn.ArgMax(rep.probs) == t.label}
-	}
+// runEvalSample scores sample i on one replica. The gradient-free phases
+// hand out one sample per shard: every sample writes only its own slot, so
+// the granularity decides load balance alone, and a batch of two keeps two
+// workers busy.
+func (e *ParallelBatch) runEvalSample(rep *Model, i int) (err error) {
+	defer recoverShard(&err, "eval sample", i)
+	t := e.tasks[i]
+	logits := rep.forwardLogits(t.a, false)
+	nn.SoftmaxInto(rep.probs, logits)
+	e.results[i] = sampleResult{loss: nn.NLLOfProbs(rep.probs, t.label), hit: nn.ArgMax(rep.probs) == t.label}
 	return nil
 }
 
@@ -249,25 +244,22 @@ func (e *ParallelBatch) runEvalChunk(rep *Model, si int) (err error) {
 func (e *ParallelBatch) predictAll(tasks []sampleTask, out [][]float64) error {
 	wall := obs.StartTimer()
 	e.op, e.tasks, e.out = opPredict, tasks, out
-	e.ranges = appendShardRanges(e.ranges[:0], len(tasks), (len(tasks)+evalChunk-1)/evalChunk)
-	if err := e.runShards(len(e.ranges)); err != nil {
+	if err := e.runShards(len(tasks)); err != nil {
 		return err
 	}
 	e.observe(obs.PhasePredict, len(tasks), wall.Elapsed())
 	return nil
 }
 
-func (e *ParallelBatch) runPredictChunk(rep *Model, si int) (err error) {
-	defer recoverShard(&err, "predict chunk", si)
-	r := e.ranges[si]
-	for i := r[0]; i < r[1]; i++ {
-		t := e.tasks[i]
-		logits := rep.forwardLogits(t.a, false)
-		if len(e.out[i]) != len(logits) {
-			e.out[i] = make([]float64, len(logits))
-		}
-		nn.SoftmaxInto(e.out[i], logits)
+// runPredictSample classifies sample i on one replica (one sample per shard,
+// as runEvalSample).
+func (e *ParallelBatch) runPredictSample(rep *Model, i int) (err error) {
+	defer recoverShard(&err, "predict sample", i)
+	logits := rep.forwardLogits(e.tasks[i].a, false)
+	if len(e.out[i]) != len(logits) {
+		e.out[i] = make([]float64, len(logits))
 	}
+	nn.SoftmaxInto(e.out[i], logits)
 	return nil
 }
 
@@ -280,9 +272,9 @@ func (e *ParallelBatch) runOne(w, si int) error {
 	case opTrain:
 		err = e.runTrainShard(e.replicas[w], si)
 	case opEval:
-		err = e.runEvalChunk(e.replicas[w], si)
+		err = e.runEvalSample(e.replicas[w], si)
 	default:
-		err = e.runPredictChunk(e.replicas[w], si)
+		err = e.runPredictSample(e.replicas[w], si)
 	}
 	e.busy.Add(sw.Elapsed())
 	return err

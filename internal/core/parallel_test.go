@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -161,37 +162,49 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 }
 
 // TestPredictBatchMatchesSerialPredict pins the pooled inference path to the
-// single-model path bit-for-bit.
+// single-model path bit-for-bit, for every head and backend, at worker
+// counts below, at and above the batch length, including batches of one and
+// two, where one sample per shard puts each sample on its own replica.
 func TestPredictBatchMatchesSerialPredict(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	d := twoClassDataset(rng, 6)
-	cfg := tinyConfig(SortPooling, WeightedVerticesHead)
-	cfg.Epochs = 2
-	m, err := NewModel(cfg, d.Sizes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Train(m, d, nil, TrainOptions{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	batch, err := m.PredictBatch(acfgsOf(d), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range d.Samples {
-		want := m.Predict(s.ACFG)
-		for c := range want {
-			if batch[i][c] != want[c] {
-				t.Fatalf("sample %d class %d: PredictBatch %v != Predict %v", i, c, batch[i], want)
+	forEachModel(t, func(t *testing.T, cfg Config) {
+		rng := rand.New(rand.NewSource(21))
+		d := twoClassDataset(rng, 5)
+		cfg.Epochs = 2
+		m, err := NewModel(cfg, d.Sizes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Train(m, d, nil, TrainOptions{Workers: 2}); err != nil {
+			t.Fatal(err)
+		}
+		as := acfgsOf(d)
+		want := make([][]float64, len(as))
+		for i, a := range as {
+			want[i] = m.Predict(a)
+		}
+		for _, workers := range []int{1, 2, 3, 8} {
+			for _, n := range []int{1, 2, 5, 9} {
+				batch, err := m.PredictBatch(as[:n], workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i := range batch {
+					for c := range want[i] {
+						if math.Float64bits(batch[i][c]) != math.Float64bits(want[i][c]) {
+							t.Fatalf("workers=%d batch of %d, sample %d class %d: PredictBatch %v != Predict %v",
+								workers, n, i, c, batch[i], want[i])
+						}
+					}
+				}
 			}
 		}
-	}
-	// The engine PredictBatch caches on the model (one per retained version
-	// in the service) never trains, so it must not own the eight
-	// parameter-sized shard gradient sets a training engine needs.
-	if m.predEngine.shardGrads != nil {
-		t.Errorf("PredictBatch-only engine owns %d shard gradient buffer sets, want none", len(m.predEngine.shardGrads))
-	}
+		// The engine PredictBatch caches on the model (one per retained
+		// version in the service) never trains, so it must not own the
+		// eight parameter-sized shard gradient sets a training engine needs.
+		if m.predEngine.shardGrads != nil {
+			t.Errorf("PredictBatch-only engine owns %d shard gradient buffer sets, want none", len(m.predEngine.shardGrads))
+		}
+	})
 }
 
 // TestConcurrentPredictDuringTrain runs the service's serving pattern under

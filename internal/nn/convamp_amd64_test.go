@@ -6,53 +6,10 @@ import (
 	"testing"
 )
 
-// Value regimes of the kernel differential.
-const (
-	kernTanh    = iota // (−1, 1): what the graph-conv stack feeds the head
-	kernSpecial        // ±0, subnormals, ±Inf, NaN, ±MaxFloat64 and normals, mixed
-	kernTies           // {−1, −0, +0, 1}: repeated maxima and zero-sign ties
-	kernModes
-)
-
-// x86's default NaN, the one invalid operations (Inf·0, Inf − Inf) produce.
-// The conv differential injects only this NaN: when two NaNs with different
-// bits meet in an add, the result carries the first operand's, and which
-// operand gc puts first in the Go loop is a register-allocation accident.
-// With one NaN pattern in play every order gives the same bits.
-const x86DefaultNaN = 0xfff8000000000000
-
 // windowNaNs are the NaNs the window differential injects. The fold never
 // computes with a NaN, only compares and copies it, so any payload —
 // signalling ones included — must come out bit for bit.
 var windowNaNs = [...]uint64{x86DefaultNaN, 0x7ff8000000000001, 0x7ff0000000000001, 0xfff0dead0000beef}
-
-func kernelValue(rng *rand.Rand, mode int, nans []uint64) float64 {
-	switch mode {
-	case kernTanh:
-		return math.Tanh(2 * rng.NormFloat64())
-	case kernTies:
-		return [...]float64{-1, math.Copysign(0, -1), 0, 1}[rng.Intn(4)]
-	}
-	switch rng.Intn(12) {
-	case 0:
-		return 0
-	case 1:
-		return math.Copysign(0, -1)
-	case 2:
-		return math.Float64frombits(1) // smallest subnormal
-	case 3:
-		return -math.Float64frombits(rng.Uint64() & (1<<52 - 1)) // a negative subnormal
-	case 4:
-		return math.Inf(1)
-	case 5:
-		return math.Inf(-1)
-	case 6:
-		return math.Float64frombits(nans[rng.Intn(len(nans))])
-	case 7:
-		return math.MaxFloat64 * float64(2*rng.Intn(2)-1)
-	}
-	return rng.NormFloat64()
-}
 
 // FuzzConvAMPKernels holds the two SSE2 kernels behind ConvAMP.Forward to
 // the Go loops they replace, by Float64bits in every output bit: the conv

@@ -465,12 +465,14 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // byte limit alone does not: a 16 MiB body can describe several hundred
 // thousand basic blocks, and every model replica that runs a graph keeps
 // its scratch slab — 4.2 KB per vertex to predict, 9.1 KB to train — until
-// a larger one replaces it. 4096 is ten times the largest listing malgen,
-// the tests or the benchmark produce, and keeps an admitted graph's slab
-// (17 MB serving, 37 MB training) under tensor.Workspace's retention bound,
-// so the limit is what caps a replica's resident scratch. It is a constant,
-// not a flag: nothing a deployment knows should change what a replica can
-// be made to hold.
+// a larger one replaces it. A batch is spread one sample per replica, so a
+// batch of two already reaches two replicas: each of a version's workers
+// can hold such a slab. 4096 is ten times the largest listing malgen, the
+// tests or the benchmark produce, and keeps an admitted graph's slab (17 MB
+// serving, 37 MB training) under tensor.Workspace's retention bound, so the
+// limit is what caps a replica's resident scratch, and workers × 17 MB a
+// served version's. It is a constant, not a flag: nothing a deployment
+// knows should change what a replica can be made to hold.
 const maxGraphVertices = 4096
 
 // maxAttrValue bounds the attributes of an uploaded acfg body. Table I
