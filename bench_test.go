@@ -246,7 +246,7 @@ func BenchmarkTrainEpoch(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			sess, err := core.NewTrainSession(m, d, core.TrainOptions{Workers: 1})
+			sess, err := core.NewTrainSession(m.Weights, d, core.TrainOptions{Workers: 1})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -288,7 +288,7 @@ func BenchmarkParallelTrain(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sess, err := core.NewTrainSession(m, d, core.TrainOptions{Workers: workers})
+				sess, err := core.NewTrainSession(m.Weights, d, core.TrainOptions{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -304,13 +304,13 @@ func BenchmarkParallelTrain(b *testing.B) {
 }
 
 // BenchmarkPredictBatch times pooled batch inference at several worker
-// counts (the /v1/predict serving path uses the same replica machinery):
-// the whole 60-sample set at one and four workers, and batches of two at two
+// counts on a kept engine, as a /v1/predict serving version runs it: the
+// whole 60-sample set at one and four workers, and batches of two at two
 // workers — the admission batcher's usual batch under concurrent callers on
 // a two-core server, where each sample gets its own replica. Each
 // sub-benchmark runs one untimed warm-up pass so the measured iterations
-// exercise the steady-state serving path — cached prediction engine, grown
-// workspaces — rather than the one-time cache build, matching how
+// exercise the steady-state serving path — built replicas, grown
+// workspaces — rather than the one-time build, matching how
 // BenchmarkTrainEpoch measures steady-state epochs.
 func BenchmarkPredictBatch(b *testing.B) {
 	d, err := malgen.MSKCFG(malgen.Options{TotalSamples: 60, Seed: 3, Workers: 4})
@@ -331,19 +331,20 @@ func BenchmarkPredictBatch(b *testing.B) {
 		workers, batch int
 	}{{"workers1", 1, len(as)}, {"workers4", 4, len(as)}, {"workers2", 2, 2}} {
 		b.Run(c.name, func(b *testing.B) {
+			engine := core.NewParallelBatch(m.Weights, c.workers)
 			batch := func(i int) []*acfg.ACFG {
 				lo := i * c.batch % len(as)
 				return as[lo : lo+c.batch]
 			}
 			for i := 0; i < len(as)/c.batch; i++ {
-				if _, err := m.PredictBatch(batch(i), c.workers); err != nil {
+				if _, err := engine.Predict(batch(i)); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.PredictBatch(batch(i), c.workers); err != nil {
+				if _, err := engine.Predict(batch(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

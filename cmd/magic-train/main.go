@@ -136,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, line)
 		})
 	}
-	hist, err := core.Train(m, train, val, opts)
+	hist, err := core.Train(m.Weights, train, val, opts)
 	if err != nil {
 		return fail(err)
 	}

@@ -62,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := core.Train(model, train, val, core.TrainOptions{}); err != nil {
+	if _, err := core.Train(model.Weights, train, val, core.TrainOptions{}); err != nil {
 		log.Fatal(err)
 	}
 	path := filepath.Join(os.TempDir(), "magic-mskcfg-model.json")

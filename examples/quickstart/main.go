@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("training", model)
-	if _, err := core.Train(model, train, nil, core.TrainOptions{}); err != nil {
+	if _, err := core.Train(model.Weights, train, nil, core.TrainOptions{}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -55,7 +55,7 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetScaler(fitScaler(t, d))
+		m.scaler = fitScaler(t, d)
 
 		step := func() {
 			for i, s := range d.Samples {
@@ -80,7 +80,7 @@ func TestRunEpochZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := NewTrainSession(m, d, TrainOptions{Workers: 1})
+	sess, err := NewTrainSession(m.Weights, d, TrainOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,11 +107,8 @@ func TestPredictEngineZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetScaler(fitScaler(t, d))
-		engine, err := NewParallelBatch(m, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
+		m.scaler = fitScaler(t, d)
+		engine := NewParallelBatch(m.Weights, 1)
 		tasks := make([]sampleTask, d.Len())
 		for i, s := range d.Samples {
 			tasks[i] = sampleTask{a: s.ACFG}
@@ -181,7 +178,7 @@ func warmSlabBytes(t *testing.T, n int, run func(m *Model, a *acfg.ACFG)) uint64
 	}
 	d := dataset.New([]string{"chain"})
 	d.Add(&dataset.Sample{ACFG: chainACFG(rand.New(rand.NewSource(9)), n)})
-	m.SetScaler(fitScaler(t, d))
+	m.scaler = fitScaler(t, d)
 	run(m, d.Samples[0].ACFG)
 	run(m, d.Samples[0].ACFG)
 	return m.WorkspaceStats().Bytes

@@ -27,7 +27,7 @@ func TestTrainCancellation(t *testing.T) {
 		}
 		stop := make(chan struct{})
 		close(stop)
-		if _, err := Train(m, train, nil, TrainOptions{Stop: stop}); !errors.Is(err, ErrCancelled) {
+		if _, err := Train(m.Weights, train, nil, TrainOptions{Stop: stop}); !errors.Is(err, ErrCancelled) {
 			t.Fatalf("Train with closed stop channel: err = %v, want ErrCancelled", err)
 		}
 	})
@@ -39,7 +39,7 @@ func TestTrainCancellation(t *testing.T) {
 		}
 		stop := make(chan struct{})
 		epochs := 0
-		_, err = Train(m, train, nil, TrainOptions{
+		_, err = Train(m.Weights, train, nil, TrainOptions{
 			Stop: stop,
 			Observer: EpochObserverFunc(func(e EpochStats) {
 				epochs++
@@ -63,7 +63,7 @@ func TestTrainCancellation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Train(m, train, nil, TrainOptions{}); err != nil {
+		if _, err := Train(m.Weights, train, nil, TrainOptions{}); err != nil {
 			t.Fatalf("Train with nil stop channel: %v", err)
 		}
 	})

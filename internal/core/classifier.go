@@ -33,7 +33,7 @@ func (c *Classifier) Fit(train *dataset.Dataset) error {
 	if err != nil {
 		return fmt.Errorf("core: classifier fit: %w", err)
 	}
-	if _, err := Train(m, fitSet, val, c.Opts); err != nil {
+	if _, err := Train(m.Weights, fitSet, val, c.Opts); err != nil {
 		return fmt.Errorf("core: classifier fit: %w", err)
 	}
 	c.model = m

@@ -66,7 +66,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(m, train, nil, TrainOptions{}); err != nil {
+	if _, err := Train(m.Weights, train, nil, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "model.json")
@@ -108,13 +108,6 @@ func TestModelIntrospection(t *testing.T) {
 	if !strings.Contains(amp.String(), "grid=") {
 		t.Fatalf("String() = %q", amp.String())
 	}
-	if m.Scaler() != nil {
-		t.Fatal("scaler must be nil before training")
-	}
-	m.SetScaler(&Scaler{Mean: make([]float64, 11), Std: make([]float64, 11)})
-	if m.Scaler() == nil {
-		t.Fatal("scaler not installed")
-	}
 }
 
 func TestPoolingAndHeadStrings(t *testing.T) {
@@ -153,7 +146,7 @@ func TestPredictDatasetHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(m, d, nil, TrainOptions{}); err != nil {
+	if _, err := Train(m.Weights, d, nil, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range d.Samples {
@@ -191,7 +184,7 @@ func TestTrainLogging(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Train(m, train, val, opts); err != nil {
+	if _, err := Train(m.Weights, train, val, opts); err != nil {
 		t.Fatal(err)
 	}
 	check(true)
@@ -201,7 +194,7 @@ func TestTrainLogging(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen = nil
-	if _, err := Train(m2, train, nil, opts); err != nil {
+	if _, err := Train(m2.Weights, train, nil, opts); err != nil {
 		t.Fatal(err)
 	}
 	check(false)
@@ -215,7 +208,7 @@ func TestTrainEmptyDataset(t *testing.T) {
 	}
 	empty := twoClassDataset(rand.New(rand.NewSource(1)), 1)
 	empty.Samples = nil
-	if _, err := Train(m, empty, nil, TrainOptions{}); err == nil {
+	if _, err := Train(m.Weights, empty, nil, TrainOptions{}); err == nil {
 		t.Fatal("want error for empty training set")
 	}
 }

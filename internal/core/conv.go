@@ -22,24 +22,22 @@ import (
 //     allocates nothing per sample.
 //   - Forward caches whatever the matching Backward needs; caches are
 //     workspace memory valid until the next Forward. A backend therefore
-//     serves one goroutine; data parallelism replicates the owning Model.
+//     serves one goroutine; each replica (Weights.NewReplica) builds its own.
 //   - All accumulation orders are fixed, making training bit-deterministic
 //     at any worker count.
 //
 // The conformance harness in conv_conformance_test.go runs every registered
 // backend through FD gradient checks, zero-alloc pinning, cross-worker
-// determinism, replicate aliasing, edge cases and differential fuzz against
+// determinism, replica aliasing, edge cases and differential fuzz against
 // a straight-loop oracle; a new backend is done when it passes that suite.
 type ConvBackend interface {
-	// Name returns the registry name the backend was built under.
-	Name() string
 	// Forward computes the concatenated Z^{1:h} (n × Σ c_t) for one graph.
 	Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix
 	// Backward consumes ∂L/∂Z^{1:h}, accumulates parameter gradients and
 	// returns ∂L/∂X. Must follow a Forward call on the same sample.
 	Backward(dconcat *tensor.Matrix) *tensor.Matrix
-	// Params exposes the backend's weights to the optimizer in a stable
-	// order (the serialization contract).
+	// Params exposes the backend's weights in a stable order (the
+	// serialization contract).
 	Params() []*nn.Param
 	// SetWorkspace installs the scratch workspace for per-sample buffers.
 	SetWorkspace(ws *nn.Workspace)
@@ -56,7 +54,7 @@ const defaultConvHops = 2
 
 // convBuilders registers every backend constructor by name. Builders draw
 // initialization exclusively from rng, in a fixed per-layer order, so
-// Replicate can rebuild an identically-shaped backend and alias the weights.
+// NewReplica can rebuild an identically-shaped backend and alias the weights.
 var convBuilders = map[string]func(rng *rand.Rand, cfg *Config) ConvBackend{
 	"gcn": func(rng *rand.Rand, cfg *Config) ConvBackend {
 		return NewGraphConvStack(rng, cfg.AttrDim, cfg.ConvSizes)

@@ -59,9 +59,6 @@ func NewAttnStack(rng *rand.Rand, attrDim int, sizes []int) *AttnStack {
 	return s
 }
 
-// Name returns the backend registry name ("attn").
-func (s *AttnStack) Name() string { return "attn" }
-
 // SetWorkspace installs the scratch workspace for per-sample buffers.
 func (s *AttnStack) SetWorkspace(ws *nn.Workspace) { s.ws = ws }
 

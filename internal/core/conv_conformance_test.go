@@ -18,7 +18,7 @@ import (
 //
 //   - finite-difference gradients on every parameter and the input
 //   - bit-identical training at Workers 1, 4 and 8
-//   - Replicate shares weights but keeps gradients private
+//   - NewReplica shares weights but keeps gradients private
 //   - empty-graph and single-vertex edge cases
 //   - bit-for-bit agreement of the fast path with a straight-loop oracle
 //     (the deterministic sweep here; coverage-guided mutation in the
@@ -51,7 +51,7 @@ func TestConvBackendConformance(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Run("FiniteDifference", func(t *testing.T) { convFDCheck(t, name) })
 			t.Run("WorkerDeterminism", func(t *testing.T) { convWorkerDeterminismCheck(t, name) })
-			t.Run("ReplicateGradPrivacy", func(t *testing.T) { convReplicateCheck(t, name) })
+			t.Run("NewReplicaGradPrivacy", func(t *testing.T) { convNewReplicaCheck(t, name) })
 			t.Run("EdgeCases", func(t *testing.T) { convEdgeCaseCheck(t, name) })
 			t.Run("OracleAgreement", func(t *testing.T) { convOracleCheck(t, name) })
 		})
@@ -128,7 +128,7 @@ func convWorkerDeterminismCheck(t *testing.T, name string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hist, err := Train(m, train, val, TrainOptions{Workers: workers})
+		hist, err := Train(m.Weights, train, val, TrainOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +147,11 @@ func convWorkerDeterminismCheck(t *testing.T, name string) {
 	}
 }
 
-// convReplicateCheck proves Replicate's aliasing contract for the backend's
-// parameters: replicas share value tensors (an optimizer step is visible
-// everywhere) but own private gradient buffers (a replica's backward never
-// touches the source's grads).
-func convReplicateCheck(t *testing.T, name string) {
+// convNewReplicaCheck proves NewReplica's aliasing contract for the
+// backend's parameters: replicas of one Weights share value tensors (an
+// optimizer step is visible everywhere) but own private gradient buffers (a
+// replica's backward never touches another's grads).
+func convNewReplicaCheck(t *testing.T, name string) {
 	cfg := conformanceConfig(name)
 	rng := rand.New(rand.NewSource(23))
 	d := twoClassDataset(rng, 4)
@@ -159,11 +159,8 @@ func convReplicateCheck(t *testing.T, name string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetScaler(fitScaler(t, d))
-	r, err := m.Replicate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	m.scaler = fitScaler(t, d)
+	r := m.NewReplica()
 	if len(r.params) != len(m.params) {
 		t.Fatalf("replica has %d params, source %d", len(r.params), len(m.params))
 	}

@@ -36,7 +36,7 @@ type SAGEStack struct {
 
 // NewSAGEStack builds h = len(sizes) layers mapping attrDim → sizes[0] → …
 // with Glorot-uniform weights (self then neighbor per layer, a fixed rng
-// draw order — the Replicate contract).
+// draw order — the NewReplica contract).
 func NewSAGEStack(rng *rand.Rand, attrDim int, sizes []int) *SAGEStack {
 	h := len(sizes)
 	s := &SAGEStack{
@@ -55,9 +55,6 @@ func NewSAGEStack(rng *rand.Rand, attrDim int, sizes []int) *SAGEStack {
 	}
 	return s
 }
-
-// Name returns the backend registry name ("sage").
-func (s *SAGEStack) Name() string { return "sage" }
 
 // SetWorkspace installs the scratch workspace for per-sample buffers.
 func (s *SAGEStack) SetWorkspace(ws *nn.Workspace) { s.ws = ws }

@@ -18,7 +18,7 @@ func trainSmall(t *testing.T, name string) (*Model, *bytes.Buffer) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(m, d, nil, TrainOptions{Workers: 2}); err != nil {
+	if _, err := Train(m.Weights, d, nil, TrainOptions{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

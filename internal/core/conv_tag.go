@@ -34,7 +34,7 @@ type TAGStack struct {
 
 // NewTAGStack builds h = len(sizes) layers with K = hops propagation hops
 // each, Glorot-uniform weights drawn hop-ascending per layer (a fixed rng
-// draw order — the Replicate contract).
+// draw order — the NewReplica contract).
 func NewTAGStack(rng *rand.Rand, attrDim int, sizes []int, hops int) *TAGStack {
 	if hops < 1 {
 		hops = defaultConvHops
@@ -60,9 +60,6 @@ func NewTAGStack(rng *rand.Rand, attrDim int, sizes []int, hops int) *TAGStack {
 	}
 	return s
 }
-
-// Name returns the backend registry name ("tag").
-func (s *TAGStack) Name() string { return "tag" }
 
 // SetWorkspace installs the scratch workspace for per-sample buffers.
 func (s *TAGStack) SetWorkspace(ws *nn.Workspace) { s.ws = ws }

@@ -27,7 +27,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := core.Train(model, train, nil, core.TrainOptions{}); err != nil {
+	if _, err := core.Train(model.Weights, train, nil, core.TrainOptions{}); err != nil {
 		log.Fatal(err)
 	}
 

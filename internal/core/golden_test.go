@@ -68,7 +68,7 @@ func goldenDigest(t *testing.T, cfg Config, train, val *dataset.Dataset, workers
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(m, train, val, TrainOptions{Workers: workers}); err != nil {
+	if _, err := Train(m.Weights, train, val, TrainOptions{Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

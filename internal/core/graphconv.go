@@ -53,9 +53,6 @@ func NewGraphConvStack(rng *rand.Rand, attrDim int, sizes []int) *GraphConvStack
 	return s
 }
 
-// Name returns the backend registry name ("gcn").
-func (s *GraphConvStack) Name() string { return "gcn" }
-
 // SetWorkspace installs the scratch workspace the stack draws per-sample
 // intermediates from.
 func (s *GraphConvStack) SetWorkspace(ws *nn.Workspace) { s.ws = ws }

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
+	"slices"
 
 	"repro/internal/acfg"
 	"repro/internal/graph"
@@ -11,8 +11,33 @@ import (
 	"repro/internal/tensor"
 )
 
-// Model is the end-to-end DGCNN malware classifier. Construction wires the
-// variant selected by the Config:
+// Weights is one DGCNN weight set: the configuration, the resolved
+// sort-pooling size, the attribute scaler and every parameter value. It is
+// what is trained, saved, cloned and served. The trainer owns the one
+// mutable copy; once published — registered for serving, or shared between
+// goroutines — a Weights is immutable, and any number of replicas read it
+// at once.
+type Weights struct {
+	Config Config
+	K      int // resolved sort-pooling size (0 in adaptive mode)
+
+	// Version is an opaque deployment identifier stamped by the serving
+	// tier when the weights are registered for traffic (see
+	// internal/service's model registry). It travels with checkpoints so a
+	// restarted server resumes serving under the same version, and it has
+	// no influence on the numerics — two weight sets with different
+	// versions and equal Fingerprint() produce bit-identical predictions.
+	Version string
+
+	scaler *Scaler
+	values []*tensor.Matrix // every parameter, in layer order
+}
+
+// Model is one goroutine's replica of a Weights: the end-to-end DGCNN
+// malware classifier's layers with their forward caches, the scratch arena,
+// the propagation operator, private gradient buffers and dropout state,
+// every parameter value aliasing the embedded Weights. Construction wires
+// the variant selected by the Config:
 //
 //   - SortPooling + Conv1DHead: graph conv → sort pool (k rows) → Conv1D
 //     (kernel = stride = feature width, i.e. per-vertex filters) → max pool
@@ -24,39 +49,28 @@ import (
 //     (Section III-C).
 //
 // A Model is not safe for concurrent use: Forward caches per-sample state
-// inside its layers for the corresponding Backward. Callers that serve
-// predictions from multiple goroutines use Replicate to obtain per-worker
-// replicas sharing one weight set (see ParallelBatch; PredictBatch does it
-// for them), or load one model per goroutine.
+// inside its layers for the corresponding Backward. Each goroutine that
+// runs a weight set takes its own replica from Weights.NewReplica;
+// ParallelBatch holds one per worker.
 type Model struct {
-	Config Config
-	K      int // resolved sort-pooling size (0 in adaptive mode)
-
-	// Version is an opaque deployment identifier stamped by the serving
-	// tier when the model is registered for traffic (see
-	// internal/service's model registry). It travels with checkpoints so a
-	// restarted server resumes serving under the same version, and it has
-	// no influence on the numerics — two models with different versions
-	// and equal Fingerprint() produce bit-identical predictions.
-	Version string
+	*Weights
 
 	conv     ConvBackend
 	sort     *SortPool
 	head     *nn.Sequential
-	scaler   *Scaler
-	params   []*nn.Param
+	params   []*nn.Param // Value aliases Weights.values; Grad is private
 	dropouts []*nn.Dropout
 
-	// ws is the model's scratch arena. Every per-sample intermediate of the
-	// forward and backward passes is checked out of it, and it is Reset at
-	// the top of each forward — so once it has seen its largest graph, a
+	// ws is the replica's scratch arena. Every per-sample intermediate of
+	// the forward and backward passes is checked out of it, and it is Reset
+	// at the top of each forward — so once it has seen its largest graph, a
 	// TrainStep on any graph performs zero heap allocations.
 	ws *nn.Workspace
-	// csr is the model's propagation operator D̄⁻¹Ā, per-sample scratch like
-	// ws: every forward Rebuilds it in place from the sample's graph, and it
-	// stays valid for the matching Backward. The rebuild is O(edges) against
-	// a forward pass of O(vertices × Σc_t × head), so nothing caches operators
-	// across samples.
+	// csr is the replica's propagation operator D̄⁻¹Ā, per-sample scratch
+	// like ws: every forward Rebuilds it in place from the sample's graph,
+	// and it stays valid for the matching Backward. The rebuild is O(edges)
+	// against a forward pass of O(vertices × Σc_t × head), so nothing caches
+	// operators across samples.
 	csr *graph.CSR
 	// probs/dlogits are the persistent loss scratch for TrainStep.
 	probs   []float64
@@ -68,43 +82,63 @@ type Model struct {
 	// its input or its upstream gradient, so neither needs a copy.
 	headIn nn.Volume
 	dz     tensor.Matrix
-
-	// Cached prediction engine for PredictBatch (see parallel.go).
-	// predTasks is its recycled per-call task list, so a steady-state
-	// PredictBatch allocates only the result slices.
-	predictMu   sync.Mutex
-	predEngine  *ParallelBatch
-	predWorkers int
-	predScaler  *Scaler
-	predTasks   []sampleTask
 }
 
 // emptyCSR is the shared single-vertex propagation operator used for
 // degenerate empty graphs. It is never Rebuilt, so one read-only instance
-// serves every model and replica.
+// serves every replica.
 var emptyCSR = graph.NewCSR(graph.NewDirected(1))
 
-// NewModel constructs a model. trainSizes supplies the training graphs'
-// vertex counts used to resolve k for sort pooling (may be nil in adaptive
-// mode or when cfg.K is set explicitly).
+// NewModel initializes a fresh weight set from cfg.Seed and returns a
+// replica bound to it. trainSizes supplies the training graphs' vertex
+// counts used to resolve k for sort pooling (may be nil in adaptive mode or
+// when cfg.K is set explicitly).
 func NewModel(cfg Config, trainSizes []int) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	w := &Weights{Config: cfg}
+	if cfg.Pooling == SortPooling {
+		w.K = cfg.ResolveK(trainSizes)
+	}
+	m := w.build()
+	for _, p := range m.params {
+		w.values = append(w.values, p.Value)
+	}
+	return m, nil
+}
+
+// NewReplica returns a new replica bound to w: its parameter values alias
+// w's tensors, while its gradient buffers, forward caches and scratch are
+// its own. Replicas are how goroutines run one weight set concurrently even
+// though a single Model is not safe for it; w may only be mutated
+// (optimizer steps, best-epoch restore) while none of them is mid-forward.
+func (w *Weights) NewReplica() *Model {
+	m := w.build()
+	for i, p := range m.params {
+		p.Value = w.values[i]
+	}
+	return m
+}
+
+// build constructs w's architecture with every parameter freshly drawn from
+// Config.Seed, in a fixed per-layer order, so every build has the same
+// shapes and NewModel's draw is the initial weight set.
+func (w *Weights) build() *Model {
+	cfg := w.Config
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{Config: cfg}
+	m := &Model{Weights: w}
 	m.conv = newConvBackend(rng, &cfg)
 	d := cfg.TotalConvWidth()
 
 	switch cfg.Pooling {
 	case SortPooling:
-		m.K = cfg.ResolveK(trainSizes)
-		m.sort = NewSortPool(m.K)
+		m.sort = NewSortPool(w.K)
 		switch cfg.Head {
 		case Conv1DHead:
-			m.head = buildConv1DHead(rng, cfg, m.K, d)
+			m.head = buildConv1DHead(rng, cfg, w.K, d)
 		case WeightedVerticesHead:
-			m.head = buildWeightedVerticesHead(rng, cfg, m.K, d)
+			m.head = buildWeightedVerticesHead(rng, cfg, w.K, d)
 		}
 	case AdaptivePooling:
 		m.head = buildAMPHead(rng, cfg, d)
@@ -127,36 +161,28 @@ func NewModel(cfg Config, trainSizes []int) (*Model, error) {
 	m.head.SetWorkspace(m.ws)
 	m.probs = make([]float64, cfg.Classes)
 	m.dlogits = make([]float64, cfg.Classes)
-	return m, nil
+	return m
 }
 
-// Replicate returns a lightweight replica for data-parallel execution: the
-// replica shares this model's parameter value tensors (optimizer updates are
-// visible to every replica immediately) and its attribute scaler, while
-// owning private gradient buffers and per-sample forward caches. Replicas
-// are how worker goroutines run Forward/Backward concurrently even though a
-// single Model is not; parameter values may only be mutated (opt.Step,
-// restoreParams) while no replica is mid-forward.
-func (m *Model) Replicate() (*Model, error) {
-	cfg := m.Config
-	cfg.K = m.K // reuse the resolved sort-pooling size (0 in adaptive mode)
-	r, err := NewModel(cfg, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: replicate: %w", err)
+// Clone returns a deep copy of w with the same Version, which the caller
+// may train without touching w. The scaler is shared: nothing writes a
+// fitted scaler (a refit installs a new one).
+func (w *Weights) Clone() *Weights {
+	c := *w
+	c.Config.ConvSizes = slices.Clone(w.Config.ConvSizes)
+	c.values = make([]*tensor.Matrix, len(w.values))
+	for i, v := range w.values {
+		c.values[i] = v.Clone()
 	}
-	for i, p := range m.params {
-		r.params[i].Value = p.Value
-	}
-	r.scaler = m.scaler
-	return r, nil
+	return &c
 }
 
-// SeedSampleNoise deterministically re-points every stochastic layer
-// (dropout) at the mask stream for one specific training sample. The
-// trainer calls it before each training forward pass with a seed derived
-// from (config seed, epoch, sample index), making masks a pure function of
-// the sample — independent of batch order, worker count, or scheduling.
-func (m *Model) SeedSampleNoise(seed int64) {
+// seedSampleNoise deterministically re-points every stochastic layer
+// (dropout) at the mask stream for one specific training sample. TrainStep
+// calls it before each training forward pass with a seed derived from
+// (config seed, epoch, sample index), making masks a pure function of the
+// sample — independent of batch order, worker count, or scheduling.
+func (m *Model) seedSampleNoise(seed int64) {
 	for i, d := range m.dropouts {
 		// Offset per layer so stacked dropout layers draw distinct streams.
 		d.Reseed(seed + int64(i)*0x9E3779B9)
@@ -227,15 +253,6 @@ func buildAMPHead(rng *rand.Rand, cfg Config, d int) *nn.Sequential {
 	)
 }
 
-// Params returns all trainable parameters.
-func (m *Model) Params() []*nn.Param { return m.params }
-
-// SetScaler installs the attribute scaler fitted on training data.
-func (m *Model) SetScaler(s *Scaler) { m.scaler = s }
-
-// Scaler returns the installed attribute scaler (may be nil).
-func (m *Model) Scaler() *Scaler { return m.scaler }
-
 // Forward computes class logits for one ACFG. train enables dropout. It
 // returns a fresh slice the caller owns; the per-sample hot path (TrainStep,
 // the batch engine) reads forwardLogits' workspace slice instead.
@@ -247,7 +264,7 @@ func (m *Model) Forward(a *acfg.ACFG, train bool) []float64 {
 }
 
 // forwardLogits is the allocation-free forward pass. The returned slice is
-// workspace memory owned by the model: it is valid until the next forward
+// workspace memory owned by the replica: it is valid until the next forward
 // pass and must not be retained. Resetting the workspace here — at the top
 // of the forward, never after the backward — keeps the public
 // Forward-then-Backward sequence valid: all layer caches live until the next
@@ -304,10 +321,10 @@ func (m *Model) Backward(dlogits []float64) {
 // TrainStep runs one full training sample — per-sample noise seeding,
 // forward, softmax-NLL loss and backward — accumulating parameter gradients.
 // It is the zero-allocation core of the training loop: after one warm-up
-// pass every buffer it touches comes from the model's workspace or
+// pass every buffer it touches comes from the replica's workspace or
 // persistent scratch.
 func (m *Model) TrainStep(a *acfg.ACFG, label int, seed int64) (loss float64, hit bool) {
-	m.SeedSampleNoise(seed)
+	m.seedSampleNoise(seed)
 	logits := m.forwardLogits(a, true)
 	loss = nn.SoftmaxNLLInto(logits, label, m.probs, m.dlogits)
 	hit = nn.ArgMax(logits) == label
@@ -315,9 +332,9 @@ func (m *Model) TrainStep(a *acfg.ACFG, label int, seed int64) (loss float64, hi
 	return loss, hit
 }
 
-// WorkspaceStats reports the model workspace's cumulative checkouts and the
-// slab bytes it holds — the scratch of the largest graph this model (or
-// replica) has run — feeding the magic_workspace_* gauges.
+// WorkspaceStats reports the replica workspace's cumulative checkouts and
+// the slab bytes it holds — the scratch of the largest graph this replica
+// has run — feeding the magic_workspace_* gauges.
 func (m *Model) WorkspaceStats() tensor.WorkspaceStats { return m.ws.Stats() }
 
 // Predict returns the class-probability vector for one ACFG.
@@ -331,24 +348,21 @@ func (m *Model) PredictClass(a *acfg.ACFG) int {
 }
 
 // NumParameters returns the total trainable scalar count, for reporting.
-func (m *Model) NumParameters() int {
+func (w *Weights) NumParameters() int {
 	total := 0
-	for _, p := range m.params {
-		total += len(p.Value.Data)
+	for _, v := range w.values {
+		total += len(v.Data)
 	}
 	return total
 }
 
-// describe summarizes the model variant for logs.
-func (m *Model) describe() string {
-	if m.sort != nil {
+// String summarizes the model variant for logs.
+func (w *Weights) String() string {
+	if w.Config.Pooling == SortPooling {
 		return fmt.Sprintf("DGCNN[%v k=%d head=%v conv=%s%v params=%d]",
-			m.Config.Pooling, m.K, m.Config.Head, m.conv.Name(), m.Config.ConvSizes, m.NumParameters())
+			w.Config.Pooling, w.K, w.Config.Head, w.Config.ConvName(), w.Config.ConvSizes, w.NumParameters())
 	}
-	gh, gw := m.Config.AMPGrid()
+	gh, gw := w.Config.AMPGrid()
 	return fmt.Sprintf("DGCNN[%v grid=%dx%d conv=%s%v params=%d]",
-		m.Config.Pooling, gh, gw, m.conv.Name(), m.Config.ConvSizes, m.NumParameters())
+		w.Config.Pooling, gh, gw, w.Config.ConvName(), w.Config.ConvSizes, w.NumParameters())
 }
-
-// String implements fmt.Stringer.
-func (m *Model) String() string { return m.describe() }

@@ -111,7 +111,7 @@ func checkModelGradients(t *testing.T, cfg Config, tol float64) {
 	// Jitter every parameter (in particular zero-initialized biases) so no
 	// pre-activation sits exactly on a ReLU boundary, where the true
 	// gradient is a subgradient and finite differences are one-sided.
-	for _, p := range m.Params() {
+	for _, p := range m.params {
 		for i := range p.Value.Data {
 			p.Value.Data[i] += (rng.Float64() - 0.5) * 0.2
 		}
@@ -121,7 +121,7 @@ func checkModelGradients(t *testing.T, cfg Config, tol float64) {
 		loss, _, _ := nn.SoftmaxNLL(m.Forward(a, false), label)
 		return loss
 	}
-	for _, p := range m.Params() {
+	for _, p := range m.params {
 		p.ZeroGrad()
 	}
 	logits := m.Forward(a, false)
@@ -130,7 +130,7 @@ func checkModelGradients(t *testing.T, cfg Config, tol float64) {
 
 	const h = 1e-5
 	checked := 0
-	for _, p := range m.Params() {
+	for _, p := range m.params {
 		// Check a subsample of each tensor to keep the test fast.
 		step := len(p.Value.Data)/8 + 1
 		for i := 0; i < len(p.Value.Data); i += step {
@@ -179,7 +179,7 @@ func trainVariant(t *testing.T, cfg Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(m, train, nil, TrainOptions{}); err != nil {
+	if _, err := Train(m.Weights, train, nil, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
@@ -218,7 +218,7 @@ func TestTrainWithValidationAndHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := Train(m, train, val, TrainOptions{})
+	hist, err := Train(m.Weights, train, val, TrainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(m, train, nil, TrainOptions{}); err != nil {
+	if _, err := Train(m.Weights, train, nil, TrainOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

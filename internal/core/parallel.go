@@ -48,27 +48,25 @@ type sampleResult struct {
 }
 
 // ParallelBatch shards per-sample model execution across a pool of worker
-// replicas that share one weight set. The engine guarantees parallel ≡
-// serial: for a fixed seed, training losses and final parameters are
-// bit-identical at any worker count, because
+// replicas of one Weights. The engine guarantees parallel ≡ serial: for a
+// fixed seed, training losses and final parameters are bit-identical at any
+// worker count, because
 //
 //   - every per-sample forward/backward is a pure function of the shared
-//     weights and the sample (dropout masks are seeded per sample via
-//     Model.SeedSampleNoise, not drawn from a shared stream);
+//     weights and the sample (dropout masks are seeded per sample, not
+//     drawn from a shared stream);
 //   - gradients accumulate into per-shard buffers whose decomposition
 //     depends only on the batch length (maxGradShards);
-//   - shard buffers reduce into the main model's gradients in a fixed
+//   - shard buffers reduce into the trainer's gradients in a fixed
 //     binary-tree order (reduceShards).
 //
-// A ParallelBatch is bound to one Model and is not itself safe for
-// concurrent use; distinct engines over distinct models may run
-// concurrently. Each replica owns a private workspace and propagation
-// operator, so per-sample execution stays allocation-free without any
-// cross-worker sharing.
+// A ParallelBatch is not itself safe for concurrent use; distinct engines,
+// over the same Weights or not, may run concurrently as long as nothing
+// steps the weights they read. Each replica owns a private workspace and
+// propagation operator, so per-sample execution stays allocation-free
+// without any cross-worker sharing.
 type ParallelBatch struct {
-	main     *Model
-	replicas []*Model // replicas[0] == main
-	workers  int
+	replicas []*Model
 
 	// shardGrads[s][p] buffers shard s's gradient sum for parameter p;
 	// nil until the first TrainBatch.
@@ -86,37 +84,26 @@ type ParallelBatch struct {
 	next    atomic.Int64
 }
 
-// NewParallelBatch builds an engine with the given worker count (values < 1
-// are clamped to 1; values above maxGradShards gain nothing for training
-// since shards are the unit of work).
-func NewParallelBatch(m *Model, workers int) (*ParallelBatch, error) {
-	if workers < 1 {
-		workers = 1
+// NewParallelBatch builds an engine over workers new replicas of w (values
+// < 1 are clamped to 1; values above maxGradShards gain nothing for
+// training since shards are the unit of work).
+func NewParallelBatch(w *Weights, workers int) *ParallelBatch {
+	replicas := make([]*Model, max(workers, 1))
+	for i := range replicas {
+		replicas[i] = w.NewReplica()
 	}
-	e := &ParallelBatch{main: m, workers: workers}
-	e.replicas = make([]*Model, workers)
-	e.replicas[0] = m
-	for i := 1; i < workers; i++ {
-		r, err := m.Replicate()
-		if err != nil {
-			return nil, err
-		}
-		e.replicas[i] = r
-	}
-	e.ranges = make([][2]int, 0, maxGradShards)
-	return e, nil
+	return &ParallelBatch{replicas: replicas}
 }
 
 // allocShardGrads builds the maxGradShards parameter-sized gradient buffer
 // sets. Only training needs them, so the first TrainBatch pays for them and
-// the predict-only engine PredictBatch caches on every retained model
-// version never does.
+// a predict-only engine never does.
 func (e *ParallelBatch) allocShardGrads() {
 	e.shardGrads = make([][]*tensor.Matrix, maxGradShards)
 	for s := range e.shardGrads {
-		bufs := make([]*tensor.Matrix, len(e.main.params))
-		for pi, p := range e.main.params {
-			bufs[pi] = tensor.New(p.Value.Rows, p.Value.Cols)
+		bufs := make([]*tensor.Matrix, len(e.replicas[0].values))
+		for pi, v := range e.replicas[0].values {
+			bufs[pi] = tensor.New(v.Rows, v.Cols)
 		}
 		e.shardGrads[s] = bufs
 	}
@@ -153,11 +140,11 @@ func appendShardRanges(out [][2]int, n, shards int) [][2]int {
 
 // TrainBatch runs forward/backward for one mini-batch, leaving the
 // deterministically reduced gradient SUM (not mean — see stepBatch) in the
-// main model's parameters and per-sample losses/hits in results, which must
-// have len(tasks) slots. On any worker error the pool drains, gradients are
-// discarded, and the first failing shard's error (lowest shard index) is
-// returned.
-func (e *ParallelBatch) TrainBatch(tasks []sampleTask, results []sampleResult) error {
+// Grad of grads, the trainer's parameters over the same weights, and
+// per-sample losses/hits in results, which must have len(tasks) slots. On
+// any worker error the pool drains, grads are left as they were, and the
+// first failing shard's error (lowest shard index) is returned.
+func (e *ParallelBatch) TrainBatch(grads []*nn.Param, tasks []sampleTask, results []sampleResult) error {
 	wall := obs.StartTimer()
 	if e.shardGrads == nil {
 		e.allocShardGrads()
@@ -167,7 +154,7 @@ func (e *ParallelBatch) TrainBatch(tasks []sampleTask, results []sampleResult) e
 	if err := e.runShards(len(e.ranges)); err != nil {
 		return err
 	}
-	reduceShards(e.main.params, e.shardGrads, len(e.ranges))
+	reduceShards(grads, e.shardGrads, len(e.ranges))
 	e.observe(obs.PhaseTrain, len(tasks), wall.Elapsed())
 	return nil
 }
@@ -288,10 +275,7 @@ func (e *ParallelBatch) runOne(w, si int) error {
 // deterministic too.
 func (e *ParallelBatch) runShards(n int) error {
 	e.busy.Reset()
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(len(e.replicas), n)
 	if cap(e.errs) < n {
 		e.errs = make([]error, n)
 	}
@@ -343,7 +327,7 @@ func (e *ParallelBatch) shardWorker(wg *sync.WaitGroup, w, n int) {
 // observe publishes the batch's engine telemetry plus the summed replica
 // workspace footprint.
 func (e *ParallelBatch) observe(phase string, samples int, wall time.Duration) {
-	obs.ObserveParallelBatch(phase, e.workers, samples, wall, e.busy.Total())
+	obs.ObserveParallelBatch(phase, len(e.replicas), samples, wall, e.busy.Total())
 	var checkouts, bytes uint64
 	for _, r := range e.replicas {
 		s := r.WorkspaceStats()
@@ -376,36 +360,36 @@ func reduceShards(params []*nn.Param, shards [][]*tensor.Matrix, n int) {
 	}
 }
 
-// PredictBatch classifies many ACFGs concurrently with a replica pool,
-// returning one probability vector per input (in input order). workers < 1
-// selects runtime.GOMAXPROCS. Results are identical to calling Predict
-// serially on each sample.
-//
-// The replica engine is cached on the model and rebuilt only when the worker
-// count or the installed scaler changes, so repeated batches reuse the
-// replicas' warmed-up workspaces. Calls are serialized on the model.
+// Predict classifies as on the engine's replicas, returning one fresh
+// probability vector per input (in input order), identical to calling
+// Predict serially on each sample.
+func (e *ParallelBatch) Predict(as []*acfg.ACFG) ([][]float64, error) {
+	tasks := make([]sampleTask, len(as))
+	for i, a := range as {
+		tasks[i].a = a
+	}
+	out := make([][]float64, len(as))
+	if err := e.predictAll(tasks, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// PredictBatch classifies many ACFGs concurrently, returning one
+// probability vector per input (in input order). workers < 1 selects
+// runtime.GOMAXPROCS. Results are identical to calling Predict serially on
+// each sample. It runs on m and workers − 1 replicas it builds for the call
+// and drops on return, so a one-shot caller pays for the replicas and a
+// caller that predicts batch after batch keeps a ParallelBatch instead.
 func (m *Model) PredictBatch(as []*acfg.ACFG, workers int) ([][]float64, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	m.predictMu.Lock()
-	defer m.predictMu.Unlock()
-	if m.predEngine == nil || m.predWorkers != workers || m.predScaler != m.scaler {
-		e, err := NewParallelBatch(m, workers)
-		if err != nil {
-			return nil, err
-		}
-		m.predEngine, m.predWorkers, m.predScaler = e, workers, m.scaler
+	e := &ParallelBatch{replicas: []*Model{m}}
+	for len(e.replicas) < workers {
+		e.replicas = append(e.replicas, m.NewReplica())
 	}
-	m.predTasks = m.predTasks[:0]
-	for _, a := range as {
-		m.predTasks = append(m.predTasks, sampleTask{a: a})
-	}
-	out := make([][]float64, len(as))
-	if err := m.predEngine.predictAll(m.predTasks, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return e.Predict(as)
 }
 
 // sampleSeed derives the dropout seed for one (epoch, sample) pair from the

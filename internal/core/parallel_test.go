@@ -108,7 +108,7 @@ func trainOnce(t *testing.T, train, val *dataset.Dataset, workers int) (*History
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := Train(m, train, val, TrainOptions{Workers: workers})
+	hist, err := Train(m.Weights, train, val, TrainOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,10 +161,12 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesSerialPredict pins the pooled inference path to the
-// single-model path bit-for-bit, for every head and backend, at worker
-// counts below, at and above the batch length, including batches of one and
-// two, where one sample per shard puts each sample on its own replica.
+// TestPredictBatchMatchesSerialPredict pins the pooled inference paths — the
+// one-shot Model.PredictBatch and a kept engine's Predict, which serves —
+// to the single-replica path bit-for-bit, for every head and backend, at
+// worker counts below, at and above the batch length, including batches of
+// one and two, where one sample per shard puts each sample on its own
+// replica.
 func TestPredictBatchMatchesSerialPredict(t *testing.T) {
 	forEachModel(t, func(t *testing.T, cfg Config) {
 		rng := rand.New(rand.NewSource(21))
@@ -174,7 +176,7 @@ func TestPredictBatchMatchesSerialPredict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Train(m, d, nil, TrainOptions{Workers: 2}); err != nil {
+		if _, err := Train(m.Weights, d, nil, TrainOptions{Workers: 2}); err != nil {
 			t.Fatal(err)
 		}
 		as := acfgsOf(d)
@@ -183,47 +185,56 @@ func TestPredictBatchMatchesSerialPredict(t *testing.T) {
 			want[i] = m.Predict(a)
 		}
 		for _, workers := range []int{1, 2, 3, 8} {
+			engine := NewParallelBatch(m.Weights, workers)
 			for _, n := range []int{1, 2, 5, 9} {
-				batch, err := m.PredictBatch(as[:n], workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range batch {
-					for c := range want[i] {
-						if math.Float64bits(batch[i][c]) != math.Float64bits(want[i][c]) {
-							t.Fatalf("workers=%d batch of %d, sample %d class %d: PredictBatch %v != Predict %v",
-								workers, n, i, c, batch[i], want[i])
+				for _, p := range []struct {
+					path    string
+					predict func() ([][]float64, error)
+				}{
+					{"PredictBatch", func() ([][]float64, error) { return m.PredictBatch(as[:n], workers) }},
+					{"ParallelBatch.Predict", func() ([][]float64, error) { return engine.Predict(as[:n]) }},
+				} {
+					batch, err := p.predict()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range batch {
+						for c := range want[i] {
+							if math.Float64bits(batch[i][c]) != math.Float64bits(want[i][c]) {
+								t.Fatalf("workers=%d batch of %d, sample %d class %d: %s %v != Predict %v",
+									workers, n, i, c, p.path, batch[i], want[i])
+							}
 						}
 					}
 				}
 			}
-		}
-		// The engine PredictBatch caches on the model (one per retained
-		// version in the service) never trains, so it must not own the
-		// eight parameter-sized shard gradient sets a training engine needs.
-		if m.predEngine.shardGrads != nil {
-			t.Errorf("PredictBatch-only engine owns %d shard gradient buffer sets, want none", len(m.predEngine.shardGrads))
+			// A serving engine (one per retained version in the service)
+			// never trains, so it must not own the eight parameter-sized
+			// shard gradient sets a training engine needs.
+			if engine.shardGrads != nil {
+				t.Errorf("predict-only engine owns %d shard gradient buffer sets, want none", len(engine.shardGrads))
+			}
 		}
 	})
 }
 
 // TestConcurrentPredictDuringTrain runs the service's serving pattern under
-// the race detector: while one goroutine trains a model, others keep
-// classifying through PredictBatch on an independent snapshot — the call the
-// server's admission batcher makes (predictions against the previous model
-// keep serving during retraining; weights being optimized are never read
-// concurrently).
+// the race detector: while one goroutine trains one Weights, others keep
+// classifying against a second, published Weights, each through its own
+// replica (a Model is one goroutine's) and the batch engine behind
+// PredictBatch (predictions against the previous model keep serving during
+// retraining; weights being optimized are never read concurrently).
 func TestConcurrentPredictDuringTrain(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	d := twoClassDataset(rng, 6)
 	cfg := tinyConfig(SortPooling, WeightedVerticesHead)
 	cfg.Epochs = 3
 
-	snapshot, err := NewModel(cfg, d.Sizes())
+	published, err := NewModel(cfg, d.Sizes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot.SetScaler(fitScaler(t, d))
+	published.scaler = fitScaler(t, d)
 
 	training, err := NewModel(cfg, d.Sizes())
 	if err != nil {
@@ -231,7 +242,7 @@ func TestConcurrentPredictDuringTrain(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Train(training, d, nil, TrainOptions{Workers: 4})
+		_, err := Train(training.Weights, d, nil, TrainOptions{Workers: 4})
 		done <- err
 	}()
 
@@ -240,9 +251,10 @@ func TestConcurrentPredictDuringTrain(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			replica := published.NewReplica()
 			for i := 0; i < 20; i++ {
 				s := d.Samples[(g*7+i)%d.Len()]
-				probs, err := snapshot.PredictBatch([]*acfg.ACFG{s.ACFG}, 2)
+				probs, err := replica.PredictBatch([]*acfg.ACFG{s.ACFG}, 2)
 				if err != nil {
 					t.Error(err)
 					return
@@ -263,7 +275,8 @@ func TestConcurrentPredictDuringTrain(t *testing.T) {
 // TestWorkerPoolShutdownOnError poisons one sample of a batch (attribute
 // width the layers cannot consume) and checks that the pool shuts down with
 // an error instead of deadlocking, and that the engine remains usable: the
-// failed shard's partial gradients must not leak into the next batch.
+// failed shard's partial gradients must not leak into the next batch, and
+// the trainer's gradients are left as they were.
 func TestWorkerPoolShutdownOnError(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	cfg := tinyConfig(SortPooling, WeightedVerticesHead)
@@ -271,9 +284,10 @@ func TestWorkerPoolShutdownOnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	engine, err := NewParallelBatch(m, 4)
-	if err != nil {
-		t.Fatal(err)
+	engine := NewParallelBatch(m.Weights, 4)
+	grads := make([]*nn.Param, len(m.values))
+	for i, v := range m.values {
+		grads[i] = nn.NewParam("", v)
 	}
 
 	makeTasks := func(poison int) []sampleTask {
@@ -291,7 +305,7 @@ func TestWorkerPoolShutdownOnError(t *testing.T) {
 
 	results := make([]sampleResult, 8)
 	errc := make(chan error, 1)
-	go func() { errc <- engine.TrainBatch(makeTasks(5), results) }()
+	go func() { errc <- engine.TrainBatch(grads, makeTasks(5), results) }()
 	select {
 	case err := <-errc:
 		if err == nil {
@@ -303,7 +317,11 @@ func TestWorkerPoolShutdownOnError(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("worker pool deadlocked on poisoned batch")
 	}
-	for _, p := range m.Params() {
+	params := grads
+	for _, rep := range engine.replicas {
+		params = append(params, rep.params...)
+	}
+	for _, p := range params {
 		for _, g := range p.Grad.Data {
 			if g != 0 {
 				t.Fatal("failed batch left nonzero gradients behind")
@@ -311,7 +329,7 @@ func TestWorkerPoolShutdownOnError(t *testing.T) {
 		}
 	}
 
-	if err := engine.TrainBatch(makeTasks(-1), results); err != nil {
+	if err := engine.TrainBatch(grads, makeTasks(-1), results); err != nil {
 		t.Fatalf("engine unusable after failed batch: %v", err)
 	}
 }
@@ -340,7 +358,7 @@ func TestParallelSpeedup(t *testing.T) {
 			t.Fatal(err)
 		}
 		start := time.Now()
-		if _, err := Train(m, d, nil, TrainOptions{Workers: workers}); err != nil {
+		if _, err := Train(m.Weights, d, nil, TrainOptions{Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)

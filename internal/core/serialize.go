@@ -12,9 +12,9 @@ import (
 	"path/filepath"
 )
 
-// savedModel is the on-disk form: the configuration (enough to rebuild the
-// architecture), the resolved k, the scaler and every parameter tensor in
-// Params() order.
+// savedModel is the on-disk form of a Weights: the configuration (enough to
+// rebuild the architecture), the resolved k, the scaler and every parameter
+// tensor in layer order.
 type savedModel struct {
 	Config  Config      `json:"config"`
 	K       int         `json:"k"`
@@ -23,25 +23,23 @@ type savedModel struct {
 	Params  [][]float64 `json:"params"`
 }
 
-// Save serializes the model as JSON to w.
-func (m *Model) Save(w io.Writer) error {
-	sm := savedModel{Config: m.Config, K: m.K, Version: m.Version, Scaler: m.scaler}
-	for _, p := range m.params {
-		row := make([]float64, len(p.Value.Data))
-		copy(row, p.Value.Data)
-		sm.Params = append(sm.Params, row)
+// Save serializes the weights as JSON to out.
+func (w *Weights) Save(out io.Writer) error {
+	sm := savedModel{Config: w.Config, K: w.K, Version: w.Version, Scaler: w.scaler}
+	for _, v := range w.values {
+		sm.Params = append(sm.Params, v.Data)
 	}
-	if err := json.NewEncoder(w).Encode(sm); err != nil {
+	if err := json.NewEncoder(out).Encode(sm); err != nil {
 		return fmt.Errorf("core: save model: %w", err)
 	}
 	return nil
 }
 
-// SaveFile writes the model to path atomically: the bytes land in a temp
+// SaveFile writes the weights to path atomically: the bytes land in a temp
 // file in the same directory which is fsynced and then renamed over path,
 // so a crash mid-write can never destroy an existing valid checkpoint.
-func (m *Model) SaveFile(path string) error {
-	return atomicWriteFile(path, m.Save)
+func (w *Weights) SaveFile(path string) error {
+	return atomicWriteFile(path, w.Save)
 }
 
 // atomicWriteFile writes via write() into a temporary sibling of path and
@@ -74,7 +72,8 @@ func atomicWriteFile(path string, write func(io.Writer) error) (err error) {
 	return nil
 }
 
-// Load reconstructs a model saved with Save.
+// Load reconstructs weights saved with Save and returns a replica bound to
+// them.
 func Load(r io.Reader) (*Model, error) {
 	var sm savedModel
 	if err := json.NewDecoder(r).Decode(&sm); err != nil {
@@ -86,29 +85,29 @@ func Load(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
-	if len(sm.Params) != len(m.params) {
-		return nil, fmt.Errorf("core: load model: %d parameter tensors, want %d", len(sm.Params), len(m.params))
+	if len(sm.Params) != len(m.values) {
+		return nil, fmt.Errorf("core: load model: %d parameter tensors, want %d", len(sm.Params), len(m.values))
 	}
 	for i, vals := range sm.Params {
-		if len(vals) != len(m.params[i].Value.Data) {
+		if len(vals) != len(m.values[i].Data) {
 			return nil, fmt.Errorf("core: load model: parameter %d has %d values, want %d",
-				i, len(vals), len(m.params[i].Value.Data))
+				i, len(vals), len(m.values[i].Data))
 		}
-		copy(m.params[i].Value.Data, vals)
+		copy(m.values[i].Data, vals)
 	}
 	m.scaler = sm.Scaler
 	m.Version = sm.Version
 	return m, nil
 }
 
-// Fingerprint returns a hex SHA-256 digest over the model's architecture
-// and every parameter value, in Params() order. Two models with equal
-// fingerprints are numerically interchangeable: they produce bit-identical
-// predictions for every input. The serving tier uses it to tell model
-// versions apart by content rather than by label.
-func (m *Model) Fingerprint() string {
+// Fingerprint returns a hex SHA-256 digest over the architecture and every
+// parameter value, in layer order. Two weight sets with equal fingerprints
+// are numerically interchangeable: they produce bit-identical predictions
+// for every input. The serving tier uses it to tell model versions apart by
+// content rather than by label.
+func (w *Weights) Fingerprint() string {
 	h := sha256.New()
-	cfgBytes, err := json.Marshal(m.Config)
+	cfgBytes, err := json.Marshal(w.Config)
 	if err != nil {
 		// Config is a plain struct of scalars and slices; Marshal cannot
 		// fail on it. Guard anyway so a future field can't silently corrupt
@@ -117,10 +116,10 @@ func (m *Model) Fingerprint() string {
 	}
 	_, _ = h.Write(cfgBytes)
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(m.K))
+	binary.LittleEndian.PutUint64(buf[:], uint64(w.K))
 	_, _ = h.Write(buf[:])
-	for _, p := range m.params {
-		for _, v := range p.Value.Data {
+	for _, vs := range w.values {
+		for _, v := range vs.Data {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 			_, _ = h.Write(buf[:])
 		}
@@ -128,7 +127,7 @@ func (m *Model) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// LoadFile reads a model from path.
+// LoadFile reads weights from path and returns a replica bound to them.
 func LoadFile(path string) (*Model, error) {
 	f, err := os.Open(path)
 	if err != nil {

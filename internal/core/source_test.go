@@ -27,7 +27,7 @@ func trainBytes(t *testing.T, cfg Config, src dataset.SampleSource, sizes []int,
 	if err != nil {
 		t.Fatal(err)
 	}
-	hist, err := Train(m, src, val, TrainOptions{Workers: 2})
+	hist, err := Train(m.Weights, src, val, TrainOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestTrainSourceError(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := &copyingSource{d: train, failAt: probe.calls + cfg.BatchSize + 2}
-		if _, err := Train(m, src, nil, TrainOptions{Workers: 2}); !errors.Is(err, errSourceBroken) {
+		if _, err := Train(m.Weights, src, nil, TrainOptions{Workers: 2}); !errors.Is(err, errSourceBroken) {
 			t.Fatalf("Train error = %v, want one wrapping %v", err, errSourceBroken)
 		}
 	})
@@ -144,11 +144,11 @@ func TestTrainSourceError(t *testing.T) {
 				t.Fatal(err)
 			}
 			src := &copyingSource{d: train}
-			sess, err := NewTrainSession(m, src, TrainOptions{Workers: 2})
+			sess, err := NewTrainSession(m.Weights, src, TrainOptions{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			before := snapshotParams(m.Params())
+			before := m.Clone().values
 			src.failAt = src.calls + tc.failAfter + 1
 			if _, _, err := sess.RunEpoch(); !errors.Is(err, errSourceBroken) {
 				t.Fatalf("RunEpoch error = %v, want one wrapping %v", err, errSourceBroken)
@@ -163,8 +163,8 @@ func TestTrainSourceError(t *testing.T) {
 				}
 			}
 			stepped := false
-			for i, p := range m.Params() {
-				for k, v := range p.Value.Data {
+			for i, p := range m.values {
+				for k, v := range p.Data {
 					if v != before[i].Data[k] {
 						stepped = true
 					}
@@ -197,26 +197,26 @@ func TestPreserveScalerSkipsRefit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Train(m, train, nil, TrainOptions{Workers: 1}); err != nil {
+	if _, err := Train(m.Weights, train, nil, TrainOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	fitted := m.Scaler()
+	fitted := m.scaler
 	if fitted == nil {
 		t.Fatal("training left no scaler on the model")
 	}
 
 	rng := rand.New(rand.NewSource(99))
 	increment := twoClassDataset(rng, 4)
-	if _, err := NewTrainSession(m, increment, TrainOptions{Workers: 1, PreserveScaler: true}); err != nil {
+	if _, err := NewTrainSession(m.Weights, increment, TrainOptions{Workers: 1, PreserveScaler: true}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Scaler() != fitted {
+	if m.scaler != fitted {
 		t.Fatal("PreserveScaler did not keep the fitted scaler")
 	}
-	if _, err := NewTrainSession(m, increment, TrainOptions{Workers: 1}); err != nil {
+	if _, err := NewTrainSession(m.Weights, increment, TrainOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Scaler() == fitted {
+	if m.scaler == fitted {
 		t.Fatal("without PreserveScaler the scaler should be refitted")
 	}
 }

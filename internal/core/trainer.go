@@ -78,11 +78,11 @@ type TrainOptions struct {
 	// batch engine decomposes batches into worker-independent shards and
 	// reduces gradients in a fixed tree order (see ParallelBatch).
 	Workers int
-	// PreserveScaler keeps the model's already-fitted attribute scaler
+	// PreserveScaler keeps the weights' already-fitted attribute scaler
 	// instead of refitting on the training set. Continual fine-tuning
 	// depends on this: the increment's statistics would shift every input
 	// the frozen layers were trained against, so the base model's scaler
-	// must keep applying verbatim. It is ignored when the model has no
+	// must keep applying verbatim. It is ignored when the weights have no
 	// scaler yet.
 	PreserveScaler bool
 	// Stop, when non-nil, requests cooperative cancellation: it is polled
@@ -109,11 +109,11 @@ func stopRequested(stop <-chan struct{}) bool {
 }
 
 // TrainSession is the reusable steady state of the training loop: the
-// engine, optimizer, shuffled order, task buffers and epoch counter behind
-// Train. Construction performs the one-time work (scaler fit, replica pool);
-// each RunEpoch then executes one full pass over the training source without
-// allocating — the property the alloc-pinning tests and BenchmarkTrainEpoch
-// enforce at Workers ≤ 1.
+// engine, the trainer's gradients, optimizer, shuffled order, task buffers
+// and epoch counter behind Train. Construction performs the one-time work
+// (scaler fit, replica pool); each RunEpoch then executes one full pass over
+// the training source without allocating — the property the alloc-pinning
+// tests and BenchmarkTrainEpoch enforce at Workers ≤ 1.
 //
 // Samples are pulled from a dataset.SampleSource one mini-batch at a time,
 // so a run over a disk-backed corpus holds at most BatchSize decoded samples
@@ -122,11 +122,13 @@ func stopRequested(stop <-chan struct{}) bool {
 // what backs it (source_test.go trains from segments, copies and the
 // resident dataset and requires identical bytes).
 //
-// A session drives one model and is not safe for concurrent use.
+// A session owns the one mutable copy of its Weights and is not safe for
+// concurrent use.
 type TrainSession struct {
-	m       *Model
+	w       *Weights
 	src     dataset.SampleSource
 	engine  *ParallelBatch
+	params  []*nn.Param // the weights' values with the reduced gradients Adam steps
 	opt     *nn.Adam
 	rng     *rand.Rand
 	order   []int
@@ -137,32 +139,33 @@ type TrainSession struct {
 	epoch   int
 }
 
-// NewTrainSession fits the attribute scaler over src (or keeps the model's
-// under opts.PreserveScaler), builds the data-parallel engine with
-// opts.Workers replicas, and prepares the Adam optimizer and batch-sized
-// buffers. The model is ready for RunEpoch calls on return.
-func NewTrainSession(m *Model, src dataset.SampleSource, opts TrainOptions) (*TrainSession, error) {
+// NewTrainSession fits the attribute scaler over src (or keeps w's under
+// opts.PreserveScaler), builds the data-parallel engine with opts.Workers
+// replicas, and prepares the gradients, the Adam optimizer and batch-sized
+// buffers. The weights are ready for RunEpoch calls on return.
+func NewTrainSession(w *Weights, src dataset.SampleSource, opts TrainOptions) (*TrainSession, error) {
 	if src.Len() == 0 {
 		return nil, fmt.Errorf("core: empty training set")
 	}
-	cfg := m.Config
-	if !(opts.PreserveScaler && m.Scaler() != nil) {
+	cfg := w.Config
+	if !(opts.PreserveScaler && w.scaler != nil) {
 		sc, err := FitScaler(src)
 		if err != nil {
 			return nil, err
 		}
-		m.SetScaler(sc)
+		w.scaler = sc
 	}
 
-	engine, err := NewParallelBatch(m, opts.Workers)
-	if err != nil {
-		return nil, err
+	params := make([]*nn.Param, len(w.values))
+	for i, v := range w.values {
+		params[i] = nn.NewParam("", v)
 	}
 	s := &TrainSession{
-		m:       m,
+		w:       w,
 		src:     src,
-		engine:  engine,
-		opt:     nn.NewAdam(m.Params(), cfg.LearningRate, cfg.WeightDecay),
+		engine:  NewParallelBatch(w, opts.Workers),
+		params:  params,
+		opt:     nn.NewAdam(params, cfg.LearningRate, cfg.WeightDecay),
 		rng:     rand.New(rand.NewSource(cfg.Seed + 1)),
 		order:   make([]int, src.Len()),
 		tasks:   make([]sampleTask, 0, cfg.BatchSize),
@@ -184,7 +187,7 @@ func NewTrainSession(m *Model, src dataset.SampleSource, opts TrainOptions) (*Tr
 // failing batch runs — no gradient is accumulated and no step taken for it —
 // and is returned wrapped.
 func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
-	cfg := s.m.Config
+	cfg := s.w.Config
 	s.rng.Shuffle(len(s.order), s.swap)
 	trainHits := 0
 	for start := 0; start < len(s.order); start += cfg.BatchSize {
@@ -210,7 +213,7 @@ func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
 			})
 		}
 		batch := s.results[:len(s.tasks)]
-		if err := s.engine.TrainBatch(s.tasks, batch); err != nil {
+		if err := s.engine.TrainBatch(s.params, s.tasks, batch); err != nil {
 			return 0, 0, err
 		}
 		// Aggregate in slot order — fixed regardless of which worker
@@ -228,10 +231,11 @@ func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
 	return trainLoss / n, float64(trainHits) / n, nil
 }
 
-// Train fits the model on train, monitoring val (which may be nil). It fits
-// the attribute scaler, runs mini-batch Adam with the paper's
-// decay-on-plateau schedule, and restores the parameters of the epoch with
-// the lowest validation loss (the paper's model-selection criterion).
+// Train fits w on train, monitoring val (which may be nil). It fits the
+// attribute scaler, runs mini-batch Adam with the paper's decay-on-plateau
+// schedule, and restores the parameters of the epoch with the lowest
+// validation loss (the paper's model-selection criterion). w is updated in
+// place, so replicas bound to it see the trained values once Train returns.
 // train and val may be resident *dataset.Datasets or any other
 // SampleSource, such as the server's corpus index decoding each sample from
 // its segment file. val is fetched once, before the first epoch, and its
@@ -241,17 +245,17 @@ func (s *TrainSession) RunEpoch() (trainLoss, trainAcc float64, err error) {
 // Batch execution is data-parallel across opts.Workers goroutines and
 // deterministic: for a fixed Config.Seed the loss curves and final
 // parameters are bit-identical at every worker count (see ParallelBatch).
-func Train(m *Model, train, val dataset.SampleSource, opts TrainOptions) (*History, error) {
-	sess, err := NewTrainSession(m, train, opts)
+func Train(w *Weights, train, val dataset.SampleSource, opts TrainOptions) (*History, error) {
+	sess, err := NewTrainSession(w, train, opts)
 	if err != nil {
 		return nil, err
 	}
-	cfg := m.Config
+	cfg := w.Config
 	engine, opt := sess.engine, sess.opt
 	sched := nn.NewPlateauScheduler(opt)
 
 	hist := &History{BestValLoss: -1}
-	var best []*tensor.Matrix
+	var best *Weights
 
 	// Validation tasks are fixed across epochs; build them once.
 	var valTasks []sampleTask
@@ -301,7 +305,7 @@ func Train(m *Model, train, val dataset.SampleSource, opts TrainOptions) (*Histo
 		if improved {
 			hist.BestValLoss = monitor
 			hist.BestEpoch = epoch
-			best = snapshotParams(m.Params())
+			best = w.Clone()
 		}
 
 		if opts.Observer != nil {
@@ -320,7 +324,7 @@ func Train(m *Model, train, val dataset.SampleSource, opts TrainOptions) (*Histo
 		}
 	}
 	if best != nil {
-		restoreParams(m.Params(), best)
+		restoreValues(w.values, best.values)
 	}
 	return hist, nil
 }
@@ -336,16 +340,8 @@ func stepBatch(opt *nn.Adam, n int) {
 	opt.Step(n)
 }
 
-func snapshotParams(ps []*nn.Param) []*tensor.Matrix {
-	out := make([]*tensor.Matrix, len(ps))
-	for i, p := range ps {
-		out[i] = p.Value.Clone()
-	}
-	return out
-}
-
-func restoreParams(ps []*nn.Param, snap []*tensor.Matrix) {
-	for i, p := range ps {
-		copy(p.Value.Data, snap[i].Data)
+func restoreValues(vs, snap []*tensor.Matrix) {
+	for i, v := range vs {
+		copy(v.Data, snap[i].Data)
 	}
 }

@@ -469,7 +469,7 @@ func MeasureOverhead(o Options) (*Overhead, error) {
 		return nil, err
 	}
 	start = time.Now()
-	if _, err := core.Train(m, train, nil, o.trainOpts()); err != nil {
+	if _, err := core.Train(m.Weights, train, nil, o.trainOpts()); err != nil {
 		return nil, err
 	}
 	trainPer := time.Since(start) / time.Duration(train.Len()*cfg.Epochs)

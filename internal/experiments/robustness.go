@@ -83,7 +83,7 @@ func obfuscationRobustness(o Options, intensities []float64, augment bool) ([]Ro
 		return nil, err
 	}
 	o.logf("training model on %d samples (augmented=%v)", train.Len(), augment)
-	if _, err := core.Train(m, train, nil, o.trainOpts()); err != nil {
+	if _, err := core.Train(m.Weights, train, nil, o.trainOpts()); err != nil {
 		return nil, err
 	}
 

@@ -13,8 +13,8 @@ import (
 // Default admission-queue tuning: a request waits at most batchMaxWait for
 // companions, and a batch never exceeds batchMaxSize samples. The window
 // is small enough to be invisible next to a single inference, while under
-// concurrent load it coalesces requests into one PredictBatch sweep over
-// the replica pool instead of N independent pool checkouts.
+// concurrent load it coalesces requests into one sweep over the replica
+// pool instead of N independent pool checkouts.
 const (
 	DefaultBatchMaxSize = 32
 	DefaultBatchMaxWait = 4 * time.Millisecond
@@ -32,22 +32,21 @@ type pendingPredict struct {
 }
 
 // batcher is the server-side admission queue that coalesces concurrent
-// predictions into batches for Model.PredictBatch. It is leaderless in the
-// steady state: no goroutine exists while the queue is idle, so a batcher
-// belonging to a demoted model version costs nothing and never needs a
-// shutdown handshake (in-flight requests that captured the old serving
-// snapshot just drain through it).
+// predictions into batches for its own replica engine. It is leaderless in
+// the steady state: no goroutine exists while the queue is idle, so a
+// batcher belonging to a demoted model version costs nothing but its
+// replicas and never needs a shutdown handshake (in-flight requests that
+// captured the old serving snapshot just drain through it).
 //
 // Protocol: the first request to find no leader becomes the leader. It
 // waits up to maxWait (cut short when the batch fills to maxSize), then
-// collects up to maxSize pending requests, runs them as one PredictBatch,
-// and delivers the results. If more requests queued up meanwhile, the
-// leader hands the remainder to a continuation goroutine before returning,
-// so no request is ever stranded. Batched execution is bit-identical to
-// the per-request path: PredictBatch guarantees results equal to calling
-// Predict serially on each sample.
+// collects up to maxSize pending requests, runs them as one batch, and
+// delivers the results. If more requests queued up meanwhile, the leader
+// hands the remainder to a continuation goroutine before returning, so no
+// request is ever stranded. Batched execution is bit-identical to the
+// per-request path: the engine's results equal Predict run serially.
 type batcher struct {
-	model   *core.Model
+	model   *core.Weights
 	workers int
 	maxSize int
 	maxWait time.Duration
@@ -57,13 +56,19 @@ type batcher struct {
 	pending []*pendingPredict
 	leading bool
 	full    chan struct{} // capacity 1: pending reached maxSize
+
+	// run serializes batches on the engine, which a continuation leader
+	// would otherwise share with its predecessor. engine is built by the
+	// first batch, so a version that never serves holds no replicas.
+	run    sync.Mutex
+	engine *core.ParallelBatch
 }
 
 // newBatcher builds an admission queue over m. maxSize < 1 selects
 // DefaultBatchMaxSize; maxWait < 0 selects DefaultBatchMaxWait, and 0
-// disables the wait window (requests still flow through PredictBatch, so
-// the serving numerics do not depend on the batching configuration).
-func newBatcher(m *core.Model, workers, maxSize int, maxWait time.Duration, sm *obs.ServingMetrics) *batcher {
+// disables the wait window (requests still flow through the engine, so the
+// serving numerics do not depend on the batching configuration).
+func newBatcher(m *core.Weights, workers, maxSize int, maxWait time.Duration, sm *obs.ServingMetrics) *batcher {
 	if maxSize < 1 {
 		maxSize = DefaultBatchMaxSize
 	}
@@ -167,7 +172,12 @@ func (b *batcher) lead() {
 	for i, q := range batch {
 		as[i] = q.a
 	}
-	out, err := b.model.PredictBatch(as, b.workers)
+	b.run.Lock()
+	if b.engine == nil {
+		b.engine = core.NewParallelBatch(b.model, b.workers)
+	}
+	out, err := b.engine.Predict(as)
+	b.run.Unlock()
 	if b.metrics != nil {
 		b.metrics.ObserveBatch(len(batch))
 	}

@@ -6,11 +6,41 @@ import (
 	"testing"
 )
 
+// versionFingerprint digests a registered version's weights as they are
+// now; the registry's own fingerprint was taken at registration and cannot
+// see a later write.
+func versionFingerprint(t *testing.T, srv *Server, version string) string {
+	t.Helper()
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	mv, ok := srv.versions[version]
+	if !ok {
+		t.Fatalf("version %q is not registered", version)
+	}
+	return mv.model.Fingerprint()
+}
+
+// requireSamePredictions fails unless got ranks the same families with
+// bit-identical probabilities as want (encoding/json round-trips a float64
+// exactly).
+func requireSamePredictions(t *testing.T, what string, want, got *PredictResult) {
+	t.Helper()
+	if len(got.Predictions) != len(want.Predictions) {
+		t.Fatalf("%s: %d predictions, want %d", what, len(got.Predictions), len(want.Predictions))
+	}
+	for i, p := range want.Predictions {
+		if got.Predictions[i] != p {
+			t.Fatalf("%s: prediction %d is %+v, want %+v", what, i, got.Predictions[i], p)
+		}
+	}
+}
+
 // TestContinualTrainPromotes drives the happy path of the continual mode:
 // after a full run, correctly-labeled new samples are fine-tuned onto a
 // clone of the serving model, the holdout gate passes, and the tuned model
 // is promoted as a new version with the watermark advanced past the
-// increment.
+// increment. The clone is deep: the base version, now the rollback target,
+// keeps its fingerprint and serves the same bits once rolled back to.
 func TestContinualTrainPromotes(t *testing.T) {
 	srv, _, client := newTestServer(t, []string{"clean", "dirty"})
 	seedCorpus(t, client, 3)
@@ -23,6 +53,7 @@ func TestContinualTrainPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	baseFingerprint := versionFingerprint(t, srv, before.ModelVersion)
 
 	// New, correctly-labeled samples past the watermark.
 	for i := 0; i < 2; i++ {
@@ -98,13 +129,30 @@ func TestContinualTrainPromotes(t *testing.T) {
 		!strings.Contains(err.Error(), "no new samples") {
 		t.Fatalf("continual with no increment: err = %v, want 'no new samples' precondition", err)
 	}
+
+	models, err := client.RollbackModel(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if models.Active != before.ModelVersion {
+		t.Fatalf("rolled back to %q, want the base version %q", models.Active, before.ModelVersion)
+	}
+	if got := versionFingerprint(t, srv, before.ModelVersion); got != baseFingerprint {
+		t.Fatalf("fine-tuning the clone changed the base version's weights: fingerprint %s -> %s", baseFingerprint, got)
+	}
+	rolledBack, err := client.PredictASM(loopProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSamePredictions(t, "rollback target", before, rolledBack)
 }
 
 // TestContinualTrainGateRejects forces a regression: the increment is
 // deliberately mislabeled, so fine-tuning drags holdout accuracy below the
 // baseline. The job must still succeed, but with Promoted=false, the
-// serving model untouched, and the watermark left so the increment is
-// retried by a later job.
+// serving model untouched — same fingerprint, bit-identical probabilities,
+// so the clone that was tuned shared no tensor with it — and the watermark
+// left so the increment is retried by a later job.
 func TestContinualTrainGateRejects(t *testing.T) {
 	srv, _, client := newTestServer(t, []string{"clean", "dirty"})
 	seedCorpus(t, client, 3)
@@ -117,6 +165,7 @@ func TestContinualTrainGateRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fingerprintBefore := versionFingerprint(t, srv, before.ModelVersion)
 	srv.mu.Lock()
 	throughBefore := srv.trainedThrough
 	srv.mu.Unlock()
@@ -153,9 +202,9 @@ func TestContinualTrainGateRejects(t *testing.T) {
 	if after.ModelVersion != before.ModelVersion {
 		t.Fatalf("rejected run changed the serving model: %q -> %q", before.ModelVersion, after.ModelVersion)
 	}
-	if after.Predictions[0].Family != before.Predictions[0].Family {
-		t.Fatalf("rejected run changed predictions: %q -> %q",
-			before.Predictions[0].Family, after.Predictions[0].Family)
+	requireSamePredictions(t, "serving model after a rejected run", before, after)
+	if got := versionFingerprint(t, srv, before.ModelVersion); got != fingerprintBefore {
+		t.Fatalf("rejected run changed the serving weights: fingerprint %s -> %s", fingerprintBefore, got)
 	}
 	srv.mu.Lock()
 	throughAfter := srv.trainedThrough

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -209,11 +208,11 @@ func (s *Server) startTrainJobLocked(mode string, epochs, samples int) *trainJob
 // accuracy on a holdout of the whole corpus does not regress.
 type trainRun struct {
 	cfg      core.Config
-	base     *core.Model // model to fine-tune; nil trains a fresh one
-	fit, val *samples    // val is nil without a validation split
-	holdout  *samples    // eval gate's holdout; nil installs unconditionally
-	through  int         // corpus length trainedThrough moves to on install
-	source   string      // registry source tag of the installed model
+	base     *core.Weights // model to fine-tune; nil trains a fresh one
+	fit, val *samples      // val is nil without a validation split
+	holdout  *samples      // eval gate's holdout; nil installs unconditionally
+	through  int           // corpus length trainedThrough moves to on install
+	source   string        // registry source tag of the installed model
 	workers  int
 }
 
@@ -317,19 +316,22 @@ func (s *Server) runTrainJob(job *trainJob, run trainRun) {
 // a cancelled one). A cancelled or failed run leaves the serving model and
 // the watermark as they were.
 func (s *Server) fit(job *trainJob, run trainRun) (*TrainResult, error) {
-	var m *core.Model
+	m := run.base
+	if m == nil {
+		fresh, err := core.NewModel(run.cfg, run.fit.Sizes())
+		if err != nil {
+			return nil, err
+		}
+		m = fresh.Weights
+	} else {
+		// A deep copy, so tuning it leaves the serving version as it was,
+		// with a fresh version to come from the registry. It inherits the
+		// base model's architecture (it must — the weights match it), but
+		// the epoch budget is this job's: training reads it from the config.
+		m = m.Clone()
+		m.Version, m.Config.Epochs = "", run.cfg.Epochs
+	}
 	var err error
-	if run.base == nil {
-		m, err = core.NewModel(run.cfg, run.fit.Sizes())
-	} else if m, err = cloneModel(run.base); err == nil {
-		// The clone inherits the base model's architecture (it must — the
-		// weights match it), but the epoch budget is this job's: the
-		// training loop reads it from the model config.
-		m.Config.Epochs = run.cfg.Epochs
-	}
-	if err != nil {
-		return nil, err
-	}
 	res := &TrainResult{Mode: job.mode, Samples: job.samples}
 	if run.holdout != nil {
 		res.NewSamples = job.samples
@@ -405,25 +407,8 @@ func epochUpdate(e core.EpochStats) obs.EpochUpdate {
 	}
 }
 
-// cloneModel round-trips a model through its serialized form, yielding an
-// independent copy whose parameters can be fine-tuned without touching the
-// (immutable, possibly serving) original. The clone's version is cleared so
-// the registry assigns a fresh one if it is promoted.
-func cloneModel(m *core.Model) (*core.Model, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return nil, fmt.Errorf("clone model: %w", err)
-	}
-	c, err := core.Load(&buf)
-	if err != nil {
-		return nil, fmt.Errorf("clone model: %w", err)
-	}
-	c.Version = ""
-	return c, nil
-}
-
 // accuracyOn computes argmax accuracy of m over d using the batch engine.
-func accuracyOn(m *core.Model, d dataset.SampleSource, workers int) (float64, error) {
+func accuracyOn(m *core.Weights, d dataset.SampleSource, workers int) (float64, error) {
 	if d.Len() == 0 {
 		return 0, fmt.Errorf("empty holdout set")
 	}
@@ -436,7 +421,7 @@ func accuracyOn(m *core.Model, d dataset.SampleSource, workers int) (float64, er
 		}
 		as[i], labels[i] = smp.ACFG, smp.Label
 	}
-	probs, err := m.PredictBatch(as, workers)
+	probs, err := core.NewParallelBatch(m, workers).Predict(as)
 	if err != nil {
 		return 0, err
 	}

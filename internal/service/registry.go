@@ -14,7 +14,7 @@ import (
 // maxModelVersions bounds the registry. When a new version is registered
 // past the bound, the oldest version that is neither active nor the
 // rollback target is evicted; in-flight requests holding its serving
-// snapshot drain unaffected (the snapshot keeps the model alive).
+// snapshot drain unaffected (the snapshot keeps the weights alive).
 const maxModelVersions = 8
 
 // versionPrefix shapes generated model version IDs: mv-000001, mv-000002…
@@ -23,21 +23,22 @@ const maxModelVersions = 8
 const versionPrefix = "mv-"
 
 // servingState is the immutable bundle a /v1/predict request works
-// against: one model version, its admission-queue batcher, nothing else.
-// The active state is swapped with a single atomic pointer store, so a
-// request observes exactly one version end to end — a promote or rollback
-// concurrent with a request can never mix versions within a batch, because
-// a batcher is bound to one model for its whole life.
+// against: one model version, its admission-queue batcher (which owns the
+// version's replicas), nothing else. The active state is swapped with a
+// single atomic pointer store, so a request observes exactly one version
+// end to end — a promote or rollback concurrent with a request can never
+// mix versions within a batch, because a batcher is bound to one weight
+// set for its whole life.
 type servingState struct {
 	version string
-	model   *core.Model
 	batch   *batcher
 }
 
-// modelVersion is one registry entry.
+// modelVersion is one registry entry. Its model is published: nothing
+// writes it once it is registered.
 type modelVersion struct {
 	version     string
-	model       *core.Model
+	model       *core.Weights
 	state       *servingState
 	fingerprint string
 	source      string // "train", "continual", "load" or "checkpoint"
@@ -47,7 +48,7 @@ type modelVersion struct {
 // registerModelLocked adds m to the registry under its checkpointed
 // version ID (assigning a fresh sequential ID when it has none) and
 // returns the entry. Callers hold s.mu.
-func (s *Server) registerModelLocked(m *core.Model, source string) *modelVersion {
+func (s *Server) registerModelLocked(m *core.Weights, source string) *modelVersion {
 	if m.Version == "" {
 		s.modelSeq++
 		m.Version = fmt.Sprintf("%s%06d", versionPrefix, s.modelSeq)
@@ -72,10 +73,9 @@ func (s *Server) registerModelLocked(m *core.Model, source string) *modelVersion
 
 // buildServingStateLocked assembles the serving snapshot for m under the
 // server's current batching and parallelism configuration.
-func (s *Server) buildServingStateLocked(m *core.Model) *servingState {
+func (s *Server) buildServingStateLocked(m *core.Weights) *servingState {
 	return &servingState{
 		version: m.Version,
-		model:   m,
 		batch:   newBatcher(m, s.workersLocked(), s.batchMaxSize, s.batchMaxWait, s.servingMetrics),
 	}
 }

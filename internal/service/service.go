@@ -67,7 +67,7 @@ type Server struct {
 	// (see index.go): a (segment file, frame offset) reference with a state
 	// dir, the decoded sample without one. Populated by AttachStore replay.
 	corpus    *corpusIndex
-	model     *core.Model
+	model     *core.Weights // the active version's; nil until one is installed
 	trainedAt time.Time
 
 	// trainedThrough is the corpus length covered by the last completed
@@ -220,22 +220,33 @@ func (s *Server) workersLocked() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// LoadModel installs a pre-trained model (e.g. from magic-train).
+// LoadModel installs a pre-trained model's weights (e.g. from magic-train),
+// which are published from then on: m may still predict, but not train.
 func (s *Server) LoadModel(m *core.Model) error {
-	if m.Config.Classes != len(s.families) {
-		return fmt.Errorf("service: model has %d classes, server has %d families",
-			m.Config.Classes, len(s.families))
+	if err := s.checkModel(m.Weights); err != nil {
+		return fmt.Errorf("service: %w", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.installModelLocked(m, "load")
+	s.installModelLocked(m.Weights, "load")
+	return nil
+}
+
+// checkModel reports why m cannot serve this server's families and inputs.
+func (s *Server) checkModel(m *core.Weights) error {
+	if m.Config.Classes != len(s.families) {
+		return fmt.Errorf("model has %d classes, server has %d families", m.Config.Classes, len(s.families))
+	}
+	if m.Config.AttrDim != s.cfgTemplate.AttrDim {
+		return fmt.Errorf("model reads %d attributes per block, server extracts %d", m.Config.AttrDim, s.cfgTemplate.AttrDim)
+	}
 	return nil
 }
 
 // installModelLocked registers m as a new version under the given source
 // tag ("train", "continual", "load" or "checkpoint") and makes it the
 // serving model; callers hold s.mu.
-func (s *Server) installModelLocked(m *core.Model, source string) {
+func (s *Server) installModelLocked(m *core.Weights, source string) {
 	s.promoteLocked(s.registerModelLocked(m, source).version, "install")
 }
 
@@ -463,15 +474,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 
 // maxGraphVertices bounds the graphs /v1/predict and /v1/samples admit. The
 // byte limit alone does not: a 16 MiB body can describe several hundred
-// thousand basic blocks, and every model replica that runs a graph keeps
-// its scratch slab — 4.2 KB per vertex to predict, 9.1 KB to train — until
-// a larger one replaces it. A batch is spread one sample per replica, so a
-// batch of two already reaches two replicas: each of a version's workers
-// can hold such a slab. 4096 is ten times the largest listing malgen, the
-// tests or the benchmark produce, and keeps an admitted graph's slab (17 MB
-// serving, 37 MB training) under tensor.Workspace's retention bound, so the
-// limit is what caps a replica's resident scratch, and workers × 17 MB a
-// served version's. It is a constant, not a flag: nothing a deployment
+// thousand basic blocks, and every replica that runs a graph keeps its
+// scratch slab — 4.2 KB per vertex to predict, 9.1 KB to train — until a
+// larger one replaces it. A serving version's batcher owns one replica per
+// worker, as a training job does, and a batch is spread one sample per
+// replica, so a batch of two already reaches two of them: each of a
+// version's workers can hold such a slab. 4096 is ten times the largest
+// listing malgen, the tests or the benchmark produce, and keeps an admitted
+// graph's slab (17 MB serving, 37 MB training) under tensor.Workspace's
+// retention bound, so the limit is what caps a replica's resident scratch,
+// and workers × 17 MB a served version's. It is a constant, not a flag: nothing a deployment
 // knows should change what a replica can be made to hold.
 const maxGraphVertices = 4096
 

@@ -56,7 +56,7 @@ func TestBatcherBitIdentical(t *testing.T) {
 		{"batch of one", 1, time.Millisecond},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			b := newBatcher(m, 2, tc.maxSize, tc.maxWait, obs.NewServingMetrics(obs.NewRegistry()))
+			b := newBatcher(m.Weights, 2, tc.maxSize, tc.maxWait, obs.NewServingMetrics(obs.NewRegistry()))
 			var wg sync.WaitGroup
 			got := make([][]float64, len(samples))
 			errs := make([]error, len(samples))
@@ -91,7 +91,7 @@ func TestBatcherBitIdentical(t *testing.T) {
 func TestBatcherCoalesces(t *testing.T) {
 	m := testModel(t, 4)
 	reg := obs.NewRegistry()
-	b := newBatcher(m, 2, 32, 50*time.Millisecond, obs.NewServingMetrics(reg))
+	b := newBatcher(m.Weights, 2, 32, 50*time.Millisecond, obs.NewServingMetrics(reg))
 	const n = 12
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
@@ -120,7 +120,7 @@ func TestBatcherCoalesces(t *testing.T) {
 // when its context dies while waiting for the batch window.
 func TestBatcherContextCancelled(t *testing.T) {
 	m := testModel(t, 5)
-	b := newBatcher(m, 1, 32, 200*time.Millisecond, nil)
+	b := newBatcher(m.Weights, 1, 32, 200*time.Millisecond, nil)
 
 	// Occupy the leader slot with a long window, then cancel a follower.
 	var wg sync.WaitGroup

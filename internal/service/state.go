@@ -361,18 +361,20 @@ func (st *Store) sealLocked() error {
 }
 
 // SaveModel atomically checkpoints m to <dir>/model.json.
-func (st *Store) SaveModel(m *core.Model) error {
+func (st *Store) SaveModel(m *core.Weights) error {
 	return m.SaveFile(st.modelPath())
 }
 
 // LoadModel loads the model checkpoint, returning (nil, nil) when none
 // exists yet.
-func (st *Store) LoadModel() (*core.Model, error) {
+func (st *Store) LoadModel() (*core.Weights, error) {
 	m, err := core.LoadFile(st.modelPath())
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
+	} else if err != nil {
+		return nil, err
 	}
-	return m, err
+	return m.Weights, nil
 }
 
 // Close closes the segment files and drops the state directory lock. It
@@ -439,9 +441,8 @@ func (s *Server) AttachStore(st *Store) (replayed int, modelLoaded bool, err err
 		return replayed, false, fmt.Errorf("service: load model checkpoint: %w", err)
 	}
 	if m != nil {
-		if m.Config.Classes != len(s.families) {
-			return replayed, false, fmt.Errorf("service: checkpointed model has %d classes, server has %d families",
-				m.Config.Classes, len(s.families))
+		if err := s.checkModel(m); err != nil {
+			return replayed, false, fmt.Errorf("service: checkpointed %w", err)
 		}
 		s.installModelLocked(m, "checkpoint")
 		modelLoaded = true

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/obs"
 )
@@ -388,4 +389,65 @@ func TestCorpusGaugeTracksCountByClass(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(srv2, "after a post-restart upload", []int{3, 3})
+}
+
+// TestIncompatibleModelRefused: a model that does not score the server's
+// families, or reads another attribute width than extract admits, would
+// fail every /v1/predict with a 500 once served. LoadModel and the boot
+// checkpoint install refuse it with a clean error, and nothing is
+// installed.
+func TestIncompatibleModelRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*core.Config)
+		want string
+	}{
+		{"classes", func(c *core.Config) { c.Classes = 5 }, "model has 5 classes, server has 2 families"},
+		{"attributes", func(c *core.Config) { c.AttrDim = 5 }, "model reads 5 attributes per block, server extracts 11"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			tc.edit(&cfg)
+			m, err := core.NewModel(cfg, []int{10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireEmpty := func(path string, srv *Server) {
+				t.Helper()
+				srv.mu.Lock()
+				defer srv.mu.Unlock()
+				if srv.serving.Load() != nil || srv.model != nil || len(srv.versions) != 0 {
+					t.Fatalf("%s: refused model was installed (active %q, %d versions)", path, srv.activeVersion, len(srv.versions))
+				}
+			}
+
+			srv, err := NewWithRegistry([]string{"clean", "dirty"}, testConfig(), obs.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := srv.LoadModel(m); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadModel error = %v, want %q", err, tc.want)
+			}
+			requireEmpty("LoadModel", srv)
+
+			dir := t.TempDir()
+			if err := m.SaveFile(filepath.Join(dir, modelFilename)); err != nil {
+				t.Fatal(err)
+			}
+			st, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = st.Close() }()
+			boot, err := NewWithRegistry([]string{"clean", "dirty"}, testConfig(), obs.NewRegistry())
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, loaded, err := boot.AttachStore(st)
+			if err == nil || loaded || !strings.Contains(err.Error(), "checkpointed "+tc.want) {
+				t.Fatalf("AttachStore = (loaded %v, %v), want a %q error", loaded, err, tc.want)
+			}
+			requireEmpty("checkpoint", boot)
+		})
+	}
 }
