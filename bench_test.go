@@ -469,7 +469,12 @@ func BenchmarkGraphConvForward(b *testing.B) {
 		g.AddEdge(rng.Intn(100), rng.Intn(100))
 	}
 	csr := graph.NewCSR(g)
-	stack := core.NewGraphConvStack(rng, acfg.NumAttributes, []int{32, 32, 32, 32})
+	layers, in := make([][]*tensor.Matrix, 4), acfg.NumAttributes
+	for t := range layers {
+		layers[t] = []*tensor.Matrix{tensor.GlorotUniform(rng, in, 32)}
+		in = 32
+	}
+	stack := core.NewGraphConvStack(layers)
 	x := tensor.Uniform(rng, 100, acfg.NumAttributes, -1, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -510,7 +515,7 @@ func BenchmarkAMPHead(b *testing.B) {
 		for i := range dout.Data {
 			dout.Data[i] = rng.NormFloat64()
 		}
-		layer := nn.NewConvAMP(rng, 16, 10, 8)
+		layer := nn.NewConvAMP(tensor.GlorotUniform(rng, 16, 9), tensor.New(1, 16), 10, 8)
 		ws := nn.NewWorkspace()
 		layer.SetWorkspace(ws)
 		for _, backward := range []bool{false, true} {
@@ -538,7 +543,7 @@ func BenchmarkAMPHead(b *testing.B) {
 	}
 	for _, gh := range []int{3, 10, 16} {
 		rng := rand.New(rand.NewSource(6))
-		conv := nn.NewConv2D(rng, 16, 32, 3, 3, 1, 1)
+		conv := nn.NewConv2D(tensor.GlorotUniform(rng, 32, 16*9), tensor.New(1, 32), 3, 3, 1, 1)
 		in := nn.NewVolume(16, gh, 8)
 		for i := range in.Data {
 			in.Data[i] = rng.Float64() // ReLU'd pooled maxima: ≥ 0

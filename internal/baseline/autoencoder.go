@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // AutoencoderGBT is the deep-autoencoder hybrid of [9]: an unsupervised
@@ -42,16 +43,19 @@ func (a *AutoencoderGBT) FitFeatures(xs [][]float64, ys []int, classes int) {
 	dim := len(sx[0])
 	rng := rand.New(rand.NewSource(a.Seed))
 	hidden := (dim + a.LatentDim) / 2
+	linear := func(in, out int) *nn.Linear { // Glorot-uniform weights, zero bias
+		return nn.NewLinear(tensor.GlorotUniform(rng, in, out), tensor.New(1, out))
+	}
 	a.encoder = nn.NewSequential(
-		nn.NewLinear(rng, dim, hidden),
+		linear(dim, hidden),
 		nn.NewTanh(),
-		nn.NewLinear(rng, hidden, a.LatentDim),
+		linear(hidden, a.LatentDim),
 		nn.NewTanh(),
 	)
 	a.decoder = nn.NewSequential(
-		nn.NewLinear(rng, a.LatentDim, hidden),
+		linear(a.LatentDim, hidden),
 		nn.NewTanh(),
-		nn.NewLinear(rng, hidden, dim),
+		linear(hidden, dim),
 	)
 	params := append(a.encoder.Params(), a.decoder.Params()...)
 	opt := nn.NewAdam(params, a.LearningRate, 1e-5)

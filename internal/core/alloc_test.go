@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/acfg"
@@ -186,9 +188,10 @@ func warmSlabBytes(t *testing.T, n int, run func(m *Model, a *acfg.ACFG)) uint64
 
 // TestAMPHeadWorkspaceIndependentOfChannels pins the memory side of the head
 // fusion at DefaultConfig: a prediction's per-vertex scratch is exactly the
-// scaled attribute row plus four n×Σc matrices (per graph-conv layer the
-// product, the propagated pre-activation and the activation — 3Σc in all —
-// then the concatenation, which the head reads in place), never a
+// scaled attribute row, one product row as wide as the widest graph-conv
+// layer (every layer's Z_t·W_t shares it) and two n×Σc matrices (each
+// layer's activation, rectified in place — Σc in all — then the
+// concatenation, which the head reads in place), never a
 // Conv2DChannels×n×Σc map; the unfused head's three 16-channel maps alone
 // were 15 MB at n = 400.
 // The assertion is exact because the arena's slab is the sum of one pass's
@@ -197,8 +200,9 @@ func warmSlabBytes(t *testing.T, n int, run func(m *Model, a *acfg.ACFG)) uint64
 func TestAMPHeadWorkspaceIndependentOfChannels(t *testing.T) {
 	cfg := DefaultConfig(2, acfg.NumAttributes)
 	grew := warmSlabBytes(t, 400, predictSample) - warmSlabBytes(t, 50, predictSample)
-	if want := uint64(8 * (400 - 50) * (cfg.AttrDim + 4*cfg.TotalConvWidth())); grew != want {
-		t.Errorf("350 more vertices grew the prediction slab by %d bytes, want %d (attributes + four n×Σc matrices)", grew, want)
+	widest := slices.Max(cfg.ConvSizes)
+	if want := uint64(8 * (400 - 50) * (cfg.AttrDim + widest + 2*cfg.TotalConvWidth())); grew != want {
+		t.Errorf("350 more vertices grew the prediction slab by %d bytes, want %d (attributes + widest layer + two n×Σc matrices)", grew, want)
 	}
 }
 
@@ -215,12 +219,50 @@ func TestWorkspaceBytesPerVertex(t *testing.T) {
 		run  func(m *Model, a *acfg.ACFG)
 		want uint64
 	}{
-		{"predict", predictSample, 4184},
-		{"train", trainSample, 9136},
+		{"predict", predictSample, 2392},
+		{"train", trainSample, 6320},
 	} {
 		got := (warmSlabBytes(t, 400, tc.run) - warmSlabBytes(t, 100, tc.run)) / 300
 		if got != tc.want {
 			t.Errorf("%s: %d bytes of scratch per vertex, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// replicaSink keeps NewReplica's result live, so the builds below are
+// neither elided nor collected mid-measurement.
+var replicaSink *Model
+
+// TestNewReplicaAllocs pins what a replica costs to build at DefaultConfig:
+// its layers over the weights' tensors and an empty arena — no drawn and
+// discarded parameter set, no gradient buffers (837 KB in all when it drew
+// and allocated both).
+func TestNewReplicaAllocs(t *testing.T) {
+	w, err := NewWeights(DefaultConfig(9, acfg.NumAttributes), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs, limit = 20, 120 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		replicaSink = w.NewReplica()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > limit {
+		t.Errorf("NewReplica allocated %d bytes per replica, want ≤ %d", per, limit)
+	}
+}
+
+// BenchmarkNewReplica reports what building one serving replica of a
+// DefaultConfig weight set costs: time, bytes and allocations.
+func BenchmarkNewReplica(b *testing.B) {
+	w, err := NewWeights(DefaultConfig(9, acfg.NumAttributes), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		replicaSink = w.NewReplica()
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 
@@ -52,22 +51,32 @@ const defaultConvName = "gcn"
 // Config.ConvHops is zero.
 const defaultConvHops = 2
 
-// convBuilders registers every backend constructor by name. Builders draw
-// initialization exclusively from rng, in a fixed per-layer order, so
-// NewReplica can rebuild an identically-shaped backend and alias the weights.
-var convBuilders = map[string]func(rng *rand.Rand, cfg *Config) ConvBackend{
-	"gcn": func(rng *rand.Rand, cfg *Config) ConvBackend {
-		return NewGraphConvStack(rng, cfg.AttrDim, cfg.ConvSizes)
+// convBuilders registers every backend constructor by name. Each takes its
+// weights from the paramSource layer by layer (convLayers), so a fresh
+// weight set is drawn, and a replica's layers are built over the given one,
+// in one fixed order.
+var convBuilders = map[string]func(p *paramSource, cfg *Config) ConvBackend{
+	"gcn":  func(p *paramSource, cfg *Config) ConvBackend { return NewGraphConvStack(p.convLayers(cfg, 1)) },
+	"sage": func(p *paramSource, cfg *Config) ConvBackend { return NewSAGEStack(p.convLayers(cfg, 2)) },
+	"attn": func(p *paramSource, cfg *Config) ConvBackend { return NewAttnStack(p.convLayers(cfg, 1)) },
+	"tag": func(p *paramSource, cfg *Config) ConvBackend {
+		return NewTAGStack(p.convLayers(cfg, cfg.resolveConvHops()+1))
 	},
-	"sage": func(rng *rand.Rand, cfg *Config) ConvBackend {
-		return NewSAGEStack(rng, cfg.AttrDim, cfg.ConvSizes)
-	},
-	"tag": func(rng *rand.Rand, cfg *Config) ConvBackend {
-		return NewTAGStack(rng, cfg.AttrDim, cfg.ConvSizes, cfg.resolveConvHops())
-	},
-	"attn": func(rng *rand.Rand, cfg *Config) ConvBackend {
-		return NewAttnStack(rng, cfg.AttrDim, cfg.ConvSizes)
-	},
+}
+
+// convLayers takes perLayer Glorot-uniform c_t × c_{t+1} weight matrices
+// for each graph-convolution layer t, mapping cfg.AttrDim → ConvSizes[0] →
+// ConvSizes[1] → …; layers[t] holds layer t's.
+func (p *paramSource) convLayers(cfg *Config, perLayer int) [][]*tensor.Matrix {
+	layers := make([][]*tensor.Matrix, len(cfg.ConvSizes))
+	in := cfg.AttrDim
+	for t, out := range cfg.ConvSizes {
+		for range perLayer {
+			layers[t] = append(layers[t], p.glorot(in, out))
+		}
+		in = out
+	}
+	return layers
 }
 
 // ConvBackendNames lists the registered backends in sorted order.
@@ -80,14 +89,14 @@ func ConvBackendNames() []string {
 	return names
 }
 
-// newConvBackend builds the backend selected by cfg.Conv. cfg must already
-// be validated, so the lookup cannot miss.
-func newConvBackend(rng *rand.Rand, cfg *Config) ConvBackend {
+// newConvBackend builds the backend selected by cfg.Conv over the weights p
+// hands out. cfg must already be validated, so the lookup cannot miss.
+func newConvBackend(p *paramSource, cfg *Config) ConvBackend {
 	build, ok := convBuilders[cfg.ConvName()]
 	if !ok {
 		panic(fmt.Sprintf("core: conv backend %q passed validation but is not registered", cfg.Conv))
 	}
-	return build(rng, cfg)
+	return build(p, cfg)
 }
 
 // ConvName resolves the configured backend name, mapping the empty value to

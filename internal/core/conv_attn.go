@@ -2,7 +2,7 @@ package core
 
 import (
 	"math"
-	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/nn"
@@ -33,28 +33,23 @@ type AttnStack struct {
 	inputs []*tensor.Matrix // Z_t, len == layers
 	projs  []*tensor.Matrix // H = Z_t·W_t, len == layers
 	alphas [][]float64      // per-edge softmax coefficients, len == layers
-	pre    []*tensor.Matrix // pre-activation, len == layers
-	outs   []*tensor.Matrix // Z_{t+1}, len == layers
+	outs   []*tensor.Matrix // Z_{t+1}, rectified in place, len == layers
 	dOuts  []*tensor.Matrix // backward scratch, len == layers
 }
 
-// NewAttnStack builds h = len(sizes) layers mapping attrDim → sizes[0] → …
-// with Glorot-uniform weights.
-func NewAttnStack(rng *rand.Rand, attrDim int, sizes []int) *AttnStack {
-	h := len(sizes)
+// NewAttnStack builds h = len(layers) layers over the given weights:
+// layers[t] = {W_t}, a c_t × c_{t+1} matrix.
+func NewAttnStack(layers [][]*tensor.Matrix) *AttnStack {
+	h := len(layers)
 	s := &AttnStack{
 		inputs: make([]*tensor.Matrix, h),
 		projs:  make([]*tensor.Matrix, h),
 		alphas: make([][]float64, h),
-		pre:    make([]*tensor.Matrix, h),
 		outs:   make([]*tensor.Matrix, h),
 		dOuts:  make([]*tensor.Matrix, h),
 	}
-	in := attrDim
-	for i, out := range sizes {
-		name := "attn" + string(rune('0'+i))
-		s.Weights = append(s.Weights, nn.NewParam(name, tensor.GlorotUniform(rng, in, out)))
-		in = out
+	for i, l := range layers {
+		s.Weights = append(s.Weights, nn.NewParam("attn"+string(rune('0'+i)), l[0]))
 	}
 	return s
 }
@@ -63,11 +58,7 @@ func NewAttnStack(rng *rand.Rand, attrDim int, sizes []int) *AttnStack {
 func (s *AttnStack) SetWorkspace(ws *nn.Workspace) { s.ws = ws }
 
 // Params exposes the layer weights to the optimizer.
-func (s *AttnStack) Params() []*nn.Param {
-	ps := make([]*nn.Param, len(s.Weights))
-	copy(ps, s.Weights)
-	return ps
-}
+func (s *AttnStack) Params() []*nn.Param { return slices.Clone(s.Weights) }
 
 // Forward runs all layers for one graph and returns the concatenated
 // Z^{1:h} (n × Σ c_t).
@@ -76,7 +67,6 @@ func (s *AttnStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 	n := csr.N()
 	nnz := csr.NNZ()
 	z := x
-	total := 0
 	for t, w := range s.Weights {
 		s.inputs[t] = z
 		cOut := w.Value.Cols
@@ -127,15 +117,11 @@ func (s *AttnStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 			}
 			edge += len(cols)
 		}
-		z = s.ws.Matrix(n, cOut)
-		tensor.MapInto(z, pre, relu)
-		s.pre[t] = pre
-		s.outs[t] = z
-		total += cOut
+		tensor.MapInto(pre, pre, relu)
+		s.outs[t] = pre
+		z = pre
 	}
-	out := s.ws.Matrix(x.Rows, total)
-	tensor.HConcatInto(out, s.outs...)
-	return out
+	return concatCols(s.ws, s.outs)
 }
 
 // Backward consumes ∂L/∂Z^{1:h} and returns ∂L/∂X, accumulating weight
@@ -146,13 +132,7 @@ func (s *AttnStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 // finally dW_t += Z_tᵀ·dH and dZ_t = dH·W_tᵀ.
 func (s *AttnStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 	h := len(s.Weights)
-	off := 0
-	for t := range s.Weights {
-		w := s.Weights[t].Value.Cols
-		s.dOuts[t] = s.ws.Matrix(dconcat.Rows, w)
-		tensor.SliceColsInto(s.dOuts[t], dconcat, off, off+w)
-		off += w
-	}
+	splitCols(s.ws, s.dOuts, dconcat, s.outs)
 	csr := s.csr
 	n := csr.N()
 	nnz := csr.NNZ()
@@ -162,14 +142,7 @@ func (s *AttnStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 		if dNext != nil {
 			dz.AddInPlace(dNext)
 		}
-		dpre := s.ws.Matrix(dz.Rows, dz.Cols)
-		for i, g := range dz.Data {
-			if s.pre[t].Data[i] > 0 {
-				dpre.Data[i] = g
-			} else {
-				dpre.Data[i] = 0
-			}
-		}
+		dpre := gateRelu(dz, s.outs[t])
 		hm := s.projs[t]
 		alpha := s.alphas[t]
 		cOut := s.Weights[t].Value.Cols
@@ -216,7 +189,7 @@ func (s *AttnStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 		// weight gradient going through one rounded scratch product.
 		gw := s.ws.Matrix(s.Weights[t].Value.Rows, s.Weights[t].Value.Cols)
 		tensor.MatMulTAInto(gw, s.inputs[t], dh)
-		s.Weights[t].Grad.AddInPlace(gw)
+		s.Weights[t].Gradient().AddInPlace(gw)
 		dNext = s.ws.Matrix(n, s.Weights[t].Value.Rows)
 		tensor.MatMulTBInto(dNext, dh, s.Weights[t].Value)
 	}

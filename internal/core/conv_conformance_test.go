@@ -19,6 +19,7 @@ import (
 //   - finite-difference gradients on every parameter and the input
 //   - bit-identical training at Workers 1, 4 and 8
 //   - NewReplica shares weights but keeps gradients private
+//   - a replica that has only predicted holds no gradient buffers
 //   - empty-graph and single-vertex edge cases
 //   - bit-for-bit agreement of the fast path with a straight-loop oracle
 //     (the deterministic sweep here; coverage-guided mutation in the
@@ -43,7 +44,7 @@ func newTestBackend(t *testing.T, name string, rng *rand.Rand, attrDim int, size
 	if !ok {
 		t.Fatalf("backend %q not registered", name)
 	}
-	return build(rng, &cfg)
+	return build(&paramSource{rng: rng}, &cfg)
 }
 
 func TestConvBackendConformance(t *testing.T) {
@@ -52,6 +53,7 @@ func TestConvBackendConformance(t *testing.T) {
 			t.Run("FiniteDifference", func(t *testing.T) { convFDCheck(t, name) })
 			t.Run("WorkerDeterminism", func(t *testing.T) { convWorkerDeterminismCheck(t, name) })
 			t.Run("NewReplicaGradPrivacy", func(t *testing.T) { convNewReplicaCheck(t, name) })
+			t.Run("PredictHoldsNoGradients", func(t *testing.T) { convPredictGradCheck(t, name) })
 			t.Run("EdgeCases", func(t *testing.T) { convEdgeCaseCheck(t, name) })
 			t.Run("OracleAgreement", func(t *testing.T) { convOracleCheck(t, name) })
 		})
@@ -198,6 +200,51 @@ func convNewReplicaCheck(t *testing.T, name string) {
 	if leaked == 0 {
 		t.Error("replica TrainStep accumulated no conv gradients")
 	}
+}
+
+// convPredictGradCheck proves gradients exist only where something trains:
+// replicas that have only predicted — one on its own and a predict engine's
+// — hold zero gradient bytes, while a TrainStep gives its replica exactly
+// one buffer per parameter and leaves its sibling without any.
+func convPredictGradCheck(t *testing.T, name string) {
+	cfg := conformanceConfig(name)
+	rng := rand.New(rand.NewSource(29))
+	d := twoClassDataset(rng, 4)
+	w, err := NewWeights(cfg, d.Sizes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.scaler = fitScaler(t, d)
+	served, trained := w.NewReplica(), w.NewReplica()
+	for _, s := range d.Samples {
+		served.Predict(s.ACFG)
+	}
+	engine := NewParallelBatch(w, 2)
+	if _, err := engine.Predict(acfgsOf(d)); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range append([]*Model{served}, engine.replicas...) {
+		if b := gradBytes(r); b != 0 {
+			t.Errorf("predict-only replica %d holds %d gradient bytes, want 0", i, b)
+		}
+	}
+	s := d.Samples[0]
+	trained.TrainStep(s.ACFG, s.Label, 1)
+	if got, want := gradBytes(trained), 8*w.NumParameters(); got != want {
+		t.Errorf("trained replica holds %d gradient bytes, want %d (one buffer per parameter)", got, want)
+	}
+	if b := gradBytes(served); b != 0 {
+		t.Errorf("a sibling's TrainStep gave the predict-only replica %d gradient bytes", b)
+	}
+}
+
+// gradBytes sums the bytes of m's gradient buffers.
+func gradBytes(m *Model) int {
+	n := 0
+	for _, p := range m.params {
+		n += 8 * len(p.Grad.Data)
+	}
+	return n
 }
 
 // convEdgeCaseCheck runs the degenerate inputs every backend must survive:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -29,29 +27,24 @@ type SAGEStack struct {
 	csr    *graph.CSR
 	inputs []*tensor.Matrix // Z_t, len == layers
 	aggs   []*tensor.Matrix // P·Z_t, len == layers
-	pre    []*tensor.Matrix // pre-activation, len == layers
-	outs   []*tensor.Matrix // Z_{t+1}, len == layers
+	outs   []*tensor.Matrix // Z_{t+1}, rectified in place, len == layers
 	dOuts  []*tensor.Matrix // backward scratch, len == layers
 }
 
-// NewSAGEStack builds h = len(sizes) layers mapping attrDim → sizes[0] → …
-// with Glorot-uniform weights (self then neighbor per layer, a fixed rng
-// draw order — the NewReplica contract).
-func NewSAGEStack(rng *rand.Rand, attrDim int, sizes []int) *SAGEStack {
-	h := len(sizes)
+// NewSAGEStack builds h = len(layers) layers over the given weights:
+// layers[t] = {W_self, W_nbr}, each c_t × c_{t+1}.
+func NewSAGEStack(layers [][]*tensor.Matrix) *SAGEStack {
+	h := len(layers)
 	s := &SAGEStack{
 		inputs: make([]*tensor.Matrix, h),
 		aggs:   make([]*tensor.Matrix, h),
-		pre:    make([]*tensor.Matrix, h),
 		outs:   make([]*tensor.Matrix, h),
 		dOuts:  make([]*tensor.Matrix, h),
 	}
-	in := attrDim
-	for i, out := range sizes {
+	for i, l := range layers {
 		idx := string(rune('0' + i))
-		s.Self = append(s.Self, nn.NewParam("sage"+idx+"s", tensor.GlorotUniform(rng, in, out)))
-		s.Nbr = append(s.Nbr, nn.NewParam("sage"+idx+"n", tensor.GlorotUniform(rng, in, out)))
-		in = out
+		s.Self = append(s.Self, nn.NewParam("sage"+idx+"s", l[0]))
+		s.Nbr = append(s.Nbr, nn.NewParam("sage"+idx+"n", l[1]))
 	}
 	return s
 }
@@ -74,7 +67,6 @@ func (s *SAGEStack) Params() []*nn.Param {
 func (s *SAGEStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 	s.csr = csr
 	z := x
-	total := 0
 	for t := range s.Self {
 		ws, wn := s.Self[t], s.Nbr[t]
 		s.inputs[t] = z
@@ -87,52 +79,35 @@ func (s *SAGEStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 		tensor.MatMulInto(fn, agg, wn.Value) // (P·Z_t) · W_nbr
 		pre := s.ws.Matrix(fs.Rows, fs.Cols)
 		tensor.AddInto(pre, fs, fn)
-		s.pre[t] = pre
-		z = s.ws.Matrix(pre.Rows, pre.Cols)
-		tensor.MapInto(z, pre, relu)
-		s.outs[t] = z
-		total += ws.Value.Cols
+		tensor.MapInto(pre, pre, relu)
+		s.outs[t] = pre
+		z = pre
 	}
-	out := s.ws.Matrix(x.Rows, total)
-	tensor.HConcatInto(out, s.outs...)
-	return out
+	return concatCols(s.ws, s.outs)
 }
 
 // Backward consumes ∂L/∂Z^{1:h} and returns ∂L/∂X, accumulating weight
 // gradients. Mirrors GraphConvStack.Backward's structure: each Z_t receives
 // gradient from its concat slice plus layer t+1, gated through ReLU on the
-// pre-activation sign.
+// activation's sign (gateRelu).
 func (s *SAGEStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 	h := len(s.Self)
-	off := 0
-	for t := range s.Self {
-		w := s.Self[t].Value.Cols
-		s.dOuts[t] = s.ws.Matrix(dconcat.Rows, w)
-		tensor.SliceColsInto(s.dOuts[t], dconcat, off, off+w)
-		off += w
-	}
+	splitCols(s.ws, s.dOuts, dconcat, s.outs)
 	var dNext *tensor.Matrix
 	for t := h - 1; t >= 0; t-- {
 		dz := s.dOuts[t]
 		if dNext != nil {
 			dz.AddInPlace(dNext)
 		}
-		dpre := s.ws.Matrix(dz.Rows, dz.Cols)
-		for i, g := range dz.Data {
-			if s.pre[t].Data[i] > 0 {
-				dpre.Data[i] = g
-			} else {
-				dpre.Data[i] = 0
-			}
-		}
+		dpre := gateRelu(dz, s.outs[t])
 		// Weight gradients through a scratch product each, so Grad sees one
 		// rounded product per sample (the accumulation contract).
 		gs := s.ws.Matrix(s.Self[t].Value.Rows, s.Self[t].Value.Cols)
 		tensor.MatMulTAInto(gs, s.inputs[t], dpre) // dW_self += Z_tᵀ · dpre
-		s.Self[t].Grad.AddInPlace(gs)
+		s.Self[t].Gradient().AddInPlace(gs)
 		gn := s.ws.Matrix(s.Nbr[t].Value.Rows, s.Nbr[t].Value.Cols)
 		tensor.MatMulTAInto(gn, s.aggs[t], dpre) // dW_nbr += (P·Z_t)ᵀ · dpre
-		s.Nbr[t].Grad.AddInPlace(gn)
+		s.Nbr[t].Gradient().AddInPlace(gn)
 		// Input gradient: the self path plus the aggregation path through Pᵀ.
 		dself := s.ws.Matrix(dpre.Rows, s.Self[t].Value.Rows)
 		tensor.MatMulTBInto(dself, dpre, s.Self[t].Value) // dpre · W_selfᵀ

@@ -36,10 +36,11 @@ func TestConvBackendCheckpointRoundTrip(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			m, buf := trainSmall(t, name)
 			raw := append([]byte(nil), buf.Bytes()...)
-			loaded, err := Load(bytes.NewReader(raw))
+			w, err := LoadWeights(bytes.NewReader(raw))
 			if err != nil {
 				t.Fatal(err)
 			}
+			loaded := w.NewReplica()
 			if loaded.Config.ConvName() != name {
 				t.Fatalf("loaded backend %q, want %q", loaded.Config.ConvName(), name)
 			}
@@ -78,7 +79,7 @@ func TestCheckpointMissingConvDefaults(t *testing.T) {
 	if strings.Contains(raw, `"Conv"`) || strings.Contains(raw, `"ConvHops"`) {
 		t.Fatal("default-config checkpoint serialized a Conv field; seed-format compatibility broken")
 	}
-	loaded, err := Load(strings.NewReader(raw))
+	loaded, err := LoadWeights(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestCheckpointUnknownConvBackend(t *testing.T) {
 	if !strings.Contains(raw, `"Conv":"hyperbolic"`) {
 		t.Fatal("failed to inject the unknown backend into the checkpoint JSON")
 	}
-	_, err := Load(strings.NewReader(raw))
+	_, err := LoadWeights(strings.NewReader(raw))
 	if err == nil {
 		t.Fatal("loading an unknown conv backend succeeded")
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -27,36 +25,28 @@ type TAGStack struct {
 
 	csr   *graph.CSR
 	hopZs [][]*tensor.Matrix // hopZs[t][j] = P^j · Z_t, len == layers × (K+1)
-	pre   []*tensor.Matrix   // pre-activation, len == layers
-	outs  []*tensor.Matrix   // Z_{t+1}, len == layers
+	outs  []*tensor.Matrix   // Z_{t+1}, rectified in place, len == layers
 	dOuts []*tensor.Matrix   // backward scratch, len == layers
 }
 
-// NewTAGStack builds h = len(sizes) layers with K = hops propagation hops
-// each, Glorot-uniform weights drawn hop-ascending per layer (a fixed rng
-// draw order — the NewReplica contract).
-func NewTAGStack(rng *rand.Rand, attrDim int, sizes []int, hops int) *TAGStack {
-	if hops < 1 {
-		hops = defaultConvHops
-	}
-	h := len(sizes)
+// NewTAGStack builds h = len(layers) layers over the given weights:
+// layers[t] = {W_{t,0}, …, W_{t,K}}, hop ascending, each c_t × c_{t+1}, so
+// K = len(layers[t]) − 1 ≥ 1.
+func NewTAGStack(layers [][]*tensor.Matrix) *TAGStack {
+	h := len(layers)
 	s := &TAGStack{
-		Hops:  hops,
 		hopZs: make([][]*tensor.Matrix, h),
-		pre:   make([]*tensor.Matrix, h),
 		outs:  make([]*tensor.Matrix, h),
 		dOuts: make([]*tensor.Matrix, h),
 	}
-	in := attrDim
-	for i, out := range sizes {
-		layer := make([]*nn.Param, 0, hops+1)
-		for j := 0; j <= hops; j++ {
-			name := "tag" + string(rune('0'+i)) + "h" + string(rune('0'+j))
-			layer = append(layer, nn.NewParam(name, tensor.GlorotUniform(rng, in, out)))
+	for i, l := range layers {
+		s.Hops = len(l) - 1
+		layer := make([]*nn.Param, len(l))
+		for j, w := range l {
+			layer[j] = nn.NewParam("tag"+string(rune('0'+i))+"h"+string(rune('0'+j)), w)
 		}
 		s.Weights = append(s.Weights, layer)
-		s.hopZs[i] = make([]*tensor.Matrix, hops+1)
-		in = out
+		s.hopZs[i] = make([]*tensor.Matrix, len(l))
 	}
 	return s
 }
@@ -79,7 +69,6 @@ func (s *TAGStack) Params() []*nn.Param {
 func (s *TAGStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 	s.csr = csr
 	z := x
-	total := 0
 	for t, layer := range s.Weights {
 		// Hop powers: H_0 = Z_t, H_j = P·H_{j-1}.
 		s.hopZs[t][0] = z
@@ -97,15 +86,11 @@ func (s *TAGStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 			tensor.MatMulInto(fj, s.hopZs[t][j], layer[j].Value)
 			pre.AddInPlace(fj)
 		}
-		s.pre[t] = pre
-		z = s.ws.Matrix(pre.Rows, pre.Cols)
-		tensor.MapInto(z, pre, relu)
-		s.outs[t] = z
-		total += layer[0].Value.Cols
+		tensor.MapInto(pre, pre, relu)
+		s.outs[t] = pre
+		z = pre
 	}
-	out := s.ws.Matrix(x.Rows, total)
-	tensor.HConcatInto(out, s.outs...)
-	return out
+	return concatCols(s.ws, s.outs)
 }
 
 // Backward consumes ∂L/∂Z^{1:h} and returns ∂L/∂X, accumulating weight
@@ -115,34 +100,21 @@ func (s *TAGStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 // forward hop chain.
 func (s *TAGStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 	h := len(s.Weights)
-	off := 0
-	for t := range s.Weights {
-		w := s.Weights[t][0].Value.Cols
-		s.dOuts[t] = s.ws.Matrix(dconcat.Rows, w)
-		tensor.SliceColsInto(s.dOuts[t], dconcat, off, off+w)
-		off += w
-	}
+	splitCols(s.ws, s.dOuts, dconcat, s.outs)
 	var dNext *tensor.Matrix
 	for t := h - 1; t >= 0; t-- {
 		dz := s.dOuts[t]
 		if dNext != nil {
 			dz.AddInPlace(dNext)
 		}
-		dpre := s.ws.Matrix(dz.Rows, dz.Cols)
-		for i, g := range dz.Data {
-			if s.pre[t].Data[i] > 0 {
-				dpre.Data[i] = g
-			} else {
-				dpre.Data[i] = 0
-			}
-		}
+		dpre := gateRelu(dz, s.outs[t])
 		layer := s.Weights[t]
 		// Per-hop weight gradients: dW_{t,j} += H_jᵀ · dpre, one rounded
 		// product per sample each.
 		for j := 0; j <= s.Hops; j++ {
 			gw := s.ws.Matrix(layer[j].Value.Rows, layer[j].Value.Cols)
 			tensor.MatMulTAInto(gw, s.hopZs[t][j], dpre)
-			layer[j].Grad.AddInPlace(gw)
+			layer[j].Gradient().AddInPlace(gw)
 		}
 		// Horner chain for the input gradient.
 		acc := s.ws.Matrix(dpre.Rows, layer[s.Hops].Value.Rows)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/rand"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/nn"
@@ -29,26 +29,21 @@ type GraphConvStack struct {
 	// the next forward.
 	csr    *graph.CSR
 	inputs []*tensor.Matrix // Z_t (pre-layer inputs), len == layers
-	pre    []*tensor.Matrix // P·Z_t·W_t (pre-activation), len == layers
-	outs   []*tensor.Matrix // Z_{t+1} (post-activation), len == layers
+	outs   []*tensor.Matrix // Z_{t+1}, rectified in place, len == layers
 	dOuts  []*tensor.Matrix // backward scratch, len == layers
 }
 
-// NewGraphConvStack builds h = len(sizes) layers mapping attrDim →
-// sizes[0] → sizes[1] → … with Glorot-uniform weights.
-func NewGraphConvStack(rng *rand.Rand, attrDim int, sizes []int) *GraphConvStack {
-	h := len(sizes)
+// NewGraphConvStack builds h = len(layers) layers over the given weights:
+// layers[t] = {W_t}, a c_t × c_{t+1} matrix.
+func NewGraphConvStack(layers [][]*tensor.Matrix) *GraphConvStack {
+	h := len(layers)
 	s := &GraphConvStack{
 		inputs: make([]*tensor.Matrix, h),
-		pre:    make([]*tensor.Matrix, h),
 		outs:   make([]*tensor.Matrix, h),
 		dOuts:  make([]*tensor.Matrix, h),
 	}
-	in := attrDim
-	for i, out := range sizes {
-		name := "gconv" + string(rune('0'+i))
-		s.Weights = append(s.Weights, nn.NewParam(name, tensor.GlorotUniform(rng, in, out)))
-		in = out
+	for i, l := range layers {
+		s.Weights = append(s.Weights, nn.NewParam("gconv"+string(rune('0'+i)), l[0]))
 	}
 	return s
 }
@@ -58,41 +53,30 @@ func NewGraphConvStack(rng *rand.Rand, attrDim int, sizes []int) *GraphConvStack
 func (s *GraphConvStack) SetWorkspace(ws *nn.Workspace) { s.ws = ws }
 
 // Params exposes the layer weights to the optimizer.
-func (s *GraphConvStack) Params() []*nn.Param {
-	ps := make([]*nn.Param, len(s.Weights))
-	copy(ps, s.Weights)
-	return ps
-}
+func (s *GraphConvStack) Params() []*nn.Param { return slices.Clone(s.Weights) }
 
 // Forward runs all graph-convolution layers for one graph and returns the
-// concatenated Z^{1:h} (n × Σ c_t).
+// concatenated Z^{1:h} (n × Σ c_t). Each layer's propagated product is
+// rectified in place, so a layer holds one n × c_{t+1} activation, which
+// Backward gates on (gateRelu).
 func (s *GraphConvStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 	s.csr = csr
-	if h := len(s.Weights); len(s.inputs) != h {
-		// Stacks built as struct literals (tests) skip the constructor;
-		// size the per-layer caches on first use.
-		s.inputs = make([]*tensor.Matrix, h)
-		s.pre = make([]*tensor.Matrix, h)
-		s.outs = make([]*tensor.Matrix, h)
-		s.dOuts = make([]*tensor.Matrix, h)
+	widest := 0
+	for _, w := range s.Weights {
+		widest = max(widest, w.Value.Cols)
 	}
+	f := s.ws.Matrix(x.Rows, widest) // every layer's Z_t·W_t: dead once propagated
 	z := x
-	total := 0
 	for t, w := range s.Weights {
 		s.inputs[t] = z
-		f := s.ws.Matrix(z.Rows, w.Value.Cols)
+		f.Cols, f.Data = w.Value.Cols, f.Data[:z.Rows*w.Value.Cols]
 		tensor.MatMulInto(f, z, w.Value) // Z_t · W_t
-		o := s.ws.Matrix(f.Rows, f.Cols)
-		csr.SpMMInto(o, f) // D̄⁻¹ Ā · (Z_t W_t)
-		s.pre[t] = o
-		z = s.ws.Matrix(o.Rows, o.Cols)
-		tensor.MapInto(z, o, relu)
+		z = s.ws.Matrix(z.Rows, w.Value.Cols)
+		csr.SpMMInto(z, f) // D̄⁻¹ Ā · (Z_t W_t)
+		tensor.MapInto(z, z, relu)
 		s.outs[t] = z
-		total += w.Value.Cols
 	}
-	out := s.ws.Matrix(x.Rows, total)
-	tensor.HConcatInto(out, s.outs...)
-	return out
+	return concatCols(s.ws, s.outs)
 }
 
 // Backward consumes ∂L/∂Z^{1:h} and returns ∂L/∂X, accumulating weight
@@ -100,30 +84,14 @@ func (s *GraphConvStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matri
 // concatenated output and from layer t+1.
 func (s *GraphConvStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 	h := len(s.Weights)
-	// Split the concatenated gradient into per-layer slices.
-	off := 0
-	for t := range s.Weights {
-		w := s.Weights[t].Value.Cols
-		s.dOuts[t] = s.ws.Matrix(dconcat.Rows, w)
-		tensor.SliceColsInto(s.dOuts[t], dconcat, off, off+w)
-		off += w
-	}
+	splitCols(s.ws, s.dOuts, dconcat, s.outs)
 	var dNext *tensor.Matrix // gradient flowing into Z_t from layer t (w.r.t. its input)
 	for t := h - 1; t >= 0; t-- {
 		dz := s.dOuts[t]
 		if dNext != nil {
 			dz.AddInPlace(dNext)
 		}
-		// Through ReLU: gate on pre-activation sign. dpre is a dirty
-		// checkout, so both branches write.
-		dpre := s.ws.Matrix(dz.Rows, dz.Cols)
-		for i, g := range dz.Data {
-			if s.pre[t].Data[i] > 0 {
-				dpre.Data[i] = g
-			} else {
-				dpre.Data[i] = 0
-			}
-		}
+		dpre := gateRelu(dz, s.outs[t]) // through ReLU
 		// Through P: dF = Pᵀ · dpre.
 		df := s.ws.Matrix(dpre.Rows, dpre.Cols)
 		s.csr.SpMMTInto(df, dpre)
@@ -133,11 +101,47 @@ func (s *GraphConvStack) Backward(dconcat *tensor.Matrix) *tensor.Matrix {
 		// like the allocating MatMul-then-AddInPlace it replaces.
 		gw := s.ws.Matrix(s.Weights[t].Value.Rows, s.Weights[t].Value.Cols)
 		tensor.MatMulTAInto(gw, s.inputs[t], df)
-		s.Weights[t].Grad.AddInPlace(gw)
+		s.Weights[t].Gradient().AddInPlace(gw)
 		dNext = s.ws.Matrix(df.Rows, s.Weights[t].Value.Rows)
 		tensor.MatMulTBInto(dNext, df, s.Weights[t].Value)
 	}
 	return dNext
+}
+
+// concatCols checks out the n × Σ c_t concatenation Z^{1:h} of the layer
+// outputs.
+func concatCols(ws *nn.Workspace, outs []*tensor.Matrix) *tensor.Matrix {
+	total := 0
+	for _, o := range outs {
+		total += o.Cols
+	}
+	out := ws.Matrix(outs[0].Rows, total)
+	tensor.HConcatInto(out, outs...)
+	return out
+}
+
+// splitCols splits ∂L/∂Z^{1:h} into one checked-out matrix per layer, as
+// wide as that layer's output.
+func splitCols(ws *nn.Workspace, dOuts []*tensor.Matrix, dconcat *tensor.Matrix, outs []*tensor.Matrix) {
+	off := 0
+	for t, o := range outs {
+		dOuts[t] = ws.Matrix(dconcat.Rows, o.Cols)
+		tensor.SliceColsInto(dOuts[t], dconcat, off, off+o.Cols)
+		off += o.Cols
+	}
+}
+
+// gateRelu carries a layer's output gradient dz back through its rectifier
+// in place, zeroing it wherever the rectified output out is not positive —
+// exactly where the pre-activation was not (relu(x) > 0 ⇔ x > 0, NaN
+// included), so the gate matches one on the pre-activation bit for bit.
+func gateRelu(dz, out *tensor.Matrix) *tensor.Matrix {
+	for i, v := range out.Data {
+		if v <= 0 {
+			dz.Data[i] = 0
+		}
+	}
+	return dz
 }
 
 func relu(x float64) float64 {

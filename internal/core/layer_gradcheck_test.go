@@ -53,7 +53,7 @@ func TestGraphConvStackFiniteDifference(t *testing.T) {
 		g.AddEdge(e[0], e[1])
 	}
 	csr := graph.NewCSR(g)
-	stack := NewGraphConvStack(rng, 4, []int{6, 5})
+	stack := newTestBackend(t, "gcn", rng, 4, []int{6, 5})
 	x := tensor.New(5, 4)
 	for i := range x.Data {
 		x.Data[i] = rng.NormFloat64()
@@ -182,7 +182,7 @@ func checkVolumeLayer(t *testing.T, l nn.Layer, in *nn.Volume, tol float64) {
 // embedding — both ∂L/∂W and ∂L/∂input.
 func TestWeightedVerticesFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	l := NewWeightedVertices(rng, 4)
+	l := NewWeightedVertices((&paramSource{rng: rng}).vertexWeights(4))
 	in := nn.NewVolume(1, 4, 5)
 	for i := range in.Data {
 		in.Data[i] = rng.NormFloat64()
@@ -198,7 +198,7 @@ func TestAMPHeadFiniteDifference(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	cfg := tinyConfig(AdaptivePooling, Conv1DHead)
 	cfg.PoolingRatio = 0.5 // tiny AMP grid keeps the FD sweep fast
-	head := buildAMPHead(rng, cfg, 6)
+	head := buildAMPHead(&paramSource{rng: rng}, cfg)
 	for _, p := range head.Params() {
 		for i := range p.Value.Data {
 			p.Value.Data[i] += (rng.Float64() - 0.5) * 0.2

@@ -35,9 +35,10 @@ type Weights struct {
 
 // Model is one goroutine's replica of a Weights: the end-to-end DGCNN
 // malware classifier's layers with their forward caches, the scratch arena,
-// the propagation operator, private gradient buffers and dropout state,
-// every parameter value aliasing the embedded Weights. Construction wires
-// the variant selected by the Config:
+// the propagation operator and dropout state, every parameter value
+// aliasing the embedded Weights. Its private gradient buffers are allocated
+// by its first Backward, so a replica that only predicts holds none.
+// Construction wires the variant selected by the Config:
 //
 //   - SortPooling + Conv1DHead: graph conv → sort pool (k rows) → Conv1D
 //     (kernel = stride = feature width, i.e. per-vertex filters) → max pool
@@ -58,7 +59,7 @@ type Model struct {
 	conv     ConvBackend
 	sort     *SortPool
 	head     *nn.Sequential
-	params   []*nn.Param // Value aliases Weights.values; Grad is private
+	params   []*nn.Param // Value aliases Weights.values; Grad is private, allocated on first Backward
 	dropouts []*nn.Dropout
 
 	// ws is the replica's scratch arena. Every per-sample intermediate of
@@ -89,11 +90,16 @@ type Model struct {
 // serves every replica.
 var emptyCSR = graph.NewCSR(graph.NewDirected(1))
 
-// NewModel initializes a fresh weight set from cfg.Seed and returns a
-// replica bound to it. trainSizes supplies the training graphs' vertex
-// counts used to resolve k for sort pooling (may be nil in adaptive mode or
-// when cfg.K is set explicitly).
-func NewModel(cfg Config, trainSizes []int) (*Model, error) {
+// NewWeights draws a fresh weight set from cfg.Seed. trainSizes supplies
+// the training graphs' vertex counts used to resolve k for sort pooling
+// (may be nil in adaptive mode or when cfg.K is set explicitly).
+func NewWeights(cfg Config, trainSizes []int) (*Weights, error) {
+	return newWeights(cfg, trainSizes, &paramSource{rng: rand.New(rand.NewSource(cfg.Seed))})
+}
+
+// newWeights validates cfg, resolves k and takes every parameter of the
+// architecture from p.
+func newWeights(cfg Config, trainSizes []int, p *paramSource) (*Weights, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -101,51 +107,35 @@ func NewModel(cfg Config, trainSizes []int) (*Model, error) {
 	if cfg.Pooling == SortPooling {
 		w.K = cfg.ResolveK(trainSizes)
 	}
-	m := w.build()
-	for _, p := range m.params {
-		w.values = append(w.values, p.Value)
-	}
-	return m, nil
+	w.architecture(p)
+	w.values = p.values
+	return w, nil
 }
 
-// NewReplica returns a new replica bound to w: its parameter values alias
-// w's tensors, while its gradient buffers, forward caches and scratch are
-// its own. Replicas are how goroutines run one weight set concurrently even
-// though a single Model is not safe for it; w may only be mutated
-// (optimizer steps, best-epoch restore) while none of them is mid-forward.
+// NewModel draws a fresh weight set (NewWeights) and returns a replica
+// bound to it.
+func NewModel(cfg Config, trainSizes []int) (*Model, error) {
+	w, err := NewWeights(cfg, trainSizes)
+	if err != nil {
+		return nil, err
+	}
+	return w.NewReplica(), nil
+}
+
+// NewReplica returns a new replica bound to w: its layers are built over
+// w's tensors and draw nothing, while its forward caches, scratch and (once
+// it trains) gradient buffers are its own. Replicas are how goroutines run
+// one weight set concurrently even though a single Model is not safe for
+// it; w may only be mutated (optimizer steps, best-epoch restore) while
+// none of them is mid-forward.
 func (w *Weights) NewReplica() *Model {
-	m := w.build()
-	for i, p := range m.params {
-		p.Value = w.values[i]
-	}
-	return m
-}
-
-// build constructs w's architecture with every parameter freshly drawn from
-// Config.Seed, in a fixed per-layer order, so every build has the same
-// shapes and NewModel's draw is the initial weight set.
-func (w *Weights) build() *Model {
-	cfg := w.Config
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Weights: w}
-	m.conv = newConvBackend(rng, &cfg)
-	d := cfg.TotalConvWidth()
-
-	switch cfg.Pooling {
-	case SortPooling:
+	m.conv, m.head = w.architecture(&paramSource{given: w.values})
+	if w.Config.Pooling == SortPooling {
 		m.sort = NewSortPool(w.K)
-		switch cfg.Head {
-		case Conv1DHead:
-			m.head = buildConv1DHead(rng, cfg, w.K, d)
-		case WeightedVerticesHead:
-			m.head = buildWeightedVerticesHead(rng, cfg, w.K, d)
-		}
-	case AdaptivePooling:
-		m.head = buildAMPHead(rng, cfg, d)
 	}
 
-	m.params = append(m.params, m.conv.Params()...)
-	m.params = append(m.params, m.head.Params()...)
+	m.params = append(m.conv.Params(), m.head.Params()...)
 	for _, l := range m.head.Layers {
 		if d, ok := l.(*nn.Dropout); ok {
 			m.dropouts = append(m.dropouts, d)
@@ -159,9 +149,81 @@ func (w *Weights) build() *Model {
 		m.sort.SetWorkspace(m.ws)
 	}
 	m.head.SetWorkspace(m.ws)
-	m.probs = make([]float64, cfg.Classes)
-	m.dlogits = make([]float64, cfg.Classes)
+	m.probs = make([]float64, w.Config.Classes)
+	m.dlogits = make([]float64, w.Config.Classes)
 	return m
+}
+
+// architecture builds w's graph convolutions and head over the parameter
+// tensors p hands out, in the fixed layer order that is both the order a
+// fresh set is drawn in and the checkpoint order.
+func (w *Weights) architecture(p *paramSource) (ConvBackend, *nn.Sequential) {
+	cfg := w.Config
+	conv := newConvBackend(p, &cfg)
+	switch {
+	case cfg.Pooling == AdaptivePooling:
+		return conv, buildAMPHead(p, cfg)
+	case cfg.Head == WeightedVerticesHead:
+		return conv, buildWeightedVerticesHead(p, cfg, w.K, cfg.TotalConvWidth())
+	}
+	return conv, buildConv1DHead(p, cfg, w.K, cfg.TotalConvWidth())
+}
+
+// paramSource hands an architecture's constructors their parameter tensors
+// in layer order, and is the one place parameters are initialized. With
+// given set it hands those tensors out in turn (a replica aliases its
+// weights); otherwise it makes each one — Glorot-uniform weights, zero
+// biases and the WeightedVertices row drawn from rng, or all zeros, for a
+// checkpoint to decode into, when rng is nil.
+type paramSource struct {
+	rng    *rand.Rand
+	given  []*tensor.Matrix
+	values []*tensor.Matrix // every tensor handed out so far
+}
+
+// take returns the next rows×cols parameter tensor; draw makes a new one
+// from the rng (nil: zeros).
+func (p *paramSource) take(rows, cols int, draw func(rng *rand.Rand) *tensor.Matrix) *tensor.Matrix {
+	var v *tensor.Matrix
+	switch {
+	case p.given != nil:
+		v = p.given[len(p.values)]
+	case p.rng != nil && draw != nil:
+		v = draw(p.rng)
+	default:
+		v = tensor.New(rows, cols)
+	}
+	p.values = append(p.values, v)
+	return v
+}
+
+// glorot returns the next rows×cols weight matrix, Glorot-uniform when
+// drawn.
+func (p *paramSource) glorot(rows, cols int) *tensor.Matrix {
+	return p.take(rows, cols, func(rng *rand.Rand) *tensor.Matrix {
+		return tensor.GlorotUniform(rng, rows, cols)
+	})
+}
+
+// vertexWeights returns the next 1×k WeightedVertices row, drawn uniform
+// around 1/k with a little noise to break symmetry: a neutral starting
+// point for the weighted sum.
+func (p *paramSource) vertexWeights(k int) *tensor.Matrix {
+	return p.take(1, k, func(rng *rand.Rand) *tensor.Matrix {
+		w := tensor.New(1, k)
+		for i := range w.Data {
+			w.Data[i] = 1.0/float64(k) + (rng.Float64()-0.5)*0.1/float64(k)
+		}
+		return w
+	})
+}
+
+// zeros returns the next rows×cols bias, zero when made.
+func (p *paramSource) zeros(rows, cols int) *tensor.Matrix { return p.take(rows, cols, nil) }
+
+// linear returns a dense layer over the next in×out weights and 1×out bias.
+func (p *paramSource) linear(in, out int) *nn.Linear {
+	return nn.NewLinear(p.glorot(in, out), p.zeros(1, out))
 }
 
 // Clone returns a deep copy of w with the same Version, which the caller
@@ -194,17 +256,17 @@ func (m *Model) seedSampleNoise(seed int64) {
 // and stride d so each filter aggregates one vertex's descriptor, then max
 // pooling halves the vertex axis and a second Conv1D mixes neighbouring
 // vertex embeddings before the dense classifier.
-func buildConv1DHead(rng *rand.Rand, cfg Config, k, d int) *nn.Sequential {
+func buildConv1DHead(p *paramSource, cfg Config, k, d int) *nn.Sequential {
 	c1, c2 := cfg.Conv1DChannels[0], cfg.Conv1DChannels[1]
-	conv1 := nn.NewConv1D(rng, 1, c1, d, d) // 1×1×(k·d) → c1×1×k
-	w := conv1.OutWidth(k * d)              // == k
+	conv1 := nn.NewConv1D(p.glorot(c1, d), p.zeros(1, c1), d, d) // 1×1×(k·d) → c1×1×k
+	w := conv1.OutWidth(k * d)                                   // == k
 	pool := nn.NewMaxPool2D(1, 2, 2)
 	_, pw := pool.OutDims(1, w)
 	kernel2 := cfg.Conv1DKernel
 	if kernel2 > pw {
 		kernel2 = pw // degenerate tiny-k configs: shrink the kernel
 	}
-	conv2 := nn.NewConv1D(rng, c1, c2, kernel2, 1)
+	conv2 := nn.NewConv1D(p.glorot(c2, c1*kernel2), p.zeros(1, c2), kernel2, 1)
 	flatW := c2 * conv2.OutWidth(pw)
 	return nn.NewSequential(
 		conv1,
@@ -212,44 +274,44 @@ func buildConv1DHead(rng *rand.Rand, cfg Config, k, d int) *nn.Sequential {
 		pool,
 		conv2,
 		nn.NewReLU(),
-		nn.NewLinear(rng, flatW, cfg.HiddenUnits),
+		p.linear(flatW, cfg.HiddenUnits),
 		nn.NewReLU(),
-		nn.NewDropout(rng, cfg.DropoutRate),
-		nn.NewLinear(rng, cfg.HiddenUnits, cfg.Classes),
+		nn.NewDropout(cfg.DropoutRate),
+		p.linear(cfg.HiddenUnits, cfg.Classes),
 	)
 }
 
 // buildWeightedVerticesHead realizes the paper's Eq. 3 head.
-func buildWeightedVerticesHead(rng *rand.Rand, cfg Config, k, d int) *nn.Sequential {
+func buildWeightedVerticesHead(p *paramSource, cfg Config, k, d int) *nn.Sequential {
 	return nn.NewSequential(
-		NewWeightedVertices(rng, k),
-		nn.NewLinear(rng, d, cfg.HiddenUnits),
+		NewWeightedVertices(p.vertexWeights(k)),
+		p.linear(d, cfg.HiddenUnits),
 		nn.NewReLU(),
-		nn.NewDropout(rng, cfg.DropoutRate),
-		nn.NewLinear(rng, cfg.HiddenUnits, cfg.Classes),
+		nn.NewDropout(cfg.DropoutRate),
+		p.linear(cfg.HiddenUnits, cfg.Classes),
 	)
 }
 
 // buildAMPHead realizes Section III-C: Conv2D over the raw n×d feature map,
 // adaptive max pooling to a fixed grid, then a small VGG-style stack. The
 // first Conv2D → ReLU → AdaptiveMaxPool2D is the one fused nn.ConvAMP layer,
-// the only part of the head whose cost grows with n.
-func buildAMPHead(rng *rand.Rand, cfg Config, d int) *nn.Sequential {
+// the only part of the head whose cost grows with n. The head is
+// width-agnostic: AMP unifies the grid.
+func buildAMPHead(p *paramSource, cfg Config) *nn.Sequential {
 	c := cfg.Conv2DChannels
 	gh, gw := cfg.AMPGrid()
 	post := nn.NewMaxPool2D(2, 2, 2)
 	ph, pw := post.OutDims(gh, gw)
 	flat := 2 * c * ph * pw
-	_ = d // the head is width-agnostic: AMP unifies the grid
 	return nn.NewSequential(
-		nn.NewConvAMP(rng, c, gh, gw),
-		nn.NewConv2D(rng, c, 2*c, 3, 3, 1, 1),
+		nn.NewConvAMP(p.glorot(c, 9), p.zeros(1, c), gh, gw),
+		nn.NewConv2D(p.glorot(2*c, c*9), p.zeros(1, 2*c), 3, 3, 1, 1),
 		nn.NewReLU(),
 		post,
-		nn.NewLinear(rng, flat, cfg.HiddenUnits),
+		p.linear(flat, cfg.HiddenUnits),
 		nn.NewReLU(),
-		nn.NewDropout(rng, cfg.DropoutRate),
-		nn.NewLinear(rng, cfg.HiddenUnits, cfg.Classes),
+		nn.NewDropout(cfg.DropoutRate),
+		p.linear(cfg.HiddenUnits, cfg.Classes),
 	)
 }
 

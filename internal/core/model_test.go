@@ -258,10 +258,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := Load(&buf)
+	w2, err := LoadWeights(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
+	m2 := w2.NewReplica()
 	for _, s := range train.Samples {
 		p1, p2 := m.Predict(s.ACFG), m2.Predict(s.ACFG)
 		for i := range p1 {
@@ -273,10 +274,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsCorrupt(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not json"))); err == nil {
+	if _, err := LoadWeights(bytes.NewReader([]byte("not json"))); err == nil {
 		t.Fatal("want decode error")
 	}
-	if _, err := Load(bytes.NewReader([]byte(`{"config":{"classes":2,"attrDim":0}}`))); err == nil {
+	if _, err := LoadWeights(bytes.NewReader([]byte(`{"config":{"classes":2,"attrDim":0}}`))); err == nil {
 		t.Fatal("want validation error")
 	}
 }

@@ -104,10 +104,7 @@ func TestPaperFigure3(t *testing.T) {
 	x := figure2X()
 	w1, w2 := figure3Weights()
 
-	stack := &GraphConvStack{Weights: []*nn.Param{
-		nn.NewParam("W1", w1.Clone()),
-		nn.NewParam("W2", w2.Clone()),
-	}}
+	stack := NewGraphConvStack([][]*tensor.Matrix{{w1.Clone()}, {w2.Clone()}})
 	csr := graph.NewCSR(g)
 	got := stack.Forward(csr, x)
 
@@ -268,7 +265,7 @@ func TestGraphConvGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := figure2Graph()
 	csr := graph.NewCSR(g)
-	stack := NewGraphConvStack(rng, 2, []int{3, 4})
+	stack := newTestBackend(t, "gcn", rng, 2, []int{3, 4})
 	x := tensor.Uniform(rng, 5, 2, -2, 2)
 
 	weights := tensor.Uniform(rng, 5, 7, -1, 1) // loss weights over Z^{1:2}
@@ -314,7 +311,7 @@ func TestGraphConvGradients(t *testing.T) {
 // TestWeightedVerticesGradients numerically checks Eq. 3's backward pass.
 func TestWeightedVerticesGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	wv := NewWeightedVertices(rng, 3)
+	wv := NewWeightedVertices((&paramSource{rng: rng}).vertexWeights(3))
 	in := volumeOf(tensor.Uniform(rng, 3, 4, -2, 2))
 	weights := make([]float64, 4)
 	for i := range weights {

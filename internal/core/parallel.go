@@ -378,15 +378,16 @@ func (e *ParallelBatch) Predict(as []*acfg.ACFG) ([][]float64, error) {
 // PredictBatch classifies many ACFGs concurrently, returning one
 // probability vector per input (in input order). workers < 1 selects
 // runtime.GOMAXPROCS. Results are identical to calling Predict serially on
-// each sample. It runs on m and workers − 1 replicas it builds for the call
-// and drops on return, so a one-shot caller pays for the replicas and a
-// caller that predicts batch after batch keeps a ParallelBatch instead.
+// each sample. It runs on m and up to workers − 1 replicas it builds for the
+// call — no more than the samples can occupy, one sample each — and drops
+// on return, so a one-shot caller pays for the replicas and a caller that
+// predicts batch after batch keeps a ParallelBatch instead.
 func (m *Model) PredictBatch(as []*acfg.ACFG, workers int) ([][]float64, error) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &ParallelBatch{replicas: []*Model{m}}
-	for len(e.replicas) < workers {
+	for len(e.replicas) < min(workers, len(as)) {
 		e.replicas = append(e.replicas, m.NewReplica())
 	}
 	return e.Predict(as)

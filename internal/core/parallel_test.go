@@ -371,3 +371,28 @@ func TestParallelSpeedup(t *testing.T) {
 		t.Errorf("workers=4 took %v, want ≤ half of workers=1 (%v)", parallel, serial)
 	}
 }
+
+// TestPredictBatchBuildsOnlyUsableReplicas pins that the one-shot
+// PredictBatch builds no replica its samples cannot occupy: one sample at
+// eight workers runs on the receiver alone, allocating exactly what a
+// one-worker call does.
+func TestPredictBatchBuildsOnlyUsableReplicas(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	d := twoClassDataset(rng, 2)
+	m, err := NewModel(determinismConfig(), d.Sizes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	one := acfgsOf(d)[:1]
+	allocs := func(workers int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := m.PredictBatch(one, workers); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	allocs(1) // warm-up: size the receiver's arena
+	if serial, wide := allocs(1), allocs(8); wide != serial {
+		t.Errorf("1-sample PredictBatch allocated %.0f objects at 8 workers, %.0f at 1: it built replicas no sample could use", wide, serial)
+	}
+}

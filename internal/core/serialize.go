@@ -72,32 +72,31 @@ func atomicWriteFile(path string, write func(io.Writer) error) (err error) {
 	return nil
 }
 
-// Load reconstructs weights saved with Save and returns a replica bound to
-// them.
-func Load(r io.Reader) (*Model, error) {
+// LoadWeights reconstructs weights saved with Save, decoding them into the
+// architecture's shapes; nothing is drawn.
+func LoadWeights(r io.Reader) (*Weights, error) {
 	var sm savedModel
 	if err := json.NewDecoder(r).Decode(&sm); err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
 	cfg := sm.Config
 	cfg.K = sm.K // force the saved k instead of re-deriving it
-	m, err := NewModel(cfg, nil)
+	w, err := newWeights(cfg, nil, &paramSource{})
 	if err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
-	if len(sm.Params) != len(m.values) {
-		return nil, fmt.Errorf("core: load model: %d parameter tensors, want %d", len(sm.Params), len(m.values))
+	w.Version, w.scaler = sm.Version, sm.Scaler
+	if len(sm.Params) != len(w.values) {
+		return nil, fmt.Errorf("core: load model: %d parameter tensors, want %d", len(sm.Params), len(w.values))
 	}
 	for i, vals := range sm.Params {
-		if len(vals) != len(m.values[i].Data) {
+		if len(vals) != len(w.values[i].Data) {
 			return nil, fmt.Errorf("core: load model: parameter %d has %d values, want %d",
-				i, len(vals), len(m.values[i].Data))
+				i, len(vals), len(w.values[i].Data))
 		}
-		copy(m.values[i].Data, vals)
+		copy(w.values[i].Data, vals)
 	}
-	m.scaler = sm.Scaler
-	m.Version = sm.Version
-	return m, nil
+	return w, nil
 }
 
 // Fingerprint returns a hex SHA-256 digest over the architecture and every
@@ -127,12 +126,21 @@ func (w *Weights) Fingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// LoadFile reads weights from path and returns a replica bound to them.
-func LoadFile(path string) (*Model, error) {
+// LoadWeightsFile reads weights from path.
+func LoadWeightsFile(path string) (*Weights, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: load model: %w", err)
 	}
 	defer func() { _ = f.Close() }()
-	return Load(f)
+	return LoadWeights(f)
+}
+
+// LoadFile reads weights from path and returns a replica bound to them.
+func LoadFile(path string) (*Model, error) {
+	w, err := LoadWeightsFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return w.NewReplica(), nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
@@ -24,19 +22,12 @@ type WeightedVertices struct {
 	ws *nn.Workspace
 
 	lastIn  *nn.Volume
-	lastPre []float64
-	dpre    []float64
+	lastOut *nn.Volume // rectified in place: > 0 exactly where W × Zsp is
 }
 
-// NewWeightedVertices builds the layer with uniform initial weights 1/k, a
-// neutral starting point for the weighted sum.
-func NewWeightedVertices(rng *rand.Rand, k int) *WeightedVertices {
-	w := tensor.New(1, k)
-	for i := range w.Data {
-		// Uniform around 1/k with a little noise to break symmetry.
-		w.Data[i] = 1.0/float64(k) + (rng.Float64()-0.5)*0.1/float64(k)
-	}
-	return &WeightedVertices{K: k, W: nn.NewParam("weightedvertices.W", w)}
+// NewWeightedVertices builds the layer over the 1×k row of vertex weights w.
+func NewWeightedVertices(w *tensor.Matrix) *WeightedVertices {
+	return &WeightedVertices{K: w.Cols, W: nn.NewParam("weightedvertices.W", w)}
 }
 
 // SetWorkspace installs the scratch workspace the layer draws its output and
@@ -50,58 +41,42 @@ func (l *WeightedVertices) Forward(in *nn.Volume, _ bool) *nn.Volume {
 	}
 	l.lastIn = in
 	d := in.W
-	if cap(l.lastPre) < d {
-		l.lastPre = make([]float64, d)
-	}
-	pre := l.lastPre[:d]
-	for c := range pre {
-		pre[c] = 0 // the loop below accumulates
-	}
+	out := l.ws.Volume(1, 1, d)
+	out.Zero() // the loop below accumulates
 	for i := 0; i < l.K; i++ {
 		wi := l.W.Value.Data[i]
-		row := in.Data[i*d : (i+1)*d]
-		for c, v := range row {
-			pre[c] += wi * v
+		for c, v := range in.Data[i*d : (i+1)*d] {
+			out.Data[c] += wi * v
 		}
 	}
-	l.lastPre = pre
-	out := l.ws.Volume(1, 1, d)
-	for c, v := range pre {
-		if v > 0 {
-			out.Data[c] = v
-		} else {
+	for c, v := range out.Data {
+		if !(v > 0) {
 			out.Data[c] = 0
 		}
 	}
+	l.lastOut = out
 	return out
 }
 
-// Backward routes gradients through the ReLU and the weighted sum,
-// accumulating ∂L/∂W.
+// Backward routes gradients through the ReLU (gated on its output) and the
+// weighted sum, accumulating ∂L/∂W.
 func (l *WeightedVertices) Backward(dout *nn.Volume) *nn.Volume {
 	d := l.lastIn.W
-	if cap(l.dpre) < d {
-		l.dpre = make([]float64, d)
-	}
-	dpre := l.dpre[:d]
-	for c, g := range dout.Data {
-		if l.lastPre[c] > 0 {
-			dpre[c] = g
-		} else {
-			dpre[c] = 0
-		}
-	}
 	din := l.ws.Volume(1, l.K, d)
+	gW := l.W.Gradient()
 	for i := 0; i < l.K; i++ {
 		wi := l.W.Value.Data[i]
 		inRow := l.lastIn.Data[i*d : (i+1)*d]
 		dinRow := din.Data[i*d : (i+1)*d]
 		gw := 0.0
-		for c, g := range dpre {
+		for c, g := range dout.Data {
+			if !(l.lastOut.Data[c] > 0) {
+				g = 0
+			}
 			dinRow[c] = wi * g
 			gw += g * inRow[c]
 		}
-		l.W.Grad.Data[i] += gw
+		gW.Data[i] += gw
 	}
 	return din
 }

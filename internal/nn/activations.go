@@ -101,15 +101,13 @@ func (t *Tanh) Params() []*Param { return nil }
 // change.
 type Dropout struct {
 	Rate float64
-	rng  *rand.Rand
 
 	wsHolder
-	// priv is the layer-private mask stream installed by the first Reseed
-	// and re-seeded in place on later calls, so the trainer's per-sample
-	// reseeding allocates nothing in steady state. The rng shared at
-	// construction time is never re-seeded: sibling layers draw their
-	// weight initialization from it.
-	priv *rand.Rand
+	// rng is the layer-private mask stream, created by the first Reseed and
+	// re-seeded in place on later calls, so the trainer's per-sample
+	// reseeding allocates nothing in steady state. A training forward before
+	// any Reseed seeds it with 0, so an unseeded layer is deterministic too.
+	rng *rand.Rand
 	// mask is the persistent survivor mask, grown to the largest activation
 	// seen and fully rewritten on every training forward.
 	mask   []bool
@@ -117,26 +115,24 @@ type Dropout struct {
 }
 
 // NewDropout returns a Dropout layer with the given drop probability.
-func NewDropout(rng *rand.Rand, rate float64) *Dropout {
+func NewDropout(rate float64) *Dropout {
 	if rate < 0 || rate >= 1 {
 		panic("nn: dropout rate must be in [0, 1)")
 	}
-	return &Dropout{Rate: rate, rng: rng}
+	return &Dropout{Rate: rate}
 }
 
-// Reseed re-points the layer's mask stream at a deterministic position,
-// detaching it from any rng shared at construction time. The trainer calls
-// this with a per-sample seed before each training forward pass so the mask
-// depends only on (seed, sample) — never on the order or goroutine that
-// happens to process the sample. This is the keystone of the data-parallel
-// trainer's parallel-equals-serial guarantee.
+// Reseed re-points the layer's mask stream at a deterministic position. The
+// trainer calls this with a per-sample seed before each training forward
+// pass so the mask depends only on (seed, sample) — never on the order or
+// goroutine that happens to process the sample. This is the keystone of the
+// data-parallel trainer's parallel-equals-serial guarantee.
 func (d *Dropout) Reseed(seed int64) {
-	if d.priv == nil {
-		d.priv = rand.New(rand.NewSource(seed))
+	if d.rng == nil {
+		d.rng = rand.New(rand.NewSource(seed))
 	} else {
-		d.priv.Seed(seed)
+		d.rng.Seed(seed)
 	}
-	d.rng = d.priv
 }
 
 // Forward applies the dropout mask during training and is the identity at
@@ -145,6 +141,9 @@ func (d *Dropout) Forward(in *Volume, train bool) *Volume {
 	if !train || d.Rate == 0 {
 		d.masked = false
 		return in
+	}
+	if d.rng == nil {
+		d.Reseed(0)
 	}
 	out := d.ws.Volume(in.C, in.H, in.W)
 	if cap(d.mask) < in.Len() {

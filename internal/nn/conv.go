@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/tensor"
 )
@@ -21,15 +20,16 @@ type Conv1D struct {
 	lastIn *Volume
 }
 
-// NewConv1D builds a 1-D convolution layer with Glorot-uniform filters.
-func NewConv1D(rng *rand.Rand, inC, outC, kernel, stride int) *Conv1D {
+// NewConv1D builds a 1-D convolution layer over the OutC × (InC·kernel)
+// filters w and the 1 × OutC bias b.
+func NewConv1D(w, b *tensor.Matrix, kernel, stride int) *Conv1D {
 	if kernel <= 0 || stride <= 0 {
 		panic("nn: conv1d kernel and stride must be positive")
 	}
 	return &Conv1D{
-		InC: inC, OutC: outC, Kernel: kernel, Stride: stride,
-		W: NewParam("conv1d.W", tensor.GlorotUniform(rng, outC, inC*kernel)),
-		B: NewParam("conv1d.B", tensor.New(1, outC)),
+		InC: w.Cols / kernel, OutC: w.Rows, Kernel: kernel, Stride: stride,
+		W: NewParam("conv1d.W", w),
+		B: NewParam("conv1d.B", b),
 	}
 }
 
@@ -73,16 +73,17 @@ func (c *Conv1D) Backward(dout *Volume) *Volume {
 	in := c.lastIn
 	din := c.ws.Volume(in.C, 1, in.W)
 	din.Zero() // the scatter below accumulates
+	gW, gB := c.W.Gradient(), c.B.Gradient()
 	ow := dout.W
 	for oc := 0; oc < c.OutC; oc++ {
 		w := c.W.Value.Row(oc)
-		gw := c.W.Grad.Row(oc)
+		gw := gW.Row(oc)
 		for ox := 0; ox < ow; ox++ {
 			g := dout.At(oc, 0, ox)
 			if g == 0 {
 				continue
 			}
-			c.B.Grad.Data[oc] += g
+			gB.Data[oc] += g
 			start := ox * c.Stride
 			for ic := 0; ic < c.InC; ic++ {
 				inRow := in.Data[ic*in.W : (ic+1)*in.W]
@@ -121,16 +122,17 @@ type Conv2D struct {
 // cell, one register accumulator each.
 const convBlock = 8
 
-// NewConv2D builds a 2-D convolution layer with Glorot-uniform filters.
-func NewConv2D(rng *rand.Rand, inC, outC, kh, kw, stride, pad int) *Conv2D {
+// NewConv2D builds a 2-D convolution layer over the OutC × (InC·kh·kw)
+// filters w and the 1 × OutC bias b.
+func NewConv2D(w, b *tensor.Matrix, kh, kw, stride, pad int) *Conv2D {
 	if kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
 		panic("nn: conv2d invalid geometry")
 	}
 	return &Conv2D{
-		InC: inC, OutC: outC, KH: kh, KW: kw, Stride: stride, Pad: pad,
-		W:      NewParam("conv2d.W", tensor.GlorotUniform(rng, outC, inC*kh*kw)),
-		B:      NewParam("conv2d.B", tensor.New(1, outC)),
-		packed: make([]float64, inC*kh*kw*convBlock),
+		InC: w.Cols / (kh * kw), OutC: w.Rows, KH: kh, KW: kw, Stride: stride, Pad: pad,
+		W:      NewParam("conv2d.W", w),
+		B:      NewParam("conv2d.B", b),
+		packed: make([]float64, w.Cols*convBlock),
 	}
 }
 
@@ -275,9 +277,10 @@ func (c *Conv2D) Backward(dout *Volume) *Volume {
 	din.Zero() // the scatter below accumulates
 	inHW := in.H * in.W
 	ohw := dout.H * dout.W
+	gW, gB := c.W.Gradient(), c.B.Gradient()
 	for oc := 0; oc < c.OutC; oc++ {
 		w := c.W.Value.Row(oc)
-		gw := c.W.Grad.Row(oc)
+		gw := gW.Row(oc)
 		doutCh := dout.Data[oc*ohw : (oc+1)*ohw]
 		for oy := 0; oy < dout.H; oy++ {
 			sy := oy*c.Stride - c.Pad
@@ -297,7 +300,7 @@ func (c *Conv2D) Backward(dout *Volume) *Volume {
 				// In place, not via a local partial: the bias gradient
 				// accumulates across samples, so its chain must add each g
 				// directly like the reference loop.
-				c.B.Grad.Data[oc] += g
+				gB.Data[oc] += g
 				sx := ox*c.Stride - c.Pad
 				kxLo, kxHi := 0, c.KW
 				if sx < 0 {

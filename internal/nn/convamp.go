@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/tensor"
 )
@@ -55,18 +54,19 @@ type ConvAMP struct {
 	order  []int // backward: one channel's open cells, by conv position
 }
 
-// NewConvAMP builds the fused layer. It draws its filters exactly as
-// NewConv2D(rng, 1, outC, 3, 3, 1, 1) does and names its parameters the
-// same, so models and checkpoints are interchangeable with the three-layer
-// construction.
-func NewConvAMP(rng *rand.Rand, outC, outH, outW int) *ConvAMP {
-	if outC <= 0 || outH <= 0 || outW <= 0 {
-		panic("nn: convamp channel count and output dims must be positive")
+// NewConvAMP builds the fused layer over the OutC × 9 filters w and the
+// 1 × OutC bias b — the parameters of NewConv2D(w, b, 3, 3, 1, 1), named
+// the same, so models and checkpoints are interchangeable with the
+// three-layer construction.
+func NewConvAMP(w, b *tensor.Matrix, outH, outW int) *ConvAMP {
+	outC := w.Rows
+	if outC <= 0 || w.Cols != 9 || outH <= 0 || outW <= 0 {
+		panic("nn: convamp needs OutC×9 filters and positive output dims")
 	}
 	return &ConvAMP{
 		OutC: outC, OutH: outH, OutW: outW,
-		W:      NewParam("conv2d.W", tensor.GlorotUniform(rng, outC, 9)),
-		B:      NewParam("conv2d.B", tensor.New(1, outC)),
+		W:      NewParam("conv2d.W", w),
+		B:      NewParam("conv2d.B", b),
 		argmax: make([]int, outC*outH*outW),
 		y0:     make([]int, outH),
 		y1:     make([]int, outH),
@@ -164,10 +164,11 @@ func (l *ConvAMP) Backward(dout *Volume) *Volume {
 	h, w := in.H, in.W
 	din := l.ws.Volume(1, h, w)
 	din.Zero() // the scatter below accumulates
+	gW, gB := l.W.Gradient(), l.B.Gradient()
 	cells := l.OutH * l.OutW
 	for oc := 0; oc < l.OutC; oc++ {
 		k := l.W.Value.Row(oc)
-		gk := l.W.Grad.Row(oc)
+		gk := gW.Row(oc)
 		gate := l.lastOut.Data[oc*cells : (oc+1)*cells]
 		args := l.argmax[oc*cells : (oc+1)*cells]
 		gs := dout.Data[oc*cells : (oc+1)*cells]
@@ -194,7 +195,7 @@ func (l *ConvAMP) Backward(dout *Volume) *Volume {
 			if g == 0 {
 				continue
 			}
-			l.B.Grad.Data[oc] += g
+			gB.Data[oc] += g
 			y, x := pos/w, pos%w
 			kyLo, kyHi := 0, 3
 			if y == 0 {

@@ -20,8 +20,8 @@ const (
 // same filters.
 func ampPair(t testing.TB, seed int64, outC, outH, outW, mode int) (*ConvAMP, *Sequential, *Conv2D) {
 	t.Helper()
-	fused := NewConvAMP(rand.New(rand.NewSource(seed)), outC, outH, outW)
-	conv := NewConv2D(rand.New(rand.NewSource(seed)), 1, outC, 3, 3, 1, 1)
+	fused := newConvAMP(rand.New(rand.NewSource(seed)), outC, outH, outW)
+	conv := newConv2D(rand.New(rand.NewSource(seed)), 1, outC, 3, 3, 1, 1)
 	for i, v := range conv.W.Value.Data {
 		if math.Float64bits(v) != math.Float64bits(fused.W.Value.Data[i]) {
 			t.Fatalf("filter %d: fused drew %g, Conv2D drew %g from the same seed", i, fused.W.Value.Data[i], v)
@@ -238,7 +238,7 @@ func TestConvAMPDuplicateWinner(t *testing.T) {
 // OutC×H×W map.
 func TestConvAMPZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	l := NewConvAMP(rng, 16, 10, 8)
+	l := newConvAMP(rng, 16, 10, 8)
 	ws := NewWorkspace()
 	l.SetWorkspace(ws)
 	in := randVolume(rng, 1, 179, 128)

@@ -159,7 +159,7 @@ func TestConv2DForwardMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			layer := NewConv2D(rng, tc.inC, tc.outC, tc.kh, tc.kw, tc.stride, tc.pad)
+			layer := newConv2D(rng, tc.inC, tc.outC, tc.kh, tc.kw, tc.stride, tc.pad)
 			checkConv2DForward(t, layer, tc.h, tc.w, rng.NormFloat64)
 		})
 	}
@@ -186,7 +186,7 @@ func FuzzConv2DForward(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, inC, outC, kh, kw, stride, pad, h, w, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		layer := NewConv2D(rng, 1+int(inC-1)%16, 1+int(outC-1)%40, 1+int(kh-1)%5, 1+int(kw-1)%5, 1+int(stride-1)%3, int(pad)%5)
+		layer := newConv2D(rng, 1+int(inC-1)%16, 1+int(outC-1)%40, 1+int(kh-1)%5, 1+int(kw-1)%5, 1+int(stride-1)%3, int(pad)%5)
 		m := int(mode) % kernModes
 		nans := []uint64{x86DefaultNaN}
 		checkConv2DForward(t, layer, 1+int(h-1)%20, 1+int(w-1)%20, func() float64 { return kernelValue(rng, m, nans) })

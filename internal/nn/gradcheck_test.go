@@ -4,7 +4,28 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
+
+// The layer constructors take their parameters; these draw Glorot-uniform
+// filters and zero biases from rng, as a model's fresh weight set does.
+
+func newLinear(rng *rand.Rand, in, out int) *Linear {
+	return NewLinear(tensor.GlorotUniform(rng, in, out), tensor.New(1, out))
+}
+
+func newConv1D(rng *rand.Rand, inC, outC, kernel, stride int) *Conv1D {
+	return NewConv1D(tensor.GlorotUniform(rng, outC, inC*kernel), tensor.New(1, outC), kernel, stride)
+}
+
+func newConv2D(rng *rand.Rand, inC, outC, kh, kw, stride, pad int) *Conv2D {
+	return NewConv2D(tensor.GlorotUniform(rng, outC, inC*kh*kw), tensor.New(1, outC), kh, kw, stride, pad)
+}
+
+func newConvAMP(rng *rand.Rand, outC, outH, outW int) *ConvAMP {
+	return NewConvAMP(tensor.GlorotUniform(rng, outC, 9), tensor.New(1, outC), outH, outW)
+}
 
 // lossOf runs a forward pass and reduces the output with a fixed weighted
 // sum so that the loss is a scalar function of inputs and parameters.
@@ -77,7 +98,7 @@ func randVolume(rng *rand.Rand, c, h, w int) *Volume {
 
 func TestLinearGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	l := NewLinear(rng, 6, 4)
+	l := newLinear(rng, 6, 4)
 	checkLayerGradients(t, l, randVolume(rng, 1, 2, 3), 1e-5)
 }
 
@@ -100,26 +121,26 @@ func TestTanhGradients(t *testing.T) {
 
 func TestConv1DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	l := NewConv1D(rng, 2, 3, 3, 2)
+	l := newConv1D(rng, 2, 3, 3, 2)
 	checkLayerGradients(t, l, randVolume(rng, 2, 1, 9), 1e-5)
 }
 
 func TestConv1DStrideEqualsKernel(t *testing.T) {
 	// The DGCNN "remaining layer" uses kernel == stride == feature width.
 	rng := rand.New(rand.NewSource(6))
-	l := NewConv1D(rng, 1, 4, 5, 5)
+	l := newConv1D(rng, 1, 4, 5, 5)
 	checkLayerGradients(t, l, randVolume(rng, 1, 1, 20), 1e-5)
 }
 
 func TestConv2DGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	l := NewConv2D(rng, 2, 3, 3, 3, 1, 1)
+	l := newConv2D(rng, 2, 3, 3, 3, 1, 1)
 	checkLayerGradients(t, l, randVolume(rng, 2, 4, 5), 1e-5)
 }
 
 func TestConv2DStride2NoPad(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	l := NewConv2D(rng, 1, 2, 2, 3, 2, 0)
+	l := newConv2D(rng, 1, 2, 2, 3, 2, 0)
 	checkLayerGradients(t, l, randVolume(rng, 1, 6, 7), 1e-5)
 }
 
@@ -135,7 +156,7 @@ func TestAdaptiveMaxPoolGradients(t *testing.T) {
 
 func TestConvAMPGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	l := NewConvAMP(rng, 3, 3, 2)
+	l := newConvAMP(rng, 3, 3, 2)
 	for i := range l.B.Value.Data {
 		l.B.Value.Data[i] = 0.5 // keep a healthy share of ReLU gates open
 	}
@@ -145,10 +166,10 @@ func TestConvAMPGradients(t *testing.T) {
 func TestSequentialGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	seq := NewSequential(
-		NewConv2D(rng, 1, 2, 3, 3, 1, 1),
+		newConv2D(rng, 1, 2, 3, 3, 1, 1),
 		NewTanh(),
 		NewAdaptiveMaxPool2D(2, 2),
-		NewLinear(rng, 8, 3),
+		newLinear(rng, 8, 3),
 	)
 	checkLayerGradients(t, seq, randVolume(rng, 1, 5, 6), 1e-4)
 }

@@ -4,16 +4,27 @@ import "repro/internal/tensor"
 
 // Param is a trainable parameter with its accumulated gradient. Gradients
 // accumulate across the samples of a mini-batch; the optimizer consumes and
-// zeroes them on Step.
+// zeroes them on Step. Grad is an empty 0×0 matrix until a Backward or an
+// optimizer asks for it (Gradient), so a parameter that only predicts holds
+// none.
 type Param struct {
 	Name  string
 	Value *tensor.Matrix
 	Grad  *tensor.Matrix
 }
 
-// NewParam wraps an initial value in a Param with a zeroed gradient buffer.
+// NewParam wraps a value in a Param whose gradient is not yet allocated.
 func NewParam(name string, value *tensor.Matrix) *Param {
-	return &Param{Name: name, Value: value, Grad: tensor.New(value.Rows, value.Cols)}
+	return &Param{Name: name, Value: value, Grad: &tensor.Matrix{}}
+}
+
+// Gradient returns the buffer p's gradient accumulates into, allocating it
+// zeroed, in place behind Grad, on first use.
+func (p *Param) Gradient() *tensor.Matrix {
+	if p.Grad.Data == nil {
+		*p.Grad = *tensor.New(p.Value.Rows, p.Value.Cols)
+	}
+	return p.Grad
 }
 
 // ZeroGrad clears the accumulated gradient.

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/tensor"
 )
@@ -19,14 +18,15 @@ type Linear struct {
 	lastIn *Volume
 }
 
-// NewLinear constructs a Linear layer with Glorot-uniform weights and zero
-// bias.
-func NewLinear(rng *rand.Rand, in, out int) *Linear {
+// NewLinear builds a Linear layer over the in×out weights w and the 1×out
+// bias b.
+func NewLinear(w, b *tensor.Matrix) *Linear {
+	in, out := w.Rows, w.Cols
 	return &Linear{
 		In:  in,
 		Out: out,
-		W:   NewParam(fmt.Sprintf("linear%dx%d.W", in, out), tensor.GlorotUniform(rng, in, out)),
-		B:   NewParam(fmt.Sprintf("linear%dx%d.B", in, out), tensor.New(1, out)),
+		W:   NewParam(fmt.Sprintf("linear%dx%d.W", in, out), w),
+		B:   NewParam(fmt.Sprintf("linear%dx%d.B", in, out), b),
 	}
 }
 
@@ -60,8 +60,9 @@ func (l *Linear) Backward(dout *Volume) *Volume {
 	}
 	in := l.lastIn
 	din := l.ws.Volume(in.C, in.H, in.W)
+	gW, gB := l.W.Gradient(), l.B.Gradient()
 	for i, x := range in.Data {
-		gRow := l.W.Grad.Row(i)
+		gRow := gW.Row(i)
 		wRow := l.W.Value.Row(i)
 		acc := 0.0
 		for j, g := range dout.Data {
@@ -70,7 +71,7 @@ func (l *Linear) Backward(dout *Volume) *Volume {
 		}
 		din.Data[i] = acc
 	}
-	bGrad := l.B.Grad.Row(0)
+	bGrad := gB.Row(0)
 	for j, g := range dout.Data {
 		bGrad[j] += g
 	}

@@ -22,8 +22,8 @@ func TestVolumeIndexing(t *testing.T) {
 }
 
 func TestDropoutTrainEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	d := NewDropout(rng, 0.5)
+	d := NewDropout(0.5)
+	d.Reseed(1)
 	in := VecVolume(make([]float64, 1000))
 	for i := range in.Data {
 		in.Data[i] = 1
@@ -50,8 +50,8 @@ func TestDropoutTrainEval(t *testing.T) {
 }
 
 func TestDropoutBackwardMasksGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	d := NewDropout(rng, 0.5)
+	d := NewDropout(0.5)
+	d.Reseed(2)
 	in := VecVolume([]float64{1, 1, 1, 1, 1, 1, 1, 1})
 	out := d.Forward(in, true)
 	dout := VecVolume([]float64{1, 1, 1, 1, 1, 1, 1, 1})
@@ -159,7 +159,7 @@ func TestPaperFigure6(t *testing.T) {
 
 func TestConv1DOutWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := NewConv1D(rng, 1, 1, 5, 5)
+	c := newConv1D(rng, 1, 1, 5, 5)
 	if c.OutWidth(20) != 4 {
 		t.Fatalf("OutWidth(20) = %d, want 4", c.OutWidth(20))
 	}
@@ -170,7 +170,7 @@ func TestConv1DOutWidth(t *testing.T) {
 
 func TestConv2DOutDims(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := NewConv2D(rng, 1, 1, 3, 3, 1, 1)
+	c := newConv2D(rng, 1, 1, 3, 3, 1, 1)
 	oh, ow := c.OutDims(5, 7)
 	if oh != 5 || ow != 7 {
 		t.Fatalf("same-pad dims = %dx%d, want 5x7", oh, ow)
@@ -180,9 +180,9 @@ func TestConv2DOutDims(t *testing.T) {
 func TestAdamSolvesXOR(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	net := NewSequential(
-		NewLinear(rng, 2, 8),
+		newLinear(rng, 2, 8),
 		NewTanh(),
-		NewLinear(rng, 8, 2),
+		newLinear(rng, 8, 2),
 	)
 	opt := NewAdam(net.Params(), 0.01, 0)
 	inputs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
@@ -218,7 +218,7 @@ func frobenius(xs []float64) float64 {
 
 func TestAdamWeightDecayShrinksWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	l := NewLinear(rng, 3, 3)
+	l := newLinear(rng, 3, 3)
 	before := frobenius(l.W.Value.Data)
 	opt := NewAdam(l.Params(), 0.01, 0.1)
 	// Zero gradients: only the decay term acts.
@@ -232,7 +232,7 @@ func TestAdamWeightDecayShrinksWeights(t *testing.T) {
 
 func TestPlateauScheduler(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	l := NewLinear(rng, 1, 1)
+	l := newLinear(rng, 1, 1)
 	opt := NewAdam(l.Params(), 1.0, 0)
 	sched := NewPlateauScheduler(opt)
 
@@ -257,7 +257,7 @@ func TestPlateauScheduler(t *testing.T) {
 
 func TestPlateauSchedulerMinLR(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	opt := NewAdam(NewLinear(rng, 1, 1).Params(), 1e-7, 0)
+	opt := NewAdam(newLinear(rng, 1, 1).Params(), 1e-7, 0)
 	sched := NewPlateauScheduler(opt)
 	sched.Observe(1)
 	sched.Observe(2)

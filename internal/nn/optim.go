@@ -24,7 +24,8 @@ type Adam struct {
 }
 
 // NewAdam builds an Adam optimizer with the standard β₁=0.9, β₂=0.999,
-// ε=1e-8 defaults.
+// ε=1e-8 defaults. It allocates every parameter's gradient, since Step reads
+// them all.
 func NewAdam(params []*Param, lr, weightDecay float64) *Adam {
 	a := &Adam{
 		params: params, lr: lr,
@@ -34,6 +35,7 @@ func NewAdam(params []*Param, lr, weightDecay float64) *Adam {
 		v:           make([]*tensor.Matrix, len(params)),
 	}
 	for i, p := range params {
+		p.Gradient()
 		a.m[i] = tensor.New(p.Value.Rows, p.Value.Cols)
 		a.v[i] = tensor.New(p.Value.Rows, p.Value.Cols)
 	}

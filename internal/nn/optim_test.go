@@ -17,6 +17,7 @@ import (
 
 func newTestParam(rng *rand.Rand) *Param {
 	p := NewParam("w", tensor.New(3, 4))
+	p.Gradient() // the tests below write gradients before building the optimizer
 	for i := range p.Value.Data {
 		p.Value.Data[i] = rng.NormFloat64()
 	}

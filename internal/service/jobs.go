@@ -317,12 +317,11 @@ func (s *Server) runTrainJob(job *trainJob, run trainRun) {
 // the watermark as they were.
 func (s *Server) fit(job *trainJob, run trainRun) (*TrainResult, error) {
 	m := run.base
+	var err error
 	if m == nil {
-		fresh, err := core.NewModel(run.cfg, run.fit.Sizes())
-		if err != nil {
+		if m, err = core.NewWeights(run.cfg, run.fit.Sizes()); err != nil {
 			return nil, err
 		}
-		m = fresh.Weights
 	} else {
 		// A deep copy, so tuning it leaves the serving version as it was,
 		// with a fresh version to come from the registry. It inherits the
@@ -331,7 +330,6 @@ func (s *Server) fit(job *trainJob, run trainRun) (*TrainResult, error) {
 		m = m.Clone()
 		m.Version, m.Config.Epochs = "", run.cfg.Epochs
 	}
-	var err error
 	res := &TrainResult{Mode: job.mode, Samples: job.samples}
 	if run.holdout != nil {
 		res.NewSamples = job.samples

@@ -475,16 +475,17 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 // maxGraphVertices bounds the graphs /v1/predict and /v1/samples admit. The
 // byte limit alone does not: a 16 MiB body can describe several hundred
 // thousand basic blocks, and every replica that runs a graph keeps its
-// scratch slab — 4.2 KB per vertex to predict, 9.1 KB to train — until a
+// scratch slab — 2.4 KB per vertex to predict, 6.3 KB to train — until a
 // larger one replaces it. A serving version's batcher owns one replica per
 // worker, as a training job does, and a batch is spread one sample per
 // replica, so a batch of two already reaches two of them: each of a
 // version's workers can hold such a slab. 4096 is ten times the largest
 // listing malgen, the tests or the benchmark produce, and keeps an admitted
-// graph's slab (17 MB serving, 37 MB training) under tensor.Workspace's
+// graph's slab (9.8 MB serving, 26 MB training) under tensor.Workspace's
 // retention bound, so the limit is what caps a replica's resident scratch,
-// and workers × 17 MB a served version's. It is a constant, not a flag: nothing a deployment
-// knows should change what a replica can be made to hold.
+// and workers × 9.8 MB a served version's. It is a constant, not a flag:
+// nothing a deployment knows should change what a replica can be made to
+// hold.
 const maxGraphVertices = 4096
 
 // maxAttrValue bounds the attributes of an uploaded acfg body. Table I

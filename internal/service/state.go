@@ -368,13 +368,11 @@ func (st *Store) SaveModel(m *core.Weights) error {
 // LoadModel loads the model checkpoint, returning (nil, nil) when none
 // exists yet.
 func (st *Store) LoadModel() (*core.Weights, error) {
-	m, err := core.LoadFile(st.modelPath())
+	m, err := core.LoadWeightsFile(st.modelPath())
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
-	} else if err != nil {
-		return nil, err
 	}
-	return m.Weights, nil
+	return m, err
 }
 
 // Close closes the segment files and drops the state directory lock. It

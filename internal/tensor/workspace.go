@@ -1,10 +1,10 @@
 package tensor
 
 // maxRetainElems bounds the slab a workspace keeps across Reset, in float64
-// elements (64 MiB). A default-config model checks out 4.2 KB of scratch per
-// vertex to predict and 9.1 KB to train (TestWorkspaceBytesPerVertex in
-// internal/core pins both), so graphs up to ≈ 16 000 basic blocks predict
-// warm and ≈ 7 300 train warm; anything larger still runs, it just
+// elements (64 MiB). A default-config model checks out 2.4 KB of scratch per
+// vertex to predict and 6.3 KB to train (TestWorkspaceBytesPerVertex in
+// internal/core pins both), so graphs up to ≈ 28 000 basic blocks predict
+// warm and ≈ 10 600 train warm; anything larger still runs, it just
 // allocates its scratch per sample instead of pinning it in every replica
 // for the life of the process. The service's vertex limit sits below both,
 // so every graph it admits is warm from its second appearance on.
