@@ -498,28 +498,35 @@ func BenchmarkSortPooling(b *testing.B) {
 // 10×8 grid on the 1×n×128 map the model feeds it (W = Σc = 4 × 32), with
 // inputs in (−1, 1) as the tanh graph-conv stack emits them. n is the
 // YANCFG median (46), the classify-asm-large listing mean (203) and its top
-// listing band (420). It is the one layer of the default model whose cost
-// grows with the vertex count. Beside it runs the head's second
+// listing band (420); h203c32 runs the listing mean at Table II's other
+// Conv2DChannels, 32. It is the one layer of the default model whose cost
+// grows with the vertex count, reported also per nominal multiply-add of
+// its convolution (OutC·n·W·9). Beside it runs the head's second
 // convolution, Conv2D(16→32, 3×3, same) on the pooled 16×gh×8 grid, at the
 // grid heights Config.AMPGrid gives for PoolingRatio 0.2, 0.64 and 1.0: the
 // same work whatever the graph's size, reported also per nominal
 // multiply-add (OutC·oh·ow·InC·KH·KW, padding taps included).
 func BenchmarkAMPHead(b *testing.B) {
-	for _, h := range []int{46, 203, 420} {
+	for _, tc := range []struct {
+		name    string
+		h, outC int
+	}{{"h46", 46, 16}, {"h203", 203, 16}, {"h420", 420, 16}, {"h203c32", 203, 32}} {
+		h, outC := tc.h, tc.outC
 		rng := rand.New(rand.NewSource(6))
 		in := nn.NewVolume(1, h, 128)
 		for i := range in.Data {
 			in.Data[i] = math.Tanh(rng.NormFloat64())
 		}
-		dout := nn.NewVolume(16, 10, 8)
+		dout := nn.NewVolume(outC, 10, 8)
 		for i := range dout.Data {
 			dout.Data[i] = rng.NormFloat64()
 		}
-		layer := nn.NewConvAMP(tensor.GlorotUniform(rng, 16, 9), tensor.New(1, 16), 10, 8)
+		layer := nn.NewConvAMP(tensor.GlorotUniform(rng, outC, 9), tensor.New(1, outC), 10, 8)
 		ws := nn.NewWorkspace()
 		layer.SetWorkspace(ws)
+		macs := float64(outC * h * 128 * 9)
 		for _, backward := range []bool{false, true} {
-			name := fmt.Sprintf("h%d/forward", h)
+			name := tc.name + "/forward"
 			if backward {
 				name += "+backward"
 			}
@@ -538,6 +545,7 @@ func BenchmarkAMPHead(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					step()
 				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/macs, "ns/mac")
 			})
 		}
 	}

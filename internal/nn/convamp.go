@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/tensor"
 )
@@ -12,23 +13,27 @@ import (
 // concatenation Z^{1:h}, ReLU, then AdaptiveMaxPool2D to a fixed OutH×OutW
 // grid. It is bit-identical — outputs, input gradient, parameter gradients —
 // to running those three layers in sequence, but never materialises their
-// OutC×n×W maps: scratch is O(OutC·OutH·OutW + W) whatever n is, and the
-// backward pass touches only the ≤ OutC·OutH·OutW cells that won a window.
+// OutC×n×W maps: scratch is O(OutC·OutH·OutW + OutC·W) whatever n is, and
+// the backward pass touches only the ≤ OutC·OutH·OutW cells that won a
+// window.
 //
-// Forward. Each conv cell is computed exactly as Conv2D does — bias, then
-// the in-bounds taps in ascending (ky, kx), sequential adds — one row at a
-// time into a W-wide buffer, and the row is folded into the running winner of
-// every grid cell whose window holds it: seeded from the window's first
-// element, replaced only by a strictly greater value. Rows arrive in
-// ascending y, so a cell's winner is the first occurrence of its window's
-// maximum in (y, x) order: AdaptiveMaxPool2D's scan and tie-breaking.
-// ReLU is monotone, so max∘ReLU = ReLU∘max and it is applied to the winners
-// only. Where a window's maximum is ≤ 0 the recorded argmax differs from the
-// three-layer path's (which sees an all-zero window and keeps its first
-// element), but there the ReLU gate zeroes the gradient on both paths.
-// The two inner loops — a row's interior cells and a window's row segment —
-// are convRowInterior and foldWindow: SSE2 assembly on amd64, the Go loops
-// of convamp_generic.go elsewhere, bit-identical to each other.
+// Forward. The conv map is computed one row at a time, every channel of a
+// cell side by side: the row is laid out [x][c] with OutC rounded up to a
+// multiple of four lanes, and each lane runs Conv2D's chain exactly — bias,
+// then the in-bounds taps in ascending (ky, kx), sequential adds. The row
+// is then folded into the running winner of every grid cell whose window
+// holds it: seeded from the window's first column, replaced only by a
+// strictly greater value. Rows arrive in ascending y, so a cell's winner is
+// the first occurrence of its window's maximum in (y, x) order:
+// AdaptiveMaxPool2D's scan and tie-breaking. ReLU is monotone, so
+// max∘ReLU = ReLU∘max and it is applied to the winners only. Where a
+// window's maximum is ≤ 0 the recorded argmax differs from the three-layer
+// path's (which sees an all-zero window and keeps its first element), but
+// there the ReLU gate zeroes the gradient on both paths. The two inner loops
+// — a row's interior cells and its fold into one grid row's windows — are
+// convRowInterior and foldRow: AVX2 assembly on amd64 machines that have
+// it, the Go loops of convamp_generic.go elsewhere, bit-identical to each
+// other.
 //
 // Backward. Per channel, the cells whose winner is > 0 are ordered by
 // conv-map position (stable, so cells sharing a winner — overlapping windows
@@ -49,9 +54,14 @@ type ConvAMP struct {
 	argmax  []int   // per output cell, the winner's y·W+x in the conv map
 
 	// Fixed-size scratch, allocated once at construction.
-	y0, y1 []int // adaptive window [y0, y1) of each grid row
-	x0, x1 []int // adaptive window [x0, x1) of each grid column
-	order  []int // backward: one channel's open cells, by conv position
+	lanes  int       // OutC rounded up to a multiple of 4
+	taps   []float64 // W packed [tap][c], lanes per tap; padding lanes stay 0
+	bias   []float64 // B over lanes; padding lanes stay 0
+	best   []float64 // running winners, [oy][ox][c] with lanes per cell
+	flags  []uint8   // one grid row's fold: per (ox, four lanes), the lanes that improved
+	y0, y1 []int     // adaptive window [y0, y1) of each grid row
+	x0, x1 []int     // adaptive window [x0, x1) of each grid column
+	order  []int     // backward: one channel's open cells, by conv position
 }
 
 // NewConvAMP builds the fused layer over the OutC × 9 filters w and the
@@ -63,11 +73,17 @@ func NewConvAMP(w, b *tensor.Matrix, outH, outW int) *ConvAMP {
 	if outC <= 0 || w.Cols != 9 || outH <= 0 || outW <= 0 {
 		panic("nn: convamp needs OutC×9 filters and positive output dims")
 	}
+	lanes := (outC + 3) &^ 3
 	return &ConvAMP{
 		OutC: outC, OutH: outH, OutW: outW,
 		W:      NewParam("conv2d.W", w),
 		B:      NewParam("conv2d.B", b),
 		argmax: make([]int, outC*outH*outW),
+		lanes:  lanes,
+		taps:   make([]float64, 9*lanes),
+		bias:   make([]float64, lanes),
+		best:   make([]float64, outH*outW*lanes),
+		flags:  make([]uint8, outW*lanes/4),
 		y0:     make([]int, outH),
 		y1:     make([]int, outH),
 		x0:     make([]int, outW),
@@ -82,7 +98,7 @@ func (l *ConvAMP) Forward(in *Volume, _ bool) *Volume {
 		panic(fmt.Sprintf("nn: convamp expects a non-empty 1xHxW input, got %dx%dx%d", in.C, in.H, in.W))
 	}
 	l.lastIn = in
-	h, w := in.H, in.W
+	h, w, s := in.H, in.W, l.lanes
 	out := l.ws.Volume(l.OutC, l.OutH, l.OutW)
 	l.lastOut = out
 	y0, y1, x0, x1 := l.y0, l.y1, l.x0, l.x1
@@ -92,7 +108,13 @@ func (l *ConvAMP) Forward(in *Volume, _ bool) *Volume {
 	for ox := range x0 {
 		x0[ox], x1[ox] = adaptiveWindow(ox, l.OutW, w)
 	}
-	row := l.ws.Floats(w)
+	for c := 0; c < l.OutC; c++ {
+		for t, v := range l.W.Value.Row(c) {
+			l.taps[t*s+c] = v
+		}
+	}
+	copy(l.bias, l.B.Value.Data)
+	row := l.ws.Floats(w * s)
 
 	// Window starts and ends both ascend with oy, so the grid rows holding
 	// conv row y are the contiguous range [oyLo, oyHi), and both ends only
@@ -105,56 +127,90 @@ func (l *ConvAMP) Forward(in *Volume, _ bool) *Volume {
 		for oyHi < l.OutH && y0[oyHi] <= y {
 			oyHi++
 		}
-		for oc := 0; oc < l.OutC; oc++ {
-			convRow3x3(row, in, y, l.W.Value.Row(oc), l.B.Value.Data[oc])
-			for oy := oyLo; oy < oyHi; oy++ {
-				base := (oc*l.OutH + oy) * l.OutW
-				cells := out.Data[base : base+l.OutW]
-				args := l.argmax[base : base+l.OutW]
-				for ox := range cells {
-					lo := x0[ox]
-					best, arg := cells[ox], args[ox]
-					if y == y0[oy] {
-						best, arg = row[lo], y*w+lo
+		l.convRow(row, in, y)
+		for oy := oyLo; oy < oyHi; oy++ {
+			if y == y0[oy] {
+				for ox, lo := range x0 {
+					copy(l.best[(oy*l.OutW+ox)*s:(oy*l.OutW+ox+1)*s], row[lo*s:(lo+1)*s])
+					for c := 0; c < l.OutC; c++ {
+						l.argmax[(c*l.OutH+oy)*l.OutW+ox] = y*w + lo
 					}
-					cells[ox], args[ox] = foldWindow(row[lo:x1[ox]], best, arg, y*w+lo)
 				}
 			}
+			l.foldGridRow(row, y, oy, w)
 		}
 	}
-	for i, v := range out.Data {
-		b := math.Float64bits(v)
-		out.Data[i] = math.Float64frombits(b & reluKeepMask(b))
+	cells := l.OutH * l.OutW
+	for c := 0; c < l.OutC; c++ {
+		dst := out.Data[c*cells : (c+1)*cells]
+		for i := range dst {
+			b := math.Float64bits(l.best[i*s+c])
+			dst[i] = math.Float64frombits(b & reluKeepMask(b))
+		}
 	}
 	return out
 }
 
-// convRow3x3 writes conv row y of a single-channel 3×3 same-padding
-// convolution into row: per cell bias first, then the in-bounds taps in
-// ascending (ky, kx) as sequential adds — Conv2D.Forward's chain.
-func convRow3x3(row []float64, in *Volume, y int, k []float64, bias float64) {
-	w := in.W
-	kyLo, kyHi := 0, 3
-	if y == 0 {
-		kyLo = 1
-	}
-	if y == in.H-1 {
-		kyHi = 2
-	}
-	// Edge columns miss the tap that falls outside the map.
+// convRow writes conv row y into row, [x][c]: the interior cells through
+// convRowInterior, the two edge columns — which miss the taps that fall
+// outside the map — here, per channel in the same bias-then-taps chain.
+// Padding lanes of the edge columns are left as they were; nothing reads
+// them.
+func (l *ConvAMP) convRow(row []float64, in *Volume, y int) {
+	w, s := in.W, l.lanes
+	kyLo, kyHi := tapSpan(y-1, 3, in.H)
+	src := in.Data[(y-1+kyLo)*w : (y-1+kyHi)*w]
+	taps := l.taps[kyLo*3*s : kyHi*3*s]
 	for _, x := range [2]int{0, w - 1} {
-		acc := bias
-		for ky := kyLo; ky < kyHi; ky++ {
-			src := in.Data[(y-1+ky)*w : (y+ky)*w]
-			for kx := 0; kx < 3; kx++ {
-				if sx := x - 1 + kx; sx >= 0 && sx < w {
-					acc += k[ky*3+kx] * src[sx]
+		kxLo, kxHi := tapSpan(x-1, 3, w)
+		cell := row[x*s : x*s+l.OutC]
+		copy(cell, l.bias)
+		for r := 0; r < kyHi-kyLo; r++ {
+			for kx := kxLo; kx < kxHi; kx++ {
+				v, k := src[r*w+x-1+kx], taps[(r*3+kx)*s:]
+				k = k[:len(cell)]
+				for c, kc := range k {
+					cell[c] += float64(kc * v)
 				}
 			}
 		}
-		row[x] = acc
 	}
-	convRowInterior(row, in.Data[(y-1+kyLo)*w:(y-1+kyHi)*w], k[kyLo*3:kyHi*3], bias)
+	if w > 2 {
+		convRowInterior(row, src, taps, l.bias, w)
+	}
+}
+
+// foldGridRow folds conv row y into the winners of grid row oy. foldRow
+// carries each window's maximum forward and flags the (window, channel)
+// pairs whose maximum grew; only for those is the winner's position
+// recovered, as the first column of the window's segment that compares
+// >= the new maximum — every earlier column is smaller or NaN — and that
+// column's bits are recorded, so a −0 seen before a +0 keeps its sign.
+func (l *ConvAMP) foldGridRow(row []float64, y, oy, w int) {
+	s := l.lanes
+	best := l.best[oy*l.OutW*s : (oy+1)*l.OutW*s]
+	if !foldRow(best, row, l.x0, l.x1, l.flags) {
+		return
+	}
+	flags := l.flags
+	for ox, lo := range l.x0 {
+		for c0 := 0; c0 < s; c0 += 4 {
+			f := flags[0]
+			flags = flags[1:]
+			for ; f != 0; f &= f - 1 {
+				c := c0 + bits.TrailingZeros8(f)
+				if c >= l.OutC {
+					break // padding lanes
+				}
+				m, x, i := best[ox*s+c], lo, lo*s+c
+				for !(row[i] >= m) { // nothing in the segment exceeds m, and NaN compares false
+					x, i = x+1, i+s
+				}
+				best[ox*s+c] = row[i]
+				l.argmax[(c*l.OutH+oy)*l.OutW+ox] = y*w + x
+			}
+		}
+	}
 }
 
 // Backward accumulates filter/bias gradients from the winning conv cells
@@ -214,8 +270,8 @@ func (l *ConvAMP) Backward(dout *Volume) *Volume {
 			for ky := kyLo; ky < kyHi; ky++ {
 				base := (y-1+ky)*w + x - 1
 				for kx := kxLo; kx < kxHi; kx++ {
-					gk[ky*3+kx] += g * in.Data[base+kx]
-					din.Data[base+kx] += g * k[ky*3+kx]
+					gk[ky*3+kx] += float64(g * in.Data[base+kx])
+					din.Data[base+kx] += float64(g * k[ky*3+kx])
 				}
 			}
 		}

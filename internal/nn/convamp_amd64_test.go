@@ -3,97 +3,150 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
-// windowNaNs are the NaNs the window differential injects. The fold never
+// windowNaNs are the NaNs the fold differential injects. The fold never
 // computes with a NaN, only compares and copies it, so any payload —
 // signalling ones included — must come out bit for bit.
 var windowNaNs = [...]uint64{x86DefaultNaN, 0x7ff8000000000001, 0x7ff0000000000001, 0xfff0dead0000beef}
 
-// FuzzConvAMPKernels holds the two SSE2 kernels behind ConvAMP.Forward to
-// the Go loops they replace, by Float64bits in every output bit: the conv
-// row interior (all cells, edges included, over a NaN-poisoned row) for one,
-// two and three tap rows, and the window fold (winner bits and position) on
-// a seed row and on a running cell, at widths 1–300, windows of 1–40 and
-// starts off the 16-byte grid.
+// TestCPUHasAVX2MatchesCPUInfo holds the kernel choice to the kernel's own
+// view of the CPU: Linux lists avx2 in /proc/cpuinfo's flags only where
+// the CPU has it and the OS saves YMM state. A detection that wrongly says
+// "no" would pass every bit test and run the Go loops everywhere.
+func TestCPUHasAVX2MatchesCPUInfo(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("/proc/cpuinfo is Linux's")
+	}
+	info, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip(err)
+	}
+	for _, line := range strings.Split(string(info), "\n") {
+		name, flags, ok := strings.Cut(line, ":")
+		if !ok || strings.TrimSpace(name) != "flags" {
+			continue
+		}
+		want := slices.Contains(strings.Fields(flags), "avx2")
+		if got := cpuHasAVX2(); got != want {
+			t.Fatalf("cpuHasAVX2() = %v, /proc/cpuinfo lists avx2: %v", got, want)
+		}
+		return
+	}
+	t.Skip("no flags line in /proc/cpuinfo")
+}
+
+// FuzzConvAMPKernels holds the kernels behind ConvAMP.Forward, as this
+// machine dispatches them, to the Go loops of convamp_generic.go by
+// Float64bits in every lane: the conv row interior (every column, edges
+// included, over a NaN-poisoned row) for one, two and three tap rows, and
+// the fold of a row into a grid row's windows (maxima, flags and the
+// result) from seeded and from running maxima. OutC runs 1–40, so lane
+// padding and blocks of sixteen both occur; widths 1–300; windows
+// adaptive — overlapping, or one column wide when there are more of them
+// than columns — or arbitrary; starts off the 32-byte grid.
 func FuzzConvAMPKernels(f *testing.F) {
 	for _, s := range []struct {
-		seed                       int64
-		width                      uint16
-		misalign, taps, win, winLo uint8
-		mode                       uint8
+		seed                          int64
+		width                         uint16
+		outC, taps, windows, misalign uint8
+		mode                          uint8
 	}{
-		{1, 128, 0, 0, 16, 0, kernTanh},   // the shipped map width and window
-		{2, 128, 1, 1, 16, 112, kernTanh}, // unaligned, top row, last window
-		{3, 2, 0, 0, 2, 0, kernSpecial},   // no interior
-		{4, 3, 1, 2, 3, 0, kernSpecial},   // one interior cell (the odd tail)
-		{5, 5, 0, 0, 5, 0, kernTies},      // odd width: quad-free pair plus tail
-		{6, 300, 1, 0, 40, 200, kernSpecial},
-		{7, 129, 0, 3, 1, 7, kernTies},  // H = 1: one tap row, window of one
-		{8, 1, 1, 2, 1, 0, kernSpecial}, // width 1
-		{9, 46, 1, 1, 7, 39, kernTies},  // odd window at the row's end
-		{10, 160, 0, 2, 33, 64, kernSpecial},
+		{1, 128, 16, 0, 8, 0, kernTanh},          // the shipped map width, channels and grid
+		{2, 128, 16, 1, 8, 1, kernTanh},          // unaligned, top row
+		{3, 2, 3, 0, 2, 0, kernSpecial},          // no interior; one padding lane
+		{4, 3, 5, 2, 3, 1, kernSpecial},          // one interior cell; 16 + 4 lanes
+		{5, 5, 32, 0, 5, 0, kernTies},            // Table II's other channel count
+		{6, 300, 40, 1, 16 + 12, 1, kernSpecial}, // two blocks of 16 and two of 4; arbitrary windows
+		{7, 129, 1, 3, 8, 0, kernTies},           // H = 1: one tap row; three padding lanes
+		{8, 1, 17, 2, 1, 1, kernSpecial},         // width 1
+		{9, 46, 7, 1, 16 + 7, 1, kernTies},       // odd channels, arbitrary windows
+		{10, 160, 24, 2, 8, 0, kernSpecial},
+		{11, 6, 16, 0, 15, 0, kernTies}, // more windows than columns: width 1, overlapping
+		{12, 127, 33, 0, 10, 1, kernSpecial},
 	} {
-		f.Add(s.seed, s.width, s.misalign, s.taps, s.win, s.winLo, s.mode)
+		f.Add(s.seed, s.width, s.outC, s.taps, s.windows, s.misalign, s.mode)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, width uint16, misalign, taps, win, winLo, mode uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, width uint16, outC, taps, windows, misalign, mode uint8) {
 		w := 1 + int(width-1)%300
-		off := int(misalign % 2) // one float64 off a 16-byte-aligned backing array
+		s := (1 + int(outC-1)%40 + 3) &^ 3
+		off := int(misalign % 4) // float64s off a 32-byte-aligned backing array
 		m := int(mode) % kernModes
 		rng := rand.New(rand.NewSource(seed))
+		floats := func(n int, nans []uint64) []float64 {
+			v := make([]float64, off+n)[off:]
+			for i := range v {
+				v[i] = kernelValue(rng, m, nans)
+			}
+			return v
+		}
 
 		// Conv row: taps 0 = interior row (3 tap rows), 1 = top (rows 1–2
 		// of the filter), 2 = bottom (rows 0–1), 3 = H = 1 (row 1 only).
 		convNaN := []uint64{x86DefaultNaN}
-		k9 := make([]float64, 9)
-		for i := range k9 {
-			k9[i] = kernelValue(rng, m, convNaN)
-		}
-		k := [...][]float64{k9, k9[3:], k9[:6], k9[3:6]}[taps%4]
-		rows := len(k) / 3
-		src := make([]float64, off+rows*w)[off:]
-		for i := range src {
-			src[i] = kernelValue(rng, m, convNaN)
-		}
-		bias := kernelValue(rng, m, convNaN)
+		k9 := floats(9*s, convNaN)
+		k := [...][]float64{k9, k9[3*s:], k9[:6*s], k9[3*s : 6*s]}[taps%4]
+		rows := len(k) / (3 * s)
+		src := floats(rows*w, convNaN)
+		bias := floats(s, convNaN)
 		const poison = 0x7ff4000000c0ffee
-		got := make([]float64, off+w)[off:]
-		want := make([]float64, w)
+		got := make([]float64, off+w*s)[off:]
+		want := make([]float64, w*s)
 		for i := range got {
 			got[i], want[i] = math.Float64frombits(poison), math.Float64frombits(poison)
 		}
-		convRowInterior(got, src, k, bias)
-		convRowInteriorGeneric(want, src, k, bias)
-		for x := range want {
-			if g, e := math.Float64bits(got[x]), math.Float64bits(want[x]); g != e {
-				t.Fatalf("w=%d rows=%d cell %d: kernel %#x (%g), Go %#x (%g)", w, rows, x, g, got[x], e, want[x])
+		if w > 2 {
+			convRowInterior(got, src, k, bias, w)
+			convRowInteriorGeneric(want, src, k, bias, w)
+		}
+		for i := range want {
+			if g, e := math.Float64bits(got[i]), math.Float64bits(want[i]); g != e {
+				t.Fatalf("w=%d s=%d rows=%d cell %d lane %d: kernel %#x (%g), Go %#x (%g)", w, s, rows, i/s, i%s, g, got[i], e, want[i])
 			}
 		}
 
-		// Window fold: a window of 1–40 anywhere in a row of width w.
-		n := 1 + int(win-1)%40
-		if n > w {
-			n = w
+		// Fold: 1–16 windows, adaptive or (bit 4) arbitrary ones of 1–40
+		// columns.
+		nw := 1 + int(windows%16)
+		x0, x1 := make([]int, nw), make([]int, nw)
+		for ox := range x0 {
+			x0[ox], x1[ox] = adaptiveWindow(ox, nw, w)
+			if windows&16 != 0 {
+				x0[ox] = rng.Intn(w)
+				x1[ox] = x0[ox] + 1 + rng.Intn(min(40, w-x0[ox]))
+			}
 		}
-		lo := int(winLo) % (w - n + 1)
-		vals := make([]float64, off+w)[off:]
-		for i := range vals {
-			vals[i] = kernelValue(rng, m, windowNaNs[:])
+		row := floats(w*s, windowNaNs[:])
+		running := floats(nw*s, windowNaNs[:])
+		seeded := make([]float64, nw*s)
+		for ox, lo := range x0 {
+			copy(seeded[ox*s:(ox+1)*s], row[lo*s:(lo+1)*s])
 		}
-		seg := vals[lo : lo+n]
-		pos := 1000 + lo
-		running := kernelValue(rng, m, windowNaNs[:])
 		for _, c := range []struct {
 			name string
-			best float64
-			arg  int
-		}{{"seed row", seg[0], pos}, {"running cell", running, -7}} {
-			gb, ga := foldWindow(seg, c.best, c.arg, pos)
-			wb, wa := foldWindowGeneric(seg, c.best, c.arg, pos)
-			if math.Float64bits(gb) != math.Float64bits(wb) || ga != wa {
-				t.Fatalf("%s, window [%d, %d) of %d from %#x: kernel (%#x, %d), Go (%#x, %d)",
-					c.name, lo, lo+n, w, math.Float64bits(c.best), math.Float64bits(gb), ga, math.Float64bits(wb), wa)
+			best []float64
+		}{{"seed row", seeded}, {"running cells", running}} {
+			gotBest, wantBest := slices.Clone(c.best), slices.Clone(c.best)
+			gotFlags, wantFlags := make([]uint8, nw*s/4), make([]uint8, nw*s/4)
+			for i := range gotFlags {
+				gotFlags[i], wantFlags[i] = 0xff, 0xff
+			}
+			gotAny := foldRow(gotBest, row, x0, x1, gotFlags)
+			wantAny := foldRowGeneric(wantBest, row, x0, x1, wantFlags)
+			for i := range wantBest {
+				if g, e := math.Float64bits(gotBest[i]), math.Float64bits(wantBest[i]); g != e {
+					ox := i / s
+					t.Fatalf("%s, window %d [%d, %d) of %d, lane %d from %#x: kernel %#x, Go %#x",
+						c.name, ox, x0[ox], x1[ox], w, i%s, math.Float64bits(c.best[i]), g, e)
+				}
+			}
+			if !slices.Equal(gotFlags, wantFlags) || gotAny != wantAny {
+				t.Fatalf("%s: kernel flags %x (%v), Go %x (%v)", c.name, gotFlags, gotAny, wantFlags, wantAny)
 			}
 		}
 	})

@@ -1,49 +1,71 @@
 package nn
 
-// The two inner loops of ConvAMP.Forward in plain Go. They are the fallback
-// on architectures without an assembly kernel and the reference the amd64
-// kernels are held to, bit for bit, by FuzzConvAMPKernels.
+// The two inner loops of ConvAMP.Forward in plain Go. They run on every
+// architecture without the assembly kernels and on amd64 machines without
+// AVX2, and they are the reference the kernels are held to, bit for bit, by
+// FuzzConvAMPKernels. Both work on a conv row laid out [x][c]: s =
+// len(bias) lanes per column, OutC rounded up to a multiple of 4.
+//
+// Every product is written float64(k*x): an explicit conversion rounds, so
+// no compiler may fuse it with the add that follows into an FMA. The chain
+// must round after each multiply and each add, as Conv2D's does.
 
-// convRowInteriorGeneric writes cells 1 … len(row)−2 of one conv row. src
-// holds the len(k)/3 in-bounds input rows of width len(row), back to back,
-// and k their taps. Per cell: bias first, then each tap row's three taps in
-// ascending kx, as sequential adds — Conv2D.Forward's chain.
-func convRowInteriorGeneric(row, src, k []float64, bias float64) {
-	w := len(row)
-	if len(k) == 9 {
-		i0, i1, i2 := src[:w], src[w:2*w], src[2*w:3*w]
-		k00, k01, k02 := k[0], k[1], k[2]
-		k10, k11, k12 := k[3], k[4], k[5]
-		k20, k21, k22 := k[6], k[7], k[8]
+// convRowInteriorGeneric writes cells 1 … w−2 of one conv row into dst,
+// every lane of each. src holds rows = len(taps)/(3s) in-bounds input rows
+// of width w back to back, and taps their 3·rows taps packed [tap][c]. Per
+// cell and channel: bias first, then the taps in ascending (row, kx), as
+// sequential adds — Conv2D.Forward's chain.
+func convRowInteriorGeneric(dst, src, taps, bias []float64, w int) {
+	s := len(bias)
+	rows := len(taps) / (3 * s)
+	for c, b := range bias {
+		if rows == 3 {
+			i0, i1, i2 := src[:w], src[w:2*w], src[2*w:3*w]
+			k00, k01, k02 := taps[0*s+c], taps[1*s+c], taps[2*s+c]
+			k10, k11, k12 := taps[3*s+c], taps[4*s+c], taps[5*s+c]
+			k20, k21, k22 := taps[6*s+c], taps[7*s+c], taps[8*s+c]
+			for x := 1; x < w-1; x++ {
+				acc := b
+				acc = ((acc + float64(k00*i0[x-1])) + float64(k01*i0[x])) + float64(k02*i0[x+1])
+				acc = ((acc + float64(k10*i1[x-1])) + float64(k11*i1[x])) + float64(k12*i1[x+1])
+				acc = ((acc + float64(k20*i2[x-1])) + float64(k21*i2[x])) + float64(k22*i2[x+1])
+				dst[x*s+c] = acc
+			}
+			continue
+		}
 		for x := 1; x < w-1; x++ {
-			acc := bias
-			acc = ((acc + k00*i0[x-1]) + k01*i0[x]) + k02*i0[x+1]
-			acc = ((acc + k10*i1[x-1]) + k11*i1[x]) + k12*i1[x+1]
-			acc = ((acc + k20*i2[x-1]) + k21*i2[x]) + k22*i2[x+1]
-			row[x] = acc
+			acc := b
+			for r := 0; r < rows; r++ {
+				in, k := src[r*w+x-1:r*w+x+2], taps[r*3*s+c:]
+				acc = ((acc + float64(k[0]*in[0])) + float64(k[s]*in[1])) + float64(k[2*s]*in[2])
+			}
+			dst[x*s+c] = acc
 		}
-		return
-	}
-	for x := 1; x < w-1; x++ {
-		acc := bias
-		for r := 0; r < len(k)/3; r++ {
-			s := src[r*w : (r+1)*w]
-			acc = ((acc + k[r*3]*s[x-1]) + k[r*3+1]*s[x]) + k[r*3+2]*s[x+1]
-		}
-		row[x] = acc
 	}
 }
 
-// foldWindowGeneric folds one adaptive window's row segment into the
-// running winner (best, arg) of its grid cell; pos is the conv-map position
-// of seg[0]. A value replaces the winner only if it is strictly greater, so
-// the first occurrence of the maximum wins, a NaN winner is never replaced
-// and a NaN candidate never wins.
-func foldWindowGeneric(seg []float64, best float64, arg, pos int) (float64, int) {
-	for t, v := range seg {
-		if v > best {
-			best, arg = v, pos+t
+// foldRowGeneric folds one conv row into the running maxima best, [ox][c],
+// of one grid row whose windows are [x0[ox], x1[ox]). Per window and lane a
+// column replaces the maximum only if strictly greater, so the first
+// occurrence of the maximum is kept with its own bits, a NaN maximum is
+// never replaced and a NaN column never wins. Bit c%4 of flags[ox·s/4 +
+// c/4] is set where the maximum changed and cleared where it did not; the
+// result says whether any changed.
+func foldRowGeneric(best, row []float64, x0, x1 []int, flags []uint8) bool {
+	s := len(best) / len(x0)
+	improved := false
+	for ox, lo := range x0 {
+		cell, f := best[ox*s:(ox+1)*s], flags[ox*s/4:(ox+1)*s/4]
+		clear(f)
+		for x := lo; x < x1[ox]; x++ {
+			for c, v := range row[x*s : (x+1)*s] {
+				if v > cell[c] { // a maximum only grows, so one replacement flags it
+					cell[c] = v
+					f[c/4] |= 1 << (c % 4)
+					improved = true
+				}
+			}
 		}
 	}
-	return best, arg
+	return improved
 }

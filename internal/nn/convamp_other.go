@@ -2,12 +2,16 @@
 
 package nn
 
-// Without an assembly kernel, ConvAMP runs the Go reference loops.
+// Without an assembly kernel, ConvAMP runs the Go reference loops. useAVX2
+// is always false here; it exists so tests read the kernel choice the same
+// way on every architecture.
 
-func convRowInterior(row, src, k []float64, bias float64) {
-	convRowInteriorGeneric(row, src, k, bias)
+var useAVX2 = false
+
+func convRowInterior(dst, src, taps, bias []float64, w int) {
+	convRowInteriorGeneric(dst, src, taps, bias, w)
 }
 
-func foldWindow(seg []float64, best float64, arg, pos int) (float64, int) {
-	return foldWindowGeneric(seg, best, arg, pos)
+func foldRow(best, row []float64, x0, x1 []int, flags []uint8) bool {
+	return foldRowGeneric(best, row, x0, x1, flags)
 }

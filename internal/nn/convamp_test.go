@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // Input regimes of the fused-vs-layers differential.
@@ -105,6 +107,20 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// forEachKernelPath runs f on each ConvAMP kernel path this machine has:
+// the AVX2 kernels where the CPU check chose them, then the Go reference
+// loops, which every machine without AVX2 runs. The choice is restored
+// afterwards.
+func forEachKernelPath(f func(path string)) {
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	if saved {
+		f("avx2")
+	}
+	useAVX2 = false
+	f("go")
+}
+
 // checkFusedVsLayers holds ConvAMP to Conv2D → ReLU → AdaptiveMaxPool2D bit
 // for bit — forward output, input gradient, and filter/bias gradients
 // accumulated over two consecutive samples of different heights — with every
@@ -157,6 +173,7 @@ func checkFusedVsLayers(t *testing.T, seed int64, h, w, outC, outH, outW, mode i
 // FuzzFusedHeadVsLayers is the differential behind the AMP head fusion: any
 // reordered addition, missed tie-break or dropped duplicate winner in
 // ConvAMP shows up as a bit difference against the three layers it replaced.
+// Every input runs on both kernel paths, and OutC spans 1–40.
 func FuzzFusedHeadVsLayers(f *testing.F) {
 	seeds := []struct {
 		seed                int64
@@ -182,13 +199,24 @@ func FuzzFusedHeadVsLayers(f *testing.F) {
 		{14, 420, 128, 4, 10, 8, ampTanh},
 		{15, 203, 128, 2, 10, 8, ampRandom},
 		{16, 61, 157, 3, 10, 8, ampTies}, // odd W above the shipped one
+		// Table II's other channel count, and channel counts that leave
+		// padding lanes or a block of four after the blocks of sixteen.
+		{17, 203, 128, 32, 10, 8, ampTanh},
+		{18, 46, 128, 32, 10, 8, ampTies},
+		{19, 30, 37, 5, 10, 8, ampRandom},
+		{20, 17, 128, 17, 10, 8, ampTanh},
+		{21, 9, 3, 23, 4, 2, ampAllNegative},
+		{22, 1, 128, 31, 10, 8, ampTies},
 	}
 	for _, s := range seeds {
 		f.Add(s.seed, s.h, s.w, s.outC, s.outH, s.outW, s.mode)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, h uint16, w, outC, outH, outW, mode uint8) {
-		checkFusedVsLayers(t, seed,
-			1+int(h-1)%420, 1+int(w-1)%160, 1+int(outC-1)%4, 1+int(outH-1)%10, 1+int(outW-1)%8, int(mode)%ampModes)
+		forEachKernelPath(func(path string) {
+			t.Logf("kernel path: %s", path)
+			checkFusedVsLayers(t, seed,
+				1+int(h-1)%420, 1+int(w-1)%160, 1+int(outC-1)%40, 1+int(outH-1)%10, 1+int(outW-1)%8, int(mode)%ampModes)
+		})
 	})
 }
 
@@ -234,8 +262,8 @@ func TestConvAMPDuplicateWinner(t *testing.T) {
 }
 
 // TestConvAMPZeroAlloc pins the warm fused layer at zero heap allocations
-// per Forward+Backward and its workspace at O(grid + W + H·W) bytes — no
-// OutC×H×W map.
+// per Forward+Backward and its workspace at O(grid + OutC·W + H·W) bytes —
+// no OutC×H×W map.
 func TestConvAMPZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	l := newConvAMP(rng, 16, 10, 8)
@@ -252,23 +280,26 @@ func TestConvAMPZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
 		t.Errorf("warm Forward+Backward: %v allocs/op, want 0", allocs)
 	}
-	// out + row + din: the slab is consolidated to exactly the sum of one
-	// pass's checkouts, the same number the three free lists added up to.
-	want := uint64(8 * (16*10*8 + 128 + 179*128))
+	// out + the [x][c] conv row + din: the slab is consolidated to exactly
+	// the sum of one pass's checkouts.
+	want := uint64(8 * (16*10*8 + 128*16 + 179*128))
 	if got := ws.Stats().Bytes; got != want {
 		t.Errorf("workspace holds %d bytes, want %d", got, want)
 	}
 }
 
-// TestFoldWindowScanRules pins the window fold's three rules — on whichever
-// implementation this architecture runs — at window lengths that reach each
-// of the kernel's four-, two- and one-element steps: the first occurrence of
-// the maximum wins with its own bits (so −0 before +0 stays −0), a NaN that
-// seeds the window is kept, and a NaN anywhere else never wins.
+// TestFoldWindowScanRules pins the fold's three rules — on each kernel path,
+// at window lengths that reach the kernel's column loop from zero to seven
+// columns, in every channel of layers whose lanes fill one vector, leave
+// padding and run past a block of sixteen: the first occurrence of the
+// maximum wins with its own bits (so −0 before +0 stays −0), a NaN that
+// seeds the window is kept, and a NaN anywhere else never wins. Padding
+// lanes hold +Inf, which would win every window if they were read.
 func TestFoldWindowScanRules(t *testing.T) {
 	nan, negZero, inf := math.Float64frombits(0x7ff8000000000001), math.Copysign(0, -1), math.Inf(1)
-	const pos, arg = 100, -1
-	for _, tc := range []struct {
+	const y, w, arg = 1, 100, -1 // the segment's first column is conv position y·w = 100
+	const pos = y * w
+	cases := []struct {
 		name     string
 		seg      []float64
 		best     float64
@@ -285,18 +316,69 @@ func TestFoldWindowScanRules(t *testing.T) {
 		{"equal does not beat", []float64{3, 2, 3}, 3, math.Float64bits(3), arg},
 		{"first of two maxima", []float64{1, 3, 2, 3, 0, 3}, 0, math.Float64bits(3), pos + 1},
 		{"maximum in the last odd cell", []float64{1, 2, 3, 4, 5, 6, 7}, 6.5, math.Float64bits(7), pos + 6},
-		{"maximum in the second accumulator", []float64{0, 0, 9, 0, 0}, -inf, math.Float64bits(9), pos + 2},
+		{"maximum mid-window", []float64{0, 0, 9, 0, 0}, -inf, math.Float64bits(9), pos + 2},
 		{"+Inf wins once", []float64{inf, inf}, math.MaxFloat64, math.Float64bits(inf), pos},
 		{"empty window", nil, 4, math.Float64bits(4), arg},
-	} {
-		for _, impl := range []struct {
-			name string
-			fold func([]float64, float64, int, int) (float64, int)
-		}{{"foldWindow", foldWindow}, {"foldWindowGeneric", foldWindowGeneric}} {
-			best, at := impl.fold(tc.seg, tc.best, arg, pos)
-			if math.Float64bits(best) != tc.wantBits || at != tc.wantArg {
-				t.Errorf("%s: %s = (%#x, %d), want (%#x, %d)", tc.name, impl.name, math.Float64bits(best), at, tc.wantBits, tc.wantArg)
+	}
+	forEachKernelPath(func(path string) {
+		for _, outC := range []int{4, 6, 17} {
+			l := NewConvAMP(tensor.New(outC, 9), tensor.New(1, outC), 1, 1)
+			s := l.lanes
+			for _, tc := range cases {
+				n := len(tc.seg)
+				row := make([]float64, n*s)
+				for x := range n {
+					for c := range s {
+						row[x*s+c] = inf
+						if c < outC {
+							row[x*s+c] = tc.seg[x]
+						}
+					}
+				}
+				l.x0[0], l.x1[0] = 0, n
+				for c := range s {
+					l.best[c] = tc.best
+				}
+				for i := range l.argmax {
+					l.argmax[i] = arg
+				}
+				l.foldGridRow(row, y, 0, w)
+				for c := range outC {
+					if b, at := math.Float64bits(l.best[c]), l.argmax[c]; b != tc.wantBits || at != tc.wantArg {
+						t.Errorf("%s path, OutC %d, channel %d: %s = (%#x, %d), want (%#x, %d)",
+							path, outC, c, tc.name, b, at, tc.wantBits, tc.wantArg)
+					}
+				}
 			}
 		}
+	})
+}
+
+// BenchmarkConvAMPKernelPaths times the forward at the shipped shape —
+// 16 channels, a 10×8 grid, the 203×128 map of the classify-asm-large
+// listing mean — on each kernel path this machine has, so the Go path a
+// machine without AVX2 runs is measured beside the AVX2 one.
+func BenchmarkConvAMPKernelPaths(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	in := NewVolume(1, 203, 128)
+	for i := range in.Data {
+		in.Data[i] = math.Tanh(rng.NormFloat64())
 	}
+	l := newConvAMP(rng, 16, 10, 8)
+	ws := NewWorkspace()
+	l.SetWorkspace(ws)
+	forEachKernelPath(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			step := func() {
+				ws.Reset()
+				l.Forward(in, false)
+			}
+			step()
+			step()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
+	})
 }
