@@ -117,7 +117,7 @@ func (s *AttnStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 			}
 			edge += len(cols)
 		}
-		tensor.MapInto(pre, pre, relu)
+		rectify(pre)
 		s.outs[t] = pre
 		z = pre
 	}

@@ -58,6 +58,31 @@ func oracleRelu(m *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
+// TestRectifyMatchesRelu holds the branch-free rectifier to oracleRelu's
+// branch by Float64bits at every boundary of its integer test: both zeros,
+// the smallest and largest subnormals and normals of each sign, both
+// infinities and NaNs of either sign with quiet, signalling and all-ones
+// payloads — the NaNs that lie just above +Inf's bits and at the top of
+// the unsigned range.
+func TestRectifyMatchesRelu(t *testing.T) {
+	var vals []float64
+	for _, b := range []uint64{
+		0, 1, 1<<52 - 1, 1 << 52, 0x3ff0000000000000, 0x7fefffffffffffff,
+		0x7ff0000000000000, 0x7ff0000000000001, 0x7ff8000000000000, 0x7fffffffffffffff,
+	} {
+		vals = append(vals, math.Float64frombits(b), math.Float64frombits(b|1<<63))
+	}
+	m := tensor.New(1, len(vals))
+	copy(m.Data, vals)
+	want := oracleRelu(m)
+	rectify(m)
+	for i, v := range vals {
+		if g, w := math.Float64bits(m.Data[i]), math.Float64bits(want.Data[i]); g != w {
+			t.Errorf("rectify(%#x) = %#x, want %#x", math.Float64bits(v), g, w)
+		}
+	}
+}
+
 // oracleConcat builds Z^{1:h} row by row.
 func oracleConcat(rows int, outs []*tensor.Matrix) *tensor.Matrix {
 	total := 0

@@ -79,7 +79,7 @@ func (s *SAGEStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 		tensor.MatMulInto(fn, agg, wn.Value) // (P·Z_t) · W_nbr
 		pre := s.ws.Matrix(fs.Rows, fs.Cols)
 		tensor.AddInto(pre, fs, fn)
-		tensor.MapInto(pre, pre, relu)
+		rectify(pre)
 		s.outs[t] = pre
 		z = pre
 	}

@@ -86,7 +86,7 @@ func (s *TAGStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matrix {
 			tensor.MatMulInto(fj, s.hopZs[t][j], layer[j].Value)
 			pre.AddInPlace(fj)
 		}
-		tensor.MapInto(pre, pre, relu)
+		rectify(pre)
 		s.outs[t] = pre
 		z = pre
 	}

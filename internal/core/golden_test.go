@@ -127,9 +127,10 @@ func TestConvBackendGoldenChecksums(t *testing.T) {
 // the fused layer to that chain bit for bit: the checkpoint digest covers
 // forward, backward and dropout over 3 epochs; the fingerprint covers
 // parameter shapes, order and the RNG draw order at construction. Like
-// goldenModelSHA256 they are amd64 digests: on amd64 nn.ConvAMP runs its SSE2
-// kernels, which are bit-identical to the Go loops compiled for amd64, not
-// to the FMADD-contracted loops gc compiles for arm64.
+// goldenModelSHA256 they are amd64 digests: on amd64 nn.ConvAMP runs its AVX2
+// kernels where the CPU has them, which are bit-identical to the Go loops
+// compiled for amd64, not to the FMADD-contracted loops gc compiles for
+// arm64.
 const (
 	goldenAMPHeadSHA256          = "6840ce8442fda01119b642bd897ee46892a9e46c1860c7750cf831dba7dd1ee3"
 	goldenAMPHeadInitFingerprint = "5749bbfdf25c4bcf8e57fcbf03716272966db6e90cfcca43b98bd31cb7f0963c"

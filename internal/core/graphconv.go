@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -73,7 +75,7 @@ func (s *GraphConvStack) Forward(csr *graph.CSR, x *tensor.Matrix) *tensor.Matri
 		tensor.MatMulInto(f, z, w.Value) // Z_t · W_t
 		z = s.ws.Matrix(z.Rows, w.Value.Cols)
 		csr.SpMMInto(z, f) // D̄⁻¹ Ā · (Z_t W_t)
-		tensor.MapInto(z, z, relu)
+		rectify(z)
 		s.outs[t] = z
 	}
 	return concatCols(s.ws, s.outs)
@@ -144,9 +146,17 @@ func gateRelu(dz, out *tensor.Matrix) *tensor.Matrix {
 	return dz
 }
 
-func relu(x float64) float64 {
-	if x > 0 {
-		return x
+// rectify applies relu in place — x where x > 0, else +0, so NaN and −0
+// both become +0 — without a branch: on pre-activations the sign test
+// mispredicts about half the time, and those stalls, not arithmetic, were
+// its cost. x > 0 exactly when x's bits b satisfy 0 < b ≤ +Inf's bits as
+// unsigned integers (negatives have the top bit set, NaNs lie above +Inf),
+// which is b−1 < +Inf's bits: the borrow of that subtraction is the mask.
+func rectify(m *tensor.Matrix) {
+	const inf = 0x7ff0000000000000
+	for i, v := range m.Data {
+		b := math.Float64bits(v)
+		_, keep := bits.Sub64(b-1, inf, 0)
+		m.Data[i] = math.Float64frombits(b & -keep)
 	}
-	return 0
 }

@@ -59,7 +59,7 @@ func (c *Conv1D) Forward(in *Volume, _ bool) *Volume {
 				inRow := in.Data[ic*in.W : (ic+1)*in.W]
 				wOff := ic * c.Kernel
 				for k := 0; k < c.Kernel; k++ {
-					sum += w[wOff+k] * inRow[start+k]
+					sum += float64(w[wOff+k] * inRow[start+k])
 				}
 			}
 			out.Set(oc, 0, ox, sum)
@@ -90,8 +90,8 @@ func (c *Conv1D) Backward(dout *Volume) *Volume {
 				dinRow := din.Data[ic*in.W : (ic+1)*in.W]
 				wOff := ic * c.Kernel
 				for k := 0; k < c.Kernel; k++ {
-					gw[wOff+k] += g * inRow[start+k]
-					dinRow[start+k] += g * w[wOff+k]
+					gw[wOff+k] += float64(g * inRow[start+k])
+					dinRow[start+k] += float64(g * w[wOff+k])
 				}
 			}
 		}
@@ -115,12 +115,13 @@ type Conv2D struct {
 
 	wsHolder
 	lastIn *Volume
-	packed []float64 // one channel block's filters, tap-major: [t*convBlock+j]
-}
 
-// convBlock is the number of output channels Conv2D.Forward carries per
-// cell, one register accumulator each.
-const convBlock = 8
+	// The AVX2 forward's scratch, over OutC rounded up to a multiple of 4
+	// lanes; padding lanes stay 0.
+	packed []float64 // W packed [tap][c], lanes per tap
+	bias   []float64 // B over lanes
+	cell   []float64 // one output cell's lanes
+}
 
 // NewConv2D builds a 2-D convolution layer over the OutC × (InC·kh·kw)
 // filters w and the 1 × OutC bias b.
@@ -128,11 +129,14 @@ func NewConv2D(w, b *tensor.Matrix, kh, kw, stride, pad int) *Conv2D {
 	if kh <= 0 || kw <= 0 || stride <= 0 || pad < 0 {
 		panic("nn: conv2d invalid geometry")
 	}
+	lanes := (w.Rows + 3) &^ 3
 	return &Conv2D{
 		InC: w.Cols / (kh * kw), OutC: w.Rows, KH: kh, KW: kw, Stride: stride, Pad: pad,
 		W:      NewParam("conv2d.W", w),
 		B:      NewParam("conv2d.B", b),
-		packed: make([]float64, w.Cols*convBlock),
+		packed: make([]float64, w.Cols*lanes),
+		bias:   make([]float64, lanes),
+		cell:   make([]float64, lanes),
 	}
 }
 
@@ -163,19 +167,12 @@ func tapSpan(s, k, n int) (int, int) {
 	return lo, max(lo, hi)
 }
 
-// Forward performs the cross-correlation.
-//
-// The nest is cell-major over blocks of convBlock output channels. A block's
-// filters are first interleaved tap by tap into c.packed, so each input value
-// meets the block's convBlock weights in one contiguous run. Every output
-// cell then keeps one register accumulator per channel of the block, seeds
-// it with that channel's bias and adds the cell's in-bounds taps in
-// ascending (ic, ky, kx) order as sequential adds — per channel exactly the
-// reference chain (conv2dReference in convdiff_test.go). The block only
-// interleaves independent chains, so it changes no bit; a block running past
-// OutC repeats the last channel, whose duplicate stores write the same bits.
-// Cells whose whole 3×3 receptive field is in bounds take an unrolled branch,
-// which runs the head's 16→32 layer 1.2–1.7× faster than the looped taps.
+// Forward performs the cross-correlation. Per output cell and channel the
+// chain is the bias, then every in-bounds tap in ascending (ic, ky, kx) as
+// sequential adds: conv2dReference's loop, which is also the path of
+// machines without AVX2. On amd64 with AVX2 the cell's channels run side by
+// side (conv2dForward in kernels_amd64.go), each lane the same chain, so
+// the output is bit-identical either way.
 func (c *Conv2D) Forward(in *Volume, _ bool) *Volume {
 	if in.C != c.InC {
 		panic(fmt.Sprintf("nn: conv2d expects %d channels, got %d", c.InC, in.C))
@@ -183,84 +180,43 @@ func (c *Conv2D) Forward(in *Volume, _ bool) *Volume {
 	c.lastIn = in
 	oh, ow := c.OutDims(in.H, in.W)
 	out := c.ws.Volume(c.OutC, oh, ow)
-	inHW, ohw, taps := in.H*in.W, oh*ow, c.InC*c.KH*c.KW
-	wd, bd, kp := c.W.Value.Data, c.B.Value.Data, c.packed
-	var o [convBlock]int
-	for oc := 0; oc < c.OutC; oc += convBlock {
-		for j := range o {
-			o[j] = min(oc+j, c.OutC-1)
-			for t, v := range wd[o[j]*taps : (o[j]+1)*taps] {
-				kp[t*convBlock+j] = v
-			}
-		}
-		for oy := 0; oy < oh; oy++ {
-			sy := oy*c.Stride - c.Pad
-			kyLo, kyHi := tapSpan(sy, c.KH, in.H)
-			for ox := 0; ox < ow; ox++ {
-				sx := ox*c.Stride - c.Pad
-				kxLo, kxHi := tapSpan(sx, c.KW, in.W)
-				a0, a1, a2, a3 := bd[o[0]], bd[o[1]], bd[o[2]], bd[o[3]]
-				a4, a5, a6, a7 := bd[o[4]], bd[o[5]], bd[o[6]], bd[o[7]]
-				if c.KH == 3 && c.KW == 3 && kyHi-kyLo == 3 && kxHi-kxLo == 3 {
-					for ic := 0; ic < c.InC; ic++ {
-						for ky := 0; ky < 3; ky++ {
-							r0, t := ic*inHW+(sy+ky)*in.W+sx, (ic*9+ky*3)*convBlock
-							r, k := in.Data[r0:r0+3:r0+3], kp[t:t+3*convBlock:t+3*convBlock]
-							v := r[0]
-							a0 += k[0] * v
-							a1 += k[1] * v
-							a2 += k[2] * v
-							a3 += k[3] * v
-							a4 += k[4] * v
-							a5 += k[5] * v
-							a6 += k[6] * v
-							a7 += k[7] * v
-							v = r[1]
-							a0 += k[8] * v
-							a1 += k[9] * v
-							a2 += k[10] * v
-							a3 += k[11] * v
-							a4 += k[12] * v
-							a5 += k[13] * v
-							a6 += k[14] * v
-							a7 += k[15] * v
-							v = r[2]
-							a0 += k[16] * v
-							a1 += k[17] * v
-							a2 += k[18] * v
-							a3 += k[19] * v
-							a4 += k[20] * v
-							a5 += k[21] * v
-							a6 += k[22] * v
-							a7 += k[23] * v
+	conv2dForward(c, in, out)
+	return out
+}
+
+// conv2dReference writes Conv2D's output into out with a per-element
+// bounds test: per output cell, bias first, then every in-bounds tap in
+// ascending (ic, ky, kx) order. This nesting is the operational definition
+// of the forward accumulation chain the golden training checksums pin;
+// every product is written float64(w*x), so no compiler fuses it into an
+// FMA.
+func conv2dReference(c *Conv2D, in, out *Volume) {
+	i := 0
+	for oc := 0; oc < c.OutC; oc++ {
+		w := c.W.Value.Row(oc)
+		for oy := 0; oy < out.H; oy++ {
+			for ox := 0; ox < out.W; ox++ {
+				acc := c.B.Value.Data[oc]
+				for ic := 0; ic < c.InC; ic++ {
+					for ky := 0; ky < c.KH; ky++ {
+						y := oy*c.Stride - c.Pad + ky
+						if y < 0 || y >= in.H {
+							continue
 						}
-					}
-				} else {
-					for ic := 0; ic < c.InC; ic++ {
-						for ky := kyLo; ky < kyHi; ky++ {
-							r0, t := ic*inHW+(sy+ky)*in.W+sx, (ic*c.KH+ky)*c.KW
-							for kx := kxLo; kx < kxHi; kx++ {
-								v, k := in.Data[r0+kx], kp[(t+kx)*convBlock:(t+kx+1)*convBlock:(t+kx+1)*convBlock]
-								a0 += k[0] * v
-								a1 += k[1] * v
-								a2 += k[2] * v
-								a3 += k[3] * v
-								a4 += k[4] * v
-								a5 += k[5] * v
-								a6 += k[6] * v
-								a7 += k[7] * v
+						for kx := 0; kx < c.KW; kx++ {
+							x := ox*c.Stride - c.Pad + kx
+							if x < 0 || x >= in.W {
+								continue
 							}
+							acc += float64(w[(ic*c.KH+ky)*c.KW+kx] * in.Data[(ic*in.H+y)*in.W+x])
 						}
 					}
 				}
-				cell := oy*ow + ox
-				for j, v := range [convBlock]float64{a0, a1, a2, a3, a4, a5, a6, a7} {
-					out.Data[o[j]*ohw+cell] = v
-				}
+				out.Data[i] = acc
+				i++
 			}
 		}
 	}
-	return out
 }
 
 // Backward accumulates filter/bias gradients and returns the input gradient.
@@ -321,8 +277,8 @@ func (c *Conv2D) Backward(dout *Volume) *Volume {
 						wSeg := w[wOff : wOff+kxHi-kxLo]
 						gwSeg := gw[wOff : wOff+kxHi-kxLo]
 						for t, iv := range inRow {
-							gwSeg[t] += g * iv
-							dinRow[t] += g * wSeg[t]
+							gwSeg[t] += float64(g * iv)
+							dinRow[t] += float64(g * wSeg[t])
 						}
 					}
 				}

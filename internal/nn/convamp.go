@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/bits"
 
 	"repro/internal/tensor"
 )
@@ -23,8 +22,9 @@ import (
 // then the in-bounds taps in ascending (ky, kx), sequential adds. The row
 // is then folded into the running winner of every grid cell whose window
 // holds it: seeded from the window's first column, replaced only by a
-// strictly greater value. Rows arrive in ascending y, so a cell's winner is
-// the first occurrence of its window's maximum in (y, x) order:
+// strictly greater value, whose conv position is recorded beside it. Rows
+// arrive in ascending y, so a cell's winner is the first occurrence of its
+// window's maximum in (y, x) order:
 // AdaptiveMaxPool2D's scan and tie-breaking. ReLU is monotone, so
 // max∘ReLU = ReLU∘max and it is applied to the winners only. Where a
 // window's maximum is ≤ 0 the recorded argmax differs from the three-layer
@@ -51,14 +51,13 @@ type ConvAMP struct {
 	wsHolder
 	lastIn  *Volume
 	lastOut *Volume // ReLU'd winners: > 0 exactly where the gate is open
-	argmax  []int   // per output cell, the winner's y·W+x in the conv map
 
 	// Fixed-size scratch, allocated once at construction.
 	lanes  int       // OutC rounded up to a multiple of 4
 	taps   []float64 // W packed [tap][c], lanes per tap; padding lanes stay 0
 	bias   []float64 // B over lanes; padding lanes stay 0
 	best   []float64 // running winners, [oy][ox][c] with lanes per cell
-	flags  []uint8   // one grid row's fold: per (ox, four lanes), the lanes that improved
+	pos    []int     // their conv positions y·W+x, laid out as best; Backward reads them
 	y0, y1 []int     // adaptive window [y0, y1) of each grid row
 	x0, x1 []int     // adaptive window [x0, x1) of each grid column
 	order  []int     // backward: one channel's open cells, by conv position
@@ -76,19 +75,18 @@ func NewConvAMP(w, b *tensor.Matrix, outH, outW int) *ConvAMP {
 	lanes := (outC + 3) &^ 3
 	return &ConvAMP{
 		OutC: outC, OutH: outH, OutW: outW,
-		W:      NewParam("conv2d.W", w),
-		B:      NewParam("conv2d.B", b),
-		argmax: make([]int, outC*outH*outW),
-		lanes:  lanes,
-		taps:   make([]float64, 9*lanes),
-		bias:   make([]float64, lanes),
-		best:   make([]float64, outH*outW*lanes),
-		flags:  make([]uint8, outW*lanes/4),
-		y0:     make([]int, outH),
-		y1:     make([]int, outH),
-		x0:     make([]int, outW),
-		x1:     make([]int, outW),
-		order:  make([]int, outH*outW),
+		W:     NewParam("conv2d.W", w),
+		B:     NewParam("conv2d.B", b),
+		lanes: lanes,
+		taps:  make([]float64, 9*lanes),
+		bias:  make([]float64, lanes),
+		best:  make([]float64, outH*outW*lanes),
+		pos:   make([]int, outH*outW*lanes),
+		y0:    make([]int, outH),
+		y1:    make([]int, outH),
+		x0:    make([]int, outW),
+		x1:    make([]int, outW),
+		order: make([]int, outH*outW),
 	}
 }
 
@@ -129,15 +127,16 @@ func (l *ConvAMP) Forward(in *Volume, _ bool) *Volume {
 		}
 		l.convRow(row, in, y)
 		for oy := oyLo; oy < oyHi; oy++ {
+			best, pos := l.best[oy*l.OutW*s:(oy+1)*l.OutW*s], l.pos[oy*l.OutW*s:(oy+1)*l.OutW*s]
 			if y == y0[oy] {
 				for ox, lo := range x0 {
-					copy(l.best[(oy*l.OutW+ox)*s:(oy*l.OutW+ox+1)*s], row[lo*s:(lo+1)*s])
-					for c := 0; c < l.OutC; c++ {
-						l.argmax[(c*l.OutH+oy)*l.OutW+ox] = y*w + lo
+					copy(best[ox*s:(ox+1)*s], row[lo*s:(lo+1)*s])
+					for c := range s {
+						pos[ox*s+c] = y*w + lo
 					}
 				}
 			}
-			l.foldGridRow(row, y, oy, w)
+			foldRow(best, pos, row, x0, x1, y*w)
 		}
 	}
 	cells := l.OutH * l.OutW
@@ -180,39 +179,6 @@ func (l *ConvAMP) convRow(row []float64, in *Volume, y int) {
 	}
 }
 
-// foldGridRow folds conv row y into the winners of grid row oy. foldRow
-// carries each window's maximum forward and flags the (window, channel)
-// pairs whose maximum grew; only for those is the winner's position
-// recovered, as the first column of the window's segment that compares
-// >= the new maximum — every earlier column is smaller or NaN — and that
-// column's bits are recorded, so a −0 seen before a +0 keeps its sign.
-func (l *ConvAMP) foldGridRow(row []float64, y, oy, w int) {
-	s := l.lanes
-	best := l.best[oy*l.OutW*s : (oy+1)*l.OutW*s]
-	if !foldRow(best, row, l.x0, l.x1, l.flags) {
-		return
-	}
-	flags := l.flags
-	for ox, lo := range l.x0 {
-		for c0 := 0; c0 < s; c0 += 4 {
-			f := flags[0]
-			flags = flags[1:]
-			for ; f != 0; f &= f - 1 {
-				c := c0 + bits.TrailingZeros8(f)
-				if c >= l.OutC {
-					break // padding lanes
-				}
-				m, x, i := best[ox*s+c], lo, lo*s+c
-				for !(row[i] >= m) { // nothing in the segment exceeds m, and NaN compares false
-					x, i = x+1, i+s
-				}
-				best[ox*s+c] = row[i]
-				l.argmax[(c*l.OutH+oy)*l.OutW+ox] = y*w + x
-			}
-		}
-	}
-}
-
 // Backward accumulates filter/bias gradients from the winning conv cells
 // only and returns the input gradient.
 func (l *ConvAMP) Backward(dout *Volume) *Volume {
@@ -221,12 +187,12 @@ func (l *ConvAMP) Backward(dout *Volume) *Volume {
 	din := l.ws.Volume(1, h, w)
 	din.Zero() // the scatter below accumulates
 	gW, gB := l.W.Gradient(), l.B.Gradient()
-	cells := l.OutH * l.OutW
+	cells, s := l.OutH*l.OutW, l.lanes
 	for oc := 0; oc < l.OutC; oc++ {
 		k := l.W.Value.Row(oc)
 		gk := gW.Row(oc)
 		gate := l.lastOut.Data[oc*cells : (oc+1)*cells]
-		args := l.argmax[oc*cells : (oc+1)*cells]
+		args := l.pos[oc:] // cell i's winner is args[i*s]
 		gs := dout.Data[oc*cells : (oc+1)*cells]
 
 		// Stable insertion sort of the open cells by conv position; grid
@@ -236,16 +202,16 @@ func (l *ConvAMP) Backward(dout *Volume) *Volume {
 			if v > 0 {
 				j := len(order)
 				order = order[:j+1]
-				for ; j > 0 && args[order[j-1]] > args[i]; j-- {
+				for ; j > 0 && args[order[j-1]*s] > args[i*s]; j-- {
 					order[j] = order[j-1]
 				}
 				order[j] = i
 			}
 		}
 		for i := 0; i < len(order); {
-			pos := args[order[i]]
+			pos := args[order[i]*s]
 			g := 0.0
-			for ; i < len(order) && args[order[i]] == pos; i++ {
+			for ; i < len(order) && args[order[i]*s] == pos; i++ {
 				g += gs[order[i]]
 			}
 			if g == 0 {

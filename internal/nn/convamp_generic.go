@@ -45,27 +45,21 @@ func convRowInteriorGeneric(dst, src, taps, bias []float64, w int) {
 }
 
 // foldRowGeneric folds one conv row into the running maxima best, [ox][c],
-// of one grid row whose windows are [x0[ox], x1[ox]). Per window and lane a
-// column replaces the maximum only if strictly greater, so the first
-// occurrence of the maximum is kept with its own bits, a NaN maximum is
-// never replaced and a NaN column never wins. Bit c%4 of flags[ox·s/4 +
-// c/4] is set where the maximum changed and cleared where it did not; the
-// result says whether any changed.
-func foldRowGeneric(best, row []float64, x0, x1 []int, flags []uint8) bool {
+// of one grid row whose windows are [x0[ox], x1[ox]), and their conv
+// positions pos, laid out alike. Per window and lane a column replaces the
+// maximum only if strictly greater, and its position base+x is recorded: so
+// the first occurrence of the maximum is kept with its own bits and
+// position, a NaN maximum is never replaced and a NaN column never wins.
+func foldRowGeneric(best []float64, pos []int, row []float64, x0, x1 []int, base int) {
 	s := len(best) / len(x0)
-	improved := false
 	for ox, lo := range x0 {
-		cell, f := best[ox*s:(ox+1)*s], flags[ox*s/4:(ox+1)*s/4]
-		clear(f)
+		cell, at := best[ox*s:(ox+1)*s], pos[ox*s:(ox+1)*s]
 		for x := lo; x < x1[ox]; x++ {
 			for c, v := range row[x*s : (x+1)*s] {
-				if v > cell[c] { // a maximum only grows, so one replacement flags it
-					cell[c] = v
-					f[c/4] |= 1 << (c % 4)
-					improved = true
+				if v > cell[c] {
+					cell[c], at[c] = v, base+x
 				}
 			}
 		}
 	}
-	return improved
 }

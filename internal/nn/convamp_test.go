@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
 // Input regimes of the fused-vs-layers differential.
@@ -107,7 +105,7 @@ func sameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// forEachKernelPath runs f on each ConvAMP kernel path this machine has:
+// forEachKernelPath runs f on each forward kernel path this machine has:
 // the AVX2 kernels where the CPU check chose them, then the Go reference
 // loops, which every machine without AVX2 runs. The choice is restored
 // afterwards.
@@ -241,8 +239,8 @@ func TestConvAMPDuplicateWinner(t *testing.T) {
 
 	got, want := fused.Forward(in, true), layers.Forward(in, true)
 	sameBits(t, "out", got.Data, want.Data)
-	if fused.argmax[0] != 1*4+2 || fused.argmax[1] != 1*4+2 {
-		t.Fatalf("cells 0 and 1 won by %d and %d, want both %d", fused.argmax[0], fused.argmax[1], 1*4+2)
+	if a0, a1 := fused.pos[0], fused.pos[fused.lanes]; a0 != 1*4+2 || a1 != 1*4+2 {
+		t.Fatalf("cells 0 and 1 won by %d and %d, want both %d", a0, a1, 1*4+2)
 	}
 	sameBits(t, "din", fused.Backward(dout).Data, layers.Backward(dout).Data)
 	sameBits(t, "W.Grad", fused.W.Grad.Data, conv.W.Grad.Data)
@@ -292,61 +290,64 @@ func TestConvAMPZeroAlloc(t *testing.T) {
 // at window lengths that reach the kernel's column loop from zero to seven
 // columns, in every channel of layers whose lanes fill one vector, leave
 // padding and run past a block of sixteen: the first occurrence of the
-// maximum wins with its own bits (so −0 before +0 stays −0), a NaN that
-// seeds the window is kept, and a NaN anywhere else never wins. Padding
-// lanes hold +Inf, which would win every window if they were read.
+// maximum wins with its own bits and its own position (so −0 before +0
+// stays −0), a NaN that seeds the window is kept, and a NaN anywhere else
+// never wins. Padding lanes hold +Inf, which would win every window if they
+// were read, and a window starting past column 0 shows that positions
+// count from the row's base, not the window's start.
 func TestFoldWindowScanRules(t *testing.T) {
 	nan, negZero, inf := math.Float64frombits(0x7ff8000000000001), math.Copysign(0, -1), math.Inf(1)
-	const y, w, arg = 1, 100, -1 // the segment's first column is conv position y·w = 100
-	const pos = y * w
+	const base, arg = 100, -1 // conv position of the row's column 0; an unchanged winner's
 	cases := []struct {
 		name     string
 		seg      []float64
 		best     float64
 		wantBits uint64
-		wantArg  int
+		wantAt   int // column in seg, or arg
 	}{
 		{"seed NaN kept", []float64{nan, 5, inf, 7}, nan, math.Float64bits(nan), arg},
 		{"later NaN skipped", []float64{1, nan, 0.5, 0.25, nan}, 1, math.Float64bits(1), arg},
-		{"NaNs do not hide a later maximum", []float64{1, nan, 2, nan, 5, 0.5}, 0, math.Float64bits(5), pos + 4},
+		{"NaNs do not hide a later maximum", []float64{1, nan, 2, nan, 5, 0.5}, 0, math.Float64bits(5), 4},
 		{"all-NaN window leaves the winner", []float64{nan, nan, nan}, 0.2, math.Float64bits(0.2), arg},
-		{"−0 before +0", []float64{negZero, 0}, -1, math.Float64bits(negZero), pos},
-		{"+0 before −0", []float64{0, negZero, 0, negZero, negZero}, -1, math.Float64bits(0), pos},
+		{"−0 before +0", []float64{negZero, 0}, -1, math.Float64bits(negZero), 0},
+		{"+0 before −0", []float64{0, negZero, 0, negZero, negZero}, -1, math.Float64bits(0), 0},
 		{"+0 does not beat −0", []float64{0, 0, 0}, negZero, math.Float64bits(negZero), arg},
 		{"equal does not beat", []float64{3, 2, 3}, 3, math.Float64bits(3), arg},
-		{"first of two maxima", []float64{1, 3, 2, 3, 0, 3}, 0, math.Float64bits(3), pos + 1},
-		{"maximum in the last odd cell", []float64{1, 2, 3, 4, 5, 6, 7}, 6.5, math.Float64bits(7), pos + 6},
-		{"maximum mid-window", []float64{0, 0, 9, 0, 0}, -inf, math.Float64bits(9), pos + 2},
-		{"+Inf wins once", []float64{inf, inf}, math.MaxFloat64, math.Float64bits(inf), pos},
+		{"first of two maxima", []float64{1, 3, 2, 3, 0, 3}, 0, math.Float64bits(3), 1},
+		{"maximum in the last odd cell", []float64{1, 2, 3, 4, 5, 6, 7}, 6.5, math.Float64bits(7), 6},
+		{"maximum mid-window", []float64{0, 0, 9, 0, 0}, -inf, math.Float64bits(9), 2},
+		{"+Inf wins once", []float64{inf, inf}, math.MaxFloat64, math.Float64bits(inf), 0},
 		{"empty window", nil, 4, math.Float64bits(4), arg},
 	}
 	forEachKernelPath(func(path string) {
 		for _, outC := range []int{4, 6, 17} {
-			l := NewConvAMP(tensor.New(outC, 9), tensor.New(1, outC), 1, 1)
-			s := l.lanes
-			for _, tc := range cases {
-				n := len(tc.seg)
-				row := make([]float64, n*s)
-				for x := range n {
-					for c := range s {
-						row[x*s+c] = inf
-						if c < outC {
-							row[x*s+c] = tc.seg[x]
+			for _, lo := range []int{0, 3} {
+				s := (outC + 3) &^ 3
+				for _, tc := range cases {
+					n := len(tc.seg)
+					row := make([]float64, (lo+n)*s)
+					for x := range lo + n {
+						for c := range s {
+							row[x*s+c] = inf
+							if c < outC && x >= lo {
+								row[x*s+c] = tc.seg[x-lo]
+							}
 						}
 					}
-				}
-				l.x0[0], l.x1[0] = 0, n
-				for c := range s {
-					l.best[c] = tc.best
-				}
-				for i := range l.argmax {
-					l.argmax[i] = arg
-				}
-				l.foldGridRow(row, y, 0, w)
-				for c := range outC {
-					if b, at := math.Float64bits(l.best[c]), l.argmax[c]; b != tc.wantBits || at != tc.wantArg {
-						t.Errorf("%s path, OutC %d, channel %d: %s = (%#x, %d), want (%#x, %d)",
-							path, outC, c, tc.name, b, at, tc.wantBits, tc.wantArg)
+					best, pos := make([]float64, s), make([]int, s)
+					for c := range s {
+						best[c], pos[c] = tc.best, arg
+					}
+					foldRow(best, pos, row, []int{lo}, []int{lo + n}, base)
+					want := arg
+					if tc.wantAt != arg {
+						want = base + lo + tc.wantAt
+					}
+					for c := range outC {
+						if b, at := math.Float64bits(best[c]), pos[c]; b != tc.wantBits || at != want {
+							t.Errorf("%s path, OutC %d, window from %d, channel %d: %s = (%#x, %d), want (%#x, %d)",
+								path, outC, lo, c, tc.name, b, at, tc.wantBits, want)
+						}
 					}
 				}
 			}

@@ -7,44 +7,6 @@ import (
 	"testing"
 )
 
-// conv2dReference is the naive oracle for Conv2D.Forward: per output cell,
-// bias first, then every in-bounds tap in ascending (ic, ky, kx) order with
-// a per-element bounds test. This nesting is the operational definition of
-// the forward accumulation chain — the golden training checksum depends on
-// Forward's channel-blocked nest and its unrolled 3×3 interior reproducing
-// it bit for bit.
-func conv2dReference(c *Conv2D, in *Volume) []float64 {
-	oh, ow := c.OutDims(in.H, in.W)
-	out := make([]float64, c.OutC*oh*ow)
-	i := 0
-	for oc := 0; oc < c.OutC; oc++ {
-		w := c.W.Value.Row(oc)
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				acc := c.B.Value.At(0, oc)
-				for ic := 0; ic < c.InC; ic++ {
-					for ky := 0; ky < c.KH; ky++ {
-						y := oy*c.Stride - c.Pad + ky
-						if y < 0 || y >= in.H {
-							continue
-						}
-						for kx := 0; kx < c.KW; kx++ {
-							x := ox*c.Stride - c.Pad + kx
-							if x < 0 || x >= in.W {
-								continue
-							}
-							acc += w[(ic*c.KH+ky)*c.KW+kx] * in.Data[(ic*in.H+y)*in.W+x]
-						}
-					}
-				}
-				out[i] = acc
-				i++
-			}
-		}
-	}
-	return out
-}
-
 // Value regimes of the kernel differentials.
 const (
 	kernTanh    = iota // (−1, 1): what the graph-conv stack feeds the head
@@ -89,9 +51,9 @@ func kernelValue(rng *rand.Rand, mode int, nans []uint64) float64 {
 }
 
 // checkConv2DForward draws the layer's filters, biases and an inC×h×w input
-// from fill, runs Forward over a NaN-poisoned workspace (so a cell the nest
-// forgets to write shows) and holds every output cell to conv2dReference by
-// Float64bits.
+// from fill, then, on each kernel path, runs Forward over a NaN-poisoned
+// workspace (so a cell the kernel forgets to write shows) and holds every
+// output cell to conv2dReference by Float64bits.
 func checkConv2DForward(t *testing.T, layer *Conv2D, h, w int, fill func() float64) {
 	t.Helper()
 	for _, p := range layer.Params() {
@@ -104,19 +66,22 @@ func checkConv2DForward(t *testing.T, layer *Conv2D, h, w int, fill func() float
 		in.Data[i] = fill()
 	}
 	oh, ow := layer.OutDims(h, w)
-	layer.SetWorkspace(NewWorkspace())
-	poisonWorkspace(layer.ws, []int{layer.OutC * oh * ow}, nil)
-	got := layer.Forward(in, false)
-	want := conv2dReference(layer, in)
-	if len(got.Data) != len(want) {
-		t.Fatalf("output length %d, want %d", len(got.Data), len(want))
-	}
-	for i, w := range want {
-		if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
-			t.Fatalf("cell %d: Forward %x (%g) vs reference %x (%g)",
-				i, math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(w), w)
+	want := NewVolume(layer.OutC, oh, ow)
+	conv2dReference(layer, in, want)
+	forEachKernelPath(func(path string) {
+		layer.SetWorkspace(NewWorkspace())
+		poisonWorkspace(layer.ws, []int{layer.OutC * oh * ow}, nil)
+		got := layer.Forward(in, false)
+		if len(got.Data) != len(want.Data) {
+			t.Fatalf("%s path: output length %d, want %d", path, len(got.Data), len(want.Data))
 		}
-	}
+		for i, w := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(w) {
+				t.Fatalf("%s path, cell %d: Forward %x (%g) vs reference %x (%g)",
+					path, i, math.Float64bits(got.Data[i]), got.Data[i], math.Float64bits(w), w)
+			}
+		}
+	})
 }
 
 // TestConv2DForwardMatchesReference pins Conv2D.Forward bit-for-bit against
@@ -149,7 +114,9 @@ func TestConv2DForwardMatchesReference(t *testing.T) {
 	for _, gh := range []int{3, 10, 16} {
 		cases = append(cases, geometry{fmt.Sprintf("AMP head %dx8", gh), 16, 32, 3, 3, 1, 1, gh, 8})
 	}
-	for _, outC := range []int{1, 4, 5, 8, 9, 33} {
+	// Table II's other channel count doubles it: two blocks of 32 lanes.
+	cases = append(cases, geometry{"AMP head 32 channels 10x8", 32, 64, 3, 3, 1, 1, 10, 8})
+	for _, outC := range []int{1, 4, 5, 8, 9, 31, 32, 33} {
 		for _, stride := range []int{1, 2} {
 			for _, pad := range []int{0, 1, 2} {
 				cases = append(cases, geometry{fmt.Sprintf("outC%d stride%d pad%d", outC, stride, pad), 2, outC, 3, 3, stride, pad, 7, 9})
@@ -165,10 +132,13 @@ func TestConv2DForwardMatchesReference(t *testing.T) {
 	}
 }
 
-// FuzzConv2DForward holds Conv2D.Forward to conv2dReference by Float64bits
-// over random geometries — 1–40 output channels, so full channel blocks, a
-// remainder block and lone channels all run — and over ±0, subnormals, ±Inf
-// and NaN in inputs, filters and biases alike.
+// FuzzConv2DForward holds Conv2D.Forward, on each kernel path, to
+// conv2dReference by Float64bits over random geometries — 1–40 output
+// channels, so a full block of 32 lanes, blocks of four and padding lanes
+// all run; 1–33 input channels; 1–16 rows and columns; kernels of 1–7 taps
+// a side, strides 1–4 and padding 0–6, so windows wholly or partly in the
+// padding occur — and over ±0, subnormals, ±Inf and NaN in inputs,
+// filters and biases alike.
 func FuzzConv2DForward(f *testing.F) {
 	for _, s := range []struct {
 		seed                                     int64
@@ -181,14 +151,45 @@ func FuzzConv2DForward(f *testing.F) {
 		{5, 3, 33, 5, 2, 3, 4, 6, 11, kernSpecial}, // windows wholly in the padding
 		{6, 4, 8, 3, 3, 1, 0, 2, 2, kernTies},      // no output cell
 		{7, 5, 12, 4, 3, 1, 1, 12, 1, kernSpecial},
+		{8, 32, 40, 3, 3, 1, 1, 10, 8, kernTanh}, // a block of 32 lanes and two of four
+		{9, 33, 40, 7, 6, 4, 6, 16, 15, kernSpecial},
+		{10, 16, 31, 3, 3, 1, 1, 16, 8, kernTies}, // 28 lanes in blocks of four, one padding lane
 	} {
 		f.Add(s.seed, s.inC, s.outC, s.kh, s.kw, s.stride, s.pad, s.h, s.w, s.md)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, inC, outC, kh, kw, stride, pad, h, w, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		layer := newConv2D(rng, 1+int(inC-1)%16, 1+int(outC-1)%40, 1+int(kh-1)%5, 1+int(kw-1)%5, 1+int(stride-1)%3, int(pad)%5)
+		layer := newConv2D(rng, 1+int(inC-1)%33, 1+int(outC-1)%40, 1+int(kh-1)%7, 1+int(kw-1)%7, 1+int(stride-1)%4, int(pad)%7)
 		m := int(mode) % kernModes
 		nans := []uint64{x86DefaultNaN}
-		checkConv2DForward(t, layer, 1+int(h-1)%20, 1+int(w-1)%20, func() float64 { return kernelValue(rng, m, nans) })
+		checkConv2DForward(t, layer, 1+int(h-1)%16, 1+int(w-1)%16, func() float64 { return kernelValue(rng, m, nans) })
+	})
+}
+
+// BenchmarkConv2DKernelPaths times the AMP head's second convolution,
+// Conv2D(16→32, 3×3, same) on the 16×10×8 grid of the default pooling
+// ratio, on each kernel path this machine has, so the Go reference loop a
+// machine without AVX2 runs is measured beside the AVX2 kernel.
+func BenchmarkConv2DKernelPaths(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	conv := newConv2D(rng, 16, 32, 3, 3, 1, 1)
+	in := NewVolume(16, 10, 8)
+	for i := range in.Data {
+		in.Data[i] = rng.Float64() // ReLU'd pooled maxima: ≥ 0
+	}
+	ws := NewWorkspace()
+	conv.SetWorkspace(ws)
+	forEachKernelPath(func(path string) {
+		b.Run(path, func(b *testing.B) {
+			for warm := 0; warm < 2; warm++ { // grow the slab, then consolidate it
+				ws.Reset()
+				conv.Forward(in, false)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ws.Reset()
+				conv.Forward(in, false)
+			}
+		})
 	})
 }

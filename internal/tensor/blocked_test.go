@@ -5,38 +5,45 @@ import (
 	"testing"
 )
 
-// Differential harness for the blocked matmul kernels: every target drives
-// the cache-blocked implementation and its retained naive oracle over the
-// same inputs — through a dirty workspace destination — and requires
-// bit-for-bit equality. The oracles (oracle.go) are the operational
-// definition of the per-cell accumulation order, so any blocked-kernel
-// change that reorders a single addition fails here before it can disturb
-// the trainer's golden checksum.
+// Differential harness for the fast matmul kernels: every target drives a
+// kernel and its naive oracle over the same inputs — through a dirty
+// workspace destination — and requires bit-for-bit equality. The oracles
+// (oracle.go) are the operational definition of the per-cell accumulation
+// order, so any kernel change that reorders a single addition fails here
+// before it can disturb the trainer's golden checksum.
 //
-// The fuzz dims deliberately straddle the blocking boundaries: matMulBlocked
-// blocks 8 columns at a time, matMulTABlocked 4, matMulTBBlocked walks b two
-// rows at a time, so widths 1..48 exercise whole blocks plus every remainder
-// width. k-tile crossings (matmulKB = 256) are covered by the deterministic
-// TestBlockedMatMulCrossesKTiles, which fuzzing at practical sizes would
-// rarely reach.
+// The fuzz dims deliberately straddle the kernels' boundaries: the AVX2
+// matmul runs 32 columns at a time, then 4, and leaves the last 1–3 to Go;
+// matMulTABlocked blocks 4 columns, matMulTBBlocked walks b two rows at a
+// time. Widths 1..48 exercise whole blocks plus every remainder width.
+// The deterministic TestBlockedMatMulCrossesKTiles pins inner dimensions
+// around 256 and past 512, which fuzzing at practical sizes rarely
+// reaches.
 
 func dims48(v uint8) int { return 1 + int(v)%48 }
 
+// FuzzBlockedMatMulInto runs MatMulInto on each kernel path over 1–48
+// rows, inner dimensions 0–382 and 1–40 columns, with ±0, NaN, ±Inf and
+// subnormals in a, b or both as the seed's low bits say (see operands).
 func FuzzBlockedMatMulInto(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(3), uint8(4))
 	f.Add(int64(7), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(11), uint8(16), uint8(47), uint8(8))
 	f.Add(int64(42), uint8(31), uint8(9), uint8(40))
+	f.Add(int64(5), uint8(46), uint8(171), uint8(31))  // k = 256, 32 columns
+	f.Add(int64(9), uint8(203), uint8(7), uint8(35))   // k = 10, 36 columns
+	f.Add(int64(13), uint8(20), uint8(200), uint8(33)) // k = 300, special a, finite b
 	f.Fuzz(func(t *testing.T, seed int64, ar, ac, bc uint8) {
-		rng := rand.New(rand.NewSource(seed))
-		a := randMatrix(rng, dims48(ar), dims48(ac))
-		b := randMatrix(rng, dims48(ac), dims48(bc))
-		ws := NewWorkspace()
-		dst := dirtyDst(ws, rng, a.Rows, b.Cols)
-		matMulBlocked(dst, a, b)
-		want := New(a.Rows, b.Cols)
-		MatMulNaiveInto(want, a, b)
-		requireBitEqual(t, dst, want, "blocked matmul vs naive oracle")
+		forEachKernelPath(func(path string) {
+			rng := rand.New(rand.NewSource(seed))
+			a, b := operands(rng, seed, dims48(ar), int(ac)*3/2, 1+int(bc)%40)
+			ws := NewWorkspace()
+			dst := dirtyDst(ws, rng, a.Rows, b.Cols)
+			MatMulInto(dst, a, b)
+			want := New(a.Rows, b.Cols)
+			MatMulNaiveInto(want, a, b)
+			requireBitEqual(t, dst, want, path+" matmul vs naive oracle")
+		})
 	})
 }
 
@@ -74,20 +81,21 @@ func FuzzBlockedMatMulTBInto(f *testing.F) {
 	})
 }
 
-// TestBlockedMatMulCrossesKTiles pins bit-identity at inner dimensions that
-// span multiple k-tiles (matmulKB = 256): the blocked kernel stages partial
-// sums through dst across tiles, and this test proves the staging reproduces
-// the oracle's single uninterrupted accumulation chain exactly.
+// TestBlockedMatMulCrossesKTiles pins bit-identity at inner dimensions
+// around 256 and past 512, on each MatMulInto path and for the transposed
+// kernels: each cell's chain must run uninterrupted over every k.
 func TestBlockedMatMulCrossesKTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for _, k := range []int{255, 256, 257, 517} {
 		a := randMatrix(rng, 3, k)
-		b := randMatrix(rng, k, 19)
-		dst := New(3, 19)
-		matMulBlocked(dst, a, b)
-		want := New(3, 19)
-		MatMulNaiveInto(want, a, b)
-		requireBitEqual(t, dst, want, "k-tile crossing matmul")
+		b := randMatrix(rng, k, 39)
+		forEachKernelPath(func(path string) {
+			dst := New(3, 39)
+			MatMulInto(dst, a, b)
+			want := New(3, 39)
+			MatMulNaiveInto(want, a, b)
+			requireBitEqual(t, dst, want, path+" k-tile crossing matmul")
+		})
 
 		ta := randMatrix(rng, k, 5)
 		tb := randMatrix(rng, k, 11)

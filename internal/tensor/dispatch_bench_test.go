@@ -6,35 +6,30 @@ import (
 	"testing"
 )
 
-// BenchmarkKernelDispatch compares the blocked kernel against the naive
-// oracle across the product shapes the model actually produces (the
-// graph-conv stack's skinny 100×k·k×32 products) plus large square shapes.
-// It justifies shipping a single kernel with no size-based dispatch: the
-// register-blocked form wins at every measured shape, small ones included.
-// Not part of the CI benchmark set.
-func BenchmarkKernelDispatch(b *testing.B) {
+// BenchmarkMatMulKernelPaths times MatMulInto on each kernel path this
+// machine has, at the graph-conv stack's products — n×11·11×32 (the first
+// layer over the ACFG attributes) and n×32·32×32 (every later layer, over
+// rectified activations, so about half of a's terms are zero) at the
+// YANCFG mean of 47 vertices and the listing mean of 204 — so the Go path
+// a machine without AVX2 runs is measured beside the AVX2 one.
+func BenchmarkMatMulKernelPaths(b *testing.B) {
 	rng := rand.New(rand.NewSource(11))
-	shapes := []struct{ n, k, m int }{
-		{100, 11, 32},
-		{100, 32, 32},
-		{500, 32, 32},
-		{128, 128, 128},
-		{256, 256, 256},
-		{512, 512, 512},
-	}
-	for _, s := range shapes {
+	for _, s := range []struct{ n, k, m int }{{47, 11, 32}, {47, 32, 32}, {204, 11, 32}, {204, 32, 32}} {
 		a := Uniform(rng, s.n, s.k, -1, 1)
+		if s.k == 32 {
+			for i, v := range a.Data {
+				a.Data[i] = max(v, 0)
+			}
+		}
 		x := Uniform(rng, s.k, s.m, -1, 1)
 		dst := New(s.n, s.m)
-		b.Run(fmt.Sprintf("blocked_%dx%dx%d", s.n, s.k, s.m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				matMulBlocked(dst, a, x)
-			}
-		})
-		b.Run(fmt.Sprintf("naive_%dx%dx%d", s.n, s.k, s.m), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				MatMulNaiveInto(dst, a, x)
-			}
+		forEachKernelPath(func(path string) {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", s.n, s.k, s.m, path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					MatMulInto(dst, a, x)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.n*s.k*s.m), "ns/mac")
+			})
 		})
 	}
 }

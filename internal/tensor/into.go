@@ -9,10 +9,10 @@ import "fmt"
 // panics when dst has the wrong shape, because a shape mismatch is always a
 // programming error here, never a runtime condition.
 //
-// The matmul kernels' references are the straight-loop oracles of
-// oracle.go; the differential fuzz tests in into_test.go hold every kernel
-// to its reference bit for bit on dirty destinations — the property the
-// trainer's bit-determinism contract rests on.
+// The matmul kernels' references are the straight loops of oracle.go; the
+// differential fuzz tests in into_test.go and blocked_test.go hold every
+// kernel to its reference bit for bit on dirty destinations — the property
+// the trainer's bit-determinism contract rests on.
 
 // sameBuffer reports whether two matrices share a backing array. The check
 // compares head pointers: that is exact for this package, where buffers are
@@ -65,15 +65,20 @@ func checkMatMulTB(dst, a, b *Matrix) {
 	}
 }
 
-// MatMulInto computes dst = a·b with the blocked kernel of blocked.go. The
-// result is bit-for-bit MatMulNaiveInto's: per destination cell the products
-// are summed over k strictly ascending with zero a[i][k] terms skipped. It
-// panics if the inner dimensions disagree, if dst is not a.Rows×b.Cols, or
-// if dst aliases a or b.
+// MatMulInto computes dst = a·b. The result is bit-for-bit
+// MatMulNaiveInto's: per destination cell the products are summed over k
+// strictly ascending with zero a[i][k] terms skipped. On amd64 machines
+// with AVX2 it runs the assembly kernel of kernel_amd64.s, elsewhere the
+// reference loop itself. It panics if the inner dimensions disagree, if
+// dst is not a.Rows×b.Cols, or if dst aliases a or b.
 func MatMulInto(dst, a, b *Matrix) {
 	checkMatMul(dst, a, b)
-	matMulBlocked(dst, a, b)
+	matMulKernel(dst, a, b)
 }
+
+// HasAVX2 reports whether this CPU and OS run AVX2 instructions, as the
+// kernels of this package and of internal/nn read it at init.
+func HasAVX2() bool { return hasAVX2 }
 
 // MatMulTAInto computes dst = aᵀ·b without materializing aᵀ. Contribution
 // order per destination element is ascending over a's rows, so the result
@@ -96,14 +101,6 @@ func AddInto(dst, a, b *Matrix) {
 	mustDims(dst, a.Rows, a.Cols, "add")
 	for i, v := range a.Data {
 		dst.Data[i] = v + b.Data[i]
-	}
-}
-
-// MapInto computes dst[i] = f(m[i]) elementwise. dst may alias m.
-func MapInto(dst, m *Matrix, f func(float64) float64) {
-	mustDims(dst, m.Rows, m.Cols, "map")
-	for i, v := range m.Data {
-		dst.Data[i] = f(v)
 	}
 }
 

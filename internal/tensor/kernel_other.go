@@ -1,0 +1,14 @@
+//go:build !amd64
+
+package tensor
+
+// Without an assembly kernel, MatMulInto runs the Go reference loop.
+// useAVX2 is always false here; it exists so tests read the kernel choice
+// the same way on every architecture.
+
+var (
+	hasAVX2 = false
+	useAVX2 = false
+)
+
+func matMulKernel(dst, a, b *Matrix) { matMulGeneric(dst, a, b, 0) }
