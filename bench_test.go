@@ -186,24 +186,79 @@ func BenchmarkAblationAttributes(b *testing.B) {
 
 // --- Section V-E execution-overhead micro-benchmarks ---
 
-// BenchmarkACFGExtraction times the full front half of the pipeline on one
-// synthetic program: parse → tag → build CFG → extract Table I attributes
-// (the paper reports ~5.8 s per real malware instance on full-size
-// binaries; our synthetic listings are smaller).
+// BenchmarkACFGExtraction times the front half of the pipeline stage by
+// stage — parse, tag + build the CFG, extract Table I attributes — and
+// whole (acfg.FromASM, the service's path, which also validates). msk0 is
+// the 61-block listing this benchmark has always timed; b50, b180 and b420
+// are listings of ≈ 50, 180 and 420 blocks made as the benchmark module's
+// classify-asm-large pool makes them (the MSK profiles with function
+// counts ×4), the sizes the service is sent. The paper reports ~5.8 s per
+// real malware instance on full-size binaries.
 func BenchmarkACFGExtraction(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	text := malgen.GenerateProgram(rng, malgen.MSKProfileFor(0))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog, err := asm.ParseString(text)
+	listings := []struct{ name, text string }{
+		{"msk0", malgen.GenerateProgram(rand.New(rand.NewSource(1)), malgen.MSKProfileFor(0))},
+	}
+	for _, blocks := range []int{50, 180, 420} {
+		listings = append(listings, struct{ name, text string }{fmt.Sprintf("b%d", blocks), servedListing(b, blocks)})
+	}
+	for _, l := range listings {
+		b.Run(l.name+"/parse", func(b *testing.B) {
+			b.SetBytes(int64(len(l.text)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := asm.ParseString(l.text); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		prog, err := asm.ParseString(l.text)
 		if err != nil {
 			b.Fatal(err)
 		}
-		a := acfg.FromCFG(cfg.Build(prog))
-		if a.NumVertices() == 0 {
-			b.Fatal("empty ACFG")
+		b.Run(l.name+"/build", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg.Build(prog) // tagging again sets the same tags
+			}
+		})
+		c := cfg.Build(prog)
+		b.Run(l.name+"/annotate", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				acfg.FromCFG(c)
+			}
+		})
+		b.Run(l.name+"/all", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if a, err := acfg.FromASM(l.text); err != nil || a.NumVertices() == 0 {
+					b.Fatalf("FromASM: %v", err)
+				}
+			}
+		})
+	}
+}
+
+// servedListing returns the first listing, of the MSK profiles in turn with
+// their function counts ×4, whose CFG has blocks ± 5 % basic blocks.
+func servedListing(tb testing.TB, blocks int) string {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(int64(blocks)))
+	for tries := 0; tries < 10000; tries++ {
+		p := malgen.MSKProfileFor(tries % len(malgen.MSKCFGFamilies()))
+		p.FuncMin *= 4
+		p.FuncMax *= 4
+		text := malgen.GenerateProgram(rand.New(rand.NewSource(rng.Int63())), p)
+		a, err := acfg.FromASM(text)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if d := a.NumVertices() - blocks; d*20 <= blocks && -d*20 <= blocks {
+			return text
 		}
 	}
+	tb.Fatalf("no listing of %d ± 5 %% blocks", blocks)
+	return ""
 }
 
 // BenchmarkTrainPerInstance times one training step (forward + backward)

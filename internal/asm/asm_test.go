@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -367,5 +368,42 @@ func TestTagProgramJumpOutsideProgram(t *testing.T) {
 	j := p.At(0x401000)
 	if !j.HasBranch || j.BranchTo != 0xdeadbeef {
 		t.Fatalf("jump tags = %+v", j)
+	}
+}
+
+// TestParseAllocatesForWhatItHolds runs floods that hold little but would
+// size a slab by what the text could hold — newlines, commas, commas as one
+// instruction's empty operands — and the flood of the shortest instruction,
+// "0 a\n", which the walk takes whole before newProgram refuses its
+// repeated address. It holds the bytes each parse allocates to a budget: a
+// constant, plus the line an error text quotes, plus, per instruction the
+// walk found, its slab entry and pointer with the doubling that grows them.
+func TestParseAllocatesForWhatItHolds(t *testing.T) {
+	const size = 256 << 10
+	const perInstruction = 256 // bytes: 88 for the Instruction, 8 for its pointer, ×2 while the slab doubles
+	for _, c := range []struct {
+		name, text string
+		found      int    // instructions the walk finds
+		quoted     int    // bytes of the line the error text quotes
+		err        string // in the error, if one is due
+	}{
+		{"newlines", strings.Repeat("\n", size), 0, 0, ""},
+		{"commas", strings.Repeat(",", size), 0, size, "line 1: want 'ADDR MNEMONIC [operands]'"},
+		{"empty operands", "0 a " + strings.Repeat(",", size), 1, 0, ""},
+		{"0 a", strings.Repeat("0 a\n", size/4), size / 4, 0, "duplicate address 0x0"},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ParseString(c.text)
+		runtime.ReadMemStats(&after)
+		if (err == nil) != (c.err == "") || err != nil && !strings.Contains(err.Error(), c.err) {
+			t.Fatalf("%s: error %v, want %q", c.name, err, c.err)
+		}
+		budget := 4<<10 + 4*c.quoted + perInstruction*c.found
+		got := after.TotalAlloc - before.TotalAlloc
+		if got > uint64(budget) {
+			t.Errorf("%s: %d KiB of text allocated %d bytes, budget %d", c.name, len(c.text)>>10, got, budget)
+		}
+		t.Logf("%s: %d bytes (budget %d)", c.name, got, budget)
 	}
 }

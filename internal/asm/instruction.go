@@ -65,7 +65,10 @@ type Instruction struct {
 	kind   uint8
 	cat    uint8
 	consts int32
-	index  int // position in the owning Program's Insts
+	// Positions in the owning Program's Insts: the instruction's own, and
+	// with HasBranch its target's as TagProgram resolved it (−1: none). A
+	// Program of 2³¹ instructions would take 8 GiB of text.
+	index, target int32
 }
 
 // Kind returns the control-flow kind of the instruction.
@@ -105,12 +108,15 @@ func (in *Instruction) DstAddr() (uint64, bool) {
 	return parseAddr(in.Operands[0])
 }
 
-// store records what the instruction's text decides, so the three getters
-// above stop reading it.
-func (in *Instruction) store() {
-	c := classify(in.Mnemonic)
-	in.kind, in.cat = uint8(c.kind), uint8(c.cat)
-	in.consts = int32(countNumericLiterals(in.Operands))
+// BranchIndex returns the index in the Program of the instruction at
+// BranchTo, as TagProgram resolved it, or −1 when the instruction has no
+// branch or BranchTo is no instruction of the program (an external callee,
+// or an address inside an instruction).
+func (in *Instruction) BranchIndex() int {
+	if !in.HasBranch {
+		return -1
+	}
+	return int(in.target)
 }
 
 // class is everything a mnemonic alone decides about an instruction.
@@ -119,53 +125,39 @@ type class struct {
 	cat  Category
 }
 
-var (
-	conditionalJumps = []string{
-		"je", "jne", "jz", "jnz", "jg", "jge", "jl", "jle", "ja", "jae",
-		"jb", "jbe", "jo", "jno", "js", "jns", "jp", "jnp", "jcxz", "jecxz",
-	}
-	loopOps       = []string{"loop", "loope", "loopne"}
-	arithmeticOps = []string{
-		"add", "sub", "mul", "imul", "div", "idiv", "inc", "dec", "neg",
+// classify is what a mnemonic decides.
+func classify(mnemonic string) class { return classifyLower(lower(mnemonic)) }
+
+// classifyLower is classify of a lower-case mnemonic, one switch: Go
+// compiles it to a jump on the length and a binary search among the cases
+// of that length, with no hashing.
+func classifyLower(mnemonic string) class {
+	switch mnemonic {
+	case "jmp":
+		return class{KindUnconditionalJump, CatTransfer}
+	case "je", "jne", "jz", "jnz", "jg", "jge", "jl", "jle", "ja", "jae",
+		"jb", "jbe", "jo", "jno", "js", "jns", "jp", "jnp", "jcxz", "jecxz":
+		return class{KindConditionalJump, CatTransfer}
+	case "loop", "loope", "loopne":
+		return class{KindOther, CatTransfer}
+	case "call":
+		return class{KindCall, CatCall}
+	case "add", "sub", "mul", "imul", "div", "idiv", "inc", "dec", "neg",
 		"adc", "sbb", "shl", "shr", "sal", "sar", "rol", "ror", "xor",
-		"and", "or", "not",
-	}
-	compareOps = []string{"cmp", "test"}
-	movOps     = []string{"mov", "movzx", "movsx", "lea", "xchg", "movs", "movsb", "movsd"}
-	returnOps  = []string{"ret", "retn", "retf", "iret"}
-	dataOps    = []string{"db", "dw", "dd", "dq", "align"}
-)
-
-// classes maps a lower-case mnemonic to its class; a mnemonic it does not
-// hold is {KindOther, CatOther}.
-var classes = func() map[string]class {
-	t := make(map[string]class)
-	for _, row := range []struct {
-		mnemonics []string
-		class     class
-	}{
-		{[]string{"jmp"}, class{KindUnconditionalJump, CatTransfer}},
-		{conditionalJumps, class{KindConditionalJump, CatTransfer}},
-		{loopOps, class{KindOther, CatTransfer}},
-		{[]string{"call"}, class{KindCall, CatCall}},
-		{arithmeticOps, class{KindOther, CatArithmetic}},
-		{compareOps, class{KindOther, CatCompare}},
-		{movOps, class{KindOther, CatMov}},
-		{returnOps, class{KindReturn, CatTermination}},
-		{[]string{"hlt"}, class{KindHalt, CatTermination}},
-		{[]string{"leave"}, class{KindOther, CatTermination}},
-		{dataOps, class{KindOther, CatDataDeclaration}},
-	} {
-		for _, m := range row.mnemonics {
-			t[m] = row.class
-		}
-	}
-	return t
-}()
-
-func classify(mnemonic string) class {
-	if c, ok := classes[lower(mnemonic)]; ok {
-		return c
+		"and", "or", "not":
+		return class{KindOther, CatArithmetic}
+	case "cmp", "test":
+		return class{KindOther, CatCompare}
+	case "mov", "movzx", "movsx", "lea", "xchg", "movs", "movsb", "movsd":
+		return class{KindOther, CatMov}
+	case "ret", "retn", "retf", "iret":
+		return class{KindReturn, CatTermination}
+	case "hlt":
+		return class{KindHalt, CatTermination}
+	case "leave":
+		return class{KindOther, CatTermination}
+	case "db", "dw", "dd", "dq", "align":
+		return class{KindOther, CatDataDeclaration}
 	}
 	return class{KindOther, CatOther}
 }

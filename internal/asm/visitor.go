@@ -40,49 +40,25 @@ type Tagger struct{}
 // target (whose instruction becomes a leader) and falls through to the next
 // instruction (which also becomes a leader).
 func (Tagger) VisitConditionalJump(p *Program, cj *Instruction) {
-	if dst, ok := cj.DstAddr(); ok {
-		cj.HasBranch = true
-		cj.BranchTo = dst
-		if t := p.At(dst); t != nil {
-			t.Start = true
-		}
-	}
+	branch(p, cj)
 	cj.FallThrough = true
-	if next := p.At(cj.Addr + cj.Size); next != nil {
-		next.Start = true
-	}
+	leadNext(p, cj)
 }
 
 // VisitUnconditionalJump branches without falling through; the next
 // instruction still begins a fresh block.
 func (Tagger) VisitUnconditionalJump(p *Program, j *Instruction) {
-	if dst, ok := j.DstAddr(); ok {
-		j.HasBranch = true
-		j.BranchTo = dst
-		if t := p.At(dst); t != nil {
-			t.Start = true
-		}
-	}
+	branch(p, j)
 	j.FallThrough = false
-	if next := p.Next(j); next != nil {
-		next.Start = true
-	}
+	leadNext(p, j)
 }
 
 // VisitCall records the call edge and falls through to the next instruction
 // (the return site), which begins a new block.
 func (Tagger) VisitCall(p *Program, c *Instruction) {
-	if dst, ok := c.DstAddr(); ok {
-		c.HasBranch = true
-		c.BranchTo = dst
-		if t := p.At(dst); t != nil {
-			t.Start = true
-		}
-	}
+	branch(p, c)
 	c.FallThrough = true
-	if next := p.At(c.Addr + c.Size); next != nil {
-		next.Start = true
-	}
+	leadNext(p, c)
 }
 
 // VisitReturn terminates the flow: no fall-through, and whatever follows
@@ -90,23 +66,43 @@ func (Tagger) VisitCall(p *Program, c *Instruction) {
 func (Tagger) VisitReturn(p *Program, r *Instruction) {
 	r.Return = true
 	r.FallThrough = false
-	if next := p.Next(r); next != nil {
-		next.Start = true
-	}
+	leadNext(p, r)
 }
 
 // VisitHalt behaves like a return for flow purposes.
 func (Tagger) VisitHalt(p *Program, h *Instruction) {
 	h.Return = true
 	h.FallThrough = false
-	if next := p.Next(h); next != nil {
-		next.Start = true
-	}
+	leadNext(p, h)
 }
 
 // VisitDefault: ordinary instructions simply fall through.
 func (Tagger) VisitDefault(_ *Program, in *Instruction) {
 	in.FallThrough = true
+}
+
+// branch tags in's branch to the address its operand names, if it names
+// one, and makes the instruction there a leader. The address is resolved
+// to an index once, here, and kept for the block builder (BranchIndex).
+func branch(p *Program, in *Instruction) {
+	dst, ok := in.DstAddr()
+	if !ok {
+		return
+	}
+	in.HasBranch = true
+	in.BranchTo = dst
+	in.target = int32(p.IndexOf(dst))
+	if in.target >= 0 {
+		p.Insts[in.target].Start = true
+	}
+}
+
+// leadNext makes the instruction after in a leader. It is the one at
+// in.Addr + in.Size, since Size is the gap to it.
+func leadNext(p *Program, in *Instruction) {
+	if next := p.Next(in); next != nil {
+		next.Start = true
+	}
 }
 
 var _ Visitor = Tagger{}

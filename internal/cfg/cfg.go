@@ -39,64 +39,115 @@ func Build(p *asm.Program) *CFG {
 	return connectBlocks(p)
 }
 
-// connectBlocks is Algorithm 2 over an address-ordered program. Where
-// blocks start is known before the sweep — at every leader, and at every
-// branch target outside the program, which gets an empty placeholder block —
-// so the blocks are first laid out in address order in one slab, each
-// block's Insts a sub-slice of p.Insts, and the sweep then only links
-// fall-through successors and branch targets.
+// connectBlocks is Algorithm 2 over an address-ordered program that
+// TagProgram has tagged. Where blocks start is known before the sweep — at
+// every leader, and at every branch target outside the program, which gets
+// an empty placeholder block — so the blocks are first laid out in address
+// order in one slab, each block's Insts a sub-slice of p.Insts, and blockOf
+// records the block of every instruction. The sweep then lists each block's
+// successors in one slab: the block of each branch target, found through
+// the target's instruction index, and the block of the instruction after
+// the last, where control falls through. No address is searched for but a
+// placeholder's.
 func connectBlocks(p *asm.Program) *CFG {
-	leaders := 0
+	insts := p.Insts
+	leaders, branches := 0, 0
 	var external []uint64
-	for i, inst := range p.Insts {
+	for i, inst := range insts {
 		if inst.Start || i == 0 {
 			leaders++
 		}
-		if inst.HasBranch && p.IndexOf(inst.BranchTo) < 0 {
-			external = append(external, inst.BranchTo)
+		if inst.HasBranch {
+			branches++
+			if inst.BranchIndex() < 0 {
+				external = append(external, inst.BranchTo)
+			}
 		}
 	}
 	slices.Sort(external)
 	external = slices.Compact(external)
 
 	slab := make([]Block, 0, leaders+len(external))
-	place := func(start uint64, insts []*asm.Instruction) {
-		slab = append(slab, Block{ID: len(slab), Start: start, Insts: insts})
+	blockOf := make([]int32, len(insts)+len(external))
+	externalID := blockOf[len(insts):] // the placeholders' blocks, in external's order
+	blockOf = blockOf[:len(insts):len(insts)]
+	placed := 0 // externals placed
+	placeholder := func() {
+		externalID[placed] = int32(len(slab))
+		slab = append(slab, Block{ID: len(slab), Start: external[placed]})
+		placed++
 	}
-	for i := 0; i < len(p.Insts); {
-		start := p.Insts[i].Addr
-		for len(external) > 0 && external[0] < start {
-			place(external[0], nil)
-			external = external[1:]
+	for i := 0; i < len(insts); {
+		for placed < len(external) && external[placed] < insts[i].Addr {
+			placeholder()
 		}
 		end := i + 1
-		for end < len(p.Insts) && !p.Insts[end].Start {
+		for end < len(insts) && !insts[end].Start {
 			end++
 		}
-		place(start, p.Insts[i:end:end])
+		id := len(slab)
+		slab = append(slab, Block{ID: id, Start: insts[i].Addr, Insts: insts[i:end:end]})
+		for k := i; k < end; k++ {
+			blockOf[k] = int32(id)
+		}
 		i = end
 	}
-	for _, addr := range external {
-		place(addr, nil)
+	for placed < len(external) {
+		placeholder()
 	}
 
-	c := &CFG{Blocks: make([]*Block, len(slab)), Graph: graph.NewDirected(len(slab))}
+	// A block's successors: one per branching instruction — TagProgram
+	// ends a block at each, so there is at most one — and one fall-through.
+	succ := make([]int, 0, branches+leaders)
+	out := make([][]int, len(slab))
+	first := 0 // where the current block's successors start in succ
+	for i, inst := range insts {
+		if inst.HasBranch {
+			if t := inst.BranchIndex(); t >= 0 {
+				succ = append(succ, int(blockOf[t]))
+			} else {
+				k, _ := slices.BinarySearch(external, inst.BranchTo)
+				succ = append(succ, int(externalID[k]))
+			}
+		}
+		b := blockOf[i]
+		if i+1 < len(insts) && blockOf[i+1] == b {
+			continue // not the block's last instruction
+		}
+		if inst.FallThrough && i+1 < len(insts) {
+			succ = append(succ, int(blockOf[i+1]))
+		}
+		if list := sortedSet(succ[first:]); len(list) > 0 {
+			out[b] = list
+			succ = succ[:first+len(list)]
+		}
+		first = len(succ)
+	}
+
+	c := &CFG{Blocks: make([]*Block, len(slab)), Graph: graph.FromSuccessors(out)}
 	for i := range slab {
 		c.Blocks[i] = &slab[i]
 	}
-	for _, b := range c.Blocks {
-		for _, inst := range b.Insts {
-			if inst.HasBranch {
-				c.Graph.AddEdge(b.ID, c.BlockAt(inst.BranchTo).ID)
-			}
-		}
-		if n := len(b.Insts); n > 0 && b.Insts[n-1].FallThrough {
-			if next := p.Next(b.Insts[n-1]); next != nil {
-				c.Graph.AddEdge(b.ID, c.BlockAt(next.Addr).ID)
-			}
-		}
-	}
 	return c
+}
+
+// sortedSet sorts s and drops its repeats in place, returning the set: the
+// successor list graph.Directed.AddEdge would have built from s.
+func sortedSet(s []int) []int {
+	switch len(s) {
+	case 0, 1:
+		return s
+	case 2:
+		if s[0] > s[1] {
+			s[0], s[1] = s[1], s[0]
+		}
+		if s[0] == s[1] {
+			return s[:1]
+		}
+		return s
+	}
+	slices.Sort(s)
+	return slices.Compact(s)
 }
 
 // BlockAt returns the block starting at addr, or nil.

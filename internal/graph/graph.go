@@ -33,6 +33,25 @@ func NewDirected(n int) *Directed {
 	}
 }
 
+// FromSuccessors returns the graph whose vertex u has the successors
+// out[u]. Every list must be sorted ascending, without repeats, and in
+// range — what AddEdge would have built; it panics otherwise (programming
+// error). The graph keeps the lists, which may share one backing array:
+// each is capped at its length, so a later AddEdge copies a list before it
+// grows it.
+func FromSuccessors(out [][]int) *Directed {
+	n := len(out)
+	for u, row := range out {
+		for i, v := range row {
+			if v < 0 || v >= n || i > 0 && v <= row[i-1] {
+				panic(fmt.Sprintf("graph: successors of %d are not sorted distinct vertices of n=%d: %v", u, n, row))
+			}
+		}
+		out[u] = row[:len(row):len(row)]
+	}
+	return &Directed{n: n, out: out}
+}
+
 // N returns the number of vertices.
 func (g *Directed) N() int { return g.n }
 

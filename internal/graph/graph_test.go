@@ -57,6 +57,31 @@ func TestAddEdgeOutOfRangePanics(t *testing.T) {
 	NewDirected(2).AddEdge(0, 2)
 }
 
+// TestFromSuccessors checks the slab constructor against AddEdge: the same
+// edges, a later AddEdge that grows one list leaving its neighbour in the
+// shared slab intact, and a panic for lists AddEdge could not have built.
+func TestFromSuccessors(t *testing.T) {
+	slab := []int{1, 4, 2, 3, 1, 3}
+	g := FromSuccessors([][]int{slab[0:2], slab[2:3], slab[3:4], slab[4:5], slab[5:6]})
+	if want := paperSampleGraph(); !slices.Equal(g.Edges(), want.Edges()) {
+		t.Fatalf("edges %v, AddEdge built %v", g.Edges(), want.Edges())
+	}
+	g.AddEdge(1, 4)
+	if !slices.Equal(g.Succ(1), []int{2, 4}) || !slices.Equal(g.Succ(2), []int{3}) {
+		t.Fatalf("after AddEdge(1, 4): Succ(1) = %v, Succ(2) = %v", g.Succ(1), g.Succ(2))
+	}
+	for _, out := range [][][]int{{{1, 0}, nil}, {{1, 1}, nil}, {{2}, nil}, {{-1}}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FromSuccessors(%v) did not panic", out)
+				}
+			}()
+			FromSuccessors(out)
+		}()
+	}
+}
+
 func TestAdjacencyMatrices(t *testing.T) {
 	g := paperSampleGraph()
 	a := g.Adjacency()

@@ -30,10 +30,9 @@ func NewLinear(w, b *tensor.Matrix) *Linear {
 	}
 }
 
-// Forward computes xW + b. The loop runs ixj (axpy) order so the inner loop
-// streams a contiguous weight row instead of striding down a column; each
-// output cell still sees bias first, then x[i]·W[i][j] in ascending i —
-// the same per-cell accumulation chain as the column-walk it replaces, so
+// Forward computes xW + b: each output cell starts at its bias and adds
+// x[i]·W[i][j] for i ascending (tensor.AddVecMatInto, in AVX2 lanes where
+// the CPU has them), the per-cell chain of the column walk it replaced, so
 // the result is bit-identical.
 func (l *Linear) Forward(in *Volume, _ bool) *Volume {
 	if in.Len() != l.In {
@@ -42,13 +41,7 @@ func (l *Linear) Forward(in *Volume, _ bool) *Volume {
 	l.lastIn = in
 	out := l.ws.Volume(1, 1, l.Out)
 	copy(out.Data, l.B.Value.Row(0))
-	od := out.Data
-	for i, x := range in.Data {
-		wRow := l.W.Value.Row(i)
-		for j, wv := range wRow {
-			od[j] += x * wv
-		}
-	}
+	tensor.AddVecMatInto(out.Data, in.Data, l.W.Value)
 	return out
 }
 

@@ -294,3 +294,21 @@ func TestNLLOfProbsClamps(t *testing.T) {
 		t.Fatal("NLL must clamp zero probabilities")
 	}
 }
+
+// BenchmarkLinearForward times the AMP head's hidden layer, 640 → 64, on
+// the path this machine runs (tensor.AddVecMatInto: AVX2 lanes where the
+// CPU has them).
+func BenchmarkLinearForward(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	l := newLinear(rng, 640, 64)
+	l.SetWorkspace(NewWorkspace())
+	in := NewVolume(640, 1, 1)
+	for i := range in.Data {
+		in.Data[i] = rng.Float64()
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.ws.Reset()
+		l.Forward(in, false)
+	}
+}

@@ -37,7 +37,9 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -381,7 +383,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 	var body sampleBody
-	if err := decodeBody(w, r, &body); err != nil {
+	if err := decodeSample(w, r, &body); err != nil {
 		WriteError(w, decodeStatus(err), err)
 		return
 	}
@@ -430,7 +432,7 @@ func (s *Server) handleAddSample(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var body sampleBody
-	if err := decodeBody(w, r, &body); err != nil {
+	if err := decodeSample(w, r, &body); err != nil {
 		WriteError(w, decodeStatus(err), err)
 		return
 	}
@@ -547,8 +549,14 @@ const maxBodyBytes = 16 << 20
 // overrun, preventing a client from streaming the rest of an oversized
 // body into a dead handler.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err := dec.Decode(v); err != nil {
+	return decodeFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes), v)
+}
+
+// decodeFrom decodes the first JSON value r holds into v, as decodeBody
+// does: it reads only as far as the value's end, so bytes after it are
+// neither read nor checked.
+func decodeFrom(r io.Reader, v any) error {
+	if err := json.NewDecoder(r).Decode(v); err != nil {
 		if errors.Is(err, io.EOF) {
 			// Decode returns bare io.EOF only when no bytes preceded it:
 			// the body was empty. Truncated JSON is io.ErrUnexpectedEOF.
@@ -558,6 +566,208 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	}
 	return nil
 }
+
+// decodeSample decodes a /v1/predict or /v1/samples body into body. It reads
+// the bounded body once. A body of the shape the service's clients send is
+// decoded by decodeSampleFast in one pass; every other body — an acfg, a
+// \u escape, a non-ASCII byte, another key, null, trailing data, an
+// empty or oversized body — goes to decodeBody's decoder, run over the same
+// bytes and then the error the read ended with. So what is accepted, the
+// values, the error texts and the 413 are decodeBody's.
+func decodeSample(w http.ResponseWriter, r *http.Request, body *sampleBody) error {
+	data, err := readBody(w, r)
+	if err == nil && decodeSampleFast(data, body) {
+		return nil
+	}
+	var rest io.Reader = bytes.NewReader(data)
+	if err != nil {
+		rest = io.MultiReader(rest, errReader{err})
+	}
+	return decodeFrom(rest, body)
+}
+
+// readBody reads r's body, bounded as decodeBody bounds it, to its end or
+// its first error. The buffer starts at 512 bytes and grows fourfold as
+// bytes arrive, up to one byte more than the body's length, or than
+// maxBodyBytes, so the last read sees the end or the overrun; a body that
+// claims more than it sends costs what it sent.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	limit := maxBodyBytes + 1
+	if r.ContentLength >= 0 && r.ContentLength < maxBodyBytes {
+		limit = int(r.ContentLength) + 1
+	}
+	b := make([]byte, 0, min(512, limit))
+	for {
+		if len(b) == cap(b) {
+			n := 4 * cap(b)
+			if len(b) < limit {
+				n = min(n, limit)
+			}
+			b = append(make([]byte, 0, n), b...)
+		}
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+	}
+}
+
+// errReader is a reader that has nothing left but an error.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// decodeSampleFast decodes data into body when data is the shape the
+// service's clients send, and reports whether it was:
+//   - JSON whitespace, then one object, then nothing but whitespace;
+//   - every key "name", "asm" or "family", spelled exactly (a repeated key
+//     is allowed, and the last one wins, as in encoding/json);
+//   - every value a string of printable ASCII whose only escapes are
+//     \" \\ \/ \b \f \n \r \t.
+//
+// Otherwise it leaves body as it was. Such data is valid JSON that
+// encoding/json decodes to the same sampleBody.
+func decodeSampleFast(data []byte, body *sampleBody) bool {
+	var got sampleBody
+	i := skipSpace(data, 0)
+	if i == len(data) || data[i] != '{' {
+		return false
+	}
+	i = skipSpace(data, i+1)
+	if i < len(data) && data[i] == '}' {
+		i++
+	} else {
+		for {
+			var field *string
+			switch key := data[i:]; {
+			case bytes.HasPrefix(key, []byte(`"asm"`)):
+				field, i = &got.ASM, i+len(`"asm"`)
+			case bytes.HasPrefix(key, []byte(`"name"`)):
+				field, i = &got.Name, i+len(`"name"`)
+			case bytes.HasPrefix(key, []byte(`"family"`)):
+				field, i = &got.Family, i+len(`"family"`)
+			default:
+				return false
+			}
+			if i = skipSpace(data, i); i == len(data) || data[i] != ':' {
+				return false
+			}
+			var ok bool
+			if *field, i, ok = plainString(data, skipSpace(data, i+1)); !ok {
+				return false
+			}
+			if i = skipSpace(data, i); i == len(data) {
+				return false
+			}
+			i++
+			if data[i-1] == '}' {
+				break
+			}
+			if data[i-1] != ',' {
+				return false
+			}
+			i = skipSpace(data, i)
+		}
+	}
+	if skipSpace(data, i) != len(data) {
+		return false
+	}
+	*body = got
+	return true
+}
+
+// skipSpace returns the index of the first byte at or after i that is not
+// JSON whitespace.
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\n' || data[i] == '\r' || data[i] == '\t') {
+		i++
+	}
+	return i
+}
+
+// plainString decodes the JSON string that starts at data[i], if it is
+// printable ASCII with only the escapes decodeSampleFast allows, and returns
+// it with the index after its closing quote. The first pass finds the
+// closing quote and the escapes and checks the bytes, eight at a time; the
+// second copies the runs between the escapes into a builder grown once to
+// the decoded length.
+func plainString(data []byte, i int) (string, int, bool) {
+	if i == len(data) || data[i] != '"' {
+		return "", 0, false
+	}
+	start, end, escapes := i+1, indexFrom(data, i+1, '"'), 0
+	for j := start; end >= 0; {
+		k := bytes.IndexByte(data[j:end], '\\')
+		if k < 0 {
+			break
+		}
+		k += j
+		if unescaped[data[k+1]] == 0 {
+			return "", 0, false
+		}
+		if k+1 == end { // an escaped quote: the string goes on
+			end = indexFrom(data, end+1, '"')
+		}
+		j = k + 2
+		escapes++
+	}
+	if end < 0 || !printable(data[start:end]) {
+		return "", 0, false
+	}
+	raw := data[start:end]
+	if escapes == 0 {
+		return string(raw), end + 1, true
+	}
+	var sb strings.Builder
+	sb.Grow(len(raw) - escapes)
+	for {
+		k := bytes.IndexByte(raw, '\\')
+		if k < 0 {
+			sb.Write(raw)
+			break
+		}
+		sb.Write(raw[:k])
+		sb.WriteByte(unescaped[raw[k+1]])
+		raw = raw[k+2:]
+	}
+	return sb.String(), end + 1, true
+}
+
+// indexFrom returns the index of the first c in data at or after i, or −1.
+func indexFrom(data []byte, i int, c byte) int {
+	if k := bytes.IndexByte(data[i:], c); k >= 0 {
+		return i + k
+	}
+	return -1
+}
+
+// printable reports whether every byte of s is printable ASCII, 0x20 to
+// 0x7e, eight bytes at a time: x − 0x20 in a byte borrows into its high
+// bit where the byte is below 0x20, and x + 1 sets it where the byte is
+// above 0x7e (where it is set already from 0x80).
+func printable(s []byte) bool {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	var bad uint64
+	for ; len(s) >= 8; s = s[8:] {
+		x := binary.LittleEndian.Uint64(s)
+		bad |= (x-0x20*ones)&^x | (x + ones) | x
+	}
+	for _, c := range s {
+		if c < 0x20 || c > 0x7e {
+			return false
+		}
+	}
+	return bad&highs == 0
+}
+
+// unescaped maps the byte after a backslash to what the escape stands for,
+// for the escapes the fast path decodes; 0 for every other byte.
+var unescaped = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
 
 // decodeStatus maps a decodeBody error to its HTTP status: 413 when the
 // body blew the size cap, else 400.

@@ -33,3 +33,21 @@ func BenchmarkMatMulKernelPaths(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkAddVecMatKernelPaths times AddVecMatInto on each path at the AMP
+// head's hidden layer, 640 → 64, and at the output layer's 64 → 9.
+func BenchmarkAddVecMatKernelPaths(b *testing.B) {
+	rng := rand.New(rand.NewSource(12))
+	for _, s := range []struct{ in, out int }{{640, 64}, {64, 9}} {
+		x := Uniform(rng, 1, s.in, 0, 1)
+		w := Uniform(rng, s.in, s.out, -1, 1)
+		dst := make([]float64, s.out)
+		forEachKernelPath(func(path string) {
+			b.Run(fmt.Sprintf("%dx%d/%s", s.in, s.out, path), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					AddVecMatInto(dst, x.Data, w)
+				}
+			})
+		})
+	}
+}

@@ -76,6 +76,18 @@ func MatMulInto(dst, a, b *Matrix) {
 	matMulKernel(dst, a, b)
 }
 
+// AddVecMatInto adds x·w to dst: dst[j] += x[i]·w[i][j] for i ascending,
+// every term added, zeros included — the chain of the plain two-loop
+// axpy, and bit for bit its result. On amd64 machines with AVX2 it runs
+// the kernel of kernel_amd64.s from dst's values, elsewhere the loop
+// itself. It panics unless len(x) is w.Rows and len(dst) is w.Cols.
+func AddVecMatInto(dst, x []float64, w *Matrix) {
+	if len(x) != w.Rows || len(dst) != w.Cols {
+		panic(fmt.Sprintf("tensor: vec-mat %d·%dx%d into %d", len(x), w.Rows, w.Cols, len(dst)))
+	}
+	addVecMatKernel(dst, x, w)
+}
+
 // HasAVX2 reports whether this CPU and OS run AVX2 instructions, as the
 // kernels of this package and of internal/nn read it at init.
 func HasAVX2() bool { return hasAVX2 }

@@ -295,3 +295,38 @@ func TestIntoKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("HConcatInto allocated %.1f objects per call, want 0", allocs)
 	}
 }
+
+// FuzzAddVecMatInto holds both AddVecMatInto paths to the two-loop axpy it
+// stands for — dst from a bias, then every x[i]·w[i][j] for i ascending —
+// over 1–48 rows and 1–40 columns, with ±0, NaN, ±Inf and subnormals in x,
+// w or the bias by the seed's low bits.
+func FuzzAddVecMatInto(f *testing.F) {
+	f.Add(int64(0), uint8(4), uint8(4))
+	f.Add(int64(7), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(46), uint8(31)) // 32 columns: one full pass
+	f.Add(int64(5), uint8(20), uint8(35)) // 36 columns: a pass, a register, nothing left
+	f.Add(int64(6), uint8(47), uint8(38)) // 39 columns: three left for Go
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols uint8) {
+		draw := func(rng *rand.Rand, special bool, r, c int) *Matrix {
+			if special {
+				return specialMatrix(rng, r, c)
+			}
+			return randMatrix(rng, r, c)
+		}
+		forEachKernelPath(func(path string) {
+			rng := rand.New(rand.NewSource(seed))
+			x := draw(rng, seed&1 != 0, 1, dims48(rows))
+			w := draw(rng, seed&2 != 0, x.Cols, 1+int(cols)%40)
+			bias := draw(rng, seed&4 != 0, 1, w.Cols)
+			want := slices.Clone(bias.Data)
+			for i, xv := range x.Data {
+				for j := range want {
+					want[j] += float64(xv * w.At(i, j))
+				}
+			}
+			got := slices.Clone(bias.Data)
+			AddVecMatInto(got, x.Data, w)
+			requireBitEqual(t, &Matrix{Rows: 1, Cols: w.Cols, Data: got}, &Matrix{Rows: 1, Cols: w.Cols, Data: want}, path+" vec-mat")
+		})
+	})
+}

@@ -32,14 +32,15 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// matMulAVX2 is matMulGeneric over columns 0 … cols−1 of dst with the
-// columns side by side: four per YMM register, up to 32 per pass over a's
-// row. Per lane the chain is +0, then for k ascending one VMULPD and one
-// VADDPD — with no zero test, which is exact only where b is finite (see
+// matMulAVX2 is matMulGeneric, or with acc ≠ 0 addVecMatGeneric, over
+// columns 0 … cols−1 of dst with the columns side by side: four per YMM
+// register, up to 32 per pass over a's row. Per lane the chain is +0, or
+// dst's value, then for k ascending one VMULPD and one VADDPD — with no
+// zero test, which is exact for matMulGeneric only where b is finite (see
 // matMulKernel). cols is a multiple of 4; the caller checks the lengths.
 //
 //go:noescape
-func matMulAVX2(dst, a, b []float64, n, k, m, cols int)
+func matMulAVX2(dst, a, b []float64, n, k, m, cols, acc int)
 
 // matMulKernel computes dst = a·b: the AVX2 kernel over the columns that
 // fill whole registers and the Go loop over the rest, or the Go loop alone.
@@ -57,10 +58,27 @@ func matMulKernel(dst, a, b *Matrix) {
 		cols = b.Cols &^ 3
 	}
 	if cols > 0 {
-		matMulAVX2(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, cols)
+		matMulAVX2(dst.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, cols, 0)
 	}
 	if cols < b.Cols {
 		matMulGeneric(dst, a, b, cols)
+	}
+}
+
+// addVecMatKernel adds x·w to dst: the AVX2 kernel, its accumulators
+// starting from dst, over the columns that fill whole registers and the Go
+// loop over the rest, or the Go loop alone. Both add every term, so no
+// value of w needs the finiteness check matMulKernel makes.
+func addVecMatKernel(dst, x []float64, w *Matrix) {
+	cols := 0
+	if useAVX2 {
+		cols = w.Cols &^ 3
+	}
+	if cols > 0 {
+		matMulAVX2(dst, x, w.Data, 1, w.Rows, w.Cols, cols, 1)
+	}
+	if cols < w.Cols {
+		addVecMatGeneric(dst, x, w, cols)
 	}
 }
 

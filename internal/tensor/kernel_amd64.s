@@ -31,20 +31,21 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	VMULPD off(R13), Y8, Ytmp; \
 	VADDPD Ytmp, Yacc, Yacc
 
-// func matMulAVX2(dst, a, b []float64, n, k, m, cols int)
+// func matMulAVX2(dst, a, b []float64, n, k, m, cols, acc int)
 //
-// dst = a·b over columns 0 … cols−1 of every row, a n×k, b k×m and dst
-// n×m row-major. Per row the columns run 32 at a time in Y0–Y7, then four
-// at a time in Y0; per lane the accumulator starts at +0 and adds
-// a[i][k]·b[k][j] for k ascending — every term, zeros included, which
-// leaves the oracle's bits only where b is finite (see matMulKernel). The
-// caller checks that, the lengths, and that cols is a multiple of 4 no
-// larger than m.
+// dst = a·b, or with acc ≠ 0 dst += a·b, over columns 0 … cols−1 of every
+// row, a n×k, b k×m and dst n×m row-major. Per row the columns run 32 at a
+// time in Y0–Y7, then four at a time in Y0; per lane the accumulator starts
+// at +0, or at dst's value, and adds a[i][k]·b[k][j] for k ascending —
+// every term, zeros included, which leaves MatMulInto's oracle's bits only
+// where b is finite (see matMulKernel) and is AddVecMatInto's chain
+// exactly. The caller checks the lengths, and that cols is a multiple of 4
+// no larger than m.
 //
 // Registers: DI dst's row, SI a's row, DX b, R8 rows left, R9 k, R10 m·8,
 // R11 cols·8, BX the block's first column ·8, R12 a[i][k], R13 b[k] at the
 // block, CX k left, AX scratch.
-TEXT ·matMulAVX2(SB), NOSPLIT, $0-104
+TEXT ·matMulAVX2(SB), NOSPLIT, $0-112
 	MOVQ   dst_base+0(FP), DI
 	MOVQ   a_base+24(FP), SI
 	MOVQ   b_base+48(FP), DX
@@ -66,6 +67,8 @@ block:
 	JLE  rownext
 	CMPQ AX, $256
 	JLT  vec
+	CMPQ acc+104(FP), $0
+	JNE  octload
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -74,6 +77,19 @@ block:
 	VXORPD Y5, Y5, Y5
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
+	JMP    octgo
+
+octload:
+	VMOVUPD (DI)(BX*1), Y0
+	VMOVUPD 32(DI)(BX*1), Y1
+	VMOVUPD 64(DI)(BX*1), Y2
+	VMOVUPD 96(DI)(BX*1), Y3
+	VMOVUPD 128(DI)(BX*1), Y4
+	VMOVUPD 160(DI)(BX*1), Y5
+	VMOVUPD 192(DI)(BX*1), Y6
+	VMOVUPD 224(DI)(BX*1), Y7
+
+octgo:
 	MOVQ   SI, R12
 	LEAQ   (DX)(BX*1), R13
 	MOVQ   R9, CX
@@ -108,7 +124,15 @@ octstore:
 	JMP     block
 
 vec:
-	VXORPD Y0, Y0, Y0
+	CMPQ    acc+104(FP), $0
+	JNE     vecload
+	VXORPD  Y0, Y0, Y0
+	JMP     vecgo
+
+vecload:
+	VMOVUPD (DI)(BX*1), Y0
+
+vecgo:
 	MOVQ   SI, R12
 	LEAQ   (DX)(BX*1), R13
 	MOVQ   R9, CX

@@ -41,6 +41,19 @@ func matMulGeneric(dst, a, b *Matrix, j0 int) {
 	}
 }
 
+// addVecMatGeneric is the loop of dst += x·w over columns j0 … w.Cols−1:
+// AddVecMatInto's Go path and, from j0 = 0, its reference. Each cell adds
+// x[i]·w[i][j] for i ascending, every term, zeros included.
+func addVecMatGeneric(dst, x []float64, w *Matrix, j0 int) {
+	m := w.Cols
+	d := dst[j0:m]
+	for i, xv := range x {
+		for j, wv := range w.Data[i*m+j0 : (i+1)*m] {
+			d[j] += float64(xv * wv)
+		}
+	}
+}
+
 // MatMulNaiveInto is the reference triple loop for dst = a·b in ikj order.
 // Identical contract to MatMulInto; kept for differential testing.
 func MatMulNaiveInto(dst, a, b *Matrix) {
